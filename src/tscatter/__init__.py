@@ -36,7 +36,7 @@ from .exceptions import (
     NuOutOfRange,
     NumericalBreakdown,
 )
-from .locscatter import LocScatEstimate, direct_em_step, objective_locscat, solve_locscatter
+from .locscatter import LocScatEstimate, objective_locscat, solve_locscatter
 from .oned import (
     OneDEstimate,
     boundary_rate_probe,

@@ -24,15 +24,14 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg import cho_factor, cho_solve
 
-from .domain_check import EmpiricalSample, check_locscat_domain, lift
-from .exceptions import DomainViolation, NuOutOfRange
+from .domain_check import EmpiricalSample, lift
+from .locscatter import _solve_lifted
 from .scatter import ScatterConfig, ScatterResult, solve_scatter
 from .symspace import (
-    SpdMatrix,
     as_spd,
     congruence_matrix,
+    outer_vecs,
     sym_basis,
-    sym_dim,
     sym_to_vec,
     symmetrize,
     vec_to_sym,
@@ -50,19 +49,6 @@ __all__ = [
 ]
 
 DEFAULT_RANK_TOL = 1e-8
-
-SQRT2 = np.sqrt(2.0)
-
-
-def _outer_vecs(points: np.ndarray) -> np.ndarray:
-    """Rows sym_to_vec(y y') for every sample point, without a Python loop."""
-    n, d = points.shape
-    cols = [points[:, i] * points[:, i] for i in range(d)]
-    for i in range(d):
-        for j in range(i + 1, d):
-            cols.append(SQRT2 * points[:, i] * points[:, j])
-    return np.column_stack(cols)
-
 
 @dataclass(frozen=True)
 class HessianMap:
@@ -118,7 +104,7 @@ def hessian(sample: EmpiricalSample, A, nu: float) -> HessianMap:
     s = A.quad_forms(sample.points)
     # first term: T[a,b] = trace(A E_a A E_b), the congruence matrix of A
     T = congruence_matrix(A.mat)
-    V = _outer_vecs(sample.points)
+    V = outer_vecs(sample.points)
     coef = (nu + d) * sample.weights / (nu + s) ** 2
     H = symmetrize(T - (V * coef[:, None]).T @ V, rtol=1e-6)
     min_eig = float(np.linalg.eigvalsh(H)[0])
@@ -179,7 +165,7 @@ def asymptotic_cov_scatter(
     H = hessian(sample, A, nu)
     s = A.quad_forms(sample.points)
     coef = (nu + d) / (2.0 * (nu + s))
-    Gv = coef[:, None] * _outer_vecs(sample.points) - 0.5 * sym_to_vec(A.mat)
+    Gv = coef[:, None] * outer_vecs(sample.points) - 0.5 * sym_to_vec(A.mat)
     mean = sample.weights @ Gv
     Gc = Gv - mean
     K = (Gc * sample.weights[:, None]).T @ Gc
@@ -206,22 +192,21 @@ def extract_jacobian(A) -> np.ndarray:
     mu = a/gamma, Sigma = M/gamma - mu mu' along each basis direction.
     """
     A = as_spd(A)
-    dp1 = A.dim
-    d = dp1 - 1
+    d = A.dim - 1
     m = A.mat
     gamma = m[d, d]
     a = m[:d, d]
-    Mtop = m[:d, :d]
     mu = a / gamma
-    cols = []
-    for E in sym_basis(dp1):
-        dgamma = E[d, d]
-        da = E[:d, d]
-        dM = E[:d, :d]
-        dmu = da / gamma - a * dgamma / gamma**2
-        dSigma = dM / gamma - Mtop * dgamma / gamma**2 - np.outer(dmu, mu) - np.outer(mu, dmu)
-        cols.append(np.concatenate([dmu, sym_to_vec(dSigma)]))
-    return np.column_stack(cols)
+    E = sym_basis(d + 1)
+    dgamma = E[:, d, d]
+    dmu = E[:, :d, d] / gamma - np.outer(dgamma, a) / gamma**2
+    dSigma = (
+        E[:, :d, :d] / gamma
+        - dgamma[:, None, None] * m[:d, :d] / gamma**2
+        - dmu[:, :, None] * mu
+        - mu[:, None] * dmu[:, None, :]
+    )
+    return np.hstack([dmu, sym_to_vec(dSigma)]).T
 
 
 def asymptotic_cov_locscatter(
@@ -237,17 +222,9 @@ def asymptotic_cov_locscatter(
     mu block has full rank d; the Sigma block inherits the rank behavior of
     the pure scatter case.
     """
-    nu = float(nu)
-    if not nu > 1.0:
-        raise NuOutOfRange(f"location-scatter requires nu > 1, got {nu}")
-    d = sample.d
-    if check_domain:
-        report = check_locscat_domain(sample, nu + d)
-        if not report.member:
-            raise DomainViolation(report)
-    lifted = lift(sample)
-    fit = solve_scatter(lifted, ScatterConfig(nu=nu - 1.0), check_domain=False)
-    S_lift = asymptotic_cov_scatter(lifted, nu - 1.0, rank_tol=rank_tol, fit=fit)
+    est = _solve_lifted(sample, nu, check_domain=check_domain)
+    fit = est.scatter_diag
+    S_lift = asymptotic_cov_scatter(lift(sample), est.nu - 1.0, rank_tol=rank_tol, fit=fit)
     J = extract_jacobian(fit.A)
     S = symmetrize(J @ S_lift.S @ J.T, rtol=1e-6)
     return AsymptoticCov(

@@ -17,7 +17,7 @@ import io
 import json
 import sys
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -29,7 +29,6 @@ from .exceptions import (
     DomainViolation,
     NotSpdError,
     NumericalBreakdown,
-    NuOutOfRange,
 )
 from .locscatter import solve_locscatter
 from .oned import solve_oned
@@ -59,8 +58,6 @@ class RunConfig:
     mode: str = "locscatter"       # check-domain / asymptotics / simulate target
     n: int = 1000                  # simulate: per-replicate sample size
     reps: int = 200                # simulate: replicate count
-    workers: int = 1
-    dump_reps: str | None = None   # simulate: optional per-replicate CSV
 
     def __post_init__(self):
         if not self.nu > 0.0:
@@ -117,13 +114,10 @@ def ingest_csv(source) -> EmpiricalSample:
         return val
 
     def row_is_numeric(row):
-        for cell in row:
-            try:
-                val = float(cell)
-            except ValueError:
-                return False
-            if not np.isfinite(val):
-                return False
+        try:
+            [parse_cell(cell, 0) for cell in row]
+        except CsvParseError:
+            return False
         return True
 
     header = None
@@ -163,6 +157,9 @@ def _round_trip(obj):
     """Make payload values JSON-ready (floats survive a round trip exactly)."""
     if isinstance(obj, np.ndarray):
         return _round_trip(obj.tolist())
+    # bool subclasses int, so it has to be caught before the int branch
+    if isinstance(obj, (bool, np.bool_)):
+        return bool(obj)
     if isinstance(obj, (np.floating, float)):
         return float(obj)
     if isinstance(obj, (np.integer, int)):
@@ -175,22 +172,51 @@ def _round_trip(obj):
 
 
 def _report_payload(report: DomainReport) -> dict:
-    return _round_trip(
-        {
-            "member": report.member,
-            "a0": report.a0,
-            "worst_subspace_dim": report.worst_subspace_dim,
-            "worst_mass": report.worst_mass,
-            "threshold": report.threshold,
-            "witness_points": list(report.witness_points),
-            "exact": report.exact,
+    return {
+        "member": report.member,
+        "a0": report.a0,
+        "worst_subspace_dim": report.worst_subspace_dim,
+        "worst_mass": report.worst_mass,
+        "threshold": report.threshold,
+        "witness_points": report.witness_points,
+        "exact": report.exact,
+    }
+
+
+def _cov_payload(cov) -> dict:
+    return {"S": cov.S, "rank": cov.rank, "parametrization": cov.parametrization}
+
+
+def dispatch(cfg: RunConfig) -> tuple[dict, list[str]]:
+    """Run one command against its input sample; return its payload and warnings.
+
+    Payload values may still be numpy objects; :func:`main` encodes them.
+    """
+    warnings: list[str] = []
+
+    sample = ingest_csv(sys.stdin if cfg.input_path == "-" else cfg.input_path)
+
+    scfg = ScatterConfig(nu=cfg.nu, tol_grad=cfg.tol, max_iter=cfg.max_iter)
+
+    if cfg.command == "estimate":
+        est = solve_locscatter(sample, cfg.nu, scfg)
+        if not est.converged:
+            warnings.append("estimate did not meet its convergence certificates")
+        payload = {
+            "mu": est.mu,
+            "Sigma": est.Sigma.mat,
+            "nu": est.nu,
+            "gamma_check": est.gamma_check,
+            "weight_check": est.weight_check,
+            "converged": est.converged,
+            "iterations": est.scatter_diag.iterations,
+            "grad_norm": est.scatter_diag.grad_norm,
         }
-    )
-
-
-def _scatter_payload(result) -> dict:
-    return _round_trip(
-        {
+    elif cfg.command == "scatter":
+        result = solve_scatter(sample, scfg)
+        if not result.converged:
+            warnings.append("solver stopped before meeting the gradient tolerance")
+        payload = {
             "A": result.A.mat,
             "iterations": result.iterations,
             "objective": result.objective,
@@ -199,109 +225,33 @@ def _scatter_payload(result) -> dict:
             "converged": result.converged,
             "stop_reason": result.stop_reason,
         }
-    )
-
-
-def _cov_payload(cov) -> dict:
-    return _round_trip(
-        {"S": cov.S, "rank": cov.rank, "parametrization": cov.parametrization}
-    )
-
-
-def dispatch(cfg: RunConfig) -> ResultEnvelope:
-    """Run one command against its input sample and wrap the result."""
-    start = time.perf_counter()
-    warnings: list[str] = []
-
-    if cfg.input_path == "-":
-        sample = ingest_csv(io.StringIO(sys.stdin.read()))
-    else:
-        sample = ingest_csv(cfg.input_path)
-
-    scfg = ScatterConfig(nu=cfg.nu, tol_grad=cfg.tol, max_iter=cfg.max_iter)
-
-    if cfg.command == "estimate":
-        est = solve_locscatter(sample, cfg.nu, scfg)
-        if not est.converged:
-            warnings.append("estimate did not meet its convergence certificates")
-        payload = _round_trip(
-            {
-                "mu": est.mu,
-                "Sigma": est.Sigma.mat,
-                "nu": est.nu,
-                "gamma_check": est.gamma_check,
-                "weight_check": est.weight_check,
-                "converged": est.converged,
-                "iterations": est.scatter_diag.iterations,
-                "grad_norm": est.scatter_diag.grad_norm,
-            }
-        )
-    elif cfg.command == "scatter":
-        result = solve_scatter(sample, scfg)
-        if not result.converged:
-            warnings.append("solver stopped before meeting the gradient tolerance")
-        payload = _scatter_payload(result)
     elif cfg.command == "check-domain":
-        a0 = cfg.nu + sample.d
-        if cfg.mode == "scatter":
-            report = check_scatter_domain(sample, a0)
-        else:
-            report = check_locscat_domain(sample, a0)
-        payload = _report_payload(report)
-        payload["target"] = cfg.mode
+        check = check_scatter_domain if cfg.mode == "scatter" else check_locscat_domain
+        payload = {**_report_payload(check(sample, cfg.nu + sample.d)), "target": cfg.mode}
     elif cfg.command == "asymptotics":
-        if cfg.mode == "scatter":
-            cov = asymptotic_cov_scatter(sample, cfg.nu)
-        else:
-            if not cfg.nu > 1.0:
-                raise NuOutOfRange("asymptotics for location-scatter requires nu > 1")
-            cov = asymptotic_cov_locscatter(sample, cfg.nu)
-        payload = _cov_payload(cov)
+        cov = asymptotic_cov_scatter if cfg.mode == "scatter" else asymptotic_cov_locscatter
+        payload = _cov_payload(cov(sample, cfg.nu))
     elif cfg.command == "oned":
         est = solve_oned(sample, cfg.nu)
-        payload = _round_trip(
-            {
-                "mu": est.mu,
-                "sigma": est.sigma,
-                "boundary": est.boundary,
-                "atom": list(est.atom) if est.atom is not None else None,
-            }
-        )
+        payload = {"mu": est.mu, "sigma": est.sigma, "boundary": est.boundary, "atom": est.atom}
     elif cfg.command == "simulate":
         sampler = discrete_sampler(sample.points, sample.weights, cfg.seed)
-        report = run_clt_experiment(
-            sampler,
-            cfg.nu,
-            n=cfg.n,
-            reps=cfg.reps,
-            mode=cfg.mode,
-            workers=cfg.workers,
-        )
+        report = run_clt_experiment(sampler, cfg.nu, n=cfg.n, reps=cfg.reps, mode=cfg.mode)
         warnings.extend(report.warnings)
-        payload = _round_trip(
-            {
-                "n": report.n,
-                "reps": report.reps,
-                "mode": report.mode,
-                "seed": report.seed,
-                "empirical_cov": report.empirical_cov,
-                "target_cov": _cov_payload(report.target_cov),
-                "max_rel_err": report.max_rel_err,
-                "normality_stat": list(report.normality_stat),
-                "existence_rate": report.existence_rate,
-            }
-        )
+        payload = {
+            "n": report.n,
+            "reps": report.reps,
+            "mode": report.mode,
+            "seed": report.seed,
+            "empirical_cov": report.empirical_cov,
+            "target_cov": _cov_payload(report.target_cov),
+            "max_rel_err": report.max_rel_err,
+            "normality_stat": report.normality_stat,
+            "existence_rate": report.existence_rate,
+        }
     else:
         raise ValueError(f"unknown command {cfg.command!r}")
-
-    timing_ms = (time.perf_counter() - start) * 1000.0
-    return ResultEnvelope(
-        version=SCHEMA_VERSION,
-        command=cfg.command,
-        timing_ms=timing_ms,
-        payload=payload,
-        warnings=tuple(warnings),
-    )
+    return payload, warnings
 
 
 def _emit(envelope: ResultEnvelope, cfg: RunConfig | None):
@@ -377,7 +327,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--mode", choices=["scatter", "locscatter"], default="scatter")
     p.add_argument("--n", type=int, default=1000, help="per-replicate sample size")
     p.add_argument("--reps", type=int, default=200)
-    p.add_argument("--workers", type=int, default=1)
 
     return parser
 
@@ -398,40 +347,36 @@ def main(argv=None) -> int:
             mode=getattr(args, "mode", "locscatter"),
             n=getattr(args, "n", 1000),
             reps=getattr(args, "reps", 200),
-            workers=getattr(args, "workers", 1),
         )
     except ValueError as exc:
         sys.stderr.write(f"tscatter: error: {exc}\n")
         return EXIT_USAGE
 
+    start = time.perf_counter()
+    warnings: list[str] = []
     try:
-        envelope = dispatch(cfg)
+        payload, warnings = dispatch(cfg)
+        code = EXIT_OK
     except DomainViolation as exc:
-        envelope = ResultEnvelope(
-            version=SCHEMA_VERSION,
-            command=cfg.command,
-            timing_ms=0.0,
-            payload={"error": "domain_violation", "report": _report_payload(exc.report)},
-            warnings=(str(exc),),
-        )
-        _emit(envelope, cfg)
-        return EXIT_DOMAIN
+        payload = {"error": "domain_violation", "report": _report_payload(exc.report)}
+        warnings = [str(exc)]
+        code = EXIT_DOMAIN
     except (NumericalBreakdown, NotSpdError, DegeneracyError) as exc:
-        envelope = ResultEnvelope(
-            version=SCHEMA_VERSION,
-            command=cfg.command,
-            timing_ms=0.0,
-            payload={"error": "numerical_failure", "message": str(exc)},
-            warnings=(),
-        )
-        _emit(envelope, cfg)
-        return EXIT_NUMERICAL
+        payload = {"error": "numerical_failure", "message": str(exc)}
+        code = EXIT_NUMERICAL
     except (CsvParseError, FileNotFoundError, ValueError) as exc:
         sys.stderr.write(f"tscatter: error: {exc}\n")
         return EXIT_USAGE
 
+    envelope = ResultEnvelope(
+        version=SCHEMA_VERSION,
+        command=cfg.command,
+        timing_ms=(time.perf_counter() - start) * 1000.0,
+        payload=_round_trip(payload),
+        warnings=tuple(warnings),
+    )
     _emit(envelope, cfg)
-    return EXIT_OK
+    return code
 
 
 if __name__ == "__main__":

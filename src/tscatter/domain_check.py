@@ -16,7 +16,7 @@ not exact.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -27,7 +27,6 @@ __all__ = [
     "DomainReport",
     "check_scatter_domain",
     "check_locscat_domain",
-    "check_locscat_domain_direct",
     "lift",
     "max_atom",
 ]
@@ -337,51 +336,4 @@ def check_locscat_domain(sample: EmpiricalSample, a0: float, **kwargs) -> Domain
         threshold=rpt.threshold,
         witness_points=rpt.witness_points,
         exact=rpt.exact,
-    )
-
-
-def check_locscat_domain_direct(sample: EmpiricalSample, a0: float) -> DomainReport:
-    """Affine check by direct enumeration, for d <= 2 only.
-
-    Cross-validates the lifted implementation: enumerates atoms (q = 0) and,
-    for d = 2, lines through pairs of distinct points (q = 1).
-    """
-    a0 = float(a0)
-    d = sample.d
-    if d > 2:
-        raise ValueError("direct affine enumeration is implemented for d <= 2 only")
-    if not a0 > d + 1:
-        raise ValueError(f"need a0 > d + 1, got a0={a0} with d={d}")
-    merged, rep = sample.merged()
-    X = merged.points
-    w = merged.weights
-    scale = _point_scale(X)
-    tol = POINT_RTOL * max(scale, 1.0)
-
-    cands = []
-    for i in range(merged.n):
-        cands.append((float(w[i]), 1.0 - d / a0, 0, (int(rep[i]),)))
-    if d == 2:
-        for i, j in itertools.combinations(range(merged.n), 2):
-            direction = X[j] - X[i]
-            nrm = np.linalg.norm(direction)
-            if nrm <= tol:
-                continue
-            u = direction / nrm
-            diff = X - X[i]
-            resid = diff - np.outer(diff @ u, u)
-            inside = np.linalg.norm(resid, axis=1) <= tol
-            mass = float(w[inside].sum())
-            cands.append((mass, 1.0 - (d - 1) / a0, 1, (int(rep[i]), int(rep[j]))))
-
-    mass, threshold, dim, witness = _best_candidate(cands)
-    member = mass < threshold - EQ_TOL
-    return DomainReport(
-        member=member,
-        a0=a0,
-        worst_subspace_dim=dim,
-        worst_mass=mass,
-        threshold=threshold,
-        witness_points=witness,
-        exact=True,
     )

@@ -8,9 +8,9 @@ the location vector mu and scatter matrix Sigma. Two identities certify a
 solution: the corner entry equals 1, and the fitted weights u((y-mu)'
 Sigma^{-1} (y-mu)) average to 1 over the sample.
 
-A direct reweighting step on (mu, Sigma) is provided as an independent
-cross-check oracle; the lifted route is the primary path because uniqueness
-and minimality are guaranteed there.
+Every location-scatter fit in the package, including the ones behind the
+asymptotic covariance and the Monte Carlo replicates, goes through this
+lifted route, where uniqueness and minimality are guaranteed.
 """
 
 from __future__ import annotations
@@ -21,14 +21,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .domain_check import EmpiricalSample, check_locscat_domain, lift
-from .exceptions import DegeneracyError, DomainViolation, NotSpdError, NuOutOfRange
-from .scatter import ScatterConfig, ScatterResult, solve_scatter, weight_u
+from .exceptions import DomainViolation, NuOutOfRange
+from .scatter import ScatterConfig, ScatterResult, _rho_diff, solve_scatter, weight_u
 from .symspace import SpdMatrix, as_spd, extract
 
 __all__ = [
     "LocScatEstimate",
     "solve_locscatter",
-    "direct_em_step",
     "objective_locscat",
 ]
 
@@ -65,19 +64,26 @@ def solve_locscatter(
     :class:`DomainViolation` when the sample puts too much mass on an affine
     subspace.
     """
+    return _solve_lifted(sample, nu, cfg)
+
+
+def _solve_lifted(
+    sample: EmpiricalSample, nu: float, cfg: ScatterConfig | None = None, check_domain: bool = True
+) -> LocScatEstimate:
+    # lift, solve, extract and certify; callers that already settled domain
+    # membership skip the affine check
     nu = float(nu)
     if not nu > 1.0:
         raise NuOutOfRange(f"location-scatter requires nu > 1, got {nu}")
     d = sample.d
-    report = check_locscat_domain(sample, nu + d)
-    if not report.member:
-        raise DomainViolation(report)
+    if check_domain:
+        report = check_locscat_domain(sample, nu + d)
+        if not report.member:
+            raise DomainViolation(report)
 
-    if cfg is None:
-        cfg = ScatterConfig(nu=nu - 1.0)
-    else:
-        cfg = dataclasses.replace(cfg, nu=nu - 1.0)
-    # the affine check above already certifies the lifted linear condition
+    cfg = ScatterConfig(nu=nu - 1.0) if cfg is None else dataclasses.replace(cfg, nu=nu - 1.0)
+    # affine-domain membership is the lifted linear condition, so the lifted
+    # solve does not check it again
     diag = solve_scatter(lift(sample), cfg, check_domain=False)
 
     Sigma_arr, mu, gamma = extract(diag.A)
@@ -102,39 +108,10 @@ def solve_locscatter(
     )
 
 
-def direct_em_step(sample: EmpiricalSample, mu, Sigma, nu: float):
-    """One reweighting step on (mu, Sigma) directly in R^d.
-
-    Weights are u((x - mu)' Sigma^{-1} (x - mu)); the new location is the
-    weighted mean and the new scatter the weighted sum of outer products
-    around it (no renormalization: the weights average to 1 at the fixed
-    point). Used as an independent oracle for :func:`solve_locscatter`.
-    """
-    Sigma = as_spd(Sigma)
-    mu = np.asarray(mu, dtype=float).reshape(-1)
-    centered = sample.points - mu
-    s = Sigma.quad_forms(centered)
-    u = weight_u(s, nu, sample.d)
-    pw = sample.weights * u
-    total = pw.sum()
-    if total <= 0.0:
-        raise DegeneracyError("all points received zero weight")
-    mu_next = (pw @ sample.points) / total
-    centered_next = sample.points - mu_next
-    Sigma_next = (centered_next * pw[:, None]).T @ centered_next
-    try:
-        SpdMatrix(Sigma_next)
-    except NotSpdError as exc:
-        raise DegeneracyError("updated scatter is singular") from exc
-    return mu_next, (Sigma_next + Sigma_next.T) / 2.0
-
-
 def objective_locscat(sample: EmpiricalSample, mu, Sigma, nu: float) -> float:
     """Adjusted objective Ph(mu, Sigma); zero at (0, I), minimized at the functional."""
     Sigma = as_spd(Sigma)
     mu = np.asarray(mu, dtype=float).reshape(-1)
-    d = sample.d
     s = Sigma.quad_forms(sample.points - mu)
     t = np.einsum("ij,ij->i", sample.points, sample.points)
-    rho_diff = 0.5 * (nu + d) * (np.log(nu + s) - np.log(nu + t))
-    return 0.5 * Sigma.logdet() + float(sample.weights @ rho_diff)
+    return 0.5 * Sigma.logdet() + float(sample.weights @ _rho_diff(s, t, nu, sample.d))

@@ -27,8 +27,9 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.optimize import brentq
 
-from .domain_check import EmpiricalSample, max_atom
+from .domain_check import EQ_TOL, EmpiricalSample, max_atom
 from .exceptions import NoPositiveSolution, NuOutOfRange
+from .scatter import _rho_diff
 
 __all__ = [
     "OneDEstimate",
@@ -38,9 +39,6 @@ __all__ = [
     "boundary_rate_probe",
     "profile_objective",
 ]
-
-# Atom mass within this distance of nu/(nu+1) counts as reaching the boundary.
-EQ_TOL = 1e-12
 
 SCALE_RESIDUAL_TOL = 1e-12
 
@@ -103,11 +101,7 @@ def sigma_of_mu(sample: EmpiricalSample, mu: float, nu: float) -> float:
 def profile_objective(sample: EmpiricalSample, mu: float, sigma: float, nu: float) -> float:
     """Objective Qh(mu, sigma); zero at (0, 1)."""
     x, w = _as_oned(sample)
-    d2 = (x - mu) ** 2
-    val = np.log(sigma) + 0.5 * (nu + 1.0) * float(
-        w @ (np.log((nu * sigma**2 + d2) / (nu * sigma**2)) - np.log1p(x**2 / nu))
-    )
-    return val
+    return np.log(sigma) + float(w @ _rho_diff((x - mu) ** 2 / sigma**2, x**2, nu, 1))
 
 
 def _profile_derivative(sample: EmpiricalSample, mu: float, nu: float) -> float:

@@ -3,8 +3,8 @@
 Replicates draw i.i.d. samples from a configured law, fit the scatter or
 location-scatter functional, and compare the empirical covariance of
 sqrt(n) * (vectorized estimate - functional) against the analytic asymptotic
-covariance. Replicate RNG streams are keyed by (seed, replicate index), so
-reports are bit-identical across runs and worker counts.
+covariance. Replicate RNG streams are keyed by (seed, replicate index), and
+replicates run one after another, so reports are bit-identical across runs.
 
 For discrete target laws the functional and its covariance are computed
 exactly from the law itself; for continuous laws they are estimated from one
@@ -13,18 +13,17 @@ large surrogate sample and the report is flagged accordingly.
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy import stats
 
 from .asymptotics import AsymptoticCov, asymptotic_cov_locscatter, asymptotic_cov_scatter
-from .domain_check import EmpiricalSample, check_locscat_domain, check_scatter_domain, lift
+from .domain_check import EmpiricalSample, check_locscat_domain, check_scatter_domain
 from .exceptions import DomainViolation
-from .locscatter import solve_locscatter
+from .locscatter import _solve_lifted
 from .scatter import ScatterConfig, solve_scatter
-from .symspace import SpdMatrix, as_spd, sym_to_vec, symmetrize
+from .symspace import as_spd, sym_to_vec
 
 __all__ = [
     "Sampler",
@@ -170,13 +169,8 @@ def _theta_scatter(sample: EmpiricalSample, nu: float) -> np.ndarray:
 
 
 def _theta_locscatter(sample: EmpiricalSample, nu: float) -> np.ndarray:
-    fit = solve_scatter(lift(sample), ScatterConfig(nu=nu - 1.0), check_domain=False)
-    m = fit.A.mat
-    d = sample.d
-    gamma = m[d, d]
-    mu = m[:d, d] / gamma
-    Sigma = m[:d, :d] / gamma - np.outer(mu, mu)
-    return np.concatenate([mu, sym_to_vec(symmetrize(Sigma, rtol=1e-9))])
+    est = _solve_lifted(sample, nu, check_domain=False)
+    return np.concatenate([est.mu, sym_to_vec(est.Sigma.mat)])
 
 
 def _target_objects(sampler: Sampler, nu: float, mode: str, surrogate_n: int):
@@ -221,13 +215,13 @@ def run_clt_experiment(
     mode: str = "scatter",
     rel_threshold: float = 0.05,
     surrogate_n: int = 1_000_000,
-    workers: int = 1,
 ) -> McReport:
     """Compare replicate fluctuations against the asymptotic covariance.
 
     Requires ``reps >= 2``. Replicates failing the domain check are counted in
     ``existence_rate`` and skipped; a rate below 0.99 adds a near-boundary
-    warning to the report.
+    warning to the report. A location-scatter replicate whose extracted
+    Sigma is not positive definite raises :class:`DegeneracyError`.
     """
     if mode not in ("scatter", "locscatter"):
         raise ValueError(f"unknown mode {mode!r}")
@@ -239,15 +233,7 @@ def run_clt_experiment(
 
     law, theta0, target_cov, warnings = _target_objects(sampler, nu, mode, surrogate_n)
 
-    def work(rep):
-        return _replicate_theta(sampler, nu, n, mode, rep)
-
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            thetas = list(pool.map(work, range(reps)))
-    else:
-        thetas = [work(rep) for rep in range(reps)]
-
+    thetas = [_replicate_theta(sampler, nu, n, mode, rep) for rep in range(reps)]
     kept = [th for th in thetas if th is not None]
     existence_rate = len(kept) / reps
     if existence_rate < 0.99:

@@ -25,6 +25,7 @@ __all__ = [
     "vec_to_sym",
     "sym_basis",
     "congruence_matrix",
+    "outer_vecs",
 ]
 
 SQRT2 = np.sqrt(2.0)
@@ -195,47 +196,57 @@ def sym_dim(d: int) -> int:
     return d * (d + 1) // 2
 
 
+def _layout(d: int):
+    """Row, column and scale of each sym_to_vec coordinate of S_d.
+
+    The d diagonal entries come first with scale 1, then the upper
+    off-diagonal entries row by row with scale sqrt(2).
+    """
+    iu = np.triu_indices(d, k=1)
+    rows = np.concatenate([np.arange(d), iu[0]])
+    cols = np.concatenate([np.arange(d), iu[1]])
+    return rows, cols, np.where(rows == cols, 1.0, SQRT2)
+
+
 def sym_to_vec(mat) -> np.ndarray:
     """Coordinates of a symmetric matrix in an orthonormal basis of S_d.
 
     Ordering: the d diagonal entries first, then the upper off-diagonal
     entries row by row, each scaled by sqrt(2). With this scaling the map is
-    an isometry: <vec(M), vec(N)> = trace(M N).
+    an isometry: <vec(M), vec(N)> = trace(M N). A leading batch axis maps
+    each matrix to a row. Asymmetry beyond roundoff raises ValueError.
     """
-    m = symmetrize(mat, rtol=1e-9)
-    d = m.shape[0]
-    iu = np.triu_indices(d, k=1)
-    return np.concatenate([np.diag(m), SQRT2 * m[iu]])
+    m = np.asarray(mat, dtype=float)
+    if m.ndim not in (2, 3) or m.shape[-1] != m.shape[-2]:
+        raise ValueError(f"expected square matrices, got shape {m.shape}")
+    rows, cols, scale = _layout(m.shape[-1])
+    upper, lower = m[..., rows, cols], m[..., cols, rows]
+    gap = np.abs(upper - lower).max(axis=-1, initial=0.0)
+    size = np.maximum(np.abs(m).max(axis=(-2, -1), initial=0.0), 1.0)
+    if (gap > 1e-9 * size).any():
+        raise ValueError(f"matrix asymmetry {gap.max():g} exceeds tolerance")
+    return scale * ((upper + lower) / 2.0)
 
 
 def vec_to_sym(vec) -> np.ndarray:
-    """Inverse of :func:`sym_to_vec`."""
-    vec = np.asarray(vec, dtype=float).reshape(-1)
-    k = vec.size
+    """Inverse of :func:`sym_to_vec`, row by row for a 2-D input."""
+    vec = np.asarray(vec, dtype=float)
+    if vec.ndim not in (1, 2):
+        raise ValueError(f"expected a vector or a stack of vectors, got shape {vec.shape}")
+    k = vec.shape[-1]
     d = int(round((np.sqrt(8.0 * k + 1.0) - 1.0) / 2.0))
     if sym_dim(d) != k:
         raise ValueError(f"length {k} is not d(d+1)/2 for any integer d")
-    m = np.zeros((d, d))
-    m[np.diag_indices(d)] = vec[:d]
-    iu = np.triu_indices(d, k=1)
-    m[iu] = vec[d:] / SQRT2
-    m[(iu[1], iu[0])] = m[iu]
+    rows, cols, scale = _layout(d)
+    m = np.zeros(vec.shape[:-1] + (d, d))
+    m[..., rows, cols] = vec / scale
+    m[..., cols, rows] = m[..., rows, cols]
     return m
 
 
-def sym_basis(d: int) -> list[np.ndarray]:
-    """Orthonormal basis of S_d in the :func:`sym_to_vec` coordinate order."""
-    out = []
-    for i in range(d):
-        e = np.zeros((d, d))
-        e[i, i] = 1.0
-        out.append(e)
-    for i in range(d):
-        for j in range(i + 1, d):
-            e = np.zeros((d, d))
-            e[i, j] = e[j, i] = 1.0 / SQRT2
-            out.append(e)
-    return out
+def sym_basis(d: int) -> np.ndarray:
+    """Orthonormal basis of S_d in the :func:`sym_to_vec` order, stacked as (K, d, d)."""
+    return vec_to_sym(np.eye(sym_dim(d)))
 
 
 def congruence_matrix(m) -> np.ndarray:
@@ -245,6 +256,14 @@ def congruence_matrix(m) -> np.ndarray:
     congruence action used to push covariances through linear images.
     """
     m = np.asarray(m, dtype=float)
-    d = m.shape[0]
-    cols = [sym_to_vec(m @ e @ m.T) for e in sym_basis(d)]
-    return np.column_stack(cols)
+    return sym_to_vec(m @ sym_basis(m.shape[0]) @ m.T).T
+
+
+def outer_vecs(points) -> np.ndarray:
+    """Rows sym_to_vec(y y') for every row y of an (n, d) array, in n x K memory."""
+    pts = np.asarray(points, dtype=float)
+    rows, cols, scale = _layout(pts.shape[1])
+    out = np.take(pts, rows, axis=1)
+    out *= scale
+    out *= np.take(pts, cols, axis=1)
+    return out

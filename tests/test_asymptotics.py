@@ -1,5 +1,4 @@
 import numpy as np
-import pytest
 
 from tscatter import (
     EmpiricalSample,
@@ -11,7 +10,6 @@ from tscatter import (
     extract_jacobian,
     hessian,
     influence,
-    lift,
     score,
     solve_scatter,
     sym_basis,
@@ -19,7 +17,6 @@ from tscatter import (
     sym_to_vec,
     vec_to_sym,
 )
-from tscatter.scatter import weight_u
 
 
 def four_point_law():

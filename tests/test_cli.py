@@ -1,0 +1,169 @@
+import json
+from pathlib import Path
+
+import jsonschema
+import numpy as np
+import pytest
+
+from tscatter import NumericalBreakdown, cli
+
+SCHEMA = json.loads((Path(__file__).resolve().parents[1] / "docs" / "result_schema.json").read_text())
+
+
+def _no_constants(name):
+    raise ValueError(f"non-JSON constant {name} in envelope")
+
+
+def write_csv(path, rows, header=None):
+    lines = [",".join(header)] if header else []
+    lines += [",".join(repr(float(v)) for v in row) for row in rows]
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    return str(path)
+
+
+def run(argv, tmp_path):
+    """Run the CLI with the envelope written to a file; return (exit code, envelope)."""
+    out = tmp_path / "envelope.json"
+    out.unlink(missing_ok=True)
+    code = cli.main(argv + ["--output", str(out)])
+    envelope = None
+    if out.exists():
+        envelope = json.loads(out.read_text(encoding="utf-8"), parse_constant=_no_constants)
+        jsonschema.validate(envelope, SCHEMA)
+    return code, envelope
+
+
+@pytest.fixture
+def cloud2(tmp_path):
+    rng = np.random.default_rng(3)
+    return write_csv(tmp_path / "cloud2.csv", rng.standard_normal((12, 2)) + [1.0, -2.0])
+
+
+@pytest.fixture
+def line_heavy(tmp_path):
+    # 8 of 10 points on the line y = 0: outside the location-scatter domain at nu = 2
+    pts = [[float(i), 0.0] for i in range(8)] + [[1.0, 2.0], [3.0, -1.0]]
+    return write_csv(tmp_path / "line.csv", pts)
+
+
+class TestSuccessEnvelopes:
+    def test_estimate_writes_booleans(self, cloud2, tmp_path):
+        code, env = run(["estimate", cloud2, "--nu", "2"], tmp_path)
+        assert code == cli.EXIT_OK
+        assert env["command"] == "estimate"
+        assert env["payload"]["converged"] is True
+        assert len(env["payload"]["mu"]) == 2
+        assert env["timing_ms"] > 0.0
+
+    def test_scatter(self, cloud2, tmp_path):
+        code, env = run(["scatter", cloud2, "--nu", "1.5"], tmp_path)
+        assert code == cli.EXIT_OK
+        assert env["payload"]["converged"] is True
+        assert env["payload"]["stop_reason"] in ("grad", "step", "max_iter")
+
+    @pytest.mark.parametrize("target", ["locscatter", "scatter"])
+    def test_check_domain(self, cloud2, tmp_path, target):
+        code, env = run(["check-domain", cloud2, "--nu", "2", "--target", target], tmp_path)
+        assert code == cli.EXIT_OK
+        assert env["payload"]["member"] is True
+        assert env["payload"]["exact"] is True
+        assert env["payload"]["target"] == target
+
+    @pytest.mark.parametrize("mode,k", [("locscatter", 5), ("scatter", 3)])
+    def test_asymptotics(self, cloud2, tmp_path, mode, k):
+        code, env = run(["asymptotics", cloud2, "--nu", "2", "--mode", mode], tmp_path)
+        assert code == cli.EXIT_OK
+        assert np.asarray(env["payload"]["S"]).shape == (k, k)
+
+    def test_oned_interior_and_boundary(self, tmp_path):
+        path = write_csv(tmp_path / "x.csv", [[-1.0], [0.5], [2.0], [3.0]])
+        code, env = run(["oned", path, "--nu", "3"], tmp_path)
+        assert code == cli.EXIT_OK
+        assert env["payload"]["boundary"] is False
+        assert env["payload"]["atom"] is None
+        # an atom of mass 0.9 >= nu/(nu+1) = 0.75 puts the estimate on the boundary
+        path = write_csv(tmp_path / "w.csv", [[0.0, 0.9], [1.0, 0.1]], header=["x", "weight"])
+        code, env = run(["oned", path, "--nu", "3"], tmp_path)
+        assert code == cli.EXIT_OK
+        assert env["payload"]["boundary"] is True
+        assert env["payload"]["atom"] == [0.0, 0.9]
+
+    def test_simulate(self, tmp_path):
+        rng = np.random.default_rng(5)
+        path = write_csv(tmp_path / "law.csv", rng.standard_normal((6, 2)))
+        argv = ["simulate", path, "--nu", "2", "--n", "60", "--reps", "20", "--seed", "1"]
+        code, env = run(argv, tmp_path)
+        assert code == cli.EXIT_OK
+        assert env["payload"]["reps"] == 20
+        assert np.asarray(env["payload"]["empirical_cov"]).shape == (3, 3)
+
+    def test_csv_format(self, cloud2, tmp_path):
+        out = tmp_path / "flat.csv"
+        code = cli.main(["scatter", cloud2, "--nu", "2", "--format", "csv", "--output", str(out)])
+        assert code == cli.EXIT_OK
+        lines = out.read_text(encoding="utf-8").splitlines()
+        assert lines[0] == "key,value"
+        assert "payload.converged,True" in lines
+        assert any(line.startswith("payload.A[1][0],") for line in lines)
+
+
+class TestErrorEnvelopes:
+    def test_domain_violation_exit_2(self, line_heavy, tmp_path):
+        code, env = run(["estimate", line_heavy, "--nu", "2"], tmp_path)
+        assert code == cli.EXIT_DOMAIN
+        assert env["payload"]["error"] == "domain_violation"
+        assert env["payload"]["report"]["member"] is False
+        assert env["payload"]["report"]["worst_subspace_dim"] == 1
+        assert env["timing_ms"] > 0.0
+
+    def test_check_domain_reports_violation_with_exit_0(self, line_heavy, tmp_path):
+        code, env = run(["check-domain", line_heavy, "--nu", "2"], tmp_path)
+        assert code == cli.EXIT_OK
+        assert env["payload"]["member"] is False
+
+    def test_numerical_failure_exit_3(self, cloud2, tmp_path, monkeypatch):
+        def breakdown(*args, **kwargs):
+            raise NumericalBreakdown("iterate left the SPD cone")
+
+        monkeypatch.setattr(cli, "solve_scatter", breakdown)
+        code, env = run(["scatter", cloud2, "--nu", "2"], tmp_path)
+        assert code == cli.EXIT_NUMERICAL
+        assert env["payload"] == {
+            "error": "numerical_failure",
+            "message": "iterate left the SPD cone",
+        }
+        assert env["timing_ms"] > 0.0
+
+
+class TestUsageErrors:
+    def test_bad_cell_exit_1(self, tmp_path, capsys):
+        path = tmp_path / "bad.csv"
+        path.write_text("1.0,2.0\n3.0,oops\n", encoding="utf-8")
+        code, env = run(["scatter", str(path), "--nu", "2"], tmp_path)
+        assert code == cli.EXIT_USAGE
+        assert env is None
+        assert "row 2" in capsys.readouterr().err
+
+    def test_missing_file_exit_1(self, tmp_path):
+        code, env = run(["scatter", str(tmp_path / "absent.csv"), "--nu", "2"], tmp_path)
+        assert (code, env) == (cli.EXIT_USAGE, None)
+
+    def test_nu_out_of_range_exit_1(self, cloud2, tmp_path):
+        assert run(["scatter", cloud2, "--nu", "0"], tmp_path) == (cli.EXIT_USAGE, None)
+        assert run(["estimate", cloud2, "--nu", "1"], tmp_path) == (cli.EXIT_USAGE, None)
+        argv = ["asymptotics", cloud2, "--nu", "0.5", "--mode", "locscatter"]
+        assert run(argv, tmp_path) == (cli.EXIT_USAGE, None)
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["simulate", "x.csv", "--nu", "2", "--workers", "2"],
+            ["scatter", "x.csv"],
+            ["frobnicate", "x.csv", "--nu", "2"],
+        ],
+    )
+    def test_argument_errors_exit_1(self, argv, capsys):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(argv)
+        assert exc.value.code == cli.EXIT_USAGE
+        capsys.readouterr()

@@ -11,7 +11,7 @@ from tscatter import (
     lift,
     max_atom,
 )
-from tscatter.domain_check import check_locscat_domain_direct
+from oracles import check_locscat_domain_direct
 
 
 def brute_force_scatter_member(sample, a0):

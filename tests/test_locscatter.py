@@ -6,7 +6,6 @@ from tscatter import (
     EmpiricalSample,
     NuOutOfRange,
     ScatterConfig,
-    direct_em_step,
     embed,
     lift,
     objective,
@@ -14,6 +13,8 @@ from tscatter import (
     solve_locscatter,
     weight_u,
 )
+
+from oracles import direct_em_step
 
 
 def two_point(p):

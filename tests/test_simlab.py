@@ -10,7 +10,6 @@ from tscatter import (
     discrete_sampler,
     fit_loglog_slope,
     gaussian_sampler,
-    hessian,
     influence,
     run_clt_experiment,
     run_consistency_sweep,
@@ -85,13 +84,6 @@ class TestCltExperiment:
         assert np.array_equal(r1.empirical_cov, r2.empirical_cov)
         assert np.array_equal(r1.normality_stat, r2.normality_stat, equal_nan=True)
         assert r1.existence_rate == r2.existence_rate
-
-    def test_worker_count_does_not_change_results(self):
-        pts, w = four_point_arrays()
-        s = discrete_sampler(pts, w, seed=11)
-        serial = run_clt_experiment(s, 2.0, n=300, reps=40, workers=1)
-        threaded = run_clt_experiment(s, 2.0, n=300, reps=40, workers=4)
-        assert np.array_equal(serial.empirical_cov, threaded.empirical_cov)
 
     def test_four_point_scatter_covariance(self):
         pts, w = four_point_arrays()

@@ -4,7 +4,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tscatter import (
-    EmbeddedScatter,
     NotSpdError,
     SpdMatrix,
     congruence_matrix,
@@ -16,7 +15,7 @@ from tscatter import (
     vec_to_sym,
 )
 from tscatter.exceptions import DegeneracyError
-from tscatter.symspace import symmetrize
+from tscatter.symspace import outer_vecs, symmetrize
 
 
 def random_spd(rng, d, scale=1.0):
@@ -165,6 +164,26 @@ class TestVecRoundTrip:
     def test_bad_length_rejected(self):
         with pytest.raises(ValueError):
             vec_to_sym(np.zeros(4))
+
+    def test_batch_axis_matches_one_at_a_time(self):
+        rng = np.random.default_rng(12)
+        mats = np.stack([random_sym(rng, 3) for _ in range(4)])
+        vecs = sym_to_vec(mats)
+        assert vecs.shape == (4, sym_dim(3))
+        for m, v in zip(mats, vecs):
+            assert np.array_equal(v, sym_to_vec(m))
+        assert np.array_equal(vec_to_sym(vecs), np.stack([vec_to_sym(v) for v in vecs]))
+
+    def test_asymmetric_batch_member_rejected(self):
+        mats = np.stack([np.eye(2), np.array([[1.0, 2.0], [2.5, 3.0]])])
+        with pytest.raises(ValueError, match="asymmetry"):
+            sym_to_vec(mats)
+
+    def test_outer_vecs_rows(self):
+        rng = np.random.default_rng(13)
+        pts = rng.standard_normal((6, 3))
+        expected = np.stack([sym_to_vec(np.outer(y, y)) for y in pts])
+        assert np.allclose(outer_vecs(pts), expected, rtol=1e-15, atol=0.0)
 
 
 class TestCongruence:
