@@ -154,14 +154,17 @@ def ingest_csv(source) -> EmpiricalSample:
 
 
 def _round_trip(obj):
-    """Make payload values JSON-ready (floats survive a round trip exactly)."""
+    """Make payload values JSON-ready (floats survive a round trip exactly).
+
+    NaN and infinities have no JSON form and become null.
+    """
     if isinstance(obj, np.ndarray):
         return _round_trip(obj.tolist())
     # bool subclasses int, so it has to be caught before the int branch
     if isinstance(obj, (bool, np.bool_)):
         return bool(obj)
     if isinstance(obj, (np.floating, float)):
-        return float(obj)
+        return float(obj) if np.isfinite(obj) else None
     if isinstance(obj, (np.integer, int)):
         return int(obj)
     if isinstance(obj, (list, tuple)):
@@ -236,7 +239,9 @@ def dispatch(cfg: RunConfig) -> tuple[dict, list[str]]:
         payload = {"mu": est.mu, "sigma": est.sigma, "boundary": est.boundary, "atom": est.atom}
     elif cfg.command == "simulate":
         sampler = discrete_sampler(sample.points, sample.weights, cfg.seed)
-        report = run_clt_experiment(sampler, cfg.nu, n=cfg.n, reps=cfg.reps, mode=cfg.mode)
+        report = run_clt_experiment(
+            sampler, cfg.nu, n=cfg.n, reps=cfg.reps, mode=cfg.mode, cfg=scfg
+        )
         warnings.extend(report.warnings)
         payload = {
             "n": report.n,

@@ -7,10 +7,13 @@ subspaces by affine ones; lifting each point y to (y, 1) reduces it to the
 linear check one dimension up.
 
 For a discrete law any violating subspace is spanned by sample points it
-contains, so exact checking enumerates spans of small point subsets. A work
-budget keeps that enumeration honest; past the budget a randomized projection
-check is available, whose rejections are certified but whose acceptances are
-not exact.
+contains, so exact checking enumerates spans of small point subsets, in any
+dimension. The subsets are drawn lazily and tested in blocks (one stacked QR
+per block), so memory stays within a fixed ceiling however many there are;
+ties in mass go to the first subset in ``itertools.combinations`` order. A
+subset budget is the only limit on exact checking; past it a randomized
+projection check is available, whose rejections are certified but whose
+acceptances are not exact.
 """
 
 from __future__ import annotations
@@ -41,6 +44,9 @@ POINT_RTOL = 1e-9
 
 # Subsets examined before exact enumeration refuses to run.
 DEFAULT_BUDGET = 2_000_000
+
+# Scratch memory, in bytes, that exact enumeration sizes its subset blocks to.
+BLOCK_BYTES = 4 * 2**20
 
 
 @dataclass(frozen=True)
@@ -178,8 +184,12 @@ def check_scatter_domain(
     ``EQ_TOL`` counts as a violation. Requires ``a0 > d``.
 
     ``method="exact"`` enumerates subspaces spanned by subsets of at most d-1
-    distinct sample points; it raises :class:`EnumerationBudgetError` when
-    d > 4 or the subset count exceeds ``budget``. ``method="randomized"``
+    distinct sample points, in any dimension; the only refusal is
+    :class:`EnumerationBudgetError` when the subset count exceeds ``budget``.
+    Subsets are tested in blocks whose scratch memory stays near
+    ``BLOCK_BYTES`` whatever the sample size. Among subspaces with the same
+    margin the report names the first found: lower dimension first, then
+    ``itertools.combinations`` order of the merged points. ``method="randomized"``
     instead tests random linear projections to at most 4 dimensions: any
     violation it finds certifies one in the original space (the preimage of a
     violating subspace has the same codimension and at least the same mass),
@@ -192,10 +202,6 @@ def check_scatter_domain(
         raise ValueError(f"need a0 > d, got a0={a0} with d={d}")
     merged, rep = sample.merged()
     if method == "exact":
-        if d > 4:
-            raise EnumerationBudgetError(
-                f"exact enumeration unsupported for d={d} > 4; use method='randomized'"
-            )
         if _subset_count(merged.n, d - 1) > budget:
             raise EnumerationBudgetError(
                 f"exact enumeration over {merged.n} distinct points in d={d} exceeds "
@@ -212,10 +218,76 @@ def _best_candidate(cands):
     return max(cands, key=lambda c: (c[0] - c[1], c[0]))
 
 
+def _subset_blocks(m: int, size: int, block: int):
+    # index arrays of at most `block` subsets each, in combinations order
+    combos = itertools.combinations(range(m), size)
+    while True:
+        flat = np.fromiter(
+            itertools.chain.from_iterable(itertools.islice(combos, block)), dtype=np.intp
+        )
+        if not flat.size:
+            return
+        yield flat.reshape(-1, size)
+
+
+def _exact_masses(inside: np.ndarray, w: np.ndarray) -> np.ndarray:
+    # w[row].sum() for every boolean row, evaluated once per distinct ordered
+    # sequence of selected weights (the sum depends on nothing else)
+    masses = np.empty(inside.shape[0])
+    counts = inside.sum(axis=1)
+    for k in np.unique(counts):
+        rows = np.nonzero(counts == k)[0]
+        cols = np.nonzero(inside[rows])[1].reshape(rows.size, k)
+        _, first, inverse = np.unique(
+            w[cols], axis=0, return_index=True, return_inverse=True
+        )
+        sums = np.array([w[inside[rows[j]]].sum() for j in first])
+        masses[rows] = sums[inverse.reshape(-1)]
+    return masses
+
+
+def _heaviest_span(X: np.ndarray, w: np.ndarray, size: int, tol: float):
+    """Heaviest subspace spanned by ``size`` independent sample points.
+
+    Returns ``(mass, subset)`` for the first subset in combinations order
+    whose span has the largest mass, or None when no subset is independent.
+    Subsets are tested in blocks that keep scratch memory near BLOCK_BYTES.
+    """
+    m, d = X.shape
+    block = max(1, BLOCK_BYTES // (8 * m * d))
+    # the BLAS product below sums in its own order, off by at most ~m*eps;
+    # subsets it puts this close to the top are re-summed exactly
+    slack = 4 * m * np.finfo(float).eps
+    top = -np.inf
+    best = None
+    for idx in _subset_blocks(m, size, block):
+        q, r = np.linalg.qr(X[idx].transpose(0, 2, 1), mode="complete")
+        # dependent subsets span something a smaller subset already covered
+        indep = np.abs(np.diagonal(r, axis1=1, axis2=2)).min(axis=1) > tol
+        if not indep.any():
+            continue
+        idx = idx[indep]
+        # distance to the span is the norm of the coordinates along the
+        # complement, the last d - size columns of the complete Q; one
+        # product covers the block: coords[i, j, b] = x_i . q_b[:, size + j]
+        perp = q[indep, :, size:].transpose(1, 2, 0)
+        coords = (X @ perp.reshape(d, -1)).reshape(m, d - size, -1)
+        inside = np.sqrt(np.square(coords).sum(axis=1)) <= tol
+        approx = w @ inside
+        top = max(top, approx.max())
+        near = np.nonzero(approx >= top - slack)[0]
+        if not near.size:
+            continue
+        masses = _exact_masses(inside[:, near].T, w)
+        k = int(np.argmax(masses))  # first maximum: combinations order breaks ties
+        if best is None or masses[k] > best[0]:
+            best = (float(masses[k]), idx[near[k]])
+    return best
+
+
 def _check_exact(merged: EmpiricalSample, rep, a0: float, d: int) -> DomainReport:
     X = merged.points
     w = merged.weights
-    m = merged.n
     scale = _point_scale(X)
     tol = POINT_RTOL * scale
     norms = np.linalg.norm(X, axis=1)
@@ -254,17 +326,11 @@ def _check_exact(merged: EmpiricalSample, rep, a0: float, d: int) -> DomainRepor
                 cands.append((float(w[inside].sum()), threshold, 1, (int(rep[i]),)))
 
     for size in range(2, d):
-        threshold = 1.0 - (d - size) / a0
-        for subset in itertools.combinations(range(m), size):
-            sub = X[list(subset)]
-            q, r = np.linalg.qr(sub.T)
-            # dependent subsets span something a smaller subset already covered
-            if np.abs(np.diag(r)).min() <= tol:
-                continue
-            resid = X - (X @ q) @ q.T
-            inside = np.linalg.norm(resid, axis=1) <= tol
-            mass = float(w[inside].sum())
-            cands.append((mass, threshold, size, tuple(int(rep[i]) for i in subset)))
+        found = _heaviest_span(X, w, size, tol)
+        if found is not None:
+            mass, subset = found
+            witness = tuple(int(rep[i]) for i in subset)
+            cands.append((mass, 1.0 - (d - size) / a0, size, witness))
 
     mass, threshold, dim, witness = _best_candidate(cands)
     member = mass < threshold - EQ_TOL

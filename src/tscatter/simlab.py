@@ -13,6 +13,7 @@ large surrogate sample and the report is flagged accordingly.
 
 from __future__ import annotations
 
+import dataclasses
 from dataclasses import dataclass
 
 import numpy as np
@@ -163,17 +164,17 @@ class McReport:
     warnings: tuple[str, ...] = ()
 
 
-def _theta_scatter(sample: EmpiricalSample, nu: float) -> np.ndarray:
-    fit = solve_scatter(sample, ScatterConfig(nu=nu), check_domain=False)
+def _theta_scatter(sample: EmpiricalSample, cfg: ScatterConfig) -> np.ndarray:
+    fit = solve_scatter(sample, cfg, check_domain=False)
     return sym_to_vec(fit.A.mat)
 
 
-def _theta_locscatter(sample: EmpiricalSample, nu: float) -> np.ndarray:
-    est = _solve_lifted(sample, nu, check_domain=False)
+def _theta_locscatter(sample: EmpiricalSample, cfg: ScatterConfig) -> np.ndarray:
+    est = _solve_lifted(sample, cfg.nu, cfg, check_domain=False)
     return np.concatenate([est.mu, sym_to_vec(est.Sigma.mat)])
 
 
-def _target_objects(sampler: Sampler, nu: float, mode: str, surrogate_n: int):
+def _target_objects(sampler: Sampler, cfg: ScatterConfig, mode: str, surrogate_n: int):
     warnings = []
     law = as_discrete_law(sampler)
     if law is None:
@@ -184,26 +185,26 @@ def _target_objects(sampler: Sampler, nu: float, mode: str, surrogate_n: int):
     # quadratic; membership is generic there, so the gate runs on small laws only
     check = law.n <= 2000
     if mode == "scatter":
-        target_cov = asymptotic_cov_scatter(law, nu, check_domain=check)
-        theta0 = _theta_scatter(law, nu)
+        target_cov = asymptotic_cov_scatter(law, cfg.nu, check_domain=check)
+        theta0 = _theta_scatter(law, cfg)
     else:
-        target_cov = asymptotic_cov_locscatter(law, nu, check_domain=check)
-        theta0 = _theta_locscatter(law, nu)
+        target_cov = asymptotic_cov_locscatter(law, cfg.nu, check_domain=check)
+        theta0 = _theta_locscatter(law, cfg)
     return law, theta0, target_cov, warnings
 
 
-def _replicate_theta(sampler: Sampler, nu: float, n: int, mode: str, rep: int):
+def _replicate_theta(sampler: Sampler, cfg: ScatterConfig, n: int, mode: str, rep: int):
     """Vectorized estimate for one replicate, or None when out of domain."""
     pts = sampler.draw(n, sampler.rng_for(rep))
     sample = EmpiricalSample(pts).merged()[0]
-    d = sample.d
+    a0 = cfg.nu + sample.d
     if mode == "scatter":
-        if not check_scatter_domain(sample, nu + d).member:
+        if not check_scatter_domain(sample, a0).member:
             return None
-        return _theta_scatter(sample, nu)
-    if not check_locscat_domain(sample, nu + d).member:
+        return _theta_scatter(sample, cfg)
+    if not check_locscat_domain(sample, a0).member:
         return None
-    return _theta_locscatter(sample, nu)
+    return _theta_locscatter(sample, cfg)
 
 
 def run_clt_experiment(
@@ -215,10 +216,14 @@ def run_clt_experiment(
     mode: str = "scatter",
     rel_threshold: float = 0.05,
     surrogate_n: int = 1_000_000,
+    cfg: ScatterConfig | None = None,
 ) -> McReport:
     """Compare replicate fluctuations against the asymptotic covariance.
 
-    Requires ``reps >= 2``. Replicates failing the domain check are counted in
+    ``cfg`` sets the solver tolerances of the replicate fits and of the fit
+    they are centred on (its ``nu`` is replaced by ``nu``); the analytic
+    target covariance always uses the default tolerances. Requires
+    ``reps >= 2``. Replicates failing the domain check are counted in
     ``existence_rate`` and skipped; a rate below 0.99 adds a near-boundary
     warning to the report. A location-scatter replicate whose extracted
     Sigma is not positive definite raises :class:`DegeneracyError`.
@@ -231,9 +236,10 @@ def run_clt_experiment(
     if n < 1:
         raise ValueError("n must be positive")
 
-    law, theta0, target_cov, warnings = _target_objects(sampler, nu, mode, surrogate_n)
+    cfg = ScatterConfig(nu=nu) if cfg is None else dataclasses.replace(cfg, nu=nu)
+    law, theta0, target_cov, warnings = _target_objects(sampler, cfg, mode, surrogate_n)
 
-    thetas = [_replicate_theta(sampler, nu, n, mode, rep) for rep in range(reps)]
+    thetas = [_replicate_theta(sampler, cfg, n, mode, rep) for rep in range(reps)]
     kept = [th for th in thetas if th is not None]
     existence_rate = len(kept) / reps
     if existence_rate < 0.99:
@@ -298,12 +304,13 @@ def run_consistency_sweep(
     n_list = [int(n) for n in n_list]
     if len(n_list) < 2:
         raise ValueError("need at least two sample sizes to measure a rate")
-    _, theta0, _, _ = _target_objects(sampler, nu, mode, surrogate_n)
+    cfg = ScatterConfig(nu=nu)
+    _, theta0, _, _ = _target_objects(sampler, cfg, mode, surrogate_n)
     out = []
     for pos, n in enumerate(n_list):
         errs = []
         for rep in range(reps):
-            theta = _replicate_theta(sampler, nu, n, mode, pos * reps + rep)
+            theta = _replicate_theta(sampler, cfg, n, mode, pos * reps + rep)
             if theta is not None:
                 errs.append(np.linalg.norm(theta - theta0))
         out.append((n, float(np.mean(errs))))

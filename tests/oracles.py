@@ -1,5 +1,6 @@
 """Reference implementations that the tests check the package against."""
 
+import dataclasses
 import itertools
 
 import numpy as np
@@ -11,6 +12,7 @@ from tscatter.domain_check import (
     EmpiricalSample,
     _best_candidate,
     _point_scale,
+    lift,
 )
 from tscatter.exceptions import DegeneracyError, NotSpdError
 from tscatter.scatter import weight_u
@@ -89,3 +91,83 @@ def check_locscat_domain_direct(sample: EmpiricalSample, a0: float) -> DomainRep
         witness_points=witness,
         exact=True,
     )
+
+
+def check_scatter_domain_loop(sample: EmpiricalSample, a0: float) -> DomainReport:
+    """Exact linear check with one QR and one residual per point subset.
+
+    The reference for ``check_scatter_domain(method="exact")``: same
+    candidates, tolerances and first-maximum tie rule, evaluated one subset at
+    a time in ``itertools.combinations`` order. No budget or dimension guard.
+    """
+    a0 = float(a0)
+    merged, rep = sample.merged()
+    X = merged.points
+    w = merged.weights
+    m, d = X.shape
+    scale = _point_scale(X)
+    tol = POINT_RTOL * scale
+    norms = np.linalg.norm(X, axis=1)
+
+    cands = []
+    at_origin = norms <= tol
+    cands.append((float(w[at_origin].sum()), 1.0 - d / a0, 0, ()))
+
+    if d >= 2:
+        # lines through single points, written as in the package: a cross
+        # product for d <= 3, a projection residual above
+        threshold = 1.0 - (d - 1) / a0
+        nz = np.nonzero(norms > tol)[0]
+        if d in (2, 3) and nz.size:
+            units = X[nz] / norms[nz, None]
+            for start in range(0, nz.size, 512):
+                blk = units[start : start + 512]
+                if d == 2:
+                    resid = np.abs(
+                        np.outer(X[:, 0], blk[:, 1]) - np.outer(X[:, 1], blk[:, 0])
+                    )
+                else:
+                    c0 = np.outer(X[:, 1], blk[:, 2]) - np.outer(X[:, 2], blk[:, 1])
+                    c1 = np.outer(X[:, 2], blk[:, 0]) - np.outer(X[:, 0], blk[:, 2])
+                    c2 = np.outer(X[:, 0], blk[:, 1]) - np.outer(X[:, 1], blk[:, 0])
+                    resid = np.sqrt(c0**2 + c1**2 + c2**2)
+                masses = w @ (resid <= tol)
+                for pos in range(blk.shape[0]):
+                    i = nz[start + pos]
+                    cands.append((float(masses[pos]), threshold, 1, (int(rep[i]),)))
+        else:
+            for i in nz:
+                u = X[i] / norms[i]
+                resid = X - np.outer(X @ u, u)
+                inside = np.linalg.norm(resid, axis=1) <= tol
+                cands.append((float(w[inside].sum()), threshold, 1, (int(rep[i]),)))
+
+    for size in range(2, d):
+        threshold = 1.0 - (d - size) / a0
+        for subset in itertools.combinations(range(m), size):
+            sub = X[list(subset)]
+            q, r = np.linalg.qr(sub.T)
+            # dependent subsets span something a smaller subset already covered
+            if np.abs(np.diag(r)).min() <= tol:
+                continue
+            resid = X - (X @ q) @ q.T
+            inside = np.linalg.norm(resid, axis=1) <= tol
+            mass = float(w[inside].sum())
+            cands.append((mass, threshold, size, tuple(int(rep[i]) for i in subset)))
+
+    mass, threshold, dim, witness = _best_candidate(cands)
+    return DomainReport(
+        member=mass < threshold - EQ_TOL,
+        a0=a0,
+        worst_subspace_dim=dim,
+        worst_mass=mass,
+        threshold=threshold,
+        witness_points=witness,
+        exact=True,
+    )
+
+
+def check_locscat_domain_loop(sample: EmpiricalSample, a0: float) -> DomainReport:
+    """Affine counterpart of :func:`check_scatter_domain_loop`, via the lift."""
+    rpt = check_scatter_domain_loop(lift(sample), a0)
+    return dataclasses.replace(rpt, worst_subspace_dim=max(rpt.worst_subspace_dim - 1, 0))

@@ -97,6 +97,35 @@ class TestSuccessEnvelopes:
         assert env["payload"]["reps"] == 20
         assert np.asarray(env["payload"]["empirical_cov"]).shape == (3, 3)
 
+    def test_simulate_honours_solver_settings(self, tmp_path):
+        rng = np.random.default_rng(5)
+        path = write_csv(tmp_path / "law.csv", rng.standard_normal((6, 2)))
+        argv = ["simulate", path, "--nu", "2", "--n", "60", "--reps", "20", "--seed", "1"]
+        _, full = run(argv, tmp_path)
+        _, rough = run(argv + ["--max-iter", "1", "--tol", "1e-3"], tmp_path)
+        assert rough["payload"]["empirical_cov"] != full["payload"]["empirical_cov"]
+        assert rough["payload"]["target_cov"] == full["payload"]["target_cov"]
+
+    def test_simulate_writes_null_for_undefined_statistics(self, tmp_path):
+        # on the four-point law some statistic has nothing to measure: no
+        # covariance entry above the threshold, or a coordinate that never varies
+        r = np.sqrt(2.0)
+        path = write_csv(tmp_path / "four.csv", [[r, 0.0], [-r, 0.0], [0.0, r], [0.0, -r]])
+        code, env = run(["simulate", path, "--nu", "2", "--n", "50", "--reps", "10"], tmp_path)
+        assert code == cli.EXIT_OK
+        payload = env["payload"]
+        assert None in [payload["max_rel_err"], *payload["normality_stat"]]
+
+    def test_estimate_in_four_dimensions(self, tmp_path):
+        # the exact affine check of a 4-D sample runs on its lift to R^5
+        rng = np.random.default_rng(7)
+        t3 = rng.standard_normal((30, 4)) / np.sqrt(rng.chisquare(3, size=(30, 1)) / 3.0)
+        path = write_csv(tmp_path / "t4.csv", t3)
+        code, env = run(["estimate", path, "--nu", "3"], tmp_path)
+        assert code == cli.EXIT_OK
+        assert env["payload"]["converged"] is True
+        assert len(env["payload"]["mu"]) == 4
+
     def test_csv_format(self, cloud2, tmp_path):
         out = tmp_path / "flat.csv"
         code = cli.main(["scatter", cloud2, "--nu", "2", "--format", "csv", "--output", str(out)])

@@ -2,6 +2,8 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tscatter import (
     EmpiricalSample,
@@ -11,7 +13,12 @@ from tscatter import (
     lift,
     max_atom,
 )
-from oracles import check_locscat_domain_direct
+from tscatter import domain_check
+from oracles import (
+    check_locscat_domain_direct,
+    check_locscat_domain_loop,
+    check_scatter_domain_loop,
+)
 
 
 def brute_force_scatter_member(sample, a0):
@@ -137,10 +144,10 @@ class TestScatterDomain:
 
     def test_budget_guard_and_randomized_fallback(self):
         rng = np.random.default_rng(31)
-        pts = rng.standard_normal((40, 5))  # d=5 > 4 forces refusal
+        pts = rng.standard_normal((40, 5))  # 102,090 subsets, over a budget of 1000
         q = EmpiricalSample(pts)
         with pytest.raises(EnumerationBudgetError):
-            check_scatter_domain(q, 7.0)
+            check_scatter_domain(q, 7.0, budget=1000)
         rpt = check_scatter_domain(q, 7.0, method="randomized", seed=3, projections=8)
         assert rpt.member
         assert not rpt.exact
@@ -254,3 +261,70 @@ class TestLocScatDomain:
             mapped = EmpiricalSample(p.points @ m.T + v, p.weights)
             a0 = 3.0 + float(rng.uniform(0.2, 2.0))
             assert check_locscat_domain(p, a0).member == check_locscat_domain(mapped, a0).member
+
+
+def _law(kind, d, n, dirichlet, seed):
+    """A small weighted law of the named kind in R^d, drawn from ``seed``."""
+    rng = np.random.default_rng(seed)
+    if kind == "gaussian":
+        pts = rng.standard_normal((n, d))
+    elif kind == "lattice":
+        # few distinct values, so coincident points merge and spans tie
+        pts = rng.integers(-1, 2, size=(n, d)).astype(float)
+    elif kind in ("line", "plane"):
+        # most of the points on a random line or plane through the origin
+        # (or, once lifted, an affine one)
+        k = 1 if kind == "line" else min(2, d - 1)
+        basis = rng.standard_normal((k, d))
+        pts = rng.standard_normal((n, d))
+        flat = max(2, (2 * n) // 3)
+        pts[:flat] = rng.integers(-3, 4, size=(flat, k)) @ basis
+    else:  # origin
+        pts = rng.standard_normal((n, d))
+        pts[rng.integers(n)] = 0.0
+    weights = rng.dirichlet(np.ones(n)) if dirichlet else None
+    return EmpiricalSample(pts, weights)
+
+
+LAWS = st.tuples(
+    st.sampled_from(["gaussian", "lattice", "line", "plane", "origin"]),
+    st.integers(2, 5),                 # dimension of the check
+    st.integers(2, 11),                # points before merging
+    st.booleans(),                     # Dirichlet weights instead of uniform
+    st.integers(0, 2**32 - 1),
+    st.floats(0.05, 3.0),              # a0 above its minimum
+)
+
+
+class TestBlockKernelMatchesLoop:
+    """The blockwise exact check returns the per-subset loop's report, field for field."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(LAWS)
+    def test_scatter(self, law):
+        kind, d, n, dirichlet, seed, extra = law
+        q = _law(kind, d, n, dirichlet, seed)
+        assert check_scatter_domain(q, d + extra) == check_scatter_domain_loop(q, d + extra)
+
+    @settings(max_examples=300, deadline=None)
+    @given(LAWS)
+    def test_lifted(self, law):
+        kind, d, n, dirichlet, seed, extra = law
+        p = _law(kind, d - 1, n, dirichlet, seed)  # lifted check runs in R^d
+        assert check_locscat_domain(p, d + extra) == check_locscat_domain_loop(p, d + extra)
+
+    @pytest.mark.parametrize("per_block", [1, 2, 3, 5, 7])
+    def test_block_boundary_inside_tie_run(self, monkeypatch, per_block):
+        # seven points on the plane z=0 and five off it: the 35 in-plane triples
+        # all reach the top mass 7/12 and so tie; blocks of a few subsets split
+        # that run, and the first triple in combinations order must still win
+        rng = np.random.default_rng(61)
+        plane = np.hstack([rng.standard_normal((7, 2)), np.zeros((7, 1))])
+        q = EmpiricalSample(np.vstack([plane, rng.standard_normal((5, 3))]))
+        merged, rep = q.merged()
+        monkeypatch.setattr(domain_check, "BLOCK_BYTES", 8 * merged.n * merged.d * per_block)
+        got = check_scatter_domain(q, 4.0)
+        assert got == check_scatter_domain_loop(q, 4.0)
+        assert got.worst_subspace_dim == 2 and np.isclose(got.worst_mass, 7 / 12)
+        first_two = np.nonzero(merged.points[:, 2] == 0.0)[0][:2]  # merged order
+        assert got.witness_points == tuple(int(rep[j]) for j in first_two)
