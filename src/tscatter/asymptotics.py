@@ -25,7 +25,7 @@ import numpy as np
 from scipy.linalg import cho_factor, cho_solve
 
 from .domain_check import EmpiricalSample, lift
-from .locscatter import _solve_lifted
+from .locscatter import solve_locscatter
 from .scatter import ScatterConfig, ScatterResult, solve_scatter
 from .symspace import (
     as_spd,
@@ -222,7 +222,7 @@ def asymptotic_cov_locscatter(
     mu block has full rank d; the Sigma block inherits the rank behavior of
     the pure scatter case.
     """
-    est = _solve_lifted(sample, nu, check_domain=check_domain)
+    est = solve_locscatter(sample, nu, check_domain=check_domain)
     fit = est.scatter_diag
     S_lift = asymptotic_cov_scatter(lift(sample), est.nu - 1.0, rank_tol=rank_tol, fit=fit)
     J = extract_jacobian(fit.A)

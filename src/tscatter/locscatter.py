@@ -55,23 +55,15 @@ class LocScatEstimate:
 
 
 def solve_locscatter(
-    sample: EmpiricalSample, nu: float, cfg: ScatterConfig | None = None
+    sample: EmpiricalSample, nu: float, cfg: ScatterConfig | None = None, *, check_domain: bool = True
 ) -> LocScatEstimate:
     """Compute (mu, Sigma) for the sample at tail parameter nu > 1.
 
     ``cfg`` supplies solver tolerances only; its ``nu`` field is replaced by
     nu - 1 for the lifted solve. Raises :class:`NuOutOfRange` for nu <= 1 and
     :class:`DomainViolation` when the sample puts too much mass on an affine
-    subspace.
+    subspace, unless ``check_domain=False`` skips that check.
     """
-    return _solve_lifted(sample, nu, cfg)
-
-
-def _solve_lifted(
-    sample: EmpiricalSample, nu: float, cfg: ScatterConfig | None = None, check_domain: bool = True
-) -> LocScatEstimate:
-    # lift, solve, extract and certify; callers that already settled domain
-    # membership skip the affine check
     nu = float(nu)
     if not nu > 1.0:
         raise NuOutOfRange(f"location-scatter requires nu > 1, got {nu}")

@@ -11,8 +11,9 @@ For fixed mu, the optimal sigma(mu) > 0 solves
 
     F(mu, sigma) = int (x-mu)^2 / (nu sigma^2 + (x-mu)^2) dQ(x) = 1/(nu+1),
 
-which has a unique root because F decreases strictly in sigma. The outer
-minimization runs on the C^1 profile mu -> Qh(mu, sigma(mu)).
+which has a unique root because F decreases strictly in sigma. In the
+interior case Qh has exactly one critical point (Kent & Tyler 1991): the one
+root of the profile derivative d/dmu Qh(mu, sigma(mu)) between min x and max x.
 
 Two-point laws admit closed forms, used as oracles and for the boundary-rate
 probe: the scale is of order sqrt(eps/(nu-1)) when the big-atom mass is
@@ -29,7 +30,6 @@ from scipy.optimize import brentq
 
 from .domain_check import EQ_TOL, EmpiricalSample, max_atom
 from .exceptions import NoPositiveSolution, NuOutOfRange
-from .scatter import _rho_diff
 
 __all__ = [
     "OneDEstimate",
@@ -37,7 +37,6 @@ __all__ = [
     "solve_oned",
     "two_point_closed_form",
     "boundary_rate_probe",
-    "profile_objective",
 ]
 
 SCALE_RESIDUAL_TOL = 1e-12
@@ -69,6 +68,8 @@ def sigma_of_mu(sample: EmpiricalSample, mu: float, nu: float) -> float:
 
     Exists iff the mass off the point mu exceeds 1/(nu+1); otherwise raises
     :class:`NoPositiveSolution` (the scale profile is driven to 0 there).
+    The bracket needs no search: F(mu, sigma) < s^2/(nu sigma^2) with
+    s^2 = int (x-mu)^2 dQ, so F is below 1/(nu+1) at sigma = 2 sqrt((nu+1)/nu) s.
     The returned root satisfies |F - 1/(nu+1)| <= 1e-12.
     """
     x, w = _as_oned(sample)
@@ -85,23 +86,12 @@ def sigma_of_mu(sample: EmpiricalSample, mu: float, nu: float) -> float:
         return float(w @ (diff2 / (nu * sigma**2 + diff2))) - target
 
     spread = np.sqrt(float(w @ diff2))
-    scale = spread if spread > 0.0 else 1.0
-    lo = 1e-12 * scale
-    hi = 10.0 * scale
-    while F(hi) > 0.0:
-        hi *= 2.0
-        if hi > 1e30 * scale:
-            raise NoPositiveSolution("scale bracket expansion failed")
+    lo = 1e-12 * spread
+    hi = 2.0 * np.sqrt((nu + 1.0) / nu) * spread
     root = brentq(F, lo, hi, xtol=1e-300, rtol=8.0 * np.finfo(float).eps, maxiter=300)
     if abs(F(root)) > SCALE_RESIDUAL_TOL:
         raise NoPositiveSolution(f"root residual {F(root):g} above tolerance")
     return float(root)
-
-
-def profile_objective(sample: EmpiricalSample, mu: float, sigma: float, nu: float) -> float:
-    """Objective Qh(mu, sigma); zero at (0, 1)."""
-    x, w = _as_oned(sample)
-    return np.log(sigma) + float(w @ _rho_diff((x - mu) ** 2 / sigma**2, x**2, nu, 1))
 
 
 def _profile_derivative(sample: EmpiricalSample, mu: float, nu: float) -> float:
@@ -116,52 +106,27 @@ def solve_oned(sample: EmpiricalSample, nu: float) -> OneDEstimate:
     """Location-scale estimate on the line, total for every law when nu > 1.
 
     Returns the boundary value (atom, 0) when an atom reaches mass
-    nu/(nu+1); otherwise localizes the profile minimum with a grid scan and
-    golden-section, then polishes the root of the profile derivative.
+    nu/(nu+1); otherwise mu is the one root of the profile derivative on
+    [min x, max x], found by a single bracketed root search, and sigma is
+    sigma(mu): the unique critical point of the objective.
     """
     nu = float(nu)
     if not nu > 1.0:
         raise NuOutOfRange(f"one-dimensional functional requires nu > 1, got {nu}")
-    x, w = _as_oned(sample)
+    x, _ = _as_oned(sample)
     loc, mass = max_atom(sample)
     if mass >= nu / (nu + 1.0) - EQ_TOL:
         return OneDEstimate(mu=float(loc[0]), sigma=0.0, boundary=True, atom=(float(loc[0]), mass))
 
-    xmin, xmax = float(x.min()), float(x.max())
-    span = max(xmax - xmin, 1e-12)
-    lo, hi = xmin - span, xmax + span
-
-    def g(mu):
-        return profile_objective(sample, mu, sigma_of_mu(sample, mu, nu), nu)
-
-    grid = np.linspace(lo, hi, 65)
-    vals = [g(m) for m in grid]
-    k = int(np.argmin(vals))
-    a = grid[max(k - 1, 0)]
-    b = grid[min(k + 1, len(grid) - 1)]
-
-    invphi = (np.sqrt(5.0) - 1.0) / 2.0
-    c, dpt = b - invphi * (b - a), a + invphi * (b - a)
-    gc, gd = g(c), g(dpt)
-    while b - a > 1e-8 * max(span, 1.0):
-        if gc < gd:
-            b, dpt, gd = dpt, c, gc
-            c = b - invphi * (b - a)
-            gc = g(c)
-        else:
-            a, c, gc = c, dpt, gd
-            dpt = a + invphi * (b - a)
-            gd = g(dpt)
-
-    da, db = _profile_derivative(sample, a, nu), _profile_derivative(sample, b, nu)
-    if da < 0.0 < db:
-        mu_star = brentq(
-            lambda m: _profile_derivative(sample, m, nu), a, b, xtol=1e-14, maxiter=200
-        )
-    else:
-        mu_star = (a + b) / 2.0
-    sigma_star = sigma_of_mu(sample, mu_star, nu)
-    return OneDEstimate(mu=float(mu_star), sigma=float(sigma_star), boundary=False, atom=None)
+    # One bracketed root is exact. The mass off any point exceeds 1/(nu+1), as
+    # no atom reaches nu/(nu+1), so sigma(mu) exists for every mu. At mu = min x
+    # each term w (mu-x)/D of the derivative is <= 0 and some mass lies
+    # elsewhere, so it is < 0; at max x it is > 0. Each zero is a critical point
+    # of Qh (d/dsigma Qh vanishes at sigma(mu)), and Qh has only one.
+    lo, hi = float(x.min()), float(x.max())
+    mu = brentq(lambda m: _profile_derivative(sample, m, nu), lo, hi,
+                xtol=4.0 * np.finfo(float).eps * (hi - lo), maxiter=200)
+    return OneDEstimate(mu=float(mu), sigma=sigma_of_mu(sample, mu, nu), boundary=False)
 
 
 def two_point_closed_form(a: float, b: float, p: float, nu: float) -> OneDEstimate:

@@ -21,8 +21,8 @@ from scipy import stats
 
 from .asymptotics import AsymptoticCov, asymptotic_cov_locscatter, asymptotic_cov_scatter
 from .domain_check import EmpiricalSample, check_locscat_domain, check_scatter_domain
-from .exceptions import DomainViolation
-from .locscatter import _solve_lifted
+from .exceptions import DomainViolation, EnumerationBudgetError
+from .locscatter import solve_locscatter
 from .scatter import ScatterConfig, solve_scatter
 from .symspace import as_spd, sym_to_vec
 
@@ -170,7 +170,7 @@ def _theta_scatter(sample: EmpiricalSample, cfg: ScatterConfig) -> np.ndarray:
 
 
 def _theta_locscatter(sample: EmpiricalSample, cfg: ScatterConfig) -> np.ndarray:
-    est = _solve_lifted(sample, cfg.nu, cfg, check_domain=False)
+    est = solve_locscatter(sample, cfg.nu, cfg, check_domain=False)
     return np.concatenate([est.mu, sym_to_vec(est.Sigma.mat)])
 
 
@@ -182,13 +182,21 @@ def _target_objects(sampler: Sampler, cfg: ScatterConfig, mode: str, surrogate_n
         law = EmpiricalSample(sampler.draw(surrogate_n, rng)).merged()[0]
         warnings.append(f"surrogate truth from one n={surrogate_n} draw")
     # exhaustive subspace enumeration over a huge merged continuous sample is
-    # quadratic; membership is generic there, so the gate runs on small laws only
-    check = law.n <= 2000
+    # quadratic, so the gate runs on small laws only and within the subset budget
+    check = check_scatter_domain if mode == "scatter" else check_locscat_domain
+    try:
+        report = check(law, cfg.nu + law.d) if law.n <= 2000 else None
+    except EnumerationBudgetError:
+        report = None
+    if report is None:
+        warnings.append("domain of the target law not checked: exact enumeration too large")
+    elif not report.member:
+        raise DomainViolation(report)
     if mode == "scatter":
-        target_cov = asymptotic_cov_scatter(law, cfg.nu, check_domain=check)
+        target_cov = asymptotic_cov_scatter(law, cfg.nu, check_domain=False)
         theta0 = _theta_scatter(law, cfg)
     else:
-        target_cov = asymptotic_cov_locscatter(law, cfg.nu, check_domain=check)
+        target_cov = asymptotic_cov_locscatter(law, cfg.nu, check_domain=False)
         theta0 = _theta_locscatter(law, cfg)
     return law, theta0, target_cov, warnings
 

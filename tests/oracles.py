@@ -15,7 +15,7 @@ from tscatter.domain_check import (
     lift,
 )
 from tscatter.exceptions import DegeneracyError, NotSpdError
-from tscatter.scatter import weight_u
+from tscatter.scatter import _rho_diff, weight_u
 from tscatter.symspace import SpdMatrix, as_spd
 
 
@@ -171,3 +171,13 @@ def check_locscat_domain_loop(sample: EmpiricalSample, a0: float) -> DomainRepor
     """Affine counterpart of :func:`check_scatter_domain_loop`, via the lift."""
     rpt = check_scatter_domain_loop(lift(sample), a0)
     return dataclasses.replace(rpt, worst_subspace_dim=max(rpt.worst_subspace_dim - 1, 0))
+
+
+def profile_objective(sample: EmpiricalSample, mu: float, sigma: float, nu: float) -> float:
+    """Objective Qh(mu, sigma) of the one-dimensional functional; zero at (0, 1).
+
+    ``solve_oned`` never evaluates it (it finds the root of the profile
+    derivative), so it serves as an independent check of minimality.
+    """
+    x, w = sample.points[:, 0], sample.weights
+    return np.log(sigma) + float(w @ _rho_diff((x - mu) ** 2 / sigma**2, x**2, nu, 1))

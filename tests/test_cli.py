@@ -116,6 +116,17 @@ class TestSuccessEnvelopes:
         payload = env["payload"]
         assert None in [payload["max_rel_err"], *payload["normality_stat"]]
 
+    def test_simulate_past_the_exact_check_budget(self, tmp_path):
+        # the lifted check of a 2000-point 2-D law needs 2000 + C(2000, 2)
+        # subsets, over the exact budget: the target law goes unchecked, with
+        # a warning, instead of the run failing
+        rng = np.random.default_rng(9)
+        path = write_csv(tmp_path / "law.csv", rng.standard_normal((2000, 2)))
+        argv = ["simulate", path, "--nu", "2", "--mode", "locscatter", "--n", "30", "--reps", "2"]
+        code, env = run(argv, tmp_path)
+        assert code == cli.EXIT_OK
+        assert any("not checked" in msg for msg in env["warnings"])
+
     def test_estimate_in_four_dimensions(self, tmp_path):
         # the exact affine check of a 4-D sample runs on its lift to R^5
         rng = np.random.default_rng(7)

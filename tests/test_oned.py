@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tscatter import (
     EmpiricalSample,
@@ -12,7 +14,9 @@ from tscatter import (
     solve_oned,
     two_point_closed_form,
 )
-from tscatter.oned import _profile_derivative, profile_objective
+from tscatter.domain_check import EQ_TOL, max_atom
+from tscatter.oned import _profile_derivative
+from oracles import profile_objective
 
 
 def sample1d(values, weights=None):
@@ -190,6 +194,54 @@ class TestBoundaryRate:
         p_past = nu / (nu + 1.0) + eps / (nu + 1.0)  # beyond the boundary
         est = two_point_closed_form(0.0, 1.0, p_past, nu)
         assert est.sigma == 0.0
+
+
+TIED_LAWS = st.tuples(
+    st.integers(2, 11),                # atoms before merging
+    st.integers(0, 2**32 - 1),
+    st.floats(1.05, 8.0),              # nu
+)
+
+
+def _tied_law(m, seed):
+    """Integer atoms in [-5, 5], so points often coincide, with Dirichlet weights."""
+    rng = np.random.default_rng(seed)
+    return sample1d(rng.integers(-5, 6, m), rng.dirichlet(np.ones(m)))
+
+
+class TestTiedLaws:
+    """On tied, weighted laws the profile is flat below roundoff near its minimum."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(TIED_LAWS)
+    def test_critical_point(self, law):
+        m, seed, nu = law
+        q = _tied_law(m, seed)
+        est = solve_oned(q, nu)
+        if est.boundary:
+            assert max_atom(q)[1] >= nu / (nu + 1.0) - EQ_TOL
+            return
+        x, w = q.points[:, 0], q.weights
+        d2 = (x - est.mu) ** 2
+        F = float(w @ (d2 / (nu * est.sigma**2 + d2)))
+        assert abs(_profile_derivative(q, est.mu, nu)) * est.sigma <= 1e-11
+        assert abs(F - 1.0 / (nu + 1.0)) <= 1e-12
+
+    @settings(max_examples=300, deadline=None)
+    @given(TIED_LAWS)
+    def test_profile_minimum(self, law):
+        m, seed, nu = law
+        q = _tied_law(m, seed)
+        est = solve_oned(q, nu)
+        if est.boundary:
+            return
+
+        def profile(mu):
+            return profile_objective(q, mu, sigma_of_mu(q, mu, nu), nu)
+
+        base = profile(est.mu)
+        for step in (-1e-3, 1e-3):
+            assert profile(est.mu + step * est.sigma) >= base
 
 
 class TestProfileObjective:
