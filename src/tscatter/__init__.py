@@ -3,7 +3,7 @@
 The scatter functional generalizes the covariance matrix to arbitrarily
 heavy-tailed laws; for tail parameter nu > 1 a location vector comes along by
 solving the pure scatter problem one dimension up. The package bundles the
-existence-domain checks, the fixed-point solver, influence and asymptotic
+existence-domain checks, the safeguarded Newton solver, influence and asymptotic
 covariance computations, the one-dimensional extended functional, a Monte
 Carlo validation harness, and a CSV-driven CLI.
 """

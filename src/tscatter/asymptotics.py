@@ -30,6 +30,7 @@ from .scatter import ScatterConfig, ScatterResult, solve_scatter
 from .symspace import (
     as_spd,
     congruence_matrix,
+    outer_gram,
     outer_vecs,
     sym_basis,
     sym_to_vec,
@@ -104,9 +105,8 @@ def hessian(sample: EmpiricalSample, A, nu: float) -> HessianMap:
     s = A.quad_forms(sample.points)
     # first term: T[a,b] = trace(A E_a A E_b), the congruence matrix of A
     T = congruence_matrix(A.mat)
-    V = outer_vecs(sample.points)
     coef = (nu + d) * sample.weights / (nu + s) ** 2
-    H = symmetrize(T - (V * coef[:, None]).T @ V, rtol=1e-6)
+    H = symmetrize(T - outer_gram(sample.points, coef), rtol=1e-6)
     min_eig = float(np.linalg.eigvalsh(H)[0])
     return HessianMap(dim=d, matrix=H, min_eigenvalue=min_eig)
 

@@ -213,6 +213,7 @@ def dispatch(cfg: RunConfig) -> tuple[dict, list[str]]:
             "weight_check": est.weight_check,
             "converged": est.converged,
             "iterations": est.scatter_diag.iterations,
+            "newton_steps": est.scatter_diag.newton_steps,
             "grad_norm": est.scatter_diag.grad_norm,
         }
     elif cfg.command == "scatter":
@@ -222,6 +223,7 @@ def dispatch(cfg: RunConfig) -> tuple[dict, list[str]]:
         payload = {
             "A": result.A.mat,
             "iterations": result.iterations,
+            "newton_steps": result.newton_steps,
             "objective": result.objective,
             "grad_norm": result.grad_norm,
             "fp_residual": result.fp_residual,
@@ -307,7 +309,9 @@ def build_parser() -> argparse.ArgumentParser:
     def add_common(p, needs_seed=False):
         p.add_argument("input", help="CSV path, or '-' for stdin")
         p.add_argument("--nu", type=float, required=True, help="tail parameter")
-        p.add_argument("--tol", type=float, default=1e-10, help="gradient tolerance")
+        p.add_argument("--tol", type=float, default=1e-10,
+                       help="tolerance on the whitened gradient norm, which does not "
+                            "depend on the units of the data")
         p.add_argument("--max-iter", type=int, default=500)
         p.add_argument("--seed", type=int, default=0)
         p.add_argument("--output", default=None, help="write the envelope here instead of stdout")

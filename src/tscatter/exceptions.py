@@ -26,7 +26,7 @@ class DomainViolation(Exception):
 
 
 class NumericalBreakdown(RuntimeError):
-    """The fixed-point iteration produced an invalid iterate.
+    """The scatter solver produced an invalid iterate.
 
     Impossible in exact arithmetic once the domain check passes; signals an
     ill-conditioned input.

@@ -20,7 +20,7 @@ import numpy as np
 from scipy import stats
 
 from .asymptotics import AsymptoticCov, asymptotic_cov_locscatter, asymptotic_cov_scatter
-from .domain_check import EmpiricalSample, check_locscat_domain, check_scatter_domain
+from .domain_check import DomainReport, EmpiricalSample, check_locscat_domain, check_scatter_domain
 from .exceptions import DomainViolation, EnumerationBudgetError
 from .locscatter import solve_locscatter
 from .scatter import ScatterConfig, solve_scatter
@@ -198,21 +198,19 @@ def _target_objects(sampler: Sampler, cfg: ScatterConfig, mode: str, surrogate_n
     else:
         target_cov = asymptotic_cov_locscatter(law, cfg.nu, check_domain=False)
         theta0 = _theta_locscatter(law, cfg)
-    return law, theta0, target_cov, warnings
+    return theta0, target_cov, warnings
 
 
 def _replicate_theta(sampler: Sampler, cfg: ScatterConfig, n: int, mode: str, rep: int):
-    """Vectorized estimate for one replicate, or None when out of domain."""
+    """Vectorized estimate for one replicate, or its failing domain report."""
     pts = sampler.draw(n, sampler.rng_for(rep))
     sample = EmpiricalSample(pts).merged()[0]
-    a0 = cfg.nu + sample.d
-    if mode == "scatter":
-        if not check_scatter_domain(sample, a0).member:
-            return None
-        return _theta_scatter(sample, cfg)
-    if not check_locscat_domain(sample, a0).member:
-        return None
-    return _theta_locscatter(sample, cfg)
+    check, theta = (
+        (check_scatter_domain, _theta_scatter) if mode == "scatter"
+        else (check_locscat_domain, _theta_locscatter)
+    )
+    report = check(sample, cfg.nu + sample.d)
+    return theta(sample, cfg) if report.member else report
 
 
 def run_clt_experiment(
@@ -245,19 +243,17 @@ def run_clt_experiment(
         raise ValueError("n must be positive")
 
     cfg = ScatterConfig(nu=nu) if cfg is None else dataclasses.replace(cfg, nu=nu)
-    law, theta0, target_cov, warnings = _target_objects(sampler, cfg, mode, surrogate_n)
+    theta0, target_cov, warnings = _target_objects(sampler, cfg, mode, surrogate_n)
 
-    thetas = [_replicate_theta(sampler, cfg, n, mode, rep) for rep in range(reps)]
-    kept = [th for th in thetas if th is not None]
+    outcomes = [_replicate_theta(sampler, cfg, n, mode, rep) for rep in range(reps)]
+    kept = [th for th in outcomes if isinstance(th, np.ndarray)]
     existence_rate = len(kept) / reps
     if existence_rate < 0.99:
         warnings.append(f"existence rate {existence_rate:.4f} below 0.99: near-boundary law")
     if len(kept) < 2:
-        raise DomainViolation(
-            check_scatter_domain(law, nu + law.d) if mode == "scatter" else
-            check_locscat_domain(law, nu + law.d),
-            "too few replicates inside the existence domain",
-        )
+        # reps >= 2, so some replicate failed; its report is the evidence
+        failing = next(out for out in outcomes if isinstance(out, DomainReport))
+        raise DomainViolation(failing, "too few replicates inside the existence domain")
 
     errors = np.sqrt(n) * (np.stack(kept) - theta0)
     emp = np.cov(errors, rowvar=False, ddof=1)
@@ -313,13 +309,13 @@ def run_consistency_sweep(
     if len(n_list) < 2:
         raise ValueError("need at least two sample sizes to measure a rate")
     cfg = ScatterConfig(nu=nu)
-    _, theta0, _, _ = _target_objects(sampler, cfg, mode, surrogate_n)
+    theta0, _, _ = _target_objects(sampler, cfg, mode, surrogate_n)
     out = []
     for pos, n in enumerate(n_list):
         errs = []
         for rep in range(reps):
             theta = _replicate_theta(sampler, cfg, n, mode, pos * reps + rep)
-            if theta is not None:
+            if isinstance(theta, np.ndarray):
                 errs.append(np.linalg.norm(theta - theta0))
         out.append((n, float(np.mean(errs))))
     return out

@@ -26,6 +26,7 @@ __all__ = [
     "sym_basis",
     "congruence_matrix",
     "outer_vecs",
+    "outer_gram",
 ]
 
 SQRT2 = np.sqrt(2.0)
@@ -267,3 +268,14 @@ def outer_vecs(points) -> np.ndarray:
     out *= scale
     out *= np.take(pts, cols, axis=1)
     return out
+
+
+def outer_gram(points, c) -> np.ndarray:
+    """Weighted Gram matrix sum_i c_i vec(y_i y_i') vec(y_i y_i')' for c >= 0.
+
+    Built from one n x K array of :func:`outer_vecs`, whose rows are scaled in
+    place by sqrt(c) before a single V' V product.
+    """
+    V = outer_vecs(points)
+    V *= np.sqrt(np.asarray(c, dtype=float))[:, None]
+    return V.T @ V

@@ -14,9 +14,16 @@ from tscatter.domain_check import (
     _point_scale,
     lift,
 )
-from tscatter.exceptions import DegeneracyError, NotSpdError
-from tscatter.scatter import _rho_diff, weight_u
-from tscatter.symspace import SpdMatrix, as_spd
+from tscatter.exceptions import DegeneracyError, NotSpdError, NumericalBreakdown
+from tscatter.scatter import (
+    MONOTONE_SLACK,
+    ScatterConfig,
+    ScatterResult,
+    _initial_matrix,
+    _rho_diff,
+    weight_u,
+)
+from tscatter.symspace import SpdMatrix, as_spd, symmetrize
 
 
 def direct_em_step(sample: EmpiricalSample, mu, Sigma, nu: float):
@@ -181,3 +188,73 @@ def profile_objective(sample: EmpiricalSample, mu: float, sigma: float, nu: floa
     """
     x, w = sample.points[:, 0], sample.weights
     return np.log(sigma) + float(w @ _rho_diff((x - mu) ** 2 / sigma**2, x**2, nu, 1))
+
+
+def solve_scatter_mm(sample: EmpiricalSample, cfg: ScatterConfig) -> ScatterResult:
+    """Scatter matrix by the plain majorize-minimize (MM) fixed-point iteration.
+
+    The reference for ``solve_scatter``: every step is the reweighting map
+    B -> sum_i w_i u(y_i' B^{-1} y_i) y_i y_i', so the objective decreases
+    monotonically but convergence is only linear. ``grad_norm`` here is the
+    gradient with respect to A, not the whitened one; the domain is not
+    checked. Stops on the gradient, on a relative step below ``tol_step`` or
+    at ``max_iter``, like the package solver.
+    """
+    sample = sample.drop_zero_weights()
+    d = sample.d
+    nu = cfg.nu
+    Y = sample.points
+    w = sample.weights
+    t = np.einsum("ij,ij->i", Y, Y)
+    B = _initial_matrix(sample, cfg)
+
+    trace = []
+    prev_obj = np.inf
+    grad_norm = np.inf
+    fp_residual = np.inf
+    stop_reason = "max_iter"
+    iterations = 0
+
+    for k in range(cfg.max_iter):
+        s = B.quad_forms(Y)
+        obj = 0.5 * B.logdet() + float(w @ _rho_diff(s, t, nu, d))
+        if obj > prev_obj + MONOTONE_SLACK * max(1.0, abs(prev_obj)):
+            raise NumericalBreakdown(
+                f"objective increased from {prev_obj!r} to {obj!r} at iteration {k}"
+            )
+        trace.append(obj)
+        prev_obj = obj
+
+        u = (nu + d) / (nu + s)
+        B_next = symmetrize((Y * (w * u)[:, None]).T @ Y, rtol=1e-6)
+
+        R = B.mat - B_next
+        Binv = B.inv()
+        grad_norm = float(np.linalg.norm(0.5 * Binv @ R @ Binv, ord="fro"))
+        fp_residual = float(np.linalg.norm(R, ord="fro"))
+        norm_B = float(np.linalg.norm(B.mat, ord="fro"))
+        iterations = k
+
+        if grad_norm <= cfg.tol_grad and fp_residual <= 10.0 * cfg.tol_grad * norm_B:
+            stop_reason = "grad"
+            break
+        if fp_residual / norm_B <= cfg.tol_step:
+            stop_reason = "step"
+            break
+        try:
+            B = SpdMatrix(B_next)
+        except NotSpdError as exc:
+            raise NumericalBreakdown(f"iterate left the SPD cone at iteration {k}") from exc
+        iterations = k + 1
+
+    return ScatterResult(
+        A=B,
+        iterations=iterations,
+        newton_steps=0,
+        objective=prev_obj,
+        grad_norm=grad_norm,
+        converged=grad_norm <= cfg.tol_grad,
+        objective_trace=tuple(trace),
+        stop_reason=stop_reason,
+        fp_residual=fp_residual,
+    )

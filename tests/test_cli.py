@@ -53,6 +53,7 @@ class TestSuccessEnvelopes:
         assert env["command"] == "estimate"
         assert env["payload"]["converged"] is True
         assert len(env["payload"]["mu"]) == 2
+        assert 0 <= env["payload"]["newton_steps"] <= env["payload"]["iterations"]
         assert env["timing_ms"] > 0.0
 
     def test_scatter(self, cloud2, tmp_path):
@@ -60,6 +61,7 @@ class TestSuccessEnvelopes:
         assert code == cli.EXIT_OK
         assert env["payload"]["converged"] is True
         assert env["payload"]["stop_reason"] in ("grad", "step", "max_iter")
+        assert 0 <= env["payload"]["newton_steps"] <= env["payload"]["iterations"]
 
     @pytest.mark.parametrize("target", ["locscatter", "scatter"])
     def test_check_domain(self, cloud2, tmp_path, target):
@@ -160,6 +162,18 @@ class TestErrorEnvelopes:
         code, env = run(["check-domain", line_heavy, "--nu", "2"], tmp_path)
         assert code == cli.EXIT_OK
         assert env["payload"]["member"] is False
+
+    def test_simulate_with_too_few_replicates_in_the_domain(self, tmp_path):
+        # two points always lie on a line, so every replicate fails the affine
+        # check; the report is a failing replicate's, not a re-check of the
+        # target law, whose exact check is past the subset budget
+        rng = np.random.default_rng(9)
+        path = write_csv(tmp_path / "law.csv", rng.standard_normal((2000, 2)))
+        argv = ["simulate", path, "--nu", "2", "--mode", "locscatter", "--n", "2", "--reps", "3"]
+        code, env = run(argv, tmp_path)
+        assert code == cli.EXIT_DOMAIN
+        assert env["payload"]["error"] == "domain_violation"
+        assert env["payload"]["report"]["member"] is False
 
     def test_numerical_failure_exit_3(self, cloud2, tmp_path, monkeypatch):
         def breakdown(*args, **kwargs):

@@ -11,6 +11,7 @@ from tscatter import (
     objective,
     objective_locscat,
     solve_locscatter,
+    two_point_closed_form,
     weight_u,
 )
 
@@ -60,6 +61,17 @@ class TestCertificates:
             solve_locscatter(two_point(0.5), 1.0)
         with pytest.raises(NuOutOfRange):
             solve_locscatter(two_point(0.5), 0.7)
+
+    def test_converges_near_the_big_atom_boundary(self):
+        # mass (nu - eps)/(nu + 1) at 1 with eps = 1e-3: the lifted MM
+        # iteration alone is still unconverged after 12,000 steps
+        nu, eps = 3.0, 1e-3
+        p = (nu - eps) / (nu + 1.0)
+        est = solve_locscatter(two_point(p), nu)
+        ref = two_point_closed_form(0.0, 1.0, p, nu)
+        assert est.converged
+        assert abs(est.mu[0] - ref.mu) <= 1e-6 * abs(ref.mu)
+        assert abs(np.sqrt(est.Sigma.mat[0, 0]) - ref.sigma) <= 1e-6 * ref.sigma
 
     def test_boundary_rejected_before_iteration(self):
         # atom at 2/3 for nu=2 sits exactly on the affine threshold
