@@ -3,9 +3,10 @@
 The scatter functional generalizes the covariance matrix to arbitrarily
 heavy-tailed laws; for tail parameter nu > 1 a location vector comes along by
 solving the pure scatter problem one dimension up. The package bundles the
-existence-domain checks, the safeguarded Newton solver, influence and asymptotic
-covariance computations, the one-dimensional extended functional, a Monte
-Carlo validation harness, and a CSV-driven CLI.
+existence-domain checks, the safeguarded Newton solver (one loop over stacks
+of samples), influence and asymptotic covariance computations, the
+one-dimensional extended functional, a Monte Carlo validation harness, and a
+CSV-driven CLI.
 """
 
 from .asymptotics import (
@@ -44,7 +45,15 @@ from .oned import (
     solve_oned,
     two_point_closed_form,
 )
-from .scatter import ScatterConfig, ScatterResult, gradient, objective, solve_scatter, weight_u
+from .scatter import (
+    ScatterConfig,
+    ScatterResult,
+    gradient,
+    objective,
+    solve_scatter,
+    solve_scatter_stack,
+    weight_u,
+)
 from .simlab import (
     McReport,
     Sampler,

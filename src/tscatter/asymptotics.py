@@ -214,15 +214,17 @@ def asymptotic_cov_locscatter(
     nu: float,
     *,
     rank_tol: float = DEFAULT_RANK_TOL,
+    fit=None,
     check_domain: bool = True,
 ) -> AsymptoticCov:
     """Asymptotic covariance of sqrt(n)((mu_n, Sigma_n) - (mu, Sigma)).
 
     Pushes the lifted scatter covariance through the extraction Jacobian. The
     mu block has full rank d; the Sigma block inherits the rank behavior of
-    the pure scatter case.
+    the pure scatter case. ``fit`` takes a :class:`LocScatEstimate` of the
+    sample at ``nu`` instead of solving for one.
     """
-    est = solve_locscatter(sample, nu, check_domain=check_domain)
+    est = fit if fit is not None else solve_locscatter(sample, nu, check_domain=check_domain)
     fit = est.scatter_diag
     S_lift = asymptotic_cov_scatter(lift(sample), est.nu - 1.0, rank_tol=rank_tol, fit=fit)
     J = extract_jacobian(fit.A)

@@ -45,8 +45,9 @@ POINT_RTOL = 1e-9
 # Subsets examined before exact enumeration refuses to run.
 DEFAULT_BUDGET = 2_000_000
 
-# Scratch memory, in bytes, that exact enumeration sizes its subset blocks to.
-BLOCK_BYTES = 4 * 2**20
+# Scratch memory, in bytes, that exact enumeration sizes its subset blocks to,
+# and the Monte Carlo harness its stacks of replicate fits.
+BLOCK_BYTES = 2 * 2**20
 
 
 @dataclass(frozen=True)
@@ -298,11 +299,13 @@ def _check_exact(merged: EmpiricalSample, rep, a0: float, d: int) -> DomainRepor
 
     if d >= 2:
         # lines through single points; for d <= 3 the distance to a unit
-        # direction is a cross product, which vectorizes without cancellation
+        # direction is a cross product, which vectorizes without cancellation.
+        # All lines share one threshold, so only the first heaviest competes.
         threshold = 1.0 - (d - 1) / a0
         nz = np.nonzero(norms > tol)[0]
         if d in (2, 3) and nz.size:
             units = X[nz] / norms[nz, None]
+            masses = np.empty(nz.size)
             for start in range(0, nz.size, 512):
                 blk = units[start : start + 512]
                 if d == 2:
@@ -314,10 +317,9 @@ def _check_exact(merged: EmpiricalSample, rep, a0: float, d: int) -> DomainRepor
                     c1 = np.outer(X[:, 2], blk[:, 0]) - np.outer(X[:, 0], blk[:, 2])
                     c2 = np.outer(X[:, 0], blk[:, 1]) - np.outer(X[:, 1], blk[:, 0])
                     resid = np.sqrt(c0**2 + c1**2 + c2**2)
-                masses = w @ (resid <= tol)
-                for pos in range(blk.shape[0]):
-                    i = nz[start + pos]
-                    cands.append((float(masses[pos]), threshold, 1, (int(rep[i]),)))
+                masses[start : start + 512] = w @ (resid <= tol)
+            k = int(np.argmax(masses))
+            cands.append((float(masses[k]), threshold, 1, (int(rep[nz[k]]),)))
         else:
             for i in nz:
                 u = X[i] / norms[i]

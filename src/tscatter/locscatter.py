@@ -28,6 +28,7 @@ from .symspace import SpdMatrix, as_spd, extract
 __all__ = [
     "LocScatEstimate",
     "solve_locscatter",
+    "certify_lifted_fit",
     "objective_locscat",
 ]
 
@@ -76,12 +77,19 @@ def solve_locscatter(
     cfg = ScatterConfig(nu=nu - 1.0) if cfg is None else dataclasses.replace(cfg, nu=nu - 1.0)
     # affine-domain membership is the lifted linear condition, so the lifted
     # solve does not check it again
-    diag = solve_scatter(lift(sample), cfg, check_domain=False)
+    return certify_lifted_fit(sample, nu, solve_scatter(lift(sample), cfg, check_domain=False))
 
+
+def certify_lifted_fit(sample: EmpiricalSample, nu: float, diag: ScatterResult) -> LocScatEstimate:
+    """(mu, Sigma) of the sample from the lifted scatter fit ``diag`` at nu - 1.
+
+    Extracts the block embedding and computes both certificates. Raises
+    :class:`DegeneracyError` when the extracted Sigma is not SPD.
+    """
     Sigma_arr, mu, gamma = extract(diag.A)
     Sigma = SpdMatrix(Sigma_arr)
     s = Sigma.quad_forms(sample.points - mu)
-    weight_check = float(sample.weights @ weight_u(s, nu, d))
+    weight_check = float(sample.weights @ weight_u(s, nu, sample.d))
     converged = (
         diag.converged
         and abs(gamma - 1.0) <= IDENTITY_CHECK_TOL

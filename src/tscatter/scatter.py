@@ -18,6 +18,12 @@ Schuhmacher, JMVA 144, 2016). Every step decreases the objective at least as
 much as the MM step would, so the monotone descent of the MM iteration
 (Kent and Tyler, Ann. Statist. 19, 1991) carries over, and near the solution
 the Newton steps converge quadratically.
+
+There is one solver loop, and it runs on a stack of samples of equal size
+(``solve_scatter_stack``): every array carries a leading sample axis, each
+sample keeps its own step choice, stop test and breakdown check, and a
+sample that has stopped leaves the stack. ``solve_scatter`` is the stack of
+one, after dropping zero-weight points and checking the domain.
 """
 
 from __future__ import annotations
@@ -25,13 +31,29 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import solve_triangular
 
 from .domain_check import EmpiricalSample, check_scatter_domain
-from .exceptions import DomainViolation, NotSpdError, NumericalBreakdown
-from .symspace import SpdMatrix, as_spd, outer_gram, sym_to_vec, symmetrize, vec_to_sym
+from .exceptions import DomainViolation, NumericalBreakdown
+from .symspace import (
+    SpdMatrix,
+    as_spd,
+    outer_gram,
+    spd_cholesky,
+    sym_dim,
+    sym_to_vec,
+    symmetrize,
+    vec_to_sym,
+)
 
-__all__ = ["ScatterConfig", "ScatterResult", "weight_u", "objective", "gradient", "solve_scatter"]
+__all__ = [
+    "ScatterConfig",
+    "ScatterResult",
+    "weight_u",
+    "objective",
+    "gradient",
+    "solve_scatter",
+    "solve_scatter_stack",
+]
 
 # Allowed per-step objective increase before declaring breakdown (roundoff slack).
 MONOTONE_SLACK = 1e-12
@@ -41,9 +63,11 @@ MONOTONE_SLACK = 1e-12
 class ScatterConfig:
     """Solver settings.
 
-    ``init="second_moment"`` starts from the weighted second-moment matrix
-    (regularized by 1e-8 times its trace), falling back to the identity if
-    that matrix is singular.
+    ``tol_grad`` bounds the whitened gradient norm of a converged fit and
+    ``tol_step`` the whitened size of the last step taken (see
+    :func:`solve_scatter_stack`). ``init="second_moment"`` starts from the
+    weighted second-moment matrix (regularized by 1e-8 times its trace),
+    falling back to the identity if that matrix is singular.
     """
 
     nu: float
@@ -124,128 +148,188 @@ def gradient(sample: EmpiricalSample, A, nu: float) -> np.ndarray:
     return symmetrize(0.5 * (Ainv - M), rtol=1e-6)
 
 
-def _initial_matrix(sample: EmpiricalSample, cfg: ScatterConfig) -> SpdMatrix:
-    d = sample.d
+def _start(Y, w, cfg: ScatterConfig):
+    """Starting iterates of a stack of samples and their Cholesky factors, each (R, d, d)."""
+    R, _, d = Y.shape
+    B = np.broadcast_to(np.eye(d), (R, d, d)).copy()
     if cfg.init == "second_moment":
-        M = (sample.points * sample.weights[:, None]).T @ sample.points
-        tr = np.trace(M)
-        if tr > 0.0:
-            try:
-                return SpdMatrix(M + 1e-8 * tr * np.eye(d))
-            except NotSpdError:
-                pass
-    return SpdMatrix(np.eye(d))
+        M = symmetrize(np.swapaxes(Y * w[..., None], 1, 2) @ Y)
+        M += 1e-8 * np.trace(M, axis1=1, axis2=2)[:, None, None] * np.eye(d)
+        ok = spd_cholesky(M)[1]
+        B[ok] = M[ok]
+    return B, spd_cholesky(B)[0]
 
 
-def _whiten(B: SpdMatrix, Y, t, w, nu: float):
-    """Whitened points Z = L^{-1} Y' (d x n), quadratic forms s and Qh at B = L L'."""
-    Z = solve_triangular(B.chol, Y.T, lower=True)
-    s = np.einsum("ij,ij->j", Z, Z)
-    obj = 0.5 * B.logdet() + float(w @ _rho_diff(s, t, nu, Y.shape[1]))
+def _whiten(L, Yt, t, w, nu: float):
+    """Whitened points Z = L^{-1} Y' (R, d, n), quadratic forms s and Qh at B = L L'."""
+    Z = np.linalg.inv(L) @ Yt
+    s = np.einsum("rin,rin->rn", Z, Z)
+    half_logdet = np.log(np.diagonal(L, axis1=1, axis2=2)).sum(axis=1)
+    obj = half_logdet + np.einsum("rn,rn->r", w, _rho_diff(s, t, nu, L.shape[-1]))
     return Z, s, obj
 
 
-def _newton_candidate(B: SpdMatrix, Z, s, w, nu: float, M) -> SpdMatrix:
-    """Newton step for Qh on the whitened concentration matrix C = L' B^{-1} L.
+def _newton_candidates(L, Z, s, w, nu: float, M):
+    """Newton steps for Qh on the whitened concentration matrices C = L' B^{-1} L.
 
     At C = I the gradient is (M - I)/2 and the curvature is (I - G)/2, with G
     the outer-product Gram matrix of the whitened points weighted by
     (nu+d) w/(nu+s)^2: the operator of ``asymptotics.hessian`` at the
     identity. The step D solves (I - G) vec(D) = -vec(M - I), and the
-    candidate is L (I + D)^{-1} L'. Raises LinAlgError or NotSpdError when
-    that system is singular or a matrix on the way is not SPD.
+    candidate is L (I + D)^{-1} L'. Returns the candidates, their Cholesky
+    factors, the whitened step sizes ||(I + D)^{-1} - I||_F, and which
+    candidates exist: the system is solvable and I + D and the candidate
+    are SPD.
     """
-    d = B.dim
+    R, d, _ = Z.shape
     eye = np.eye(d)
-    G = outer_gram(Z.T, (nu + d) * w / (nu + s) ** 2)
-    step = np.linalg.solve(np.eye(G.shape[0]) - G, -sym_to_vec(M - eye))
-    C = SpdMatrix(eye + vec_to_sym(step))
+    G = outer_gram(np.swapaxes(Z, 1, 2), (nu + d) * w / (nu + s) ** 2)
+    H = np.eye(G.shape[-1]) - G
+    rhs = -sym_to_vec(M - eye)[..., None]
+    ok = np.ones(R, dtype=bool)
+    try:
+        step = np.linalg.solve(H, rhs)[..., 0]
+    except np.linalg.LinAlgError:
+        # a stacked solve fails as a whole; redo it one system at a time
+        step = np.zeros(rhs.shape[:2])
+        for i in range(R):
+            try:
+                step[i] = np.linalg.solve(H[i], rhs[i])[:, 0]
+            except np.linalg.LinAlgError:
+                ok[i] = False
+    Lc, ok_c = spd_cholesky(eye + vec_to_sym(step))
+    Lc_inv = np.linalg.inv(Lc)
     # L C^{-1} L' = W'W with W = chol(C)^{-1} L'
-    W = solve_triangular(C.chol, B.chol.T, lower=True)
-    return SpdMatrix(W.T @ W)
+    W = Lc_inv @ np.swapaxes(L, 1, 2)
+    B = symmetrize(np.swapaxes(W, 1, 2) @ W, rtol=1e-6)
+    chol, ok_b = spd_cholesky(B)
+    size = np.linalg.norm(np.swapaxes(Lc_inv, 1, 2) @ Lc_inv - eye, axis=(1, 2))
+    return B, chol, size, ok & ok_c & ok_b
+
+
+def _sample_bytes(n: int, d: int) -> int:
+    """Scratch memory one sample of an (R, n, d) stack takes in the solver loop.
+
+    Per point: the data, three whitened copies and the one kept, quadratic
+    forms and weights, and the two outer-product rows of the Newton system.
+    """
+    return 8 * n * (6 * d + 2 * sym_dim(d) + 10)
 
 
 def solve_scatter(
     sample: EmpiricalSample, cfg: ScatterConfig, *, check_domain: bool = True
 ) -> ScatterResult:
-    """Compute the scatter matrix by Newton steps safeguarded by the MM step.
+    """Compute the scatter matrix of one sample: a stack of one.
 
-    Each iteration whitens the sample with the Cholesky factor of the current
-    iterate B = L L' and forms the whitened MM image M = sum_i w_i u(s_i) z_i z_i'.
-    ``grad_norm`` is the whitened gradient (1/2)||L^{-1}(B - L M L')L^{-T}||_F
-    = (1/2)||I - M||_F, which does not change when the data are rescaled or
-    linearly transformed. Stops once it is at most ``tol_grad``
-    (``converged=True``), or when the relative MM step ||B - L M L'||_F/||B||_F
-    falls to ``tol_step``, or after ``max_iter`` steps (``converged`` reflects
-    the gradient criterion; the best iterate is returned either way). Raises
-    :class:`DomainViolation` when the law fails the existence check and
-    :class:`NumericalBreakdown` if an MM iterate leaves the SPD cone or the
-    objective increases beyond roundoff, neither of which can happen in exact
-    arithmetic on the domain.
+    Drops zero-weight points, raises :class:`DomainViolation` when the law
+    fails the existence check (unless ``check_domain=False``), then runs
+    :func:`solve_scatter_stack` on the sample alone.
     """
     sample = sample.drop_zero_weights()
-    d = sample.d
-    nu = cfg.nu
     if check_domain:
-        report = check_scatter_domain(sample, nu + d)
+        report = check_scatter_domain(sample, cfg.nu + sample.d)
         if not report.member:
             raise DomainViolation(report)
+    return solve_scatter_stack(sample.points[None], sample.weights[None], cfg)[0]
 
-    Y = sample.points
-    w = sample.weights
-    t = np.einsum("ij,ij->i", Y, Y)
-    B = _initial_matrix(sample, cfg)
-    Z, s, obj = _whiten(B, Y, t, w, nu)
 
-    trace = [obj]
-    stop_reason = "max_iter"
-    newton_steps = 0
+def solve_scatter_stack(points, weights, cfg: ScatterConfig) -> list[ScatterResult]:
+    """Scatter matrices of a stack of samples by Newton steps safeguarded by the MM step.
+
+    ``points`` is (R, n, d) and ``weights`` (R, n), each row of weights a
+    probability vector; the samples are not domain-checked. Returns one
+    :class:`ScatterResult` per sample, in order. Each sample iterates on its
+    own: every iteration whitens it with the Cholesky factor of its iterate
+    B = L L' and forms the whitened MM image M = sum_i w_i u(s_i) z_i z_i'.
+    ``grad_norm`` is the whitened gradient (1/2)||L^{-1}(B - L M L')L^{-T}||_F
+    = (1/2)||I - M||_F, which does not change when the data are rescaled or
+    linearly transformed. A sample stops once it is at most ``tol_grad``
+    (``converged=True``), or when the whitened size ||L^{-1} B_next L^{-T} - I||_F
+    of its last step fell to ``tol_step``, or after ``max_iter`` steps
+    (``converged`` reflects the gradient criterion; the iterate reached is
+    returned either way), and then leaves the active stack. Raises
+    :class:`NumericalBreakdown`, for the first sample in stack order that
+    breaks down, if an MM iterate leaves the SPD cone or the objective
+    increases beyond roundoff, neither of which can happen in exact
+    arithmetic on the domain.
+    """
+    Y = np.asarray(points, dtype=float)
+    w = np.asarray(weights, dtype=float)
+    if Y.ndim != 3 or w.shape != Y.shape[:2]:
+        raise ValueError(f"expected points (R, n, d) and weights (R, n), got {Y.shape} and {w.shape}")
+    R, _, d = Y.shape
+    nu = cfg.nu
+    eye = np.eye(d)
+    Yt = np.ascontiguousarray(np.swapaxes(Y, 1, 2))
+    t = np.einsum("rnd,rnd->rn", Y, Y)
+    B, L = _start(Y, w, cfg)
+    Z, s, obj = _whiten(L, Yt, t, w, nu)
+
+    ids = np.arange(R)              # stack positions of the samples still iterating
+    last_step = np.full(R, np.inf)  # whitened size of each sample's latest step
+    newton_steps = np.zeros(R, dtype=int)
+    traces = [[value] for value in obj.tolist()]
+    results = [None] * R
+    broken = {}
     for k in range(cfg.max_iter + 1):
-        M = symmetrize((Z * (w * (nu + d) / (nu + s))) @ Z.T, rtol=1e-6)
-        L = B.chol
-        B_mm = symmetrize(L @ M @ L.T, rtol=1e-6)
-        grad_norm = 0.5 * float(np.linalg.norm(np.eye(d) - M, ord="fro"))
-        fp_residual = float(np.linalg.norm(B.mat - B_mm, ord="fro"))
-        iterations = k
-        if grad_norm <= cfg.tol_grad:
-            stop_reason = "grad"
+        if not ids.size:
             break
-        if fp_residual / float(np.linalg.norm(B.mat, ord="fro")) <= cfg.tol_step:
-            stop_reason = "step"
-            break
-        if k == cfg.max_iter:
-            break
-
-        try:
-            B_next = SpdMatrix(B_mm)
-        except NotSpdError as exc:
-            raise NumericalBreakdown(f"iterate left the SPD cone at iteration {k + 1}") from exc
-        Z_next, s_next, obj_next = _whiten(B_next, Y, t, w, nu)
-        try:
-            B_newton = _newton_candidate(B, Z, s, w, nu, M)
-        except (np.linalg.LinAlgError, NotSpdError):
-            pass
-        else:
-            Z_newton, s_newton, obj_newton = _whiten(B_newton, Y, t, w, nu)
-            if obj_newton < obj_next:
-                B_next, Z_next, s_next, obj_next = B_newton, Z_newton, s_newton, obj_newton
-                newton_steps += 1
-
-        if obj_next > obj + MONOTONE_SLACK * max(1.0, abs(obj)):
-            raise NumericalBreakdown(
-                f"objective increased from {obj!r} to {obj_next!r} at iteration {k + 1}"
+        wu = w * (nu + d) / (nu + s)
+        M = symmetrize((Z * wu[:, None, :]) @ np.swapaxes(Z, 1, 2), rtol=1e-6)
+        B_mm = symmetrize(L @ M @ np.swapaxes(L, 1, 2), rtol=1e-6)
+        grad = 0.5 * np.linalg.norm(eye - M, axis=(1, 2))
+        fp = np.linalg.norm(B - B_mm, axis=(1, 2))
+        stops = np.full(ids.size, "max_iter" if k == cfg.max_iter else "", dtype="<U8")
+        stops[last_step[ids] <= cfg.tol_step] = "step"
+        stops[grad <= cfg.tol_grad] = "grad"
+        going = stops == ""
+        for j in np.flatnonzero(~going):
+            i = ids[j]
+            results[i] = ScatterResult(
+                A=SpdMatrix(B[j]),
+                iterations=k,
+                newton_steps=int(newton_steps[i]),
+                objective=float(obj[j]),
+                grad_norm=float(grad[j]),
+                converged=bool(grad[j] <= cfg.tol_grad),
+                objective_trace=tuple(traces[i]),
+                stop_reason=str(stops[j]),
+                fp_residual=float(fp[j]),
             )
-        B, Z, s, obj = B_next, Z_next, s_next, obj_next
-        trace.append(obj)
+        if not going.all():
+            ids, Yt, t, w, B, L, Z, s, obj, M, B_mm, grad = (
+                a[going] for a in (ids, Yt, t, w, B, L, Z, s, obj, M, B_mm, grad)
+            )
+            if not ids.size:
+                break
 
-    return ScatterResult(
-        A=B,
-        iterations=iterations,
-        newton_steps=newton_steps,
-        objective=obj,
-        grad_norm=grad_norm,
-        converged=grad_norm <= cfg.tol_grad,
-        objective_trace=tuple(trace),
-        stop_reason=stop_reason,
-        fp_residual=fp_residual,
-    )
+        L_mm, ok_mm = spd_cholesky(B_mm)
+        Z_mm, s_mm, obj_mm = _whiten(L_mm, Yt, t, w, nu)
+        B_nt, L_nt, size_nt, ok_nt = _newton_candidates(L, Z, s, w, nu, M)
+        Z_nt, s_nt, obj_nt = _whiten(L_nt, Yt, t, w, nu)
+        newton = ok_nt & (obj_nt < obj_mm)
+        obj_next = np.where(newton, obj_nt, obj_mm)
+        sound = ok_mm & ~(obj_next > obj + MONOTONE_SLACK * np.maximum(1.0, np.abs(obj)))
+        for j in np.flatnonzero(~sound):
+            broken[ids[j]] = (
+                f"iterate left the SPD cone at iteration {k + 1}" if not ok_mm[j] else
+                f"objective increased from {float(obj[j])!r} to {float(obj_next[j])!r} "
+                f"at iteration {k + 1}"
+            )
+        newton_steps[ids[newton]] += 1
+        # an MM step moves the whitened iterate from I to M
+        last_step[ids] = np.where(newton, size_nt, 2.0 * grad)
+        pick = newton[:, None, None]
+        B, L, Z = np.where(pick, B_nt, B_mm), np.where(pick, L_nt, L_mm), np.where(pick, Z_nt, Z_mm)
+        s, obj = np.where(newton[:, None], s_nt, s_mm), obj_next
+        if not sound.all():
+            ids, Yt, t, w, B, L, Z, s, obj = (
+                a[sound] for a in (ids, Yt, t, w, B, L, Z, s, obj)
+            )
+        for i, value in zip(ids.tolist(), obj.tolist()):
+            traces[i].append(value)
+
+    if broken:
+        i = min(broken)
+        raise NumericalBreakdown(broken[i] if R == 1 else f"sample {i}: {broken[i]}")
+    return results

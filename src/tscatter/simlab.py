@@ -4,7 +4,8 @@ Replicates draw i.i.d. samples from a configured law, fit the scatter or
 location-scatter functional, and compare the empirical covariance of
 sqrt(n) * (vectorized estimate - functional) against the analytic asymptotic
 covariance. Replicate RNG streams are keyed by (seed, replicate index), and
-replicates run one after another, so reports are bit-identical across runs.
+the in-domain replicates are fitted together as stacks of one solver loop,
+so reports are bit-identical across runs.
 
 For discrete target laws the functional and its covariance are computed
 exactly from the law itself; for continuous laws they are estimated from one
@@ -20,10 +21,17 @@ import numpy as np
 from scipy import stats
 
 from .asymptotics import AsymptoticCov, asymptotic_cov_locscatter, asymptotic_cov_scatter
-from .domain_check import DomainReport, EmpiricalSample, check_locscat_domain, check_scatter_domain
+from .domain_check import (
+    BLOCK_BYTES,
+    DomainReport,
+    EmpiricalSample,
+    check_locscat_domain,
+    check_scatter_domain,
+    lift,
+)
 from .exceptions import DomainViolation, EnumerationBudgetError
-from .locscatter import solve_locscatter
-from .scatter import ScatterConfig, solve_scatter
+from .locscatter import certify_lifted_fit, solve_locscatter
+from .scatter import ScatterConfig, _sample_bytes, solve_scatter, solve_scatter_stack
 from .symspace import as_spd, sym_to_vec
 
 __all__ = [
@@ -164,17 +172,16 @@ class McReport:
     warnings: tuple[str, ...] = ()
 
 
-def _theta_scatter(sample: EmpiricalSample, cfg: ScatterConfig) -> np.ndarray:
-    fit = solve_scatter(sample, cfg, check_domain=False)
-    return sym_to_vec(fit.A.mat)
-
-
-def _theta_locscatter(sample: EmpiricalSample, cfg: ScatterConfig) -> np.ndarray:
-    est = solve_locscatter(sample, cfg.nu, cfg, check_domain=False)
+def _locscat_theta(est) -> np.ndarray:
     return np.concatenate([est.mu, sym_to_vec(est.Sigma.mat)])
 
 
-def _target_objects(sampler: Sampler, cfg: ScatterConfig, mode: str, surrogate_n: int):
+def _target_objects(sampler: Sampler, nu: float, mode: str, surrogate_n: int):
+    """The functional theta0 of the target law, its asymptotic covariance and warnings.
+
+    The law is fitted once, at the default tolerances, and that fit serves
+    both theta0 and the covariance.
+    """
     warnings = []
     law = as_discrete_law(sampler)
     if law is None:
@@ -185,7 +192,7 @@ def _target_objects(sampler: Sampler, cfg: ScatterConfig, mode: str, surrogate_n
     # quadratic, so the gate runs on small laws only and within the subset budget
     check = check_scatter_domain if mode == "scatter" else check_locscat_domain
     try:
-        report = check(law, cfg.nu + law.d) if law.n <= 2000 else None
+        report = check(law, nu + law.d) if law.n <= 2000 else None
     except EnumerationBudgetError:
         report = None
     if report is None:
@@ -193,24 +200,45 @@ def _target_objects(sampler: Sampler, cfg: ScatterConfig, mode: str, surrogate_n
     elif not report.member:
         raise DomainViolation(report)
     if mode == "scatter":
-        target_cov = asymptotic_cov_scatter(law, cfg.nu, check_domain=False)
-        theta0 = _theta_scatter(law, cfg)
+        fit = solve_scatter(law, ScatterConfig(nu=nu), check_domain=False)
+        target_cov = asymptotic_cov_scatter(law, nu, fit=fit, check_domain=False)
+        theta0 = sym_to_vec(fit.A.mat)
     else:
-        target_cov = asymptotic_cov_locscatter(law, cfg.nu, check_domain=False)
-        theta0 = _theta_locscatter(law, cfg)
+        est = solve_locscatter(law, nu, check_domain=False)
+        target_cov = asymptotic_cov_locscatter(law, nu, fit=est)
+        theta0 = _locscat_theta(est)
     return theta0, target_cov, warnings
 
 
-def _replicate_theta(sampler: Sampler, cfg: ScatterConfig, n: int, mode: str, rep: int):
-    """Vectorized estimate for one replicate, or its failing domain report."""
-    pts = sampler.draw(n, sampler.rng_for(rep))
-    sample = EmpiricalSample(pts).merged()[0]
-    check, theta = (
-        (check_scatter_domain, _theta_scatter) if mode == "scatter"
-        else (check_locscat_domain, _theta_locscatter)
-    )
-    report = check(sample, cfg.nu + sample.d)
-    return theta(sample, cfg) if report.member else report
+def _replicate_thetas(sampler: Sampler, cfg: ScatterConfig, n: int, mode: str, reps: range) -> list:
+    """Vectorized estimate of each replicate in ``reps``, or its failing domain report.
+
+    Replicates are drawn, checked and fitted in chunks whose solver scratch
+    stays near ``BLOCK_BYTES``; the in-domain draws of a chunk are fitted
+    together as one stack, each as drawn, with uniform weights. A failing
+    report's witness indices are rows of the draw.
+    """
+    d = sampler.dim
+    lifted = mode == "locscatter"
+    check = check_locscat_domain if lifted else check_scatter_domain
+    solve_cfg = dataclasses.replace(cfg, nu=cfg.nu - 1.0) if lifted else cfg
+    chunk = max(1, BLOCK_BYTES // _sample_bytes(n, d + lifted))
+    outcomes = []
+    for first in range(reps.start, reps.stop, chunk):
+        draws = [EmpiricalSample(sampler.draw(n, sampler.rng_for(rep)))
+                 for rep in range(first, min(first + chunk, reps.stop))]
+        found = [check(sample, cfg.nu + d) for sample in draws]
+        inside = [i for i, report in enumerate(found) if report.member]
+        if inside:
+            points = np.stack([(lift(draws[i]) if lifted else draws[i]).points for i in inside])
+            fits = solve_scatter_stack(points, np.full(points.shape[:2], 1.0 / n), solve_cfg)
+            for i, fit in zip(inside, fits):
+                found[i] = (
+                    _locscat_theta(certify_lifted_fit(draws[i], cfg.nu, fit)) if lifted
+                    else sym_to_vec(fit.A.mat)
+                )
+        outcomes += found
+    return outcomes
 
 
 def run_clt_experiment(
@@ -226,9 +254,10 @@ def run_clt_experiment(
 ) -> McReport:
     """Compare replicate fluctuations against the asymptotic covariance.
 
-    ``cfg`` sets the solver tolerances of the replicate fits and of the fit
-    they are centred on (its ``nu`` is replaced by ``nu``); the analytic
-    target covariance always uses the default tolerances. Requires
+    ``cfg`` sets the solver tolerances of the replicate fits only (its ``nu``
+    is replaced by ``nu``): the functional they are centred on and the
+    analytic target covariance come from one fit of the target law at the
+    default tolerances. Requires
     ``reps >= 2``. Replicates failing the domain check are counted in
     ``existence_rate`` and skipped; a rate below 0.99 adds a near-boundary
     warning to the report. A location-scatter replicate whose extracted
@@ -243,9 +272,9 @@ def run_clt_experiment(
         raise ValueError("n must be positive")
 
     cfg = ScatterConfig(nu=nu) if cfg is None else dataclasses.replace(cfg, nu=nu)
-    theta0, target_cov, warnings = _target_objects(sampler, cfg, mode, surrogate_n)
+    theta0, target_cov, warnings = _target_objects(sampler, nu, mode, surrogate_n)
 
-    outcomes = [_replicate_theta(sampler, cfg, n, mode, rep) for rep in range(reps)]
+    outcomes = _replicate_thetas(sampler, cfg, n, mode, range(reps))
     kept = [th for th in outcomes if isinstance(th, np.ndarray)]
     existence_rate = len(kept) / reps
     if existence_rate < 0.99:
@@ -309,14 +338,11 @@ def run_consistency_sweep(
     if len(n_list) < 2:
         raise ValueError("need at least two sample sizes to measure a rate")
     cfg = ScatterConfig(nu=nu)
-    theta0, _, _ = _target_objects(sampler, cfg, mode, surrogate_n)
+    theta0, _, _ = _target_objects(sampler, nu, mode, surrogate_n)
     out = []
     for pos, n in enumerate(n_list):
-        errs = []
-        for rep in range(reps):
-            theta = _replicate_theta(sampler, cfg, n, mode, pos * reps + rep)
-            if isinstance(theta, np.ndarray):
-                errs.append(np.linalg.norm(theta - theta0))
+        outcomes = _replicate_thetas(sampler, cfg, n, mode, range(pos * reps, (pos + 1) * reps))
+        errs = [np.linalg.norm(th - theta0) for th in outcomes if isinstance(th, np.ndarray)]
         out.append((n, float(np.mean(errs))))
     return out
 

@@ -7,6 +7,7 @@ and an isometric half-vectorization of the space of symmetric matrices.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -18,6 +19,7 @@ __all__ = [
     "SpdMatrix",
     "EmbeddedScatter",
     "symmetrize",
+    "spd_cholesky",
     "embed",
     "extract",
     "sym_dim",
@@ -43,16 +45,44 @@ def symmetrize(mat, rtol=ASYM_RTOL):
 
     Asymmetry up to ``rtol`` times the entry scale is treated as roundoff and
     averaged away; anything larger raises, since silently symmetrizing a
-    genuinely asymmetric matrix would hide bugs upstream.
+    genuinely asymmetric matrix would hide bugs upstream. A leading batch
+    axis treats each matrix of the stack on its own scale.
     """
     mat = np.asarray(mat, dtype=float)
-    if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
-        raise ValueError(f"expected a square matrix, got shape {mat.shape}")
-    gap = np.abs(mat - mat.T).max() if mat.size else 0.0
-    scale = max(np.abs(mat).max() if mat.size else 0.0, 1.0)
-    if gap > rtol * scale:
-        raise ValueError(f"matrix asymmetry {gap:g} exceeds tolerance {rtol * scale:g}")
-    return (mat + mat.T) / 2.0
+    if mat.ndim not in (2, 3) or mat.shape[-1] != mat.shape[-2]:
+        raise ValueError(f"expected a square matrix or a stack of them, got shape {mat.shape}")
+    swapped = np.swapaxes(mat, -1, -2)
+    gap = np.abs(mat - swapped).max(axis=(-2, -1), initial=0.0)
+    scale = np.maximum(np.abs(mat).max(axis=(-2, -1), initial=0.0), 1.0)
+    if (gap > rtol * scale).any():
+        raise ValueError(f"matrix asymmetry {np.max(gap / scale):g} exceeds relative tolerance {rtol:g}")
+    return (mat + swapped) / 2.0
+
+
+def spd_cholesky(mats):
+    """Cholesky factors of a stack of symmetric matrices, and which of them are SPD.
+
+    The SPD rule: finite entries, positive trace, a Cholesky factorization
+    that succeeds, and every pivot above ``PIVOT_RTOL`` times the trace.
+    Returns ``(chol, ok)`` for an (R, d, d) stack; members failing the rule
+    get the identity as factor, so the stack stays usable downstream.
+    """
+    m = np.asarray(mats, dtype=float)
+    tr = np.trace(m, axis1=1, axis2=2)
+    ok = np.isfinite(m).all(axis=(1, 2)) & (tr > 0.0)
+    chol = np.zeros_like(m)
+    try:
+        chol[ok] = np.linalg.cholesky(m[ok])
+    except np.linalg.LinAlgError:
+        # a stacked factorization fails as a whole; redo it one matrix at a time
+        for i in np.nonzero(ok)[0]:
+            try:
+                chol[i] = np.linalg.cholesky(m[i])
+            except np.linalg.LinAlgError:
+                ok[i] = False
+    ok &= (np.diagonal(chol, axis1=1, axis2=2) ** 2 > PIVOT_RTOL * tr[:, None]).all(axis=1)
+    chol[~ok] = np.eye(m.shape[-1])
+    return chol, ok
 
 
 class SpdMatrix:
@@ -67,22 +97,13 @@ class SpdMatrix:
 
     def __init__(self, mat):
         m = symmetrize(mat)
-        if m.shape[0] == 0:
-            raise NotSpdError("empty matrix")
-        if not np.isfinite(m).all():
-            raise NotSpdError("matrix has non-finite entries")
-        tr = float(np.trace(m))
-        if tr <= 0.0:
-            raise NotSpdError("matrix has non-positive trace")
-        try:
-            chol = np.linalg.cholesky(m)
-        except np.linalg.LinAlgError as exc:
-            raise NotSpdError("matrix is not positive definite") from exc
-        pivots = np.diag(chol) ** 2
-        if pivots.min() <= PIVOT_RTOL * tr:
+        chol, ok = spd_cholesky(m[None])
+        if not ok[0]:
             raise NotSpdError(
-                f"smallest pivot {pivots.min():.3g} at or below {PIVOT_RTOL * tr:.3g}"
+                "matrix is not positive definite: it needs finite entries, a positive "
+                "trace and Cholesky pivots above PIVOT_RTOL times the trace"
             )
+        chol = chol[0]
         m.setflags(write=False)
         chol.setflags(write=False)
         self._mat = m
@@ -197,16 +218,21 @@ def sym_dim(d: int) -> int:
     return d * (d + 1) // 2
 
 
+@functools.lru_cache(maxsize=None)
 def _layout(d: int):
     """Row, column and scale of each sym_to_vec coordinate of S_d.
 
     The d diagonal entries come first with scale 1, then the upper
-    off-diagonal entries row by row with scale sqrt(2).
+    off-diagonal entries row by row with scale sqrt(2). Cached per d; the
+    arrays are read-only so no caller can change a shared layout.
     """
     iu = np.triu_indices(d, k=1)
     rows = np.concatenate([np.arange(d), iu[0]])
     cols = np.concatenate([np.arange(d), iu[1]])
-    return rows, cols, np.where(rows == cols, 1.0, SQRT2)
+    layout = (rows, cols, np.where(rows == cols, 1.0, SQRT2))
+    for arr in layout:
+        arr.setflags(write=False)
+    return layout
 
 
 def sym_to_vec(mat) -> np.ndarray:
@@ -217,16 +243,9 @@ def sym_to_vec(mat) -> np.ndarray:
     an isometry: <vec(M), vec(N)> = trace(M N). A leading batch axis maps
     each matrix to a row. Asymmetry beyond roundoff raises ValueError.
     """
-    m = np.asarray(mat, dtype=float)
-    if m.ndim not in (2, 3) or m.shape[-1] != m.shape[-2]:
-        raise ValueError(f"expected square matrices, got shape {m.shape}")
+    m = symmetrize(mat, rtol=1e-9)
     rows, cols, scale = _layout(m.shape[-1])
-    upper, lower = m[..., rows, cols], m[..., cols, rows]
-    gap = np.abs(upper - lower).max(axis=-1, initial=0.0)
-    size = np.maximum(np.abs(m).max(axis=(-2, -1), initial=0.0), 1.0)
-    if (gap > 1e-9 * size).any():
-        raise ValueError(f"matrix asymmetry {gap.max():g} exceeds tolerance")
-    return scale * ((upper + lower) / 2.0)
+    return scale * m[..., rows, cols]
 
 
 def vec_to_sym(vec) -> np.ndarray:
@@ -261,12 +280,12 @@ def congruence_matrix(m) -> np.ndarray:
 
 
 def outer_vecs(points) -> np.ndarray:
-    """Rows sym_to_vec(y y') for every row y of an (n, d) array, in n x K memory."""
+    """Rows sym_to_vec(y y') for every row y of an (..., n, d) array, in n x K memory each."""
     pts = np.asarray(points, dtype=float)
-    rows, cols, scale = _layout(pts.shape[1])
-    out = np.take(pts, rows, axis=1)
+    rows, cols, scale = _layout(pts.shape[-1])
+    out = np.take(pts, rows, axis=-1)
     out *= scale
-    out *= np.take(pts, cols, axis=1)
+    out *= np.take(pts, cols, axis=-1)
     return out
 
 
@@ -274,8 +293,9 @@ def outer_gram(points, c) -> np.ndarray:
     """Weighted Gram matrix sum_i c_i vec(y_i y_i') vec(y_i y_i')' for c >= 0.
 
     Built from one n x K array of :func:`outer_vecs`, whose rows are scaled in
-    place by sqrt(c) before a single V' V product.
+    place by sqrt(c) before a single V' V product. With a leading batch axis
+    on ``points`` (R, n, d) and ``c`` (R, n), returns the (R, K, K) stack.
     """
     V = outer_vecs(points)
-    V *= np.sqrt(np.asarray(c, dtype=float))[:, None]
-    return V.T @ V
+    V *= np.sqrt(np.asarray(c, dtype=float))[..., None]
+    return np.swapaxes(V, -1, -2) @ V

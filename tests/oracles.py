@@ -19,8 +19,8 @@ from tscatter.scatter import (
     MONOTONE_SLACK,
     ScatterConfig,
     ScatterResult,
-    _initial_matrix,
     _rho_diff,
+    _start,
     weight_u,
 )
 from tscatter.symspace import SpdMatrix, as_spd, symmetrize
@@ -206,7 +206,7 @@ def solve_scatter_mm(sample: EmpiricalSample, cfg: ScatterConfig) -> ScatterResu
     Y = sample.points
     w = sample.weights
     t = np.einsum("ij,ij->i", Y, Y)
-    B = _initial_matrix(sample, cfg)
+    B = SpdMatrix(_start(Y[None], w[None], cfg)[0][0])
 
     trace = []
     prev_obj = np.inf

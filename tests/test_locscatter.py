@@ -73,6 +73,18 @@ class TestCertificates:
         assert abs(est.mu[0] - ref.mu) <= 1e-6 * abs(ref.mu)
         assert abs(np.sqrt(est.Sigma.mat[0, 0]) - ref.sigma) <= 1e-6 * ref.sigma
 
+    @pytest.mark.parametrize("eps", [1e-4, 1e-5])
+    def test_step_test_does_not_stop_ill_conditioned_fits(self, eps):
+        # closer to the boundary the lifted iterate is ill-conditioned; the
+        # whitened step test lets it converge on the gradient
+        nu = 3.0
+        p = (nu - eps) / (nu + 1.0)
+        est = solve_locscatter(two_point(p), nu)
+        ref = two_point_closed_form(0.0, 1.0, p, nu)
+        assert est.converged
+        assert abs(np.sqrt(est.Sigma.mat[0, 0]) - ref.sigma) <= 1e-5 * ref.sigma
+        assert abs(est.mu[0] - ref.mu) <= 1e-9 * abs(ref.mu)
+
     def test_boundary_rejected_before_iteration(self):
         # atom at 2/3 for nu=2 sits exactly on the affine threshold
         s = EmpiricalSample(np.array([[0.0], [1.0]]), np.array([2.0 / 3.0, 1.0 / 3.0]))

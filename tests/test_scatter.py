@@ -14,6 +14,7 @@ from tscatter import (
     solve_scatter,
     weight_u,
 )
+from tscatter.scatter import solve_scatter_stack
 
 from oracles import solve_scatter_mm
 
@@ -331,3 +332,64 @@ class TestAgainstMmOracle:
         res = solve_scatter(q, ScatterConfig(nu=0.05), check_domain=False)
         assert res.converged
         assert res.iterations < 500
+
+
+def _assert_same_fit(got, want):
+    assert got.stop_reason == want.stop_reason
+    assert np.linalg.norm(got.A.mat - want.A.mat) <= 1e-10 * np.linalg.norm(want.A.mat)
+
+
+class TestStack:
+    """One loop over a stack of samples, each iterating as if alone."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        st.sampled_from(["gaussian", "lattice", "lifted"]),
+        st.integers(1, 5),                                  # dimension
+        st.integers(1, 20),                                 # points beyond d
+        st.lists(st.tuples(st.booleans(), st.integers(0, 2**32 - 1)), min_size=1, max_size=6),
+        st.floats(0.05, 20.0),                              # nu
+    )
+    def test_matches_single_solves(self, kind, d, extra, members, nu):
+        assume(kind != "lifted" or d >= 2)
+        laws = [_law(kind, d, d + extra, dirichlet, seed) for dirichlet, seed in members]
+        laws = [q for q in laws if check_scatter_domain(q, nu + d).member]
+        assume(laws)
+        cfg = ScatterConfig(nu=nu)
+        stacked = solve_scatter_stack(
+            np.stack([q.points for q in laws]), np.stack([q.weights for q in laws]), cfg
+        )
+        assert len(stacked) == len(laws)
+        for q, got in zip(laws, stacked):
+            _assert_same_fit(got, solve_scatter(q, cfg, check_domain=False))
+
+    def test_mixed_stops_in_one_stack(self):
+        # one shared max_iter: a sample that converges on Newton steps, one
+        # that needs MM fallbacks first (data in units 1e3), and one whose
+        # scale is too far out to converge in time (units 1e6)
+        heavy = np.random.default_rng(23)
+        heavy = heavy.standard_normal((200, 3)) / np.abs(heavy.standard_normal((200, 1)))
+        laws = [
+            EmpiricalSample(np.random.default_rng(3).standard_normal((200, 3))),
+            EmpiricalSample(1e3 * heavy),
+            EmpiricalSample(1e6 * heavy),
+        ]
+        cfg = ScatterConfig(nu=1.0, max_iter=80)
+        stacked = solve_scatter_stack(
+            np.stack([q.points for q in laws]), np.stack([q.weights for q in laws]), cfg
+        )
+        singles = [solve_scatter(q, cfg, check_domain=False) for q in laws]
+        newton, fallback, capped = stacked
+        assert newton.converged and newton.newton_steps == newton.iterations
+        assert fallback.converged and 0 < fallback.newton_steps < fallback.iterations
+        assert not capped.converged and capped.stop_reason == "max_iter"
+        assert capped.iterations == cfg.max_iter
+        for got, want in zip(stacked, singles):
+            _assert_same_fit(got, want)
+            assert got.iterations == want.iterations
+            assert got.newton_steps == want.newton_steps
+            assert_monotone(got.objective_trace)
+
+    def test_rejects_ragged_shapes(self):
+        with pytest.raises(ValueError):
+            solve_scatter_stack(np.ones((2, 5, 2)), np.full((2, 4), 0.25), ScatterConfig(nu=1.0))

@@ -16,6 +16,8 @@ from tscatter import (
     solve_scatter,
     t_sampler,
 )
+import tscatter
+from tscatter import scatter, simlab
 from tscatter.simlab import as_discrete_law
 
 
@@ -120,6 +122,53 @@ class TestCltExperiment:
             s, 2.0, n=300, reps=40, mode="locscatter", surrogate_n=20_000
         )
         assert any("surrogate" in msg for msg in rpt.warnings)
+
+
+class TestStackedReplicates:
+    def test_chunk_size_does_not_change_the_report(self, monkeypatch):
+        # a near-boundary law, so chunks also hold replicates outside the domain
+        pts, _ = four_point_arrays()
+        s = discrete_sampler(pts, np.array([0.372, 0.372, 0.128, 0.128]), seed=3)
+        n, reps = 300, 40
+        stacks = []
+        solve = simlab.solve_scatter_stack
+
+        def spy(points, weights, cfg):
+            stacks[-1].append(points.shape[0])
+            return solve(points, weights, cfg)
+
+        monkeypatch.setattr(simlab, "solve_scatter_stack", spy)
+        reports = {}
+        for chunk in (1, 3, 40):
+            monkeypatch.setattr(simlab, "BLOCK_BYTES", chunk * scatter._sample_bytes(n, 2))
+            stacks.append([])
+            reports[chunk] = run_clt_experiment(s, 2.0, n=n, reps=reps)
+            assert max(stacks[-1]) <= chunk
+        assert stacks[-1] == [round(reports[40].existence_rate * reps)]
+        assert 0.0 < reports[40].existence_rate < 1.0
+        ref = reports[40].empirical_cov
+        for chunk in (1, 3):
+            assert reports[chunk].existence_rate == reports[40].existence_rate
+            assert np.abs(reports[chunk].empirical_cov - ref).max() <= 1e-12 * np.abs(ref).max()
+
+    @pytest.mark.parametrize("mode", ["scatter", "locscatter"])
+    def test_target_law_is_fitted_once(self, monkeypatch, mode):
+        # the law has more atoms than any replicate, so its fits are recognisable
+        rng = np.random.default_rng(41)
+        law = EmpiricalSample(rng.standard_normal((30, 2)))
+        s = discrete_sampler(law.points, law.weights, seed=43)
+        calls = []
+        for mod in (tscatter.scatter, tscatter.locscatter, tscatter.asymptotics, simlab):
+            if hasattr(mod, "solve_scatter"):
+                orig = getattr(mod, "solve_scatter")
+
+                def counted(sample, *args, _orig=orig, **kwargs):
+                    calls.append(sample.n)
+                    return _orig(sample, *args, **kwargs)
+
+                monkeypatch.setattr(mod, "solve_scatter", counted)
+        run_clt_experiment(s, 3.0, n=12, reps=4, mode=mode)
+        assert calls.count(law.n) == 1
 
 
 class TestContaminationBias:

@@ -15,7 +15,7 @@ from tscatter import (
     vec_to_sym,
 )
 from tscatter.exceptions import DegeneracyError
-from tscatter.symspace import outer_vecs, symmetrize
+from tscatter.symspace import _layout, outer_vecs, spd_cholesky, symmetrize
 
 
 def random_spd(rng, d, scale=1.0):
@@ -184,6 +184,41 @@ class TestVecRoundTrip:
         pts = rng.standard_normal((6, 3))
         expected = np.stack([sym_to_vec(np.outer(y, y)) for y in pts])
         assert np.allclose(outer_vecs(pts), expected, rtol=1e-15, atol=0.0)
+
+
+class TestStackedRules:
+    def test_symmetrize_scales_each_member(self):
+        ok = np.array([[1e6, 2e6], [2e6 + 1e-7, 3e6]])
+        bad = np.array([[1.0, 2.0], [2.0 + 1e-7, 3.0]])
+        assert np.array_equal(symmetrize(np.stack([ok, ok]))[1], symmetrize(ok))
+        with pytest.raises(ValueError, match="asymmetry"):
+            symmetrize(np.stack([ok, bad]))
+
+    def test_spd_rule_matches_spd_matrix(self):
+        rng = np.random.default_rng(43)
+        mats = np.stack([
+            random_spd(rng, 3),
+            np.diag([1.0, -1.0, 2.0]),
+            np.diag([1.0, 1e-14, 1.0]),
+            np.full((3, 3), np.nan),
+            -random_spd(rng, 3),
+            random_spd(rng, 3, scale=1e-3),
+        ])
+        chol, ok = spd_cholesky(mats)
+        for m, factor, good in zip(mats, chol, ok):
+            try:
+                expected = SpdMatrix(m).chol
+            except NotSpdError:
+                assert not good and np.array_equal(factor, np.eye(3))
+            else:
+                assert good and np.array_equal(factor, expected)
+        assert ok.tolist() == [True, False, False, False, False, True]
+
+    def test_layout_is_cached_and_read_only(self):
+        assert _layout(4) is _layout(4)
+        for arr in _layout(4):
+            with pytest.raises(ValueError):
+                arr[0] = 0
 
 
 class TestCongruence:
