@@ -7,17 +7,26 @@ subspaces by affine ones; lifting each point y to (y, 1) reduces it to the
 linear check one dimension up.
 
 For a discrete law any violating subspace is spanned by sample points it
-contains, so exact checking enumerates spans of small point subsets, in any
-dimension. The subsets are drawn lazily and tested in blocks (one stacked QR
-per block), so memory stays within a fixed ceiling however many there are;
-ties in mass go to the first subset in ``itertools.combinations`` order. A
-subset budget is the only limit on exact checking; past it a randomized
+contains, so the exact check looks at the spans of s = 1 .. d-1 independent
+sample points, in any dimension, without testing each s-subset on its own.
+For every fixed tuple F of s-1 points (none for lines) it projects all points
+onto the orthogonal complement of span(F), where each span F + j is a line
+through the origin, and groups the points by line with one sort of their
+directions. That takes about C(m, s-1) * m log m operations per span size
+instead of C(m, s) * m; testing collinearity is 3SUM-hard, so exact reports
+cannot do much better. The fixed tuples are drawn lazily and handled in
+blocks, so scratch memory stays within a small multiple of ``BLOCK_BYTES``
+however many there are, and the line search (s = 1) needs O(m). Ties in
+mass go to the first subset in ``itertools.combinations`` order, as if every
+subset were tested. A budget on the number of subsets, C(m, 1) + ... +
+C(m, d-1), is the only limit on exact checking; past it a randomized
 projection check is available, whose rejections are certified but whose
 acceptances are not exact.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
 
@@ -99,14 +108,16 @@ class EmpiricalSample:
         """Merge exactly coincident points.
 
         Returns ``(sample, rep_index)`` where ``rep_index[k]`` is the index in
-        the original sample of a representative of merged point k. Points come
-        back in lexicographic order.
+        the original sample of the first occurrence of merged point k. Points
+        come back in lexicographic order; each merged weight sums its copies
+        in index order.
         """
-        uniq, first, inverse = np.unique(
-            self.points, axis=0, return_index=True, return_inverse=True
-        )
-        w = np.bincount(inverse.reshape(-1), weights=self.weights, minlength=uniq.shape[0])
-        return EmpiricalSample(uniq, w / w.sum()), first
+        order = np.lexsort(self.points.T[::-1])  # stable: copies keep index order
+        pts = self.points[order]
+        first = np.ones(self.n, dtype=bool)
+        first[1:] = (pts[1:] != pts[:-1]).any(axis=1)
+        w = np.bincount(np.cumsum(first) - 1, weights=self.weights[order])
+        return EmpiricalSample(pts[first], w / w.sum()), order[first]
 
     def drop_zero_weights(self) -> "EmpiricalSample":
         keep = self.weights > 0.0
@@ -184,13 +195,17 @@ def check_scatter_domain(
     subspace H of dimension q <= d-1 (including H = {0}). Equality within
     ``EQ_TOL`` counts as a violation. Requires ``a0 > d``.
 
-    ``method="exact"`` enumerates subspaces spanned by subsets of at most d-1
-    distinct sample points, in any dimension; the only refusal is
-    :class:`EnumerationBudgetError` when the subset count exceeds ``budget``.
-    Subsets are tested in blocks whose scratch memory stays near
-    ``BLOCK_BYTES`` whatever the sample size. Among subspaces with the same
-    margin the report names the first found: lower dimension first, then
-    ``itertools.combinations`` order of the merged points. ``method="randomized"``
+    ``method="exact"`` covers every subspace spanned by at most d-1 distinct
+    sample points, in any dimension; the only refusal is
+    :class:`EnumerationBudgetError` when the number of such subsets, which it
+    does not test one by one, exceeds ``budget``. For each span size s it
+    projects the points off each tuple of s-1 of them and groups the rest by
+    line through the origin with one sort, about C(m, s-1) * m log m work for m
+    distinct points, in blocks whose scratch memory stays within a small
+    multiple of ``BLOCK_BYTES`` whatever the sample size (O(m) for lines).
+    Among subspaces with the same margin the report names the first found:
+    lower dimension first, then ``itertools.combinations`` order of the merged
+    points, as if each subset were tested in turn. ``method="randomized"``
     instead tests random linear projections to at most 4 dimensions: any
     violation it finds certifies one in the original space (the preimage of a
     violating subspace has the same codimension and at least the same mass),
@@ -221,30 +236,106 @@ def _best_candidate(cands):
 
 def _subset_blocks(m: int, size: int, block: int):
     # index arrays of at most `block` subsets each, in combinations order
+    # (size 0 gives the one empty subset)
     combos = itertools.combinations(range(m), size)
-    while True:
-        flat = np.fromiter(
-            itertools.chain.from_iterable(itertools.islice(combos, block)), dtype=np.intp
-        )
-        if not flat.size:
-            return
-        yield flat.reshape(-1, size)
+    while chunk := list(itertools.islice(combos, block)):
+        yield np.array(chunk, dtype=np.intp).reshape(len(chunk), size)
 
 
-def _exact_masses(inside: np.ndarray, w: np.ndarray) -> np.ndarray:
-    # w[row].sum() for every boolean row, evaluated once per distinct ordered
-    # sequence of selected weights (the sum depends on nothing else)
-    masses = np.empty(inside.shape[0])
-    counts = inside.sum(axis=1)
-    for k in np.unique(counts):
-        rows = np.nonzero(counts == k)[0]
-        cols = np.nonzero(inside[rows])[1].reshape(rows.size, k)
-        _, first, inverse = np.unique(
-            w[cols], axis=0, return_index=True, return_inverse=True
-        )
-        sums = np.array([w[inside[rows[j]]].sum() for j in first])
-        masses[rows] = sums[inverse.reshape(-1)]
+def _ranges(starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
+    # concatenation of arange(s, s + n) over the pairs (s, n)
+    ends = np.cumsum(lengths)
+    return np.arange(ends[-1] if ends.size else 0) + np.repeat(starts - ends + lengths, lengths)
+
+
+def _exact_masses(counts: np.ndarray, idx: np.ndarray, w: np.ndarray) -> np.ndarray:
+    # w[set].sum() for the consecutive sets of counts[i] points in idx, each
+    # listed in ascending order as w[inside] lists them: numpy sums a row of
+    # a C-ordered array along its contiguous axis pairwise, exactly as it
+    # sums the 1-D array w[inside]
+    masses = np.zeros(counts.size)
+    size = counts.repeat(counts)
+    for k in np.unique(counts[counts > 0]):
+        masses[counts == k] = w[idx[size == k]].reshape(-1, k).sum(axis=1)
     return masses
+
+
+def _frames(X: np.ndarray, fixed: np.ndarray, tol: float):
+    """Coordinates of every point on the orthogonal complement of each fixed tuple's span.
+
+    Keeps the independent tuples (the diag(R) test of their QR). Returns them,
+    the (B, m, d - s) coordinates and their norms, the distances to the span.
+    """
+    s = fixed.shape[1]
+    if s == 0:
+        C = X[None]
+    else:
+        q, r = np.linalg.qr(X[fixed].transpose(0, 2, 1), mode="complete")
+        indep = np.abs(np.diagonal(r, axis1=1, axis2=2)).min(axis=1) > tol
+        fixed, C = fixed[indep], X @ q[indep, :, s:]
+    return fixed, C, np.sqrt(sum(np.square(C[..., k]) for k in range(C.shape[2])))
+
+
+@functools.lru_cache(maxsize=None)
+def _plane(r: int) -> np.ndarray:
+    # a fixed generic plane in R^r (orthonormal columns), onto which distinct
+    # lines through the origin almost never fall together; for r = 2 a rotation
+    plane = np.linalg.qr(np.random.default_rng(r).standard_normal((r, 2)))[0]
+    plane.setflags(write=False)
+    return plane
+
+
+def _line_groups(C: np.ndarray, norms: np.ndarray, tol: float):
+    """Group the points of each frame by the line through the origin they lie on.
+
+    ``C`` is (B, m, r): coordinates on a complement, with lengths ``norms``.
+    Each point farther than tol from the origin gets an arc on the circle of
+    lines (angles mod pi): the direction of its projection onto a fixed
+    generic plane, widened to every direction whose line passes within 2 tol
+    of it. One sort per row by arc start finds the overlapping arcs, which
+    form a group, so a line through one member holds no point of another
+    group within 2 tol. A group is clean when its members' directions lie so
+    close that each is within tol/2 of the line through any other, and no arc
+    of its row reaches past the ends of the circle, where it could split a
+    group in two.
+
+    Returns all (row, point) pairs, row by row, with each group contiguous and
+    the points within tol of the origin alone at the end of their row; the
+    group starts; which groups are lines (not a point of span(F)); and which
+    lines are clean.
+    """
+    B, m = norms.shape
+    z = C @ _plane(C.shape[2])
+    theta = np.arctan2(z[..., 1], z[..., 0])
+    theta = np.where(theta < 0, theta + np.pi, theta)
+    # pi/2 * x bounds arcsin(x), the angle at which a point is 2 tol off a line
+    with np.errstate(divide="ignore"):
+        half = np.minimum(np.pi * tol / np.sqrt(np.square(z[..., 0]) + np.square(z[..., 1])), np.pi / 2)
+    on = norms > tol
+    lo = np.where(on, theta - half, np.inf)
+    order = np.argsort(lo, axis=1)
+    flat = (order + m * np.arange(B)[:, None]).ravel()
+    lo = lo.ravel()[flat].reshape(B, m)
+    hi = np.where(on, theta + half, -np.inf).ravel()[flat].reshape(B, m)
+    reach = np.maximum.accumulate(hi, axis=1)
+    head = lo >= np.inf  # each point of span(F) alone
+    head[:, 0] = True
+    head[:, 1:] |= lo[:, 1:] > reach[:, :-1]
+    rows, pts = flat // m, order.ravel()
+    seg = np.flatnonzero(head)
+    count = np.diff(np.append(seg, pts.size))
+    line = on.ravel()[flat][seg]
+    clean = line & ~((lo[:, 0] < 0) | (reach[:, -1] > np.pi))[rows[seg]]
+    many = np.flatnonzero(np.repeat(count > 1, count))
+    if many.size:
+        # each member's direction against its group's first one, sign-free
+        first = np.repeat(seg, count)[many]
+        u = C[rows[many], pts[many]] / norms[rows[many], pts[many], None]
+        v = C[rows[first], pts[first]] / norms[rows[first], pts[first], None]
+        chord = np.linalg.norm(u - np.copysign(1.0, (u * v).sum(axis=1))[:, None] * v, axis=1)
+        far = chord * norms.max(axis=1)[rows[many]] > tol / 4
+        clean[np.searchsorted(seg, many[far], side="right") - 1] = False
+    return rows, pts, seg, line, clean
 
 
 def _heaviest_span(X: np.ndarray, w: np.ndarray, size: int, tol: float):
@@ -252,82 +343,110 @@ def _heaviest_span(X: np.ndarray, w: np.ndarray, size: int, tol: float):
 
     Returns ``(mass, subset)`` for the first subset in combinations order
     whose span has the largest mass, or None when no subset is independent.
-    Subsets are tested in blocks that keep scratch memory near BLOCK_BYTES.
+
+    The subsets are walked as a fixed tuple F of ``size - 1`` points (in
+    blocks that keep scratch memory near a few BLOCK_BYTES) and a last point
+    j > max F. On the complement of span(F) each span F + j is a line through
+    the origin, so one sort of the projected points by direction gives all of
+    F's spans at once. For a clean group every j in it has the same points
+    inside, those of span(F) and the group, so it stands for all of them as
+    its first member after max F. The members of a group that is not clean
+    are tested one by one with the residual test.
     """
     m, d = X.shape
-    block = max(1, BLOCK_BYTES // (8 * m * d))
-    # the BLAS product below sums in its own order, off by at most ~m*eps;
-    # subsets it puts this close to the top are re-summed exactly
-    slack = 4 * m * np.finfo(float).eps
-    top = -np.inf
-    best = None
-    for idx in _subset_blocks(m, size, block):
-        q, r = np.linalg.qr(X[idx].transpose(0, 2, 1), mode="complete")
-        # dependent subsets span something a smaller subset already covered
-        indep = np.abs(np.diagonal(r, axis1=1, axis2=2)).min(axis=1) > tol
-        if not indep.any():
+    # per fixed tuple and point: d coordinates and about 16 words of arcs,
+    # sort order, groups and candidates
+    block = max(1, BLOCK_BYTES // (8 * m * (d + 16)))
+    # the running sums below are off by at most ~m*eps; candidates they put
+    # this close to the top are re-summed exactly
+    slack = 4 * (m + 2) * np.finfo(float).eps
+    best_mass, best = -np.inf, None
+    for fixed in _subset_blocks(m, size - 1, block):
+        fixed, C, norms = _frames(X, fixed, tol)
+        base = norms <= tol  # the points of span(F): inside every span through F
+        if base.all():
             continue
-        idx = idx[indep]
-        # distance to the span is the norm of the coordinates along the
-        # complement, the last d - size columns of the complete Q; one
-        # product covers the block: coords[i, j, b] = x_i . q_b[:, size + j]
-        perp = q[indep, :, size:].transpose(1, 2, 0)
-        coords = (X @ perp.reshape(d, -1)).reshape(m, d - size, -1)
-        inside = np.sqrt(np.square(coords).sum(axis=1)) <= tol
-        approx = w @ inside
-        top = max(top, approx.max())
-        near = np.nonzero(approx >= top - slack)[0]
-        if not near.size:
+        after = fixed[:, -1] if size > 1 else np.full(fixed.shape[0], -1)
+        rows, pts, seg, line, clean = _line_groups(C, norms, tol)
+        g_row, g_len = rows[seg], np.diff(np.append(seg, pts.size))
+        # one candidate per clean group: its first point after max F
+        g_next = np.minimum.reduceat(np.where(pts > after[rows], pts, m), seg)
+        tidy = np.flatnonzero(clean & (g_next < m))
+        cand_row, cand_pt = g_row[tidy], g_next[tidy]
+        approx = (base @ w)[cand_row] + np.add.reduceat(w[pts], seg)[tidy]
+        # every member of a group that is not clean, on its own
+        odd = np.repeat(line & ~clean, g_len) & (pts > after[rows])
+        odd_row, odd_pt = rows[odd], pts[odd]
+        odd_mass = _line_masses(w, C, norms, base, odd_row, odd_pt, tol)
+
+        top = max(best_mass, approx.max(initial=-np.inf), odd_mass.max(initial=-np.inf))
+        near = np.flatnonzero(approx >= top - slack)
+        masses = np.full(approx.size, -np.inf)
+        if near.size:
+            masses[near] = _group_masses(w, pts, seg[tidy[near]], g_len[tidy[near]], base, cand_row[near])
+        masses = np.concatenate([masses, odd_mass])
+        if not masses.size or masses.max() <= best_mass:
             continue
-        masses = _exact_masses(inside[:, near].T, w)
-        k = int(np.argmax(masses))  # first maximum: combinations order breaks ties
-        if best is None or masses[k] > best[0]:
-            best = (float(masses[k]), idx[near[k]])
+        # the first maximum in combinations order: least row, then least point
+        cand_row, cand_pt = np.concatenate([cand_row, odd_row]), np.concatenate([cand_pt, odd_pt])
+        ties = np.flatnonzero(masses == masses.max())
+        ties = ties[cand_row[ties] == cand_row[ties].min()]
+        k = ties[np.argmin(cand_pt[ties])]
+        best_mass = float(masses[k])
+        best = (best_mass, (*fixed[cand_row[k]].tolist(), int(cand_pt[k])))
     return best
+
+
+def _group_masses(w, members, start, length, base, rows):
+    # exact mass of each union of members[start:start + length] with the
+    # points of span(F) of its row, in chunks of about BLOCK_BYTES // 128
+    # listed points (each takes at most about 16 words on its way through)
+    shift = base.shape[1].bit_length()
+    b_row, b_pt = np.nonzero(base)
+    per_row = np.bincount(b_row, minlength=base.shape[0])
+    b_len, b_start = per_row[rows], (np.cumsum(per_row) - per_row)[rows]
+    ends = np.cumsum(b_len + length)
+    masses = np.empty(rows.size)
+    lo = 0
+    while lo < rows.size:
+        hi = max(lo + 1, np.searchsorted(ends, ends[lo] - b_len[lo] - length[lo] + BLOCK_BYTES // 128, "right"))
+        part, own = slice(lo, hi), np.arange(hi - lo, dtype=np.int64)
+        key = np.concatenate([
+            own.repeat(b_len[part]) << shift | b_pt[_ranges(b_start[part], b_len[part])],
+            own.repeat(length[part]) << shift | members[_ranges(start[part], length[part])],
+        ])
+        key.sort(kind="stable")  # by set, then point: merges two near-sorted runs
+        masses[part] = _exact_masses(b_len[part] + length[part], key & ((1 << shift) - 1), w)
+        lo = hi
+    return masses
+
+
+def _line_masses(w, C, norms, base, rows, pts, tol):
+    # exact mass of span(F) + j for single candidates by the residual test
+    m, r = C.shape[1:]
+    masses = np.empty(rows.size)
+    step = max(1, BLOCK_BYTES // (8 * m * r))
+    for s in range(0, rows.size, step):
+        b, j = rows[s : s + step], pts[s : s + step]
+        Cb = C[b]
+        u = Cb[np.arange(b.size), j] / norms[b, j, None]
+        resid = Cb - (Cb @ u[..., None]) * u[:, None, :]
+        inside = (np.linalg.norm(resid, axis=2) <= tol) | base[b]
+        masses[s : s + step] = _exact_masses(inside.sum(axis=1), np.nonzero(inside)[1], w)
+    return masses
 
 
 def _check_exact(merged: EmpiricalSample, rep, a0: float, d: int) -> DomainReport:
     X = merged.points
     w = merged.weights
-    scale = _point_scale(X)
-    tol = POINT_RTOL * scale
-    norms = np.linalg.norm(X, axis=1)
+    tol = POINT_RTOL * _point_scale(X)
 
     cands = []
-    at_origin = norms <= tol
+    at_origin = np.linalg.norm(X, axis=1) <= tol
     cands.append((float(w[at_origin].sum()), 1.0 - d / a0, 0, ()))
 
-    if d >= 2:
-        # lines through single points; for d <= 3 the distance to a unit
-        # direction is a cross product, which vectorizes without cancellation.
-        # All lines share one threshold, so only the first heaviest competes.
-        threshold = 1.0 - (d - 1) / a0
-        nz = np.nonzero(norms > tol)[0]
-        if d in (2, 3) and nz.size:
-            units = X[nz] / norms[nz, None]
-            masses = np.empty(nz.size)
-            for start in range(0, nz.size, 512):
-                blk = units[start : start + 512]
-                if d == 2:
-                    resid = np.abs(
-                        np.outer(X[:, 0], blk[:, 1]) - np.outer(X[:, 1], blk[:, 0])
-                    )
-                else:
-                    c0 = np.outer(X[:, 1], blk[:, 2]) - np.outer(X[:, 2], blk[:, 1])
-                    c1 = np.outer(X[:, 2], blk[:, 0]) - np.outer(X[:, 0], blk[:, 2])
-                    c2 = np.outer(X[:, 0], blk[:, 1]) - np.outer(X[:, 1], blk[:, 0])
-                    resid = np.sqrt(c0**2 + c1**2 + c2**2)
-                masses[start : start + 512] = w @ (resid <= tol)
-            k = int(np.argmax(masses))
-            cands.append((float(masses[k]), threshold, 1, (int(rep[nz[k]]),)))
-        else:
-            for i in nz:
-                u = X[i] / norms[i]
-                resid = X - np.outer(X @ u, u)
-                inside = np.linalg.norm(resid, axis=1) <= tol
-                cands.append((float(w[inside].sum()), threshold, 1, (int(rep[i]),)))
-
-    for size in range(2, d):
+    # lines (one point, no fixed points) up to hyperplanes (d - 1 points)
+    for size in range(1, d):
         found = _heaviest_span(X, w, size, tol)
         if found is not None:
             mass, subset = found

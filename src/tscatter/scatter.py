@@ -12,10 +12,11 @@ One step of that map is a majorize-minimize (MM) update: it never increases
 the objective, but it converges only linearly, and slowly for small nu or
 near the boundary of the domain. The solver therefore also forms a full
 Newton step in whitened coordinates each iteration and takes it whenever it
-stays SPD and lowers the objective below the MM candidate's; otherwise it
-takes the MM step (the partial-Newton scheme of Duembgen, Nordhausen and
-Schuhmacher, JMVA 144, 2016). Every step decreases the objective at least as
-much as the MM step would, so the monotone descent of the MM iteration
+stays SPD and its objective is not above the MM candidate's (up to a few
+units of roundoff, where the comparison says nothing); otherwise it takes
+the MM step (the partial-Newton scheme of Duembgen, Nordhausen and
+Schuhmacher, JMVA 144, 2016). Every step decreases the objective as much as
+the MM step would, up to roundoff, so the monotone descent of the MM iteration
 (Kent and Tyler, Ann. Statist. 19, 1991) carries over, and near the solution
 the Newton steps converge quadratically.
 
@@ -57,6 +58,11 @@ __all__ = [
 
 # Allowed per-step objective increase before declaring breakdown (roundoff slack).
 MONOTONE_SLACK = 1e-12
+
+# Newton wins over MM unless its objective is higher by more than this,
+# relative to max(1, |objective|): below that the comparison is a coin flip
+# of roundoff, and taking MM falls back to linear steps.
+NEWTON_TIE_EPS = 16 * np.finfo(float).eps
 
 
 @dataclass(frozen=True)
@@ -307,7 +313,7 @@ def solve_scatter_stack(points, weights, cfg: ScatterConfig) -> list[ScatterResu
         Z_mm, s_mm, obj_mm = _whiten(L_mm, Yt, t, w, nu)
         B_nt, L_nt, size_nt, ok_nt = _newton_candidates(L, Z, s, w, nu, M)
         Z_nt, s_nt, obj_nt = _whiten(L_nt, Yt, t, w, nu)
-        newton = ok_nt & (obj_nt < obj_mm)
+        newton = ok_nt & (obj_nt <= obj_mm + NEWTON_TIE_EPS * np.maximum(1.0, np.abs(obj_mm)))
         obj_next = np.where(newton, obj_nt, obj_mm)
         sound = ok_mm & ~(obj_next > obj + MONOTONE_SLACK * np.maximum(1.0, np.abs(obj)))
         for j in np.flatnonzero(~sound):

@@ -53,6 +53,15 @@ def direct_em_step(sample: EmpiricalSample, mu, Sigma, nu: float):
     return mu_next, (Sigma_next + Sigma_next.T) / 2.0
 
 
+def merged_unique(sample: EmpiricalSample):
+    """``EmpiricalSample.merged`` by ``np.unique(axis=0)``: the reference for the lexsort merge."""
+    uniq, first, inverse = np.unique(
+        sample.points, axis=0, return_index=True, return_inverse=True
+    )
+    w = np.bincount(inverse.reshape(-1), weights=sample.weights, minlength=uniq.shape[0])
+    return EmpiricalSample(uniq, w / w.sum()), first
+
+
 def check_locscat_domain_direct(sample: EmpiricalSample, a0: float) -> DomainReport:
     """Affine check by direct enumeration, for d <= 2 only.
 
@@ -121,8 +130,8 @@ def check_scatter_domain_loop(sample: EmpiricalSample, a0: float) -> DomainRepor
     cands.append((float(w[at_origin].sum()), 1.0 - d / a0, 0, ()))
 
     if d >= 2:
-        # lines through single points, written as in the package: a cross
-        # product for d <= 3, a projection residual above
+        # lines through single points: a cross product for d <= 3, a
+        # projection residual above
         threshold = 1.0 - (d - 1) / a0
         nz = np.nonzero(norms > tol)[0]
         if d in (2, 3) and nz.size:
@@ -138,10 +147,11 @@ def check_scatter_domain_loop(sample: EmpiricalSample, a0: float) -> DomainRepor
                     c1 = np.outer(X[:, 2], blk[:, 0]) - np.outer(X[:, 0], blk[:, 2])
                     c2 = np.outer(X[:, 0], blk[:, 1]) - np.outer(X[:, 1], blk[:, 0])
                     resid = np.sqrt(c0**2 + c1**2 + c2**2)
-                masses = w @ (resid <= tol)
+                inside = resid <= tol
                 for pos in range(blk.shape[0]):
                     i = nz[start + pos]
-                    cands.append((float(masses[pos]), threshold, 1, (int(rep[i]),)))
+                    mass = float(w[inside[:, pos]].sum())
+                    cands.append((mass, threshold, 1, (int(rep[i]),)))
         else:
             for i in nz:
                 u = X[i] / norms[i]

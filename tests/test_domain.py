@@ -1,4 +1,5 @@
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -18,6 +19,7 @@ from oracles import (
     check_locscat_domain_direct,
     check_locscat_domain_loop,
     check_scatter_domain_loop,
+    merged_unique,
 )
 
 
@@ -328,3 +330,195 @@ class TestBlockKernelMatchesLoop:
         assert got.worst_subspace_dim == 2 and np.isclose(got.worst_mass, 7 / 12)
         first_two = np.nonzero(merged.points[:, 2] == 0.0)[0][:2]  # merged order
         assert got.witness_points == tuple(int(rep[j]) for j in first_two)
+
+
+class TestMerged:
+    @settings(max_examples=100, deadline=None)
+    @given(st.integers(1, 300), st.integers(1, 4), st.integers(0, 2**32 - 1))
+    def test_matches_unique(self, n, d, seed):
+        # duplicate-heavy lattice laws with Dirichlet weights: same points in
+        # the same order, same first-occurrence representatives, same sums
+        rng = np.random.default_rng(seed)
+        q = EmpiricalSample(rng.integers(-2, 3, size=(n, d)).astype(float), rng.dirichlet(np.ones(n)))
+        got, rep = q.merged()
+        want, want_rep = merged_unique(q)
+        assert np.array_equal(got.points, want.points)
+        assert np.array_equal(rep, want_rep)
+        assert np.array_equal(got.weights, want.weights)
+
+
+def _flat_law(kind, d, n, dirichlet, seed):
+    """Points on a line or plane through the origin or off it, each also at 2x and -x."""
+    rng = np.random.default_rng(seed)
+    k = 1 if kind == "line" else min(2, d - 1)
+    basis = rng.standard_normal((k, d))
+    m = (n + 2) // 3
+    pts = rng.standard_normal((m, d))
+    flat = rng.random(m) < 0.6
+    pts[flat] = rng.integers(-2, 3, size=(int(flat.sum()), k)) @ basis
+    pts = np.concatenate([pts, 2 * pts, -pts])[rng.permutation(3 * m)[:n]]
+    weights = rng.dirichlet(np.ones(n)) if dirichlet else None
+    return EmpiricalSample(pts, weights)
+
+
+FLAT_LAWS = st.tuples(
+    st.sampled_from(["line", "plane"]),
+    st.sampled_from([("scatter", 3), ("scatter", 4), ("lifted", 4), ("scatter", 5), ("lifted", 5)]),
+    st.integers(12, 30),               # points before merging (at most 16 in d = 5)
+    st.booleans(),                     # Dirichlet weights instead of uniform
+    st.integers(0, 2**32 - 1),
+    st.floats(0.05, 3.0),              # a0 above its minimum
+)
+
+
+class TestProjectAndGroup:
+    """Larger laws and planted answers for the exact check's grouping search."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(FLAT_LAWS)
+    def test_matches_loop_on_flat_laws(self, law):
+        kind, (target, d), n, dirichlet, seed, extra = law
+        n = min(n, 16) if d == 5 else n
+        if target == "scatter":
+            q = _flat_law(kind, d, n, dirichlet, seed)
+            assert check_scatter_domain(q, d + extra) == check_scatter_domain_loop(q, d + extra)
+        else:
+            p = _flat_law(kind, d - 1, n, dirichlet, seed)
+            assert check_locscat_domain(p, d + extra) == check_locscat_domain_loop(p, d + extra)
+
+    @pytest.mark.parametrize("per_block", [None, 1, 2, 3, 5])
+    def test_tie_goes_to_the_first_subset(self, monkeypatch, per_block):
+        # the origin (first in merged order) lies on every plane, so no
+        # witness contains it; the planes z = 0 and y = 0 each hold it and
+        # three more points, 4/9 each, and z = 0 wins with its first-index
+        # basis (1, 3); from fixed point 3 it comes back as the later (3, 5)
+        pts = np.array([
+            [0, 0, 0], [1, 2, 0], [2, 0, 1], [3, 1, 0], [4, 0, -1],
+            [5, -1, 0], [6, 0, 2], [7, 3, 5], [8, -2, 3],
+        ], dtype=float)
+        q = EmpiricalSample(pts[np.random.default_rng(3).permutation(9)])
+        merged, rep = q.merged()
+        assert np.array_equal(merged.points, pts)
+        if per_block:
+            # blocks of `per_block` fixed points, so the tie spans blocks
+            monkeypatch.setattr(domain_check, "BLOCK_BYTES", 8 * 9 * (3 + 16) * per_block)
+        got = check_scatter_domain(q, 8.0)
+        assert got == check_scatter_domain_loop(q, 8.0)
+        assert got.worst_subspace_dim == 2
+        assert got.worst_mass == merged.weights[[0, 1, 3, 5]].sum()
+        assert got.witness_points == (int(rep[1]), int(rep[3]))
+
+    @pytest.mark.parametrize("per_block", [1, 2, 3, 5])
+    def test_tie_run_split_across_blocks(self, monkeypatch, per_block):
+        # the law of TestBlockKernelMatchesLoop's tie-run test, with blocks
+        # sized by the per-fixed-tuple footprint: every in-plane fixed point
+        # finds the plane z=0 (7/12), so the tie run crosses blocks of 1, 2,
+        # 3 and 5 fixed points and the first in-plane pair must still win
+        rng = np.random.default_rng(61)
+        plane = np.hstack([rng.standard_normal((7, 2)), np.zeros((7, 1))])
+        q = EmpiricalSample(np.vstack([plane, rng.standard_normal((5, 3))]))
+        merged, rep = q.merged()
+        monkeypatch.setattr(domain_check, "BLOCK_BYTES", 8 * merged.n * (merged.d + 16) * per_block)
+        got = check_scatter_domain(q, 4.0)
+        assert got == check_scatter_domain_loop(q, 4.0)
+        assert got.worst_subspace_dim == 2 and np.isclose(got.worst_mass, 7 / 12)
+        first_two = np.nonzero(merged.points[:, 2] == 0.0)[0][:2]
+        assert got.witness_points == tuple(int(rep[j]) for j in first_two)
+
+    def test_planted_plane_in_a_thousand_points(self):
+        # 600 of 1000 points on a plane through the origin: the loop oracle
+        # is far too slow here, so the answer is checked directly
+        rng = np.random.default_rng(71)
+        basis = rng.standard_normal((2, 3))
+        pts = np.vstack([rng.standard_normal((600, 2)) @ basis, rng.standard_normal((400, 3))])
+        q = EmpiricalSample(pts[rng.permutation(1000)])
+        merged, rep = q.merged()
+        normal = np.cross(*basis)
+        on_plane = np.abs(merged.points @ normal) <= 1e-9 * np.abs(merged.points).max()
+        assert on_plane.sum() == 600
+        got = check_scatter_domain(q, 6.0)
+        assert got.member
+        assert got.worst_subspace_dim == 2
+        assert got.worst_mass == merged.weights[on_plane].sum()
+        first_two = np.flatnonzero(on_plane)[:2]
+        assert got.witness_points == tuple(int(rep[j]) for j in first_two)
+
+    def test_line_pass_memory_is_bounded(self):
+        # 8000 points in the plane, 30% of them on one line through the
+        # origin: the line search holds O(m) arrays, not m x m ones
+        rng = np.random.default_rng(73)
+        u = rng.standard_normal(2)
+        pts = np.vstack([np.outer(rng.standard_normal(2400), u), rng.standard_normal((5600, 2))])
+        q = EmpiricalSample(pts[rng.permutation(8000)])
+        merged, rep = q.merged()
+        on_line = np.abs(merged.points @ [u[1], -u[0]]) <= 1e-9 * np.abs(merged.points).max()
+        tracemalloc.start()
+        try:
+            got = check_scatter_domain(q, 5.0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * 2**20
+        assert got.worst_subspace_dim == 1
+        assert got.worst_mass == merged.weights[on_line].sum()
+        assert got.witness_points == (int(rep[np.flatnonzero(on_line)[0]]),)
+
+    def test_plane_pass_memory_is_bounded(self):
+        # lifted d=4 with a heavy affine line that sorts first, every third
+        # point doubled so the merged weights differ: from each pair of its
+        # points the plane through any of the 80 other points holds the whole
+        # line and that point, so 80 candidates a pair tie at the top and
+        # each lists the 40 line points; their exact sums must stay within
+        # the block's memory (2 BLOCK_BYTES here), not grow with the ties
+        t = -np.arange(1.0, 41.0)
+        line = np.stack([t, 0.5 * t + 1.0, -0.25 * t + 2.0], axis=1)
+        others = np.random.default_rng(89).uniform(1.0, 40.0, (80, 3))
+        p = EmpiricalSample(np.vstack([line, line[::3], others]))
+        merged, rep = p.merged()
+        on_line = merged.points[:, 0] < 0.0
+        tracemalloc.start()
+        try:
+            got = check_locscat_domain(p, 12.0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * 2**20
+        assert got.worst_subspace_dim == 1
+        assert got.worst_mass == merged.weights[on_line].sum()
+        assert got.witness_points == (int(rep[0]), int(rep[1]))
+
+    @pytest.mark.parametrize("d", [2, 3])
+    def test_group_that_is_not_one_line(self, d):
+        # points k*u for k = 1..5 (|5u| = 1 sets tol = 1e-9) and one point 0.7
+        # tol off u that comes first in merged order: it lies on the line
+        # through u, but the line through it misses 2u..5u (1.4 tol and more
+        # away), so the directions do not make one line and each member is
+        # checked on its own; the heaviest line is the one through u
+        rng = np.random.default_rng(79 + d)
+        u = rng.standard_normal(d)
+        u *= 0.2 * np.sign(u[0]) / np.linalg.norm(u)
+        normal = np.linalg.svd(u[None])[2][-1]
+        normal *= -np.sign(normal[0])
+        others = rng.standard_normal((4, d))
+        others *= 0.9 / np.linalg.norm(others, axis=1).max()
+        pts = np.vstack([np.outer(np.arange(1.0, 6.0), u), u + 0.7e-9 * normal, others])
+        q = EmpiricalSample(pts)
+        rep = list(q.merged()[1])
+        assert rep.index(5) < rep.index(0)
+        got = check_scatter_domain(q, d + 0.5)
+        assert got == check_scatter_domain_loop(q, d + 0.5)
+        assert got.worst_subspace_dim == 1 and got.witness_points == (0,)
+        assert got.worst_mass == q.merged()[0].weights[sorted(rep.index(k) for k in range(6))].sum()
+
+    @pytest.mark.parametrize("d", [2, 3])
+    def test_line_across_the_end_of_the_circle(self, d):
+        # a line along the first axis of the generic plane that directions
+        # are projected onto: its points' angles fall at 0 and at pi, the two
+        # ends of the circle of lines, and the line must still be found whole
+        axis = domain_check._plane(d)[:, 0]
+        rng = np.random.default_rng(83)
+        pts = np.vstack([np.outer([1.0, 2.0, -1.0, -2.0, 3.0], axis), rng.standard_normal((4, d))])
+        q = EmpiricalSample(pts)
+        got = check_scatter_domain(q, d + 1.0)
+        assert got == check_scatter_domain_loop(q, d + 1.0)
+        assert got.worst_subspace_dim == 1 and np.isclose(got.worst_mass, 5 / 9)

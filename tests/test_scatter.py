@@ -390,6 +390,23 @@ class TestStack:
             assert got.newton_steps == want.newton_steps
             assert_monotone(got.objective_trace)
 
+    def test_roundoff_does_not_decide_the_step(self):
+        # Dirichlet weights, and the same weights renormalised by
+        # EmpiricalSample (off by ~1e-17): once the Newton and MM objectives
+        # tie to roundoff, a strict Newton-below-MM test picks either, and
+        # these fits took 10 steps against 8; they must take the same steps
+        rng = np.random.default_rng(5)
+        Y = rng.standard_normal((40, 3))
+        w = rng.dirichlet(np.ones(40))
+        renormalised = EmpiricalSample(Y, w).weights
+        assert not np.array_equal(renormalised, w)
+        cfg = ScatterConfig(nu=0.7)
+        raw = solve_scatter_stack(Y[None], w[None], cfg)[0]
+        ren = solve_scatter_stack(Y[None], renormalised[None], cfg)[0]
+        assert raw.converged and ren.converged
+        assert raw.iterations == ren.iterations
+        assert raw.newton_steps == ren.newton_steps
+
     def test_rejects_ragged_shapes(self):
         with pytest.raises(ValueError):
             solve_scatter_stack(np.ones((2, 5, 2)), np.full((2, 4), 0.25), ScatterConfig(nu=1.0))
