@@ -37,7 +37,7 @@ from .exceptions import (
     NuOutOfRange,
     NumericalBreakdown,
 )
-from .locscatter import LocScatEstimate, objective_locscat, solve_locscatter
+from .locscatter import LocScatEstimate, solve_locscatter
 from .oned import (
     OneDEstimate,
     boundary_rate_probe,
@@ -48,8 +48,6 @@ from .oned import (
 from .scatter import (
     ScatterConfig,
     ScatterResult,
-    gradient,
-    objective,
     solve_scatter,
     solve_scatter_stack,
     weight_u,
@@ -67,10 +65,8 @@ from .simlab import (
     t_sampler,
 )
 from .symspace import (
-    EmbeddedScatter,
     SpdMatrix,
     congruence_matrix,
-    embed,
     extract,
     sym_basis,
     sym_dim,

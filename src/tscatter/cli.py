@@ -35,7 +35,7 @@ from .oned import solve_oned
 from .scatter import ScatterConfig, solve_scatter
 from .simlab import discrete_sampler, run_clt_experiment
 
-__all__ = ["RunConfig", "ResultEnvelope", "ingest_csv", "dispatch", "main"]
+__all__ = ["RunConfig", "ingest_csv", "dispatch", "main"]
 
 SCHEMA_VERSION = "v1"
 
@@ -66,24 +66,6 @@ class RunConfig:
             raise ValueError(f"{self.command} requires nu > 1")
         if self.format not in ("json", "csv"):
             raise ValueError(f"unknown format {self.format!r}")
-
-
-@dataclass(frozen=True)
-class ResultEnvelope:
-    version: str
-    command: str
-    timing_ms: float
-    payload: dict
-    warnings: tuple[str, ...] = ()
-
-    def to_dict(self) -> dict:
-        return {
-            "version": self.version,
-            "command": self.command,
-            "timing_ms": self.timing_ms,
-            "payload": self.payload,
-            "warnings": list(self.warnings),
-        }
 
 
 def ingest_csv(source) -> EmpiricalSample:
@@ -261,21 +243,19 @@ def dispatch(cfg: RunConfig) -> tuple[dict, list[str]]:
     return payload, warnings
 
 
-def _emit(envelope: ResultEnvelope, cfg: RunConfig | None):
-    text_format = cfg.format if cfg is not None else "json"
-    out_path = cfg.output if cfg is not None else None
-    if text_format == "csv":
+def _emit(envelope: dict, cfg: RunConfig):
+    if cfg.format == "csv":
         buf = io.StringIO()
         writer = csv.writer(buf)
         writer.writerow(["key", "value"])
-        flat = _flatten("payload", envelope.payload)
+        flat = _flatten("payload", envelope["payload"])
         for key, value in flat:
             writer.writerow([key, value])
         text = buf.getvalue()
     else:
-        text = json.dumps(envelope.to_dict(), indent=2) + "\n"
-    if out_path and out_path != "-":
-        with open(out_path, "w", encoding="utf-8") as fh:
+        text = json.dumps(envelope, indent=2) + "\n"
+    if cfg.output and cfg.output != "-":
+        with open(cfg.output, "w", encoding="utf-8") as fh:
             fh.write(text)
     else:
         sys.stdout.write(text)
@@ -377,13 +357,13 @@ def main(argv=None) -> int:
         sys.stderr.write(f"tscatter: error: {exc}\n")
         return EXIT_USAGE
 
-    envelope = ResultEnvelope(
-        version=SCHEMA_VERSION,
-        command=cfg.command,
-        timing_ms=(time.perf_counter() - start) * 1000.0,
-        payload=_round_trip(payload),
-        warnings=tuple(warnings),
-    )
+    envelope = {
+        "version": SCHEMA_VERSION,
+        "command": cfg.command,
+        "timing_ms": (time.perf_counter() - start) * 1000.0,
+        "payload": _round_trip(payload),
+        "warnings": list(warnings),
+    }
     _emit(envelope, cfg)
     return code
 

@@ -22,14 +22,13 @@ import numpy as np
 
 from .domain_check import EmpiricalSample, check_locscat_domain, lift
 from .exceptions import DomainViolation, NuOutOfRange
-from .scatter import ScatterConfig, ScatterResult, _rho_diff, solve_scatter, weight_u
-from .symspace import SpdMatrix, as_spd, extract
+from .scatter import ScatterConfig, ScatterResult, solve_scatter, weight_u
+from .symspace import SpdMatrix, extract
 
 __all__ = [
     "LocScatEstimate",
     "solve_locscatter",
     "certify_lifted_fit",
-    "objective_locscat",
 ]
 
 # |gamma - 1| and |mean fitted weight - 1| beyond this downgrade convergence.
@@ -106,12 +105,3 @@ def certify_lifted_fit(sample: EmpiricalSample, nu: float, diag: ScatterResult) 
         scatter_diag=diag,
         converged=converged,
     )
-
-
-def objective_locscat(sample: EmpiricalSample, mu, Sigma, nu: float) -> float:
-    """Adjusted objective Ph(mu, Sigma); zero at (0, I), minimized at the functional."""
-    Sigma = as_spd(Sigma)
-    mu = np.asarray(mu, dtype=float).reshape(-1)
-    s = Sigma.quad_forms(sample.points - mu)
-    t = np.einsum("ij,ij->i", sample.points, sample.points)
-    return 0.5 * Sigma.logdet() + float(sample.weights @ _rho_diff(s, t, nu, sample.d))

@@ -1,4 +1,4 @@
-"""Pure scatter functional: objective, gradient, and safeguarded Newton solver.
+"""Pure scatter functional: the objective and its safeguarded Newton solver.
 
 For a law Q on R^d and tail parameter nu > 0, the scatter matrix A minimizes
 
@@ -37,7 +37,6 @@ from .domain_check import EmpiricalSample, check_scatter_domain
 from .exceptions import DomainViolation, NumericalBreakdown
 from .symspace import (
     SpdMatrix,
-    as_spd,
     outer_gram,
     spd_cholesky,
     sym_dim,
@@ -50,8 +49,6 @@ __all__ = [
     "ScatterConfig",
     "ScatterResult",
     "weight_u",
-    "objective",
-    "gradient",
     "solve_scatter",
     "solve_scatter_stack",
 ]
@@ -130,28 +127,6 @@ def weight_u(s, nu: float, d: int):
 def _rho_diff(s, t, nu: float, d: int):
     # rho(s) - rho(t); the log(nu) normalizations cancel
     return 0.5 * (nu + d) * (np.log(nu + s) - np.log(nu + t))
-
-
-def objective(sample: EmpiricalSample, A, nu: float) -> float:
-    """Adjusted negative log-likelihood Qh(A); zero at the identity."""
-    A = as_spd(A)
-    s = A.quad_forms(sample.points)
-    t = np.einsum("ij,ij->i", sample.points, sample.points)
-    return 0.5 * A.logdet() + float(sample.weights @ _rho_diff(s, t, nu, sample.d))
-
-
-def gradient(sample: EmpiricalSample, A, nu: float) -> np.ndarray:
-    """Gradient of Qh with respect to A: (1/2)(A^{-1} - sum w u A^{-1} y y' A^{-1}).
-
-    Vanishes exactly at the fixed point of the reweighting map.
-    """
-    A = as_spd(A)
-    Ainv = A.inv()
-    Z = sample.points @ Ainv
-    s = np.einsum("ij,ij->i", Z, sample.points)
-    u = weight_u(s, nu, sample.d)
-    M = (Z * (sample.weights * u)[:, None]).T @ Z
-    return symmetrize(0.5 * (Ainv - M), rtol=1e-6)
 
 
 def _start(Y, w, cfg: ScatterConfig):

@@ -1,14 +1,14 @@
 """Symmetric-matrix algebra used throughout the package.
 
-Provides an SPD wrapper with a cached Cholesky factor, the block embedding
-between (d+1)-dimensional scatter matrices and (Sigma, mu, gamma) triples,
-and an isometric half-vectorization of the space of symmetric matrices.
+Provides an SPD wrapper with a cached Cholesky factor, the extraction of
+(Sigma, mu, gamma) from a lifted (d+1)-dimensional scatter matrix, an
+isometric half-vectorization of the space of symmetric matrices, and the
+outer-product rows and weighted Gram matrices built on it.
 """
 
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg import cho_solve, solve_triangular
@@ -17,10 +17,8 @@ from .exceptions import DegeneracyError, NotSpdError
 
 __all__ = [
     "SpdMatrix",
-    "EmbeddedScatter",
     "symmetrize",
     "spd_cholesky",
-    "embed",
     "extract",
     "sym_dim",
     "sym_to_vec",
@@ -147,46 +145,6 @@ def as_spd(a) -> SpdMatrix:
     return a if isinstance(a, SpdMatrix) else SpdMatrix(a)
 
 
-@dataclass(frozen=True)
-class EmbeddedScatter:
-    """A (d+1)-dimensional scatter matrix in block correspondence with (Sigma, mu, gamma).
-
-    ``A = gamma * [[Sigma + mu mu', mu], [mu', 1]]``; the correspondence is a
-    bijection between SPD matrices of size d+1 and triples with Sigma SPD and
-    gamma > 0.
-    """
-
-    A: SpdMatrix
-    Sigma: SpdMatrix
-    mu: np.ndarray
-    gamma: float
-
-
-def embed(Sigma, mu, gamma=1.0) -> EmbeddedScatter:
-    """Assemble the block scatter matrix for (Sigma, mu, gamma).
-
-    Raises :class:`NotSpdError` if Sigma is not SPD and ValueError for
-    gamma <= 0.
-    """
-    Sigma = as_spd(Sigma)
-    mu = np.asarray(mu, dtype=float).reshape(-1)
-    if mu.shape[0] != Sigma.dim:
-        raise ValueError(f"mu has length {mu.shape[0]}, expected {Sigma.dim}")
-    gamma = float(gamma)
-    if not gamma > 0.0:
-        raise ValueError("gamma must be positive")
-    d = Sigma.dim
-    block = np.empty((d + 1, d + 1))
-    block[:d, :d] = Sigma.mat + np.outer(mu, mu)
-    block[:d, d] = mu
-    block[d, :d] = mu
-    block[d, d] = 1.0
-    A = SpdMatrix(gamma * block)
-    mu = mu.copy()
-    mu.setflags(write=False)
-    return EmbeddedScatter(A=A, Sigma=Sigma, mu=mu, gamma=gamma)
-
-
 def extract(A):
     """Invert the block embedding: recover (Sigma, mu, gamma) from A.
 
@@ -280,22 +238,35 @@ def congruence_matrix(m) -> np.ndarray:
 
 
 def outer_vecs(points) -> np.ndarray:
-    """Rows sym_to_vec(y y') for every row y of an (..., n, d) array, in n x K memory each."""
+    """Rows sym_to_vec(y y') for every row y of an (..., n, d) array.
+
+    The rows are built in coordinate-major (..., K, n) memory, by one
+    contiguous product for the d diagonal rows and one per coordinate a for
+    its rows a < b, and returned as the transposed (..., n, K) view. The view
+    is writable, so callers may still scale it in place. Points already held
+    as a contiguous (..., d, n) stack are read without a copy.
+    """
     pts = np.asarray(points, dtype=float)
-    rows, cols, scale = _layout(pts.shape[-1])
-    out = np.take(pts, rows, axis=-1)
-    out *= scale
-    out *= np.take(pts, cols, axis=-1)
-    return out
+    n, d = pts.shape[-2:]
+    zt = np.ascontiguousarray(np.swapaxes(pts, -1, -2))
+    out = np.empty(pts.shape[:-2] + (sym_dim(d), n))
+    # the _layout order: the d diagonal rows, then the rows a < b row by row
+    np.multiply(zt, zt, out=out[..., :d, :])
+    k = d
+    for a in range(d - 1):
+        np.multiply(zt[..., a : a + 1, :] * SQRT2, zt[..., a + 1 :, :], out=out[..., k : k + d - 1 - a, :])
+        k += d - 1 - a
+    return np.swapaxes(out, -1, -2)
 
 
 def outer_gram(points, c) -> np.ndarray:
     """Weighted Gram matrix sum_i c_i vec(y_i y_i') vec(y_i y_i')' for c >= 0.
 
-    Built from one n x K array of :func:`outer_vecs`, whose rows are scaled in
-    place by sqrt(c) before a single V' V product. With a leading batch axis
-    on ``points`` (R, n, d) and ``c`` (R, n), returns the (R, K, K) stack.
+    Scales the coordinate-major (K, n) rows of :func:`outer_vecs` by sqrt(c)
+    and takes one (K x n)(n x K) product on contiguous memory. With a leading
+    batch axis on ``points`` (R, n, d) and ``c`` (R, n), returns the (R, K, K)
+    stack.
     """
-    V = outer_vecs(points)
-    V *= np.sqrt(np.asarray(c, dtype=float))[..., None]
-    return np.swapaxes(V, -1, -2) @ V
+    V = np.swapaxes(outer_vecs(points), -1, -2)
+    V *= np.sqrt(np.asarray(c, dtype=float))[..., None, :]
+    return V @ np.swapaxes(V, -1, -2)

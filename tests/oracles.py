@@ -23,7 +23,98 @@ from tscatter.scatter import (
     _start,
     weight_u,
 )
-from tscatter.symspace import SpdMatrix, as_spd, symmetrize
+from tscatter.symspace import SpdMatrix, _layout, as_spd, symmetrize
+
+
+def objective(sample: EmpiricalSample, A, nu: float) -> float:
+    """Adjusted negative log-likelihood Qh(A); zero at the identity."""
+    A = as_spd(A)
+    s = A.quad_forms(sample.points)
+    t = np.einsum("ij,ij->i", sample.points, sample.points)
+    return 0.5 * A.logdet() + float(sample.weights @ _rho_diff(s, t, nu, sample.d))
+
+
+def gradient(sample: EmpiricalSample, A, nu: float) -> np.ndarray:
+    """Gradient of Qh with respect to A: (1/2)(A^{-1} - sum w u A^{-1} y y' A^{-1}).
+
+    Vanishes exactly at the fixed point of the reweighting map.
+    """
+    A = as_spd(A)
+    Ainv = A.inv()
+    Z = sample.points @ Ainv
+    s = np.einsum("ij,ij->i", Z, sample.points)
+    u = weight_u(s, nu, sample.d)
+    M = (Z * (sample.weights * u)[:, None]).T @ Z
+    return symmetrize(0.5 * (Ainv - M), rtol=1e-6)
+
+
+def objective_locscat(sample: EmpiricalSample, mu, Sigma, nu: float) -> float:
+    """Adjusted objective Ph(mu, Sigma); zero at (0, I), minimized at the functional."""
+    Sigma = as_spd(Sigma)
+    mu = np.asarray(mu, dtype=float).reshape(-1)
+    s = Sigma.quad_forms(sample.points - mu)
+    t = np.einsum("ij,ij->i", sample.points, sample.points)
+    return 0.5 * Sigma.logdet() + float(sample.weights @ _rho_diff(s, t, nu, sample.d))
+
+
+@dataclasses.dataclass(frozen=True)
+class EmbeddedScatter:
+    """A (d+1)-dimensional scatter matrix in block correspondence with (Sigma, mu, gamma).
+
+    ``A = gamma * [[Sigma + mu mu', mu], [mu', 1]]``; the correspondence is a
+    bijection between SPD matrices of size d+1 and triples with Sigma SPD and
+    gamma > 0. ``symspace.extract`` is its inverse.
+    """
+
+    A: SpdMatrix
+    Sigma: SpdMatrix
+    mu: np.ndarray
+    gamma: float
+
+
+def embed(Sigma, mu, gamma=1.0) -> EmbeddedScatter:
+    """Assemble the block scatter matrix for (Sigma, mu, gamma).
+
+    Raises :class:`NotSpdError` if Sigma is not SPD and ValueError for
+    gamma <= 0.
+    """
+    Sigma = as_spd(Sigma)
+    mu = np.asarray(mu, dtype=float).reshape(-1)
+    if mu.shape[0] != Sigma.dim:
+        raise ValueError(f"mu has length {mu.shape[0]}, expected {Sigma.dim}")
+    gamma = float(gamma)
+    if not gamma > 0.0:
+        raise ValueError("gamma must be positive")
+    d = Sigma.dim
+    block = np.empty((d + 1, d + 1))
+    block[:d, :d] = Sigma.mat + np.outer(mu, mu)
+    block[:d, d] = mu
+    block[d, :d] = mu
+    block[d, d] = 1.0
+    A = SpdMatrix(gamma * block)
+    mu = mu.copy()
+    mu.setflags(write=False)
+    return EmbeddedScatter(A=A, Sigma=Sigma, mu=mu, gamma=gamma)
+
+
+def outer_vecs_gather(points) -> np.ndarray:
+    """``symspace.outer_vecs`` by two gathers along the last axis, in n x K memory.
+
+    The reference for the coordinate-major kernel: every entry is the same
+    product (y_a * scale) * y_b, so the two must be equal, not just close.
+    """
+    pts = np.asarray(points, dtype=float)
+    rows, cols, scale = _layout(pts.shape[-1])
+    out = np.take(pts, rows, axis=-1)
+    out *= scale
+    out *= np.take(pts, cols, axis=-1)
+    return out
+
+
+def outer_gram_einsum(points, c) -> np.ndarray:
+    """``symspace.outer_gram`` as the sum of c_i vec(y_i y_i') vec(y_i y_i')' by einsum."""
+    V = outer_vecs_gather(points)
+    return np.einsum("...n,...ni,...nj->...ij", np.asarray(c, dtype=float), V, V)
 
 
 def direct_em_step(sample: EmpiricalSample, mu, Sigma, nu: float):

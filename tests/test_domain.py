@@ -318,13 +318,14 @@ class TestBlockKernelMatchesLoop:
     @pytest.mark.parametrize("per_block", [1, 2, 3, 5, 7])
     def test_block_boundary_inside_tie_run(self, monkeypatch, per_block):
         # seven points on the plane z=0 and five off it: the 35 in-plane triples
-        # all reach the top mass 7/12 and so tie; blocks of a few subsets split
-        # that run, and the first triple in combinations order must still win
+        # all reach the top mass 7/12 and so tie; blocks of a few fixed points
+        # (8 m (d + 16) bytes each) split that run, and the first triple in
+        # combinations order must still win
         rng = np.random.default_rng(61)
         plane = np.hstack([rng.standard_normal((7, 2)), np.zeros((7, 1))])
         q = EmpiricalSample(np.vstack([plane, rng.standard_normal((5, 3))]))
         merged, rep = q.merged()
-        monkeypatch.setattr(domain_check, "BLOCK_BYTES", 8 * merged.n * merged.d * per_block)
+        monkeypatch.setattr(domain_check, "BLOCK_BYTES", 8 * merged.n * (merged.d + 16) * per_block)
         got = check_scatter_domain(q, 4.0)
         assert got == check_scatter_domain_loop(q, 4.0)
         assert got.worst_subspace_dim == 2 and np.isclose(got.worst_mass, 7 / 12)

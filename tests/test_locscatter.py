@@ -6,16 +6,13 @@ from tscatter import (
     EmpiricalSample,
     NuOutOfRange,
     ScatterConfig,
-    embed,
     lift,
-    objective,
-    objective_locscat,
     solve_locscatter,
     two_point_closed_form,
     weight_u,
 )
 
-from oracles import direct_em_step
+from oracles import direct_em_step, embed, objective, objective_locscat
 
 
 def two_point(p):

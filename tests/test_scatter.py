@@ -8,15 +8,14 @@ from tscatter import (
     EmpiricalSample,
     ScatterConfig,
     check_scatter_domain,
-    gradient,
     lift,
-    objective,
     solve_scatter,
     weight_u,
 )
+from tscatter import scatter
 from tscatter.scatter import solve_scatter_stack
 
-from oracles import solve_scatter_mm
+from oracles import gradient, objective, outer_gram_einsum, solve_scatter_mm
 
 
 def four_point_law():
@@ -312,6 +311,24 @@ class TestAgainstMmOracle:
         assert res.converged
         assert np.linalg.norm(res.A.mat - ref.A.mat) <= 1e-8 * np.linalg.norm(ref.A.mat)
         assert_monotone(res.objective_trace)
+
+    @pytest.mark.parametrize("nu", [0.1, 5.0])
+    def test_d10_newton_system_matches_einsum_oracle(self, monkeypatch, nu):
+        # fit-d10-sized outer-product rows (K = 55): the fit with the package's
+        # Gram matrix takes the same steps as with the einsum sum, and both
+        # agree with the MM fixed point
+        rng = np.random.default_rng(71)
+        q = EmpiricalSample(rng.standard_normal((2000, 10)) / np.sqrt(rng.chisquare(2.0, (2000, 1)) / 2.0))
+        cfg = ScatterConfig(nu=nu, tol_grad=1e-12, tol_step=1e-15)
+        res = solve_scatter(q, cfg, check_domain=False)
+        monkeypatch.setattr(scatter, "outer_gram", outer_gram_einsum)
+        want = solve_scatter(q, cfg, check_domain=False)
+        assert res.converged and res.newton_steps > 0
+        assert (res.iterations, res.newton_steps) == (want.iterations, want.newton_steps)
+        _assert_same_fit(res, want)
+        ref = solve_scatter_mm(q, ScatterConfig(nu=nu, tol_grad=1e-13, max_iter=5000))
+        assert ref.stop_reason != "max_iter"
+        assert np.linalg.norm(res.A.mat - ref.A.mat) <= 1e-8 * np.linalg.norm(ref.A.mat)
 
     def test_mm_fallbacks_far_from_the_solution(self):
         # from the identity, data in units 1e3 need the scale to grow by 1e6;

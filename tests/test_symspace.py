@@ -7,7 +7,6 @@ from tscatter import (
     NotSpdError,
     SpdMatrix,
     congruence_matrix,
-    embed,
     extract,
     sym_basis,
     sym_dim,
@@ -15,7 +14,9 @@ from tscatter import (
     vec_to_sym,
 )
 from tscatter.exceptions import DegeneracyError
-from tscatter.symspace import _layout, outer_vecs, spd_cholesky, symmetrize
+from tscatter.symspace import _layout, outer_gram, outer_vecs, spd_cholesky, symmetrize
+
+from oracles import embed, outer_gram_einsum, outer_vecs_gather
 
 
 def random_spd(rng, d, scale=1.0):
@@ -184,6 +185,41 @@ class TestVecRoundTrip:
         pts = rng.standard_normal((6, 3))
         expected = np.stack([sym_to_vec(np.outer(y, y)) for y in pts])
         assert np.allclose(outer_vecs(pts), expected, rtol=1e-15, atol=0.0)
+
+
+def _point_layouts():
+    rng = np.random.default_rng(17)
+    return {
+        "n_by_d": rng.standard_normal((40, 4)),
+        "stack": rng.standard_normal((3, 40, 4)),
+        # the solver's whitened points: a contiguous (R, d, n) stack, swapped
+        "solver_view": np.swapaxes(rng.standard_normal((3, 4, 40)), 1, 2),
+        "strided": rng.standard_normal((120, 9))[::3, 1:6],
+        "d1": rng.standard_normal((40, 1)),
+        "d2": rng.standard_normal((2, 40, 2)),
+    }
+
+
+class TestOuterProducts:
+    @pytest.mark.parametrize("layout", list(_point_layouts()))
+    def test_outer_vecs_equals_gather(self, layout):
+        pts = _point_layouts()[layout]
+        got = outer_vecs(pts)
+        want = outer_vecs_gather(pts)
+        assert got.shape == want.shape
+        assert np.array_equal(got, want)
+        # the returned view is writable, so callers may scale it in place
+        got *= 2.0
+        assert np.array_equal(got, 2.0 * want)
+
+    @pytest.mark.parametrize("layout", ["n_by_d", "solver_view", "strided", "d1"])
+    def test_outer_gram_matches_einsum(self, layout):
+        pts = _point_layouts()[layout]
+        c = np.random.default_rng(19).uniform(0.0, 2.0, pts.shape[:-1])
+        got = outer_gram(pts, c)
+        want = outer_gram_einsum(pts, c)
+        assert got.shape == want.shape
+        assert np.allclose(got, want, rtol=1e-12, atol=0.0)
 
 
 class TestStackedRules:
