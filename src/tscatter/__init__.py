@@ -24,6 +24,7 @@ from .domain_check import (
     EmpiricalSample,
     check_locscat_domain,
     check_scatter_domain,
+    check_scatter_domain_stack,
     lift,
     max_atom,
 )

@@ -30,7 +30,6 @@ from .scatter import ScatterConfig, ScatterResult, solve_scatter
 from .symspace import (
     as_spd,
     congruence_matrix,
-    outer_gram,
     outer_vecs,
     sym_basis,
     sym_to_vec,
@@ -99,16 +98,17 @@ def hessian(sample: EmpiricalSample, A, nu: float) -> HessianMap:
     H is positive definite when A is the fitted scatter matrix of the sample.
     """
     A = as_spd(A)
-    d = A.dim
-    if sample.d != d:
+    if sample.d != A.dim:
         raise ValueError("sample dimension does not match matrix dimension")
-    s = A.quad_forms(sample.points)
+    return _curvature(sample, A, nu, A.quad_forms(sample.points), np.swapaxes(outer_vecs(sample.points), 0, 1))
+
+
+def _curvature(sample: EmpiricalSample, A, nu: float, s, V) -> HessianMap:
+    # hessian from quadratic forms s and (K, n) rows V = sym_to_vec(y y'), scaled in place
+    V *= np.sqrt((nu + A.dim) * sample.weights / (nu + s) ** 2)
     # first term: T[a,b] = trace(A E_a A E_b), the congruence matrix of A
-    T = congruence_matrix(A.mat)
-    coef = (nu + d) * sample.weights / (nu + s) ** 2
-    H = symmetrize(T - outer_gram(sample.points, coef), rtol=1e-6)
-    min_eig = float(np.linalg.eigvalsh(H)[0])
-    return HessianMap(dim=d, matrix=H, min_eigenvalue=min_eig)
+    H = symmetrize(congruence_matrix(A.mat) - V @ V.T, rtol=1e-6)
+    return HessianMap(dim=A.dim, matrix=H, min_eigenvalue=float(np.linalg.eigvalsh(H)[0]))
 
 
 def _fit(sample: EmpiricalSample, nu: float, fit=None, check_domain=True) -> ScatterResult:
@@ -162,13 +162,14 @@ def asymptotic_cov_scatter(
     result = _fit(sample, nu, fit, check_domain)
     A = result.A
     d = A.dim
-    H = hessian(sample, A, nu)
-    s = A.quad_forms(sample.points)
+    s, V = A.quad_forms(sample.points), np.swapaxes(outer_vecs(sample.points), 0, 1)
     coef = (nu + d) / (2.0 * (nu + s))
-    Gv = coef[:, None] * outer_vecs(sample.points) - 0.5 * sym_to_vec(A.mat)
-    mean = sample.weights @ Gv
-    Gc = Gv - mean
-    K = (Gc * sample.weights[:, None]).T @ Gc
+    Gv = coef[:, None] * V.T
+    Gv -= 0.5 * sym_to_vec(A.mat)
+    H = _curvature(sample, A, nu, s, V)  # scales V, so only after Gv
+    del V  # n x K words, freed before Gv is weighted below
+    Gv -= sample.weights @ Gv  # centred in place
+    K = (Gv * sample.weights[:, None]).T @ Gv
 
     factor = cho_factor(H.matrix)
     half = 2.0 * cho_solve(factor, K)          # (H/2)^{-1} K

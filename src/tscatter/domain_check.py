@@ -22,12 +22,20 @@ subset were tested. A budget on the number of subsets, C(m, 1) + ... +
 C(m, d-1), is the only limit on exact checking; past it a randomized
 projection check is available, whose rejections are certified but whose
 acceptances are not exact.
+
+The exact check runs on stacks of samples (``check_scatter_domain_stack``),
+merged by one sort and padded to a common size; each block row is a (sample,
+fixed tuple) pair. Tolerances, maxima and ties are kept per sample and padding
+enters no test, so each report equals its sample's own. ``check_scatter_domain``
+is the stack of one, and ``EmpiricalSample.merged`` that of the stacked merge.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import functools
 import itertools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -38,6 +46,7 @@ __all__ = [
     "EmpiricalSample",
     "DomainReport",
     "check_scatter_domain",
+    "check_scatter_domain_stack",
     "check_locscat_domain",
     "lift",
     "max_atom",
@@ -74,27 +83,13 @@ class EmpiricalSample:
         pts = np.asarray(self.points, dtype=float)
         if pts.ndim == 1:
             pts = pts.reshape(-1, 1)
-        if pts.ndim != 2 or pts.shape[0] < 1:
+        if pts.ndim != 2:
             raise ValueError(f"points must be an (n, d) array with n >= 1, got {pts.shape}")
-        if not np.isfinite(pts).all():
-            raise ValueError("points must be finite")
-        pts = pts + 0.0  # normalizes -0.0 so exact-equality merging is stable
-        if self.weights is None:
-            w = np.full(pts.shape[0], 1.0 / pts.shape[0])
-        else:
-            w = np.asarray(self.weights, dtype=float).reshape(-1)
-            if w.shape[0] != pts.shape[0]:
-                raise ValueError("weights length must match number of points")
-            if not np.isfinite(w).all() or (w < 0.0).any():
-                raise ValueError("weights must be finite and nonnegative")
-            total = w.sum()
-            if abs(total - 1.0) > 1e-12:
-                raise ValueError(f"weights must sum to 1 within 1e-12, got {total!r}")
-            w = w / total
-        pts.setflags(write=False)
-        w.setflags(write=False)
-        object.__setattr__(self, "points", pts)
-        object.__setattr__(self, "weights", w)
+        w = None if self.weights is None else np.asarray(self.weights, dtype=float).reshape(1, -1)
+        pts, w = _as_stack(pts[None], w)
+        for name, arr in (("points", pts[0]), ("weights", w[0])):
+            arr.setflags(write=False)
+            object.__setattr__(self, name, arr)
 
     @property
     def n(self) -> int:
@@ -110,14 +105,10 @@ class EmpiricalSample:
         Returns ``(sample, rep_index)`` where ``rep_index[k]`` is the index in
         the original sample of the first occurrence of merged point k. Points
         come back in lexicographic order; each merged weight sums its copies
-        in index order.
+        in index order. The stack of one of the stacked merge.
         """
-        order = np.lexsort(self.points.T[::-1])  # stable: copies keep index order
-        pts = self.points[order]
-        first = np.ones(self.n, dtype=bool)
-        first[1:] = (pts[1:] != pts[:-1]).any(axis=1)
-        w = np.bincount(np.cumsum(first) - 1, weights=self.weights[order])
-        return EmpiricalSample(pts[first], w / w.sum()), order[first]
+        pts, w, rep, _ = _merge(self.points[None], self.weights[None])
+        return EmpiricalSample(pts, w), rep
 
     def drop_zero_weights(self) -> "EmpiricalSample":
         keep = self.weights > 0.0
@@ -152,6 +143,13 @@ def lift(sample: EmpiricalSample) -> EmpiricalSample:
     return EmpiricalSample(np.hstack([sample.points, ones]), sample.weights)
 
 
+def _affine_report(report: DomainReport) -> DomainReport:
+    # a lifted sample's linear report as the sample's affine one: the lift of
+    # an affine q-subspace spans a linear (q+1)-subspace
+    dim = None if report.worst_subspace_dim is None else max(report.worst_subspace_dim - 1, 0)
+    return dataclasses.replace(report, worst_subspace_dim=dim)
+
+
 def max_atom(sample: EmpiricalSample):
     """Heaviest atom after merging coincident points.
 
@@ -163,21 +161,52 @@ def max_atom(sample: EmpiricalSample):
     return merged.points[k].copy(), float(merged.weights[k])
 
 
-def _point_scale(points: np.ndarray) -> float:
-    norms = np.linalg.norm(points, axis=1)
-    top = float(norms.max()) if norms.size else 0.0
-    return top if top > 0.0 else 1.0
+def _as_stack(points, weights):
+    # checked (R, n, d) points, with -0.0 made +0.0 so that exact-equality
+    # merging is stable, and (R, n) weights, each row divided by its sum
+    pts = np.asarray(points, dtype=float)
+    if pts.ndim != 3 or pts.shape[1] < 1:
+        raise ValueError(f"points must be an (R, n, d) array with n >= 1, got {pts.shape}")
+    if not np.isfinite(pts).all():
+        raise ValueError("points must be finite")
+    if weights is None:
+        return pts + 0.0, np.full(pts.shape[:2], 1.0 / pts.shape[1])
+    w = np.asarray(weights, dtype=float)
+    if w.shape != pts.shape[:2]:
+        raise ValueError(f"weights must have shape {pts.shape[:2]} to match the points, got {w.shape}")
+    if not np.isfinite(w).all() or (w < 0.0).any():
+        raise ValueError("weights must be finite and nonnegative")
+    total = w.sum(axis=1, keepdims=True)
+    if (np.abs(total - 1.0) > 1e-12).any():
+        raise ValueError(f"weights must sum to 1 within 1e-12, got {total.ravel()!r}")
+    return pts + 0.0, w / total
+
+
+def _merge(points: np.ndarray, weights: np.ndarray):
+    # EmpiricalSample.merged of each sample of a checked stack, by one stable
+    # lexsort of every sample's points at once: all merged points one sample
+    # after another, their weights (divided once by the sample's total), the
+    # index of each one's first copy in its sample, and each merged size
+    R, n, d = points.shape
+    order = np.lexsort(points.transpose(2, 0, 1)[::-1], axis=-1).ravel()  # copies keep index order
+    flat = order + np.arange(R).repeat(n) * n
+    pts = points.reshape(R * n, d)[flat]
+    first = np.ones(R * n, dtype=bool)
+    first[1:] = (pts[1:] != pts[:-1]).any(axis=1)
+    first[::n] = True
+    w = np.bincount(np.cumsum(first) - 1, weights=weights.reshape(-1)[flat])
+    sizes = first.reshape(R, n).sum(axis=1)
+    return pts[first], _normalized(w, sizes), order[first], sizes
+
+
+def _point_scale(points: np.ndarray):
+    # largest point norm of each sample of an (..., m, d) stack, 1 when all are 0
+    top = np.linalg.norm(points, axis=-1).max(axis=-1)
+    return np.where(top > 0.0, top, 1.0)
 
 
 def _subset_count(m: int, max_size: int) -> int:
-    total = 0
-    c = 1
-    for s in range(1, max_size + 1):
-        c = c * (m - s + 1) // s
-        total += c
-        if total > 10 * DEFAULT_BUDGET:
-            break
-    return total
+    return sum(math.comb(m, s) for s in range(1, max_size + 1))
 
 
 def check_scatter_domain(
@@ -205,7 +234,8 @@ def check_scatter_domain(
     multiple of ``BLOCK_BYTES`` whatever the sample size (O(m) for lines).
     Among subspaces with the same margin the report names the first found:
     lower dimension first, then ``itertools.combinations`` order of the merged
-    points, as if each subset were tested in turn. ``method="randomized"``
+    points, as if each subset were tested in turn. It is
+    :func:`check_scatter_domain_stack` on a stack of one. ``method="randomized"``
     instead tests random linear projections to at most 4 dimensions: any
     violation it finds certifies one in the original space (the preimage of a
     violating subspace has the same codimension and at least the same mass),
@@ -216,17 +246,23 @@ def check_scatter_domain(
     d = sample.d
     if not a0 > d:
         raise ValueError(f"need a0 > d, got a0={a0} with d={d}")
-    merged, rep = sample.merged()
     if method == "exact":
-        if _subset_count(merged.n, d - 1) > budget:
-            raise EnumerationBudgetError(
-                f"exact enumeration over {merged.n} distinct points in d={d} exceeds "
-                f"budget={budget}; use method='randomized'"
-            )
-        return _check_exact(merged, rep, a0, d)
+        return _check_exact(sample.points[None], sample.weights[None], a0, budget)[0]
     if method == "randomized":
-        return _check_randomized(merged, rep, a0, d, projections, seed, budget)
+        return _check_randomized(*sample.merged(), a0, d, projections, seed)
     raise ValueError(f"unknown method {method!r}")
+
+
+def check_scatter_domain_stack(points, weights, a0: float) -> list[DomainReport]:
+    """Exact linear-subspace checks of a stack of samples, one report per sample.
+
+    ``points`` is (R, n, d); ``weights`` is (R, n), each row summing to 1
+    within 1e-12 and divided by its sum, or None for uniform weights. Report
+    r equals ``check_scatter_domain(EmpiricalSample(points[r], weights[r]),
+    a0)`` field for field. Raises :class:`EnumerationBudgetError`, before any
+    check, when any sample has more than ``DEFAULT_BUDGET`` subsets.
+    """
+    return _check_exact(*_as_stack(points, weights), float(a0), DEFAULT_BUDGET)
 
 
 def _best_candidate(cands):
@@ -234,12 +270,16 @@ def _best_candidate(cands):
     return max(cands, key=lambda c: (c[0] - c[1], c[0]))
 
 
-def _subset_blocks(m: int, size: int, block: int):
-    # index arrays of at most `block` subsets each, in combinations order
-    # (size 0 gives the one empty subset)
-    combos = itertools.combinations(range(m), size)
+def _subset_blocks(sizes: np.ndarray, size: int, block: int):
+    # (sample, subset) index arrays of at most `block` pairs each: sample by
+    # sample, each sample's subsets of its own points in combinations order
+    # (size 0 gives every sample its one empty subset)
+    combos = itertools.chain.from_iterable(itertools.combinations(range(m), size) for m in sizes.tolist())
+    ends, done = np.cumsum([math.comb(m, size) for m in sizes.tolist()]), 0
     while chunk := list(itertools.islice(combos, block)):
-        yield np.array(chunk, dtype=np.intp).reshape(len(chunk), size)
+        yield np.searchsorted(ends, np.arange(done, done + len(chunk)), "right"), np.array(
+            chunk, dtype=np.intp).reshape(len(chunk), size)
+        done += len(chunk)
 
 
 def _ranges(starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
@@ -260,20 +300,28 @@ def _exact_masses(counts: np.ndarray, idx: np.ndarray, w: np.ndarray) -> np.ndar
     return masses
 
 
-def _frames(X: np.ndarray, fixed: np.ndarray, tol: float):
+def _normalized(w: np.ndarray, sizes: np.ndarray) -> np.ndarray:
+    # each consecutive run of sizes[i] weights divided by its sum, as w / w.sum()
+    return w / np.repeat(_exact_masses(sizes, np.arange(w.size), w), sizes)
+
+
+def _frames(X: np.ndarray, smp: np.ndarray, fixed: np.ndarray, tol: np.ndarray):
     """Coordinates of every point on the orthogonal complement of each fixed tuple's span.
 
-    Keeps the independent tuples (the diag(R) test of their QR). Returns them,
-    the (B, m, d - s) coordinates and their norms, the distances to the span.
+    Rows are (sample, fixed tuple) pairs; keeps the independent tuples (the
+    diag(R) test of their QR). Returns their samples and tuples, the (B, m,
+    d - s) coordinates and their norms, the distances to the span.
     """
     s = fixed.shape[1]
     if s == 0:
-        C = X[None]
+        C = X[smp]
     else:
-        q, r = np.linalg.qr(X[fixed].transpose(0, 2, 1), mode="complete")
-        indep = np.abs(np.diagonal(r, axis1=1, axis2=2)).min(axis=1) > tol
-        fixed, C = fixed[indep], X @ q[indep, :, s:]
-    return fixed, C, np.sqrt(sum(np.square(C[..., k]) for k in range(C.shape[2])))
+        q, r = np.linalg.qr(X[smp[:, None], fixed].transpose(0, 2, 1), mode="complete")
+        indep = np.abs(np.diagonal(r, axis1=1, axis2=2)).min(axis=1) > tol[smp]
+        smp, fixed = smp[indep], fixed[indep]
+        # rows are sorted by sample: the points of a one-sample block broadcast
+        C = (X[smp[0]] if smp.size and smp[0] == smp[-1] else X[smp]) @ q[indep, :, s:]
+    return smp, fixed, C, np.sqrt(sum(np.square(C[..., k]) for k in range(C.shape[2])))
 
 
 @functools.lru_cache(maxsize=None)
@@ -285,24 +333,24 @@ def _plane(r: int) -> np.ndarray:
     return plane
 
 
-def _line_groups(C: np.ndarray, norms: np.ndarray, tol: float):
+def _line_groups(C: np.ndarray, norms: np.ndarray, on: np.ndarray, tol: np.ndarray):
     """Group the points of each frame by the line through the origin they lie on.
 
-    ``C`` is (B, m, r): coordinates on a complement, with lengths ``norms``.
-    Each point farther than tol from the origin gets an arc on the circle of
-    lines (angles mod pi): the direction of its projection onto a fixed
-    generic plane, widened to every direction whose line passes within 2 tol
-    of it. One sort per row by arc start finds the overlapping arcs, which
-    form a group, so a line through one member holds no point of another
-    group within 2 tol. A group is clean when its members' directions lie so
-    close that each is within tol/2 of the line through any other, and no arc
-    of its row reaches past the ends of the circle, where it could split a
-    group in two.
+    ``C`` is (B, m, r): coordinates on a complement, with lengths ``norms``;
+    ``on`` marks the points farther than their row's ``tol`` (a (B, 1) column
+    or one scalar) from the origin. Each gets an arc on the circle of lines
+    (angles mod pi): the direction of its projection onto a fixed generic
+    plane, widened to every direction whose line passes within 2 tol of it.
+    One sort per row by arc start finds the overlapping arcs, which form a
+    group, so a line through one member holds no point of another group
+    within 2 tol. A group is clean when its members' directions lie so close
+    that each is within tol/2 of the line through any other, and no arc of
+    its row reaches past the ends of the circle, where it could split a group.
 
     Returns all (row, point) pairs, row by row, with each group contiguous and
-    the points within tol of the origin alone at the end of their row; the
-    group starts; which groups are lines (not a point of span(F)); and which
-    lines are clean.
+    every point not in ``on`` alone at the end of its row; their flat indices
+    row * m + point; the group starts; which groups are lines (not a point of
+    span(F) or padding); and which lines are clean.
     """
     B, m = norms.shape
     z = C @ _plane(C.shape[2])
@@ -311,7 +359,6 @@ def _line_groups(C: np.ndarray, norms: np.ndarray, tol: float):
     # pi/2 * x bounds arcsin(x), the angle at which a point is 2 tol off a line
     with np.errstate(divide="ignore"):
         half = np.minimum(np.pi * tol / np.sqrt(np.square(z[..., 0]) + np.square(z[..., 1])), np.pi / 2)
-    on = norms > tol
     lo = np.where(on, theta - half, np.inf)
     order = np.argsort(lo, axis=1)
     flat = (order + m * np.arange(B)[:, None]).ravel()
@@ -333,77 +380,105 @@ def _line_groups(C: np.ndarray, norms: np.ndarray, tol: float):
         u = C[rows[many], pts[many]] / norms[rows[many], pts[many], None]
         v = C[rows[first], pts[first]] / norms[rows[first], pts[first], None]
         chord = np.linalg.norm(u - np.copysign(1.0, (u * v).sum(axis=1))[:, None] * v, axis=1)
-        far = chord * norms.max(axis=1)[rows[many]] > tol / 4
+        far = chord * norms.max(axis=1)[rows[many]] > np.broadcast_to(tol, (B, 1))[rows[many], 0] / 4
         clean[np.searchsorted(seg, many[far], side="right") - 1] = False
-    return rows, pts, seg, line, clean
+    return rows, pts, flat, seg, line, clean
 
 
-def _heaviest_span(X: np.ndarray, w: np.ndarray, size: int, tol: float):
-    """Heaviest subspace spanned by ``size`` independent sample points.
+def _heaviest_span(X: np.ndarray, w: np.ndarray, valid: np.ndarray, size: int, tol: np.ndarray):
+    """Heaviest subspace spanned by ``size`` independent sample points, per sample of a stack.
 
-    Returns ``(mass, subset)`` for the first subset in combinations order
-    whose span has the largest mass, or None when no subset is independent.
+    ``X`` (R, m, d) and ``w`` (R, m) hold each sample's merged points and
+    weights, padded with zeros past the points ``valid`` marks. Returns each
+    sample's largest mass (-inf when no subset is independent) and the first
+    subset in combinations order whose span has it (None then).
 
-    The subsets are walked as a fixed tuple F of ``size - 1`` points (in
-    blocks that keep scratch memory near a few BLOCK_BYTES) and a last point
-    j > max F. On the complement of span(F) each span F + j is a line through
-    the origin, so one sort of the projected points by direction gives all of
-    F's spans at once. For a clean group every j in it has the same points
-    inside, those of span(F) and the group, so it stands for all of them as
-    its first member after max F. The members of a group that is not clean
-    are tested one by one with the residual test.
+    The subsets are walked as rows of a sample and a fixed tuple F of
+    ``size - 1`` of its points (in blocks, which may span samples, that keep
+    scratch memory near a few BLOCK_BYTES) and a last point j > max F. On the
+    complement of span(F) each span F + j is a line through the origin, so
+    one sort of the projected points by direction gives all of F's spans at
+    once. For a clean group every j in it has the same points inside, those
+    of span(F) and the group, so it stands for all of them as its first
+    member after max F. The members of a group that is not clean are tested
+    one by one with the residual test. Padding is inside no span.
     """
-    m, d = X.shape
+    R, m, d = X.shape
+    sizes = valid.sum(axis=1)
+    low = sizes.min()  # no sample has padding before this column
     # per fixed tuple and point: d coordinates and about 16 words of arcs,
     # sort order, groups and candidates
     block = max(1, BLOCK_BYTES // (8 * m * (d + 16)))
     # the running sums below are off by at most ~m*eps; candidates they put
-    # this close to the top are re-summed exactly
-    slack = 4 * (m + 2) * np.finfo(float).eps
-    best_mass, best = -np.inf, None
-    for fixed in _subset_blocks(m, size - 1, block):
-        fixed, C, norms = _frames(X, fixed, tol)
-        base = norms <= tol  # the points of span(F): inside every span through F
-        if base.all():
+    # this close to their sample's top are re-summed exactly
+    slack = 4 * (sizes + 2) * np.finfo(float).eps
+    best_mass, best = np.full(R, -np.inf), [None] * R
+    for smp, fixed in _subset_blocks(sizes, size - 1, block):
+        smp, fixed, C, norms = _frames(X, smp, fixed, tol)
+        t = tol[smp[0]] if smp.size and smp[0] == smp[-1] else tol[smp][:, None]  # a scalar for one sample
+        # the points of span(F), inside every span through F; not padding, though at the origin
+        base = norms <= t
+        base[:, low:] &= valid[smp, low:]
+        on = norms > t
+        if not on.any():
             continue
-        after = fixed[:, -1] if size > 1 else np.full(fixed.shape[0], -1)
-        rows, pts, seg, line, clean = _line_groups(C, norms, tol)
+        after = fixed[:, -1] if size > 1 else np.full(smp.size, -1)
+        rows, pts, flat, seg, line, clean = _line_groups(C, norms, on, t)
         g_row, g_len = rows[seg], np.diff(np.append(seg, pts.size))
+        later = pts > after[rows]
         # one candidate per clean group: its first point after max F
-        g_next = np.minimum.reduceat(np.where(pts > after[rows], pts, m), seg)
+        g_next = np.minimum.reduceat(np.where(later, pts, m), seg)
         tidy = np.flatnonzero(clean & (g_next < m))
         cand_row, cand_pt = g_row[tidy], g_next[tidy]
-        approx = (base @ w)[cand_row] + np.add.reduceat(w[pts], seg)[tidy]
+        wb = w[smp]
+        approx = np.einsum("bm,bm->b", wb, base)[cand_row] + np.add.reduceat(wb.ravel()[flat], seg)[tidy]
         # every member of a group that is not clean, on its own
-        odd = np.repeat(line & ~clean, g_len) & (pts > after[rows])
+        odd = np.repeat(line & ~clean, g_len) & later
         odd_row, odd_pt = rows[odd], pts[odd]
-        odd_mass = _line_masses(w, C, norms, base, odd_row, odd_pt, tol)
+        odd_mass = _line_masses(wb, C, norms, base, on, odd_row, odd_pt, t)
 
-        top = max(best_mass, approx.max(initial=-np.inf), odd_mass.max(initial=-np.inf))
-        near = np.flatnonzero(approx >= top - slack)
+        top = _fold(np.maximum, best_mass.copy(), smp, cand_row, approx)
+        _fold(np.maximum, top, smp, odd_row, odd_mass)
+        near = np.flatnonzero(approx >= _of(top - slack, smp, cand_row))
         masses = np.full(approx.size, -np.inf)
         if near.size:
-            masses[near] = _group_masses(w, pts, seg[tidy[near]], g_len[tidy[near]], base, cand_row[near])
+            masses[near] = _group_masses(wb.ravel(), flat, seg[tidy[near]], g_len[tidy[near]], base, cand_row[near])
         masses = np.concatenate([masses, odd_mass])
-        if not masses.size or masses.max() <= best_mass:
-            continue
-        # the first maximum in combinations order: least row, then least point
         cand_row, cand_pt = np.concatenate([cand_row, odd_row]), np.concatenate([cand_pt, odd_pt])
-        ties = np.flatnonzero(masses == masses.max())
-        ties = ties[cand_row[ties] == cand_row[ties].min()]
-        k = ties[np.argmin(cand_pt[ties])]
-        best_mass = float(masses[k])
-        best = (best_mass, (*fixed[cand_row[k]].tolist(), int(cand_pt[k])))
-    return best
+        peak = _fold(np.maximum, np.full(R, -np.inf), smp, cand_row, masses)
+        # each sample's first maximum in combinations order (least row, then
+        # least point), where it beats the sample's maximum so far
+        wins = np.flatnonzero(masses == _of(np.where(peak > best_mass, peak, np.nan), smp, cand_row))
+        first = _fold(np.minimum, np.full(R, smp.size * m), smp, cand_row[wins], cand_row[wins] * m + cand_pt[wins])
+        for r in np.flatnonzero(first < smp.size * m):
+            row, pt = divmod(int(first[r]), m)
+            best_mass[r], best[r] = peak[r], (*fixed[row].tolist(), pt)
+    return best_mass, best
+
+
+def _fold(ufunc, out, smp, rows, values):
+    # out[smp[rows[i]]] = ufunc(out[smp[rows[i]]], values[i]) for every i, and
+    # out; one reduction when the block's rows (sorted by sample) are one sample's
+    if smp[0] != smp[-1]:
+        ufunc.at(out, smp[rows], values)
+    else:
+        out[smp[0]] = ufunc.reduce(values, initial=out[smp[0]])
+    return out
+
+
+def _of(per_sample, smp, rows):
+    # per_sample[smp[rows]], the one value when the block is one sample's
+    return per_sample[smp[0]] if smp[0] == smp[-1] else per_sample[smp][rows]
 
 
 def _group_masses(w, members, start, length, base, rows):
     # exact mass of each union of members[start:start + length] with the
     # points of span(F) of its row, in chunks of about BLOCK_BYTES // 128
-    # listed points (each takes at most about 16 words on its way through)
-    shift = base.shape[1].bit_length()
-    b_row, b_pt = np.nonzero(base)
-    per_row = np.bincount(b_row, minlength=base.shape[0])
+    # listed points (each takes at most about 16 words on its way through);
+    # points are flat indices row * m + point into the block's weights w
+    shift = base.size.bit_length()
+    b_pt = np.flatnonzero(base)
+    per_row = base.sum(axis=1)
     b_len, b_start = per_row[rows], (np.cumsum(per_row) - per_row)[rows]
     ends = np.cumsum(b_len + length)
     masses = np.empty(rows.size)
@@ -421,8 +496,8 @@ def _group_masses(w, members, start, length, base, rows):
     return masses
 
 
-def _line_masses(w, C, norms, base, rows, pts, tol):
-    # exact mass of span(F) + j for single candidates by the residual test
+def _line_masses(w, C, norms, base, on, rows, pts, tol):
+    # exact mass of span(F) + j for single candidates by the residual test (w, base, on: the block's)
     m, r = C.shape[1:]
     masses = np.empty(rows.size)
     step = max(1, BLOCK_BYTES // (8 * m * r))
@@ -431,44 +506,46 @@ def _line_masses(w, C, norms, base, rows, pts, tol):
         Cb = C[b]
         u = Cb[np.arange(b.size), j] / norms[b, j, None]
         resid = Cb - (Cb @ u[..., None]) * u[:, None, :]
-        inside = (np.linalg.norm(resid, axis=2) <= tol) | base[b]
-        masses[s : s + step] = _exact_masses(inside.sum(axis=1), np.nonzero(inside)[1], w)
+        inside = (np.linalg.norm(resid, axis=2) <= np.broadcast_to(tol, (C.shape[0], 1))[b]) & on[b] | base[b]
+        masses[s : s + step] = _exact_masses(inside.sum(axis=1), np.flatnonzero(inside), w[b].ravel())
     return masses
 
 
-def _check_exact(merged: EmpiricalSample, rep, a0: float, d: int) -> DomainReport:
-    X = merged.points
-    w = merged.weights
-    tol = POINT_RTOL * _point_scale(X)
+def _check_exact(points: np.ndarray, weights: np.ndarray, a0: float, budget) -> list[DomainReport]:
+    """Exact reports for a checked (R, n, d) stack, weights already divided by their sums."""
+    R, _, d = points.shape
+    if not a0 > d:
+        raise ValueError(f"need a0 > d, got a0={a0} with d={d}")
+    X, w, rep, sizes = _merge(points, weights)
+    w = _normalized(w, sizes)  # again, as the EmpiricalSample of merged() does
+    for r, m in enumerate(sizes.tolist()):
+        if _subset_count(m, d - 1) > budget:
+            raise EnumerationBudgetError(("" if R == 1 else f"sample {r}: ") + f"exact enumeration over {m} distinct"
+                                         f" points in d={d} exceeds budget={budget}; use method='randomized'")
+    # each sample padded to the largest merged size with zero points of zero weight
+    valid = np.arange(sizes.max()) < sizes[:, None]
+    Xp, wp = np.zeros(valid.shape + (d,)), np.zeros(valid.shape)
+    Xp[valid], wp[valid] = X, w
+    tol = POINT_RTOL * _point_scale(Xp)
 
-    cands = []
-    at_origin = np.linalg.norm(X, axis=1) <= tol
-    cands.append((float(w[at_origin].sum()), 1.0 - d / a0, 0, ()))
-
+    at_origin = (np.linalg.norm(Xp, axis=2) <= tol[:, None]) & valid
+    origin = _exact_masses(at_origin.sum(axis=1), np.flatnonzero(at_origin), wp.ravel())
     # lines (one point, no fixed points) up to hyperplanes (d - 1 points)
-    for size in range(1, d):
-        found = _heaviest_span(X, w, size, tol)
-        if found is not None:
-            mass, subset = found
-            witness = tuple(int(rep[i]) for i in subset)
-            cands.append((mass, 1.0 - (d - size) / a0, size, witness))
-
-    mass, threshold, dim, witness = _best_candidate(cands)
-    member = mass < threshold - EQ_TOL
-    return DomainReport(
-        member=member,
-        a0=a0,
-        worst_subspace_dim=dim,
-        worst_mass=mass,
-        threshold=threshold,
-        witness_points=witness,
-        exact=True,
-    )
+    spans = [_heaviest_span(Xp, wp, valid, size, tol) for size in range(1, d)]
+    reports, starts = [], np.cumsum(sizes) - sizes
+    for r in range(R):
+        cands = [(float(origin[r]), 1.0 - d / a0, 0, ())]
+        for size, (mass, subset) in enumerate(spans, start=1):
+            if subset[r] is not None:
+                witness = tuple(int(rep[starts[r] + i]) for i in subset[r])
+                cands.append((float(mass[r]), 1.0 - (d - size) / a0, size, witness))
+        mass, threshold, dim, witness = _best_candidate(cands)
+        reports.append(DomainReport(member=mass < threshold - EQ_TOL, a0=a0, worst_subspace_dim=dim,
+                                    worst_mass=mass, threshold=threshold, witness_points=witness))
+    return reports
 
 
-def _check_randomized(
-    merged: EmpiricalSample, rep, a0: float, d: int, projections: int, seed: int, budget: int
-) -> DomainReport:
+def _check_randomized(merged: EmpiricalSample, rep, a0: float, d: int, projections: int, seed: int) -> DomainReport:
     rng = np.random.default_rng(seed)
     k = min(d, 4)
     for _ in range(projections):
@@ -477,28 +554,14 @@ def _check_randomized(
         # thresholds 1 - codim/a0 depend only on codimension, which the
         # preimage of a projected subspace preserves, so the projected check
         # runs with the same a0: any violation it finds is certified upstairs.
-        sub = _check_exact(*proj.merged(), a0=a0, d=k)
+        sub = _check_exact(proj.points[None], proj.weights[None], a0, math.inf)[0]
         if not sub.member:
             updim = d - (k - (sub.worst_subspace_dim or 0))
-            witness = tuple(int(rep[i]) for i in sub.witness_points)
-            return DomainReport(
-                member=False,
-                a0=a0,
-                worst_subspace_dim=updim,
-                worst_mass=sub.worst_mass,
-                threshold=1.0 - (d - updim) / a0,
-                witness_points=witness,
-                exact=False,
-            )
-    return DomainReport(
-        member=True,
-        a0=a0,
-        worst_subspace_dim=None,
-        worst_mass=0.0,
-        threshold=1.0 - d / a0,
-        witness_points=(),
-        exact=False,
-    )
+            return DomainReport(member=False, a0=a0, worst_subspace_dim=updim, worst_mass=sub.worst_mass,
+                                threshold=1.0 - (d - updim) / a0,
+                                witness_points=tuple(int(rep[i]) for i in sub.witness_points), exact=False)
+    return DomainReport(member=True, a0=a0, worst_subspace_dim=None, worst_mass=0.0,
+                        threshold=1.0 - d / a0, exact=False)
 
 
 def check_locscat_domain(sample: EmpiricalSample, a0: float, **kwargs) -> DomainReport:
@@ -513,14 +576,4 @@ def check_locscat_domain(sample: EmpiricalSample, a0: float, **kwargs) -> Domain
     d = sample.d
     if not a0 > d + 1:
         raise ValueError(f"need a0 > d + 1, got a0={a0} with d={d}")
-    rpt = check_scatter_domain(lift(sample), a0, **kwargs)
-    dim = None if rpt.worst_subspace_dim is None else max(rpt.worst_subspace_dim - 1, 0)
-    return DomainReport(
-        member=rpt.member,
-        a0=a0,
-        worst_subspace_dim=dim,
-        worst_mass=rpt.worst_mass,
-        threshold=rpt.threshold,
-        witness_points=rpt.witness_points,
-        exact=rpt.exact,
-    )
+    return _affine_report(check_scatter_domain(lift(sample), a0, **kwargs))

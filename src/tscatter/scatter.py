@@ -191,10 +191,11 @@ def _newton_candidates(L, Z, s, w, nu: float, M):
 def _sample_bytes(n: int, d: int) -> int:
     """Scratch memory one sample of an (R, n, d) stack takes in the solver loop.
 
-    Per point: the data, three whitened copies and the one kept, quadratic
-    forms and weights, and the two outer-product rows of the Newton system.
+    Per point: the data and its transposed copy, three whitened copies and
+    the one kept, quadratic forms and weights, and its column of the
+    coordinate-major (K, n) outer-product rows of the Newton system.
     """
-    return 8 * n * (6 * d + 2 * sym_dim(d) + 10)
+    return 8 * n * (6 * d + sym_dim(d) + 10)
 
 
 def solve_scatter(

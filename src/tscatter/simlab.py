@@ -3,9 +3,10 @@
 Replicates draw i.i.d. samples from a configured law, fit the scatter or
 location-scatter functional, and compare the empirical covariance of
 sqrt(n) * (vectorized estimate - functional) against the analytic asymptotic
-covariance. Replicate RNG streams are keyed by (seed, replicate index), and
-the in-domain replicates are fitted together as stacks of one solver loop,
-so reports are bit-identical across runs.
+covariance. Replicate RNG streams are keyed by (seed, replicate index). Each
+chunk of replicates is domain-checked as one stack (lifted first for
+location-scatter) and its in-domain replicates are fitted as one stack of
+the solver loop, so reports are bit-identical across runs and chunk sizes.
 
 For discrete target laws the functional and its covariance are computed
 exactly from the law itself; for continuous laws they are estimated from one
@@ -25,9 +26,10 @@ from .domain_check import (
     BLOCK_BYTES,
     DomainReport,
     EmpiricalSample,
+    _affine_report,
     check_locscat_domain,
     check_scatter_domain,
-    lift,
+    check_scatter_domain_stack,
 )
 from .exceptions import DomainViolation, EnumerationBudgetError
 from .locscatter import certify_lifted_fit, solve_locscatter
@@ -214,27 +216,29 @@ def _replicate_thetas(sampler: Sampler, cfg: ScatterConfig, n: int, mode: str, r
     """Vectorized estimate of each replicate in ``reps``, or its failing domain report.
 
     Replicates are drawn, checked and fitted in chunks whose solver scratch
-    stays near ``BLOCK_BYTES``; the in-domain draws of a chunk are fitted
-    together as one stack, each as drawn, with uniform weights. A failing
-    report's witness indices are rows of the draw.
+    stays near ``BLOCK_BYTES``: each chunk's draws are domain-checked as one
+    stack (lifted, and weighted as ``lift`` weighs one draw, in locscatter
+    mode) and its in-domain draws fitted as one stack, each as drawn, with
+    uniform weights. A failing report's witness indices are rows of the draw.
     """
     d = sampler.dim
     lifted = mode == "locscatter"
-    check = check_locscat_domain if lifted else check_scatter_domain
     solve_cfg = dataclasses.replace(cfg, nu=cfg.nu - 1.0) if lifted else cfg
     chunk = max(1, BLOCK_BYTES // _sample_bytes(n, d + lifted))
     outcomes = []
     for first in range(reps.start, reps.stop, chunk):
-        draws = [EmpiricalSample(sampler.draw(n, sampler.rng_for(rep)))
-                 for rep in range(first, min(first + chunk, reps.stop))]
-        found = [check(sample, cfg.nu + d) for sample in draws]
+        chunk_reps = range(first, min(first + chunk, reps.stop))
+        draws = np.stack([sampler.draw(n, sampler.rng_for(rep)) for rep in chunk_reps]) + 0.0  # no -0.0
+        points = np.concatenate([draws, np.ones(draws.shape[:2] + (1,))], axis=2) if lifted else draws
+        weights = np.full(draws.shape[:2], 1.0 / n)
+        found = check_scatter_domain_stack(points, weights if lifted else None, cfg.nu + d)
+        found = [_affine_report(report) for report in found] if lifted else found
         inside = [i for i, report in enumerate(found) if report.member]
         if inside:
-            points = np.stack([(lift(draws[i]) if lifted else draws[i]).points for i in inside])
-            fits = solve_scatter_stack(points, np.full(points.shape[:2], 1.0 / n), solve_cfg)
+            fits = solve_scatter_stack(points[inside], weights[inside], solve_cfg)
             for i, fit in zip(inside, fits):
                 found[i] = (
-                    _locscat_theta(certify_lifted_fit(draws[i], cfg.nu, fit)) if lifted
+                    _locscat_theta(certify_lifted_fit(EmpiricalSample(draws[i]), cfg.nu, fit)) if lifted
                     else sym_to_vec(fit.A.mat)
                 )
         outcomes += found

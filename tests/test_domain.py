@@ -11,6 +11,7 @@ from tscatter import (
     EnumerationBudgetError,
     check_locscat_domain,
     check_scatter_domain,
+    check_scatter_domain_stack,
     lift,
     max_atom,
 )
@@ -523,3 +524,141 @@ class TestProjectAndGroup:
         got = check_scatter_domain(q, d + 1.0)
         assert got == check_scatter_domain_loop(q, d + 1.0)
         assert got.worst_subspace_dim == 1 and np.isclose(got.worst_mass, 5 / 9)
+
+
+def _stack_member(kind, d, n, rng):
+    """n points in R^d for one sample of a stack: a law of ``_law``'s kinds or a grouping edge case."""
+    if kind == "not_one_line":
+        # as in TestProjectAndGroup: k*u and a point 0.7 tol off u, whose line misses the rest
+        u = rng.standard_normal(d)
+        u *= 0.2 * np.sign(u[0]) / np.linalg.norm(u)
+        normal = np.linalg.svd(u[None])[2][-1]
+        others = rng.standard_normal((n, d))
+        others *= 0.9 / np.linalg.norm(others, axis=1).max()
+        return np.vstack([np.outer(np.arange(1.0, 6.0), u), u + 0.7e-9 * normal, others])[:n]
+    if kind == "circle_ends":
+        # a line whose directions fall at both ends of the circle of lines
+        axis = domain_check._plane(d)[:, 0]
+        return np.vstack([np.outer([1.0, 2.0, -1.0, -2.0, 3.0], axis), rng.standard_normal((n, d))])[:n]
+    return _law(kind, d, n, False, int(rng.integers(2**32))).points
+
+
+STACKS = st.tuples(
+    st.lists(st.sampled_from(["gaussian", "lattice", "line", "plane", "origin", "not_one_line", "circle_ends"]),
+             min_size=1, max_size=6),   # the kind of each sample
+    st.integers(2, 5),                  # dimension of the check
+    st.booleans(),                      # lifted: every point is (y, 1)
+    st.integers(2, 12),                 # points per sample before merging (at most 10 in d = 5)
+    st.sampled_from(["none", "uniform", "dirichlet", "zeros"]),
+    st.sampled_from([None, 1, 2, 3, 5]),  # fixed tuples per block of the widest sample
+    st.integers(0, 2**32 - 1),
+    st.floats(0.05, 3.0),               # a0 above its minimum
+)
+
+
+class TestStack:
+    """The stacked exact check returns each sample's own report, field for field."""
+
+    @settings(max_examples=250, deadline=None)
+    @given(STACKS)
+    def test_matches_one_sample_at_a_time(self, case):
+        kinds, d, lifted, n, weighting, per_block, seed, extra = case
+        rng = np.random.default_rng(seed)
+        n = min(n, 10) if d == 5 else n
+        P = np.stack([_stack_member(kind, d - lifted, n, rng) for kind in kinds])
+        if lifted:
+            P = np.concatenate([P, np.ones(P.shape[:2] + (1,))], axis=2)
+        W = {"none": None, "uniform": np.full(P.shape[:2], 1.0 / n)}.get(weighting)
+        if weighting != "none" and W is None:
+            W = rng.dirichlet(np.ones(n), size=len(kinds))
+            if weighting == "zeros":
+                W[rng.random(W.shape) < 0.3] = 0.0
+                W[:, 0] += W.sum(axis=1) == 0.0
+                W /= W.sum(axis=1, keepdims=True)
+        with pytest.MonkeyPatch.context() as mp:
+            if per_block:
+                # blocks of a few rows: one sample's fixed tuples split across
+                # blocks, and the line pass puts several samples in one block
+                m = max(EmpiricalSample(p).merged()[0].n for p in P)
+                mp.setattr(domain_check, "BLOCK_BYTES", 8 * m * (d + 16) * per_block)
+            got = check_scatter_domain_stack(P, W, d + extra)
+            want = [check_scatter_domain(EmpiricalSample(p, None if W is None else W[r]), d + extra)
+                    for r, p in enumerate(P)]
+        assert got == want
+
+    def test_merged_sizes_are_ragged(self):
+        # duplicate-heavy draws merge to different sizes, padded in the stack
+        rng = np.random.default_rng(97)
+        P = np.stack([rng.integers(-1, 2, size=(30, 3)).astype(float) for _ in range(4)])
+        P[1] = P[1, 0]          # one atom
+        P[2, 10:] = P[2, :20]   # copies of its own rows
+        sizes = [EmpiricalSample(p).merged()[0].n for p in P]
+        assert len(set(sizes)) > 2 and min(sizes) == 1
+        assert check_scatter_domain_stack(P, None, 4.5) == [check_scatter_domain(EmpiricalSample(p), 4.5) for p in P]
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_padding_is_inside_no_span(self, seed):
+        # the second sample merges to 14 points, so the stack pads it by 6;
+        # its group along u is not one line (k*u for k = 1..9, |9u| = 1, and
+        # one point 0.7 tol off u), so each member's span is summed on its
+        # own, over 10 points: zero-weight padding counted inside would move
+        # numpy's pairwise grouping and, for some weights, the sum
+        rng = np.random.default_rng(seed)
+        d = 2 + seed % 2
+        u = rng.standard_normal(d)
+        u *= np.sign(u[0]) / (9 * np.linalg.norm(u))
+        normal = np.linalg.svd(u[None])[2][-1]
+        narrow = np.vstack([np.outer(np.arange(1.0, 10.0), u), u + 0.7e-9 * normal, 0.1 * rng.standard_normal((4, d))])
+        P = np.stack([rng.standard_normal((20, d)), np.vstack([narrow, narrow[:6]])])
+        W = rng.dirichlet(np.ones(20), size=2)
+        got = check_scatter_domain_stack(P, W, d + 0.5)
+        assert got == [check_scatter_domain(EmpiricalSample(p, w), d + 0.5) for p, w in zip(P, W)]
+
+    def test_each_sample_keeps_its_own_tolerance(self):
+        # one law at scales 1 and 1e6, which share the line pass's block: a
+        # point 0.5 tol off the line through u lies on it only under its own
+        # sample's tolerance (1e-9 times the largest norm)
+        rng = np.random.default_rng(109)
+        u = np.array([0.6, 0.8])
+        line = np.outer([1.0, 2.0, -1.0, 3.0], u)  # |3u| = 3 is the largest norm
+        p = np.vstack([line, u + 1.5e-9 * np.array([0.8, -0.6]), rng.uniform(-1.0, 1.0, (3, 2))])
+        for P in (np.stack([p, 1e6 * p]), np.stack([1e6 * p, p])):
+            got = check_scatter_domain_stack(P, None, 2.5)
+            assert got == [check_scatter_domain(EmpiricalSample(q), 2.5) for q in P]
+            assert got[0].worst_mass == got[1].worst_mass == 5 / 8
+
+    def test_stack_of_one_is_check_scatter_domain(self):
+        q = _law("plane", 4, 11, True, 101)
+        assert check_scatter_domain_stack(q.points[None], q.weights[None], 5.0) == [check_scatter_domain(q, 5.0)]
+
+    def test_rejects_bad_input(self):
+        P = np.random.default_rng(103).standard_normal((2, 5, 3))
+        W = np.full((2, 5), 0.2)
+        for bad in ([P[0], P[1, :4]], P[0], np.zeros((2, 0, 3))):  # ragged, not a stack, empty samples
+            with pytest.raises(ValueError):
+                check_scatter_domain_stack(bad, None, 4.0)
+        for value in (np.nan, np.inf):
+            Q = P.copy()
+            Q[1, 2, 0] = value
+            with pytest.raises(ValueError):
+                check_scatter_domain_stack(Q, W, 4.0)
+        # the row of the second sample only, or the shape
+        bad_rows = [W[:, :4], np.where(np.eye(2, 5, -1) > 0, np.nan, W), W * [[1.0], [1.5]],
+                    W + [[0.0] * 5, [0.0, 0.0, 0.0, 0.3, -0.3]]]
+        for weights in bad_rows:
+            with pytest.raises(ValueError):
+                check_scatter_domain_stack(P, weights, 4.0)
+        with pytest.raises(ValueError):
+            check_scatter_domain_stack(P, W, 3.0)  # a0 must exceed d
+
+    def test_budget_covers_every_sample(self):
+        # 2000 distinct points in d = 3 need 2000 + C(2000, 2) > DEFAULT_BUDGET
+        # subsets; the stack refuses before checking any sample
+        rng = np.random.default_rng(107)
+        few = rng.standard_normal((4, 3))[np.arange(2000) % 4]
+        P = np.stack([few, rng.standard_normal((2000, 3))])
+        assert check_scatter_domain(EmpiricalSample(P[0]), 4.0).exact
+        with pytest.raises(EnumerationBudgetError, match="sample 1"):
+            check_scatter_domain_stack(P, None, 4.0)
+        with pytest.raises(EnumerationBudgetError, match="sample 0"):
+            check_scatter_domain_stack(P[::-1], None, 4.0)

@@ -2,10 +2,13 @@ import numpy as np
 import pytest
 
 from tscatter import (
+    DomainViolation,
     EmpiricalSample,
     ScatterConfig,
     asymptotic_cov_locscatter,
     check_class_constraint,
+    check_locscat_domain,
+    check_scatter_domain,
     contaminated_sampler,
     discrete_sampler,
     fit_loglog_slope,
@@ -13,7 +16,9 @@ from tscatter import (
     influence,
     run_clt_experiment,
     run_consistency_sweep,
+    solve_locscatter,
     solve_scatter,
+    sym_to_vec,
     t_sampler,
 )
 import tscatter
@@ -169,6 +174,80 @@ class TestStackedReplicates:
                 monkeypatch.setattr(mod, "solve_scatter", counted)
         run_clt_experiment(s, 3.0, n=12, reps=4, mode=mode)
         assert calls.count(law.n) == 1
+
+
+def replicates_one_at_a_time(sampler, cfg, n, mode, reps):
+    """Oracle for ``simlab._replicate_thetas``: each replicate checked and fitted on its own."""
+    out = []
+    for rep in reps:
+        q = EmpiricalSample(sampler.draw(n, sampler.rng_for(rep)))
+        check = check_locscat_domain if mode == "locscatter" else check_scatter_domain
+        report = check(q, cfg.nu + q.d)
+        if not report.member:
+            out.append(report)
+        elif mode == "locscatter":
+            out.append(simlab._locscat_theta(solve_locscatter(q, cfg.nu, cfg, check_domain=False)))
+        else:
+            out.append(sym_to_vec(solve_scatter(q, cfg, check_domain=False).A.mat))
+    return out
+
+
+class TestStackedDomainChecks:
+    @pytest.mark.parametrize("mode", ["scatter", "locscatter"])
+    def test_one_stacked_check_per_chunk(self, monkeypatch, mode):
+        # a near-boundary law, so chunks hold replicates on both sides of the domain
+        pts, _ = four_point_arrays()
+        s = discrete_sampler(pts, np.array([0.372, 0.372, 0.128, 0.128]), seed=3)
+        n, cfg = 300, ScatterConfig(nu=2.0)
+        monkeypatch.setattr(simlab, "BLOCK_BYTES", 7 * scatter._sample_bytes(n, 2 + (mode == "locscatter")))
+        stacks = []
+        stacked = simlab.check_scatter_domain_stack
+
+        def spy(points, weights, a0):
+            stacks.append(points.shape[0])
+            return stacked(points, weights, a0)
+
+        def alone(*args, **kwargs):
+            raise AssertionError("a replicate was domain-checked on its own")
+
+        monkeypatch.setattr(simlab, "check_scatter_domain_stack", spy)
+        monkeypatch.setattr(simlab, "check_scatter_domain", alone)
+        monkeypatch.setattr(simlab, "check_locscat_domain", alone)
+        got = simlab._replicate_thetas(s, cfg, n, mode, range(40))
+        assert stacks == [7, 7, 7, 7, 7, 5]
+        want = replicates_one_at_a_time(s, cfg, n, mode, range(40))
+        assert [type(g) for g in got] == [type(w) for w in want]
+        assert 0 < sum(isinstance(w, np.ndarray) for w in want) < 40
+        for g, w in zip(got, want):
+            if isinstance(w, np.ndarray):
+                assert np.abs(g - w).max() <= 1e-12 * np.abs(w).max()
+            else:
+                assert g == w
+
+    @pytest.mark.parametrize("mode", ["scatter", "locscatter"])
+    def test_report_matches_checking_each_replicate_alone(self, monkeypatch, mode):
+        pts, _ = four_point_arrays()
+        s = discrete_sampler(pts, np.array([0.372, 0.372, 0.128, 0.128]), seed=4)
+        got = run_clt_experiment(s, 2.0, n=300, reps=60, mode=mode)
+        monkeypatch.setattr(simlab, "_replicate_thetas", replicates_one_at_a_time)
+        want = run_clt_experiment(s, 2.0, n=300, reps=60, mode=mode)
+        assert 0.0 < want.existence_rate < 1.0
+        assert got.existence_rate == want.existence_rate
+        ref = want.empirical_cov
+        assert np.abs(got.empirical_cov - ref).max() <= 1e-12 * np.abs(ref).max()
+
+    @pytest.mark.parametrize("mode", ["scatter", "locscatter"])
+    def test_failing_report_matches_checking_each_replicate_alone(self, monkeypatch, mode):
+        # a draw of one point puts all its mass on a line (an atom, affinely)
+        pts, w = four_point_arrays()
+        s = discrete_sampler(pts, w, seed=6)
+        with pytest.raises(DomainViolation) as got:
+            run_clt_experiment(s, 2.0, n=1, reps=5, mode=mode)
+        monkeypatch.setattr(simlab, "_replicate_thetas", replicates_one_at_a_time)
+        with pytest.raises(DomainViolation) as want:
+            run_clt_experiment(s, 2.0, n=1, reps=5, mode=mode)
+        assert not want.value.report.member
+        assert got.value.report == want.value.report
 
 
 class TestContaminationBias:
