@@ -65,13 +65,13 @@ class AsymptoticCov:
 
     ``parametrization`` is ``"scatter_A"`` (coordinates sym_to_vec(A)) or
     ``"locscatter_muSigma"`` (mu stacked over sym_to_vec(Sigma)). ``rank`` is
-    the numerical rank at ``rank_tol`` relative to the largest singular value.
+    the numerical rank at ``DEFAULT_RANK_TOL`` relative to the largest
+    singular value.
     """
 
     S: np.ndarray
     rank: int
     parametrization: str
-    rank_tol: float = DEFAULT_RANK_TOL
 
 
 def score(y, A, nu: float) -> np.ndarray:
@@ -135,18 +135,17 @@ def influence(y, sample: EmpiricalSample, nu: float, *, fit=None, hess=None) -> 
     return symmetrize(A.mat @ dC @ A.mat, rtol=1e-9)
 
 
-def _numerical_rank(S: np.ndarray, rank_tol: float) -> int:
+def _numerical_rank(S: np.ndarray) -> int:
     sv = np.linalg.svd(S, compute_uv=False)
     if sv.size == 0 or sv[0] <= 0.0:
         return 0
-    return int((sv > rank_tol * sv[0]).sum())
+    return int((sv > DEFAULT_RANK_TOL * sv[0]).sum())
 
 
 def asymptotic_cov_scatter(
     sample: EmpiricalSample,
     nu: float,
     *,
-    rank_tol: float = DEFAULT_RANK_TOL,
     fit=None,
     check_domain: bool = True,
 ) -> AsymptoticCov:
@@ -176,12 +175,7 @@ def asymptotic_cov_scatter(
     Sc = 2.0 * cho_solve(factor, half.T).T     # (H/2)^{-1} K (H/2)^{-1}
     J = congruence_matrix(A.mat)
     S = symmetrize(J @ Sc @ J.T, rtol=1e-6)
-    return AsymptoticCov(
-        S=S,
-        rank=_numerical_rank(S, rank_tol),
-        parametrization="scatter_A",
-        rank_tol=rank_tol,
-    )
+    return AsymptoticCov(S=S, rank=_numerical_rank(S), parametrization="scatter_A")
 
 
 def extract_jacobian(A) -> np.ndarray:
@@ -214,7 +208,6 @@ def asymptotic_cov_locscatter(
     sample: EmpiricalSample,
     nu: float,
     *,
-    rank_tol: float = DEFAULT_RANK_TOL,
     fit=None,
     check_domain: bool = True,
 ) -> AsymptoticCov:
@@ -227,12 +220,7 @@ def asymptotic_cov_locscatter(
     """
     est = fit if fit is not None else solve_locscatter(sample, nu, check_domain=check_domain)
     fit = est.scatter_diag
-    S_lift = asymptotic_cov_scatter(lift(sample), est.nu - 1.0, rank_tol=rank_tol, fit=fit)
+    S_lift = asymptotic_cov_scatter(lift(sample), est.nu - 1.0, fit=fit)
     J = extract_jacobian(fit.A)
     S = symmetrize(J @ S_lift.S @ J.T, rtol=1e-6)
-    return AsymptoticCov(
-        S=S,
-        rank=_numerical_rank(S, rank_tol),
-        parametrization="locscatter_muSigma",
-        rank_tol=rank_tol,
-    )
+    return AsymptoticCov(S=S, rank=_numerical_rank(S), parametrization="locscatter_muSigma")

@@ -5,8 +5,8 @@ Subcommands: ``estimate`` (location-scatter), ``scatter`` (pure scatter),
 a versioned envelope ``{"version": "v1", "command", "timing_ms", "payload",
 "warnings"}``; the payload schema ships in ``docs/result_schema.json``.
 
-Exit codes: 0 success, 1 usage or input error, 2 domain violation (with a
-structured report in the payload), 3 numerical failure.
+Exit codes: 0 success, 1 usage, input or output error, 2 domain violation
+(with a structured report in the payload), 3 numerical failure.
 """
 
 from __future__ import annotations
@@ -17,12 +17,12 @@ import io
 import json
 import sys
 import time
-from dataclasses import dataclass
+from dataclasses import asdict
 
 import numpy as np
 
 from .asymptotics import asymptotic_cov_locscatter, asymptotic_cov_scatter
-from .domain_check import DomainReport, EmpiricalSample, check_locscat_domain, check_scatter_domain
+from .domain_check import EmpiricalSample, check_locscat_domain, check_scatter_domain
 from .exceptions import (
     CsvParseError,
     DegeneracyError,
@@ -35,7 +35,7 @@ from .oned import solve_oned
 from .scatter import ScatterConfig, solve_scatter
 from .simlab import discrete_sampler, run_clt_experiment
 
-__all__ = ["RunConfig", "ingest_csv", "dispatch", "main"]
+__all__ = ["ingest_csv", "dispatch", "main"]
 
 SCHEMA_VERSION = "v1"
 
@@ -43,29 +43,6 @@ EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_DOMAIN = 2
 EXIT_NUMERICAL = 3
-
-
-@dataclass(frozen=True)
-class RunConfig:
-    command: str
-    nu: float
-    input_path: str
-    tol: float = 1e-10
-    max_iter: int = 500
-    seed: int = 0
-    output: str | None = None
-    format: str = "json"
-    mode: str = "locscatter"       # check-domain / asymptotics / simulate target
-    n: int = 1000                  # simulate: per-replicate sample size
-    reps: int = 200                # simulate: replicate count
-
-    def __post_init__(self):
-        if not self.nu > 0.0:
-            raise ValueError("nu must be positive")
-        if self.command in ("estimate", "oned") and not self.nu > 1.0:
-            raise ValueError(f"{self.command} requires nu > 1")
-        if self.format not in ("json", "csv"):
-            raise ValueError(f"unknown format {self.format!r}")
 
 
 def ingest_csv(source) -> EmpiricalSample:
@@ -156,35 +133,20 @@ def _round_trip(obj):
     return obj
 
 
-def _report_payload(report: DomainReport) -> dict:
-    return {
-        "member": report.member,
-        "a0": report.a0,
-        "worst_subspace_dim": report.worst_subspace_dim,
-        "worst_mass": report.worst_mass,
-        "threshold": report.threshold,
-        "witness_points": report.witness_points,
-        "exact": report.exact,
-    }
-
-
-def _cov_payload(cov) -> dict:
-    return {"S": cov.S, "rank": cov.rank, "parametrization": cov.parametrization}
-
-
-def dispatch(cfg: RunConfig) -> tuple[dict, list[str]]:
-    """Run one command against its input sample; return its payload and warnings.
+def dispatch(args: argparse.Namespace) -> tuple[dict, list[str]]:
+    """Run one command parsed by ``build_parser``; return its payload and warnings.
 
     Payload values may still be numpy objects; :func:`main` encodes them.
+    Settings out of range raise ``ValueError`` downstream: ``ScatterConfig``
+    rejects nu <= 0, tol <= 0 and max-iter < 1 for every command, and the
+    location-scatter and 1-D functionals raise ``NuOutOfRange`` for nu <= 1.
     """
     warnings: list[str] = []
+    scfg = ScatterConfig(nu=args.nu, tol_grad=args.tol, max_iter=args.max_iter)
+    sample = ingest_csv(sys.stdin if args.input == "-" else args.input)
 
-    sample = ingest_csv(sys.stdin if cfg.input_path == "-" else cfg.input_path)
-
-    scfg = ScatterConfig(nu=cfg.nu, tol_grad=cfg.tol, max_iter=cfg.max_iter)
-
-    if cfg.command == "estimate":
-        est = solve_locscatter(sample, cfg.nu, scfg)
+    if args.command == "estimate":
+        est = solve_locscatter(sample, args.nu, scfg)
         if not est.converged:
             warnings.append("estimate did not meet its convergence certificates")
         payload = {
@@ -198,7 +160,7 @@ def dispatch(cfg: RunConfig) -> tuple[dict, list[str]]:
             "newton_steps": est.scatter_diag.newton_steps,
             "grad_norm": est.scatter_diag.grad_norm,
         }
-    elif cfg.command == "scatter":
+    elif args.command == "scatter":
         result = solve_scatter(sample, scfg)
         if not result.converged:
             warnings.append("solver stopped before meeting the gradient tolerance")
@@ -212,19 +174,19 @@ def dispatch(cfg: RunConfig) -> tuple[dict, list[str]]:
             "converged": result.converged,
             "stop_reason": result.stop_reason,
         }
-    elif cfg.command == "check-domain":
-        check = check_scatter_domain if cfg.mode == "scatter" else check_locscat_domain
-        payload = {**_report_payload(check(sample, cfg.nu + sample.d)), "target": cfg.mode}
-    elif cfg.command == "asymptotics":
-        cov = asymptotic_cov_scatter if cfg.mode == "scatter" else asymptotic_cov_locscatter
-        payload = _cov_payload(cov(sample, cfg.nu))
-    elif cfg.command == "oned":
-        est = solve_oned(sample, cfg.nu)
+    elif args.command == "check-domain":
+        check = check_scatter_domain if args.mode == "scatter" else check_locscat_domain
+        payload = {**asdict(check(sample, args.nu + sample.d)), "target": args.mode}
+    elif args.command == "asymptotics":
+        cov = asymptotic_cov_scatter if args.mode == "scatter" else asymptotic_cov_locscatter
+        payload = asdict(cov(sample, args.nu))
+    elif args.command == "oned":
+        est = solve_oned(sample, args.nu)
         payload = {"mu": est.mu, "sigma": est.sigma, "boundary": est.boundary, "atom": est.atom}
-    elif cfg.command == "simulate":
-        sampler = discrete_sampler(sample.points, sample.weights, cfg.seed)
+    elif args.command == "simulate":
+        sampler = discrete_sampler(sample.points, sample.weights, args.seed)
         report = run_clt_experiment(
-            sampler, cfg.nu, n=cfg.n, reps=cfg.reps, mode=cfg.mode, cfg=scfg
+            sampler, args.nu, n=args.n, reps=args.reps, mode=args.mode, cfg=scfg
         )
         warnings.extend(report.warnings)
         payload = {
@@ -233,18 +195,18 @@ def dispatch(cfg: RunConfig) -> tuple[dict, list[str]]:
             "mode": report.mode,
             "seed": report.seed,
             "empirical_cov": report.empirical_cov,
-            "target_cov": _cov_payload(report.target_cov),
+            "target_cov": asdict(report.target_cov),
             "max_rel_err": report.max_rel_err,
             "normality_stat": report.normality_stat,
             "existence_rate": report.existence_rate,
         }
     else:
-        raise ValueError(f"unknown command {cfg.command!r}")
+        raise ValueError(f"unknown command {args.command!r}")
     return payload, warnings
 
 
-def _emit(envelope: dict, cfg: RunConfig):
-    if cfg.format == "csv":
+def _emit(envelope: dict, args: argparse.Namespace):
+    if args.format == "csv":
         buf = io.StringIO()
         writer = csv.writer(buf)
         writer.writerow(["key", "value"])
@@ -254,8 +216,8 @@ def _emit(envelope: dict, cfg: RunConfig):
         text = buf.getvalue()
     else:
         text = json.dumps(envelope, indent=2) + "\n"
-    if cfg.output and cfg.output != "-":
-        with open(cfg.output, "w", encoding="utf-8") as fh:
+    if args.output and args.output != "-":
+        with open(args.output, "w", encoding="utf-8") as fh:
             fh.write(text)
     else:
         sys.stdout.write(text)
@@ -286,7 +248,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="tscatter", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p, needs_seed=False):
+    def add_common(p):
         p.add_argument("input", help="CSV path, or '-' for stdin")
         p.add_argument("--nu", type=float, required=True, help="tail parameter")
         p.add_argument("--tol", type=float, default=1e-10,
@@ -321,50 +283,35 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    try:
-        cfg = RunConfig(
-            command=args.command,
-            nu=args.nu,
-            input_path=args.input,
-            tol=args.tol,
-            max_iter=args.max_iter,
-            seed=args.seed,
-            output=args.output,
-            format=args.format,
-            mode=getattr(args, "mode", "locscatter"),
-            n=getattr(args, "n", 1000),
-            reps=getattr(args, "reps", 200),
-        )
-    except ValueError as exc:
-        sys.stderr.write(f"tscatter: error: {exc}\n")
-        return EXIT_USAGE
-
+    args = build_parser().parse_args(argv)
     start = time.perf_counter()
     warnings: list[str] = []
     try:
-        payload, warnings = dispatch(cfg)
+        payload, warnings = dispatch(args)
         code = EXIT_OK
     except DomainViolation as exc:
-        payload = {"error": "domain_violation", "report": _report_payload(exc.report)}
+        payload = {"error": "domain_violation", "report": asdict(exc.report)}
         warnings = [str(exc)]
         code = EXIT_DOMAIN
     except (NumericalBreakdown, NotSpdError, DegeneracyError) as exc:
         payload = {"error": "numerical_failure", "message": str(exc)}
         code = EXIT_NUMERICAL
-    except (CsvParseError, FileNotFoundError, ValueError) as exc:
+    except (CsvParseError, OSError, ValueError) as exc:
         sys.stderr.write(f"tscatter: error: {exc}\n")
         return EXIT_USAGE
 
     envelope = {
         "version": SCHEMA_VERSION,
-        "command": cfg.command,
+        "command": args.command,
         "timing_ms": (time.perf_counter() - start) * 1000.0,
         "payload": _round_trip(payload),
         "warnings": list(warnings),
     }
-    _emit(envelope, cfg)
+    try:
+        _emit(envelope, args)
+    except OSError as exc:
+        sys.stderr.write(f"tscatter: error: {exc}\n")
+        return EXIT_USAGE
     return code
 
 

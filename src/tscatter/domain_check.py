@@ -214,7 +214,6 @@ def check_scatter_domain(
     a0: float,
     *,
     method: str = "exact",
-    budget: int = DEFAULT_BUDGET,
     projections: int = 32,
     seed: int = 0,
 ) -> DomainReport:
@@ -227,8 +226,8 @@ def check_scatter_domain(
     ``method="exact"`` covers every subspace spanned by at most d-1 distinct
     sample points, in any dimension; the only refusal is
     :class:`EnumerationBudgetError` when the number of such subsets, which it
-    does not test one by one, exceeds ``budget``. For each span size s it
-    projects the points off each tuple of s-1 of them and groups the rest by
+    does not test one by one, exceeds ``DEFAULT_BUDGET``. For each span size s
+    it projects the points off each tuple of s-1 of them and groups the rest by
     line through the origin with one sort, about C(m, s-1) * m log m work for m
     distinct points, in blocks whose scratch memory stays within a small
     multiple of ``BLOCK_BYTES`` whatever the sample size (O(m) for lines).
@@ -247,7 +246,7 @@ def check_scatter_domain(
     if not a0 > d:
         raise ValueError(f"need a0 > d, got a0={a0} with d={d}")
     if method == "exact":
-        return _check_exact(sample.points[None], sample.weights[None], a0, budget)[0]
+        return _check_exact(sample.points[None], sample.weights[None], a0, DEFAULT_BUDGET)[0]
     if method == "randomized":
         return _check_randomized(*sample.merged(), a0, d, projections, seed)
     raise ValueError(f"unknown method {method!r}")
@@ -521,7 +520,8 @@ def _check_exact(points: np.ndarray, weights: np.ndarray, a0: float, budget) -> 
     for r, m in enumerate(sizes.tolist()):
         if _subset_count(m, d - 1) > budget:
             raise EnumerationBudgetError(("" if R == 1 else f"sample {r}: ") + f"exact enumeration over {m} distinct"
-                                         f" points in d={d} exceeds budget={budget}; use method='randomized'")
+                                         f" points in d={d} exceeds budget={budget}; non-exact: the library's"
+                                         f" check_scatter_domain(..., method='randomized'), not in the CLI")
     # each sample padded to the largest merged size with zero points of zero weight
     valid = np.arange(sizes.max()) < sizes[:, None]
     Xp, wp = np.zeros(valid.shape + (d,)), np.zeros(valid.shape)

@@ -38,10 +38,11 @@ class NoPositiveSolution(ValueError):
 
 
 class EnumerationBudgetError(ValueError):
-    """Exact subspace enumeration would exceed the configured work budget.
+    """Exact subspace enumeration would exceed its work budget.
 
-    Raised instead of silently running for hours; callers can switch to
-    ``method="randomized"`` for a documented non-exact check.
+    Raised instead of silently running for hours. The documented non-exact
+    check is the library's ``check_scatter_domain(..., method="randomized")``;
+    the CLI has none.
     """
 
 

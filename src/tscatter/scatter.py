@@ -68,16 +68,13 @@ class ScatterConfig:
 
     ``tol_grad`` bounds the whitened gradient norm of a converged fit and
     ``tol_step`` the whitened size of the last step taken (see
-    :func:`solve_scatter_stack`). ``init="second_moment"`` starts from the
-    weighted second-moment matrix (regularized by 1e-8 times its trace),
-    falling back to the identity if that matrix is singular.
+    :func:`solve_scatter_stack`).
     """
 
     nu: float
     tol_grad: float = 1e-10
     tol_step: float = 1e-12
     max_iter: int = 500
-    init: str = "identity"
 
     def __post_init__(self):
         if not self.nu > 0.0:
@@ -86,8 +83,6 @@ class ScatterConfig:
             raise ValueError("tolerances must be positive")
         if self.max_iter < 1:
             raise ValueError("max_iter must be at least 1")
-        if self.init not in ("identity", "second_moment"):
-            raise ValueError(f"unknown init {self.init!r}")
 
 
 @dataclass(frozen=True)
@@ -127,18 +122,6 @@ def weight_u(s, nu: float, d: int):
 def _rho_diff(s, t, nu: float, d: int):
     # rho(s) - rho(t); the log(nu) normalizations cancel
     return 0.5 * (nu + d) * (np.log(nu + s) - np.log(nu + t))
-
-
-def _start(Y, w, cfg: ScatterConfig):
-    """Starting iterates of a stack of samples and their Cholesky factors, each (R, d, d)."""
-    R, _, d = Y.shape
-    B = np.broadcast_to(np.eye(d), (R, d, d)).copy()
-    if cfg.init == "second_moment":
-        M = symmetrize(np.swapaxes(Y * w[..., None], 1, 2) @ Y)
-        M += 1e-8 * np.trace(M, axis1=1, axis2=2)[:, None, None] * np.eye(d)
-        ok = spd_cholesky(M)[1]
-        B[ok] = M[ok]
-    return B, spd_cholesky(B)[0]
 
 
 def _whiten(L, Yt, t, w, nu: float):
@@ -221,7 +204,7 @@ def solve_scatter_stack(points, weights, cfg: ScatterConfig) -> list[ScatterResu
     ``points`` is (R, n, d) and ``weights`` (R, n), each row of weights a
     probability vector; the samples are not domain-checked. Returns one
     :class:`ScatterResult` per sample, in order. Each sample iterates on its
-    own: every iteration whitens it with the Cholesky factor of its iterate
+    own from B = I: every iteration whitens it with the Cholesky factor of its iterate
     B = L L' and forms the whitened MM image M = sum_i w_i u(s_i) z_i z_i'.
     ``grad_norm`` is the whitened gradient (1/2)||L^{-1}(B - L M L')L^{-T}||_F
     = (1/2)||I - M||_F, which does not change when the data are rescaled or
@@ -244,7 +227,7 @@ def solve_scatter_stack(points, weights, cfg: ScatterConfig) -> list[ScatterResu
     eye = np.eye(d)
     Yt = np.ascontiguousarray(np.swapaxes(Y, 1, 2))
     t = np.einsum("rnd,rnd->rn", Y, Y)
-    B, L = _start(Y, w, cfg)
+    B = L = np.tile(eye, (R, 1, 1))  # every sample starts at I, its own Cholesky factor
     Z, s, obj = _whiten(L, Yt, t, w, nu)
 
     ids = np.arange(R)              # stack positions of the samples still iterating

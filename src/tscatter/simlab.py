@@ -51,6 +51,9 @@ __all__ = [
 
 SURROGATE_REPLICATE = 2**31  # reserved substream index for surrogate-truth draws
 
+# max_rel_err compares only target covariance entries larger than this in magnitude
+REL_THRESHOLD = 0.05
+
 
 @dataclass(frozen=True)
 class Sampler:
@@ -156,7 +159,7 @@ class McReport:
 
     ``empirical_cov`` is the covariance across replicates of
     sqrt(n) * (vectorized estimate - functional); ``max_rel_err`` compares it
-    entrywise to ``target_cov.S`` over entries exceeding ``rel_threshold`` in
+    entrywise to ``target_cov.S`` over entries exceeding ``REL_THRESHOLD`` in
     magnitude. ``existence_rate`` is the fraction of replicates passing the
     domain check; only those contribute estimates.
     """
@@ -170,7 +173,6 @@ class McReport:
     max_rel_err: float
     normality_stat: tuple[float, ...]
     existence_rate: float
-    rel_threshold: float
     warnings: tuple[str, ...] = ()
 
 
@@ -252,7 +254,6 @@ def run_clt_experiment(
     reps: int,
     *,
     mode: str = "scatter",
-    rel_threshold: float = 0.05,
     surrogate_n: int = 1_000_000,
     cfg: ScatterConfig | None = None,
 ) -> McReport:
@@ -294,7 +295,7 @@ def run_clt_experiment(
     emp = (emp + emp.T) / 2.0
 
     S = target_cov.S
-    mask = np.abs(S) > rel_threshold
+    mask = np.abs(S) > REL_THRESHOLD
     if mask.any():
         max_rel_err = float(np.max(np.abs(emp[mask] - S[mask]) / np.abs(S[mask])))
     else:
@@ -319,7 +320,6 @@ def run_clt_experiment(
         max_rel_err=max_rel_err,
         normality_stat=tuple(ks),
         existence_rate=existence_rate,
-        rel_threshold=rel_threshold,
         warnings=tuple(warnings),
     )
 

@@ -20,7 +20,6 @@ from tscatter.scatter import (
     ScatterConfig,
     ScatterResult,
     _rho_diff,
-    _start,
     weight_u,
 )
 from tscatter.symspace import SpdMatrix, _layout, as_spd, symmetrize
@@ -307,7 +306,7 @@ def solve_scatter_mm(sample: EmpiricalSample, cfg: ScatterConfig) -> ScatterResu
     Y = sample.points
     w = sample.weights
     t = np.einsum("ij,ij->i", Y, Y)
-    B = SpdMatrix(_start(Y[None], w[None], cfg)[0][0])
+    B = SpdMatrix(np.eye(d))
 
     trace = []
     prev_obj = np.inf

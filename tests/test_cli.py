@@ -198,15 +198,33 @@ class TestUsageErrors:
         assert env is None
         assert "row 2" in capsys.readouterr().err
 
-    def test_missing_file_exit_1(self, tmp_path):
-        code, env = run(["scatter", str(tmp_path / "absent.csv"), "--nu", "2"], tmp_path)
-        assert (code, env) == (cli.EXIT_USAGE, None)
+    def test_missing_file_exit_1(self, cloud2, tmp_path, capsys):
+        # a directory and a path under a file are unreadable too, not missing
+        for path in (tmp_path / "absent.csv", tmp_path, f"{cloud2}/x.csv"):
+            code, env = run(["scatter", str(path), "--nu", "2"], tmp_path)
+            assert (code, env) == (cli.EXIT_USAGE, None), path
+            assert "tscatter: error:" in capsys.readouterr().err
 
-    def test_nu_out_of_range_exit_1(self, cloud2, tmp_path):
-        assert run(["scatter", cloud2, "--nu", "0"], tmp_path) == (cli.EXIT_USAGE, None)
-        assert run(["estimate", cloud2, "--nu", "1"], tmp_path) == (cli.EXIT_USAGE, None)
-        argv = ["asymptotics", cloud2, "--nu", "0.5", "--mode", "locscatter"]
-        assert run(argv, tmp_path) == (cli.EXIT_USAGE, None)
+    def test_nu_out_of_range_exit_1(self, cloud2, tmp_path, capsys):
+        # settings out of range are rejected by the functionals and ScatterConfig
+        for args in (
+            ["scatter", "--nu", "0"],
+            ["estimate", "--nu", "1"],
+            ["asymptotics", "--nu", "0.5", "--mode", "locscatter"],
+            ["oned", "--nu", "1"],
+            ["check-domain", "--nu", "0"],
+            ["simulate", "--nu", "0"],
+            ["scatter", "--nu", "2", "--tol", "0"],
+            ["scatter", "--nu", "2", "--max-iter", "0"],
+        ):
+            assert run(args[:1] + [cloud2] + args[1:], tmp_path) == (cli.EXIT_USAGE, None), args
+            assert "tscatter: error:" in capsys.readouterr().err
+
+    def test_output_into_missing_directory_exit_1(self, cloud2, tmp_path, capsys):
+        out = tmp_path / "absent" / "envelope.json"
+        assert cli.main(["scatter", cloud2, "--nu", "2", "--output", str(out)]) == cli.EXIT_USAGE
+        assert not out.parent.exists()
+        assert "tscatter: error:" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
         "argv",

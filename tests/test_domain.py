@@ -145,12 +145,13 @@ class TestScatterDomain:
         for idx in rpt.witness_points:
             assert pts[idx][1] == 0.0
 
-    def test_budget_guard_and_randomized_fallback(self):
+    def test_budget_guard_and_randomized_fallback(self, monkeypatch):
         rng = np.random.default_rng(31)
         pts = rng.standard_normal((40, 5))  # 102,090 subsets, over a budget of 1000
         q = EmpiricalSample(pts)
-        with pytest.raises(EnumerationBudgetError):
-            check_scatter_domain(q, 7.0, budget=1000)
+        monkeypatch.setattr(domain_check, "DEFAULT_BUDGET", 1000)
+        with pytest.raises(EnumerationBudgetError, match="method='randomized'"):
+            check_scatter_domain(q, 7.0)
         rpt = check_scatter_domain(q, 7.0, method="randomized", seed=3, projections=8)
         assert rpt.member
         assert not rpt.exact

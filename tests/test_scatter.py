@@ -131,21 +131,10 @@ class TestSolveScatter:
             got = solve_scatter(mapped, cfg).A.mat
             assert np.linalg.norm(got - m @ base @ m.T) <= 1e-8 * np.linalg.norm(got)
 
-    def test_unique_limit_from_random_inits(self):
-        # the second-moment start and scaled variants all land on the same point
-        rng = np.random.default_rng(13)
-        q = random_in_domain(rng, 40, 2)
-        ref = solve_scatter(q, ScatterConfig(nu=2.0)).A.mat
-        for k in range(10):
-            init = "second_moment" if k % 2 else "identity"
-            scaled = EmpiricalSample(q.points, q.weights)
-            res = solve_scatter(scaled, ScatterConfig(nu=2.0, init=init))
-            assert np.linalg.norm(res.A.mat - ref) <= 1e-7 * np.linalg.norm(ref)
-
     def test_objective_trace_monotone(self):
         rng = np.random.default_rng(15)
         q = random_in_domain(rng, 30, 3)
-        res = solve_scatter(q, ScatterConfig(nu=1.5, init="second_moment"))
+        res = solve_scatter(q, ScatterConfig(nu=1.5))
         assert_monotone(res.objective_trace)
 
     def test_fixed_point_residual(self):
