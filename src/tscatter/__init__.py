@@ -22,6 +22,7 @@ from .asymptotics import (
 from .domain_check import (
     DomainReport,
     EmpiricalSample,
+    certify_members,
     check_locscat_domain,
     check_scatter_domain,
     check_scatter_domain_stack,

@@ -52,52 +52,21 @@ def ingest_csv(source) -> EmpiricalSample:
     (first row with any non-numeric cell); with a header, a final column named
     ``weight`` supplies nonnegative weights, normalized to sum 1. Ragged rows,
     non-numeric or non-finite cells, and negative weights raise
-    :class:`CsvParseError` with the offending row number.
+    :class:`CsvParseError` with the offending row number; rows with no
+    non-blank cell are skipped and not counted.
+
+    Plain tables are parsed by ``np.loadtxt``; anything it refuses, and any
+    table with a non-finite value, goes to a row-by-row parser, which gives
+    the same sample and names the offending row.
     """
     if hasattr(source, "read"):
-        rows = list(csv.reader(source))
+        text = source.read()
     else:
         with open(source, "r", encoding="utf-8", newline="") as fh:
-            rows = list(csv.reader(fh))
-    rows = [row for row in rows if any(cell.strip() for cell in row)]
-    if not rows:
-        raise CsvParseError("no data rows found")
-
-    def parse_cell(cell, rownum):
-        try:
-            val = float(cell)
-        except ValueError:
-            raise CsvParseError(f"row {rownum}: non-numeric cell {cell!r}") from None
-        if not np.isfinite(val):
-            raise CsvParseError(f"row {rownum}: non-finite cell {cell!r}")
-        return val
-
-    def row_is_numeric(row):
-        try:
-            [parse_cell(cell, 0) for cell in row]
-        except CsvParseError:
-            return False
-        return True
-
-    header = None
-    start = 0
-    if not row_is_numeric(rows[0]):
-        header = [cell.strip() for cell in rows[0]]
-        start = 1
-        if not rows[start:]:
-            raise CsvParseError("header present but no data rows")
-
-    width = len(rows[start])
-    weight_col = header is not None and header and header[-1].lower() == "weight"
-
-    data = []
-    for offset, row in enumerate(rows[start:], start=start + 1):
-        if len(row) != width:
-            raise CsvParseError(f"row {offset}: expected {width} cells, got {len(row)}")
-        data.append([parse_cell(cell, offset) for cell in row])
-    arr = np.asarray(data, dtype=float)
-
-    if weight_col:
+            text = fh.read()
+    header, arr = _fast_table(text) or _row_table(text)
+    start = int(header is not None)
+    if header and header[-1].lower() == "weight":
         if arr.shape[1] < 2:
             raise CsvParseError("weight column requires at least one coordinate column")
         weights = arr[:, -1]
@@ -110,6 +79,79 @@ def ingest_csv(source) -> EmpiricalSample:
             raise CsvParseError("weights sum to zero")
         return EmpiricalSample(points, weights / total)
     return EmpiricalSample(arr)
+
+
+def _parse_cell(cell, rownum):
+    try:
+        val = float(cell)
+    except ValueError:
+        raise CsvParseError(f"row {rownum}: non-numeric cell {cell!r}") from None
+    if not np.isfinite(val):
+        raise CsvParseError(f"row {rownum}: non-finite cell {cell!r}")
+    return val
+
+
+def _is_numeric(row) -> bool:
+    try:
+        [_parse_cell(cell, 0) for cell in row]
+    except CsvParseError:
+        return False
+    return True
+
+
+def _is_blank(row) -> bool:
+    return not any(cell.strip() for cell in row)
+
+
+# Tab, newline and printable ASCII but the quote: outside these, csv.reader
+# and float() read text in ways np.loadtxt does not (quoting, control
+# characters that loadtxt strips as blanks but float() refuses, non-ASCII digits)
+_PLAIN = (bytes(range(32, 127)) + b"\t\n").replace(b'"', b"")
+
+
+def _fast_table(text: str):
+    """``(header, data)`` of a plain table by ``np.loadtxt``, or None where the row parser must decide."""
+    text = text.replace("\r\n", "\n")
+    if not text.isascii() or text.encode("ascii").translate(None, _PLAIN):
+        return None
+    lines = text.split("\n")
+    first = next((k for k, line in enumerate(lines) if not _is_blank(line.split(","))), None)
+    if first is None:
+        return None
+    header = None
+    if not _is_numeric(lines[first].split(",")):
+        header = [cell.strip() for cell in lines[first].split(",")]
+        first += 1
+    # loadtxt skips empty lines and refuses other blank ones, as it refuses
+    # ragged rows and bad cells: those all go to the row parser
+    if all(_is_blank(line.split(",")) for line in lines[first:]):
+        return None
+    try:
+        arr = np.loadtxt(lines[first:], delimiter=",", comments=None, ndmin=2)
+    except ValueError:
+        return None
+    return (header, arr) if np.isfinite(arr).all() else None
+
+
+def _row_table(text: str):
+    """``(header, data)`` parsed row by row, as csv.reader and float() read them."""
+    rows = [row for row in csv.reader(io.StringIO(text, newline="")) if not _is_blank(row)]
+    if not rows:
+        raise CsvParseError("no data rows found")
+    header = None
+    start = 0
+    if not _is_numeric(rows[0]):
+        header = [cell.strip() for cell in rows[0]]
+        start = 1
+        if not rows[start:]:
+            raise CsvParseError("header present but no data rows")
+    width = len(rows[start])
+    data = []
+    for offset, row in enumerate(rows[start:], start=start + 1):
+        if len(row) != width:
+            raise CsvParseError(f"row {offset}: expected {width} cells, got {len(row)}")
+        data.append([_parse_cell(cell, offset) for cell in row])
+    return header, np.asarray(data, dtype=float)
 
 
 def _round_trip(obj):
@@ -138,11 +180,12 @@ def dispatch(args: argparse.Namespace) -> tuple[dict, list[str]]:
 
     Payload values may still be numpy objects; :func:`main` encodes them.
     Settings out of range raise ``ValueError`` downstream: ``ScatterConfig``
-    rejects nu <= 0, tol <= 0 and max-iter < 1 for every command, and the
-    location-scatter and 1-D functionals raise ``NuOutOfRange`` for nu <= 1.
+    rejects nu <= 0, tol <= 0 and max-iter < 1 for the commands that fit,
+    the domain check rejects nu <= 0, and the location-scatter and 1-D
+    functionals raise ``NuOutOfRange`` for nu <= 1.
     """
     warnings: list[str] = []
-    scfg = ScatterConfig(nu=args.nu, tol_grad=args.tol, max_iter=args.max_iter)
+    scfg = ScatterConfig(nu=args.nu, tol_grad=args.tol, max_iter=args.max_iter) if "tol" in args else None
     sample = ingest_csv(sys.stdin if args.input == "-" else args.input)
 
     if args.command == "estimate":
@@ -178,8 +221,18 @@ def dispatch(args: argparse.Namespace) -> tuple[dict, list[str]]:
         check = check_scatter_domain if args.mode == "scatter" else check_locscat_domain
         payload = {**asdict(check(sample, args.nu + sample.d)), "target": args.mode}
     elif args.command == "asymptotics":
-        cov = asymptotic_cov_scatter if args.mode == "scatter" else asymptotic_cov_locscatter
-        payload = asdict(cov(sample, args.nu))
+        # the covariance is taken at a fit made with the command's solver settings
+        if args.mode == "scatter":
+            fit = solve_scatter(sample, scfg)
+            cov = asymptotic_cov_scatter(sample, args.nu, fit=fit)
+            unconverged = "solver stopped before meeting the gradient tolerance"
+        else:
+            fit = solve_locscatter(sample, args.nu, scfg)
+            cov = asymptotic_cov_locscatter(sample, args.nu, fit=fit)
+            unconverged = "estimate did not meet its convergence certificates"
+        if not fit.converged:
+            warnings.append(unconverged)
+        payload = asdict(cov)
     elif args.command == "oned":
         est = solve_oned(sample, args.nu)
         payload = {"mu": est.mu, "sigma": est.sigma, "boundary": est.boundary, "atom": est.atom}
@@ -248,14 +301,15 @@ def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="tscatter", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p):
+    def add_common(p, *, fits=True):
+        # only commands that run the scatter solver take its settings
         p.add_argument("input", help="CSV path, or '-' for stdin")
         p.add_argument("--nu", type=float, required=True, help="tail parameter")
-        p.add_argument("--tol", type=float, default=1e-10,
-                       help="tolerance on the whitened gradient norm, which does not "
-                            "depend on the units of the data")
-        p.add_argument("--max-iter", type=int, default=500)
-        p.add_argument("--seed", type=int, default=0)
+        if fits:
+            p.add_argument("--tol", type=float, default=1e-10,
+                           help="tolerance on the whitened gradient norm, which does not "
+                                "depend on the units of the data")
+            p.add_argument("--max-iter", type=int, default=500)
         p.add_argument("--output", default=None, help="write the envelope here instead of stdout")
         p.add_argument("--format", choices=["json", "csv"], default="json")
 
@@ -263,7 +317,7 @@ def build_parser() -> argparse.ArgumentParser:
     add_common(sub.add_parser("scatter", help="pure scatter estimate"))
 
     p = sub.add_parser("check-domain", help="existence-domain report")
-    add_common(p)
+    add_common(p, fits=False)
     p.add_argument("--target", dest="mode", choices=["locscatter", "scatter"],
                    default="locscatter")
 
@@ -271,10 +325,11 @@ def build_parser() -> argparse.ArgumentParser:
     add_common(p)
     p.add_argument("--mode", choices=["locscatter", "scatter"], default="locscatter")
 
-    add_common(sub.add_parser("oned", help="one-dimensional extended estimate (nu > 1)"))
+    add_common(sub.add_parser("oned", help="one-dimensional extended estimate (nu > 1)"), fits=False)
 
     p = sub.add_parser("simulate", help="Monte Carlo check against the asymptotic covariance")
     add_common(p)
+    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--mode", choices=["scatter", "locscatter"], default="scatter")
     p.add_argument("--n", type=int, default=1000, help="per-replicate sample size")
     p.add_argument("--reps", type=int, default=200)

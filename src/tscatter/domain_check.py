@@ -19,9 +19,17 @@ blocks, so scratch memory stays within a small multiple of ``BLOCK_BYTES``
 however many there are, and the line search (s = 1) needs O(m). Ties in
 mass go to the first subset in ``itertools.combinations`` order, as if every
 subset were tested. A budget on the number of subsets, C(m, 1) + ... +
-C(m, d-1), is the only limit on exact checking; past it a randomized
+C(m, d-1), is the only limit on exact enumeration; past it a randomized
 projection check is available, whose rejections are certified but whose
 acceptances are not exact.
+
+The solve paths need only a verdict, and they have a fit. From it
+``certify_members`` proves membership at O(n d^2) cost, for every subspace at
+once, and it never accepts a law the exact check rejects; it proves nothing
+when it declines. So the solvers fit first, certify, and enumerate only the
+samples the certificate cannot accept, and the budget limits them only there.
+``check_scatter_domain`` always enumerates, since its report names the worst
+subspace.
 
 The exact check runs on stacks of samples (``check_scatter_domain_stack``),
 merged by one sort and padded to a common size; each block row is a (sample,
@@ -47,6 +55,7 @@ __all__ = [
     "DomainReport",
     "check_scatter_domain",
     "check_scatter_domain_stack",
+    "certify_members",
     "check_locscat_domain",
     "lift",
     "max_atom",
@@ -262,6 +271,84 @@ def check_scatter_domain_stack(points, weights, a0: float) -> list[DomainReport]
     check, when any sample has more than ``DEFAULT_BUDGET`` subsets.
     """
     return _check_exact(*_as_stack(points, weights), float(a0), DEFAULT_BUDGET)
+
+
+def certify_members(points, weights, A, a0: float) -> np.ndarray:
+    """Prove domain membership of a stack of samples from a scatter matrix of each.
+
+    ``points`` (R, n, d) and ``weights`` are as for
+    :func:`check_scatter_domain_stack`; ``A`` is an (R, d, d) stack of SPD
+    matrices, in practice each sample's fit at ``a0``. Returns one bool per
+    sample. True proves that the sample is a member, so that the exact check
+    accepts it too; False proves nothing.
+
+    The bound is the necessity argument of Kent and Tyler (Ann. Statist. 19,
+    1991) made quantitative. Let A = L L', z_i = L^{-1} y_i, s_i = |z_i|^2,
+    u(s) = a0/(nu + s) with nu = a0 - d, and M = sum_i w_i u(s_i) z_i z_i'.
+    For a q-subspace H let P project orthogonally off L^{-1} H, a projection
+    of rank d - q. The points of H have P z_i = 0, and every point has
+    u(s) |P z|^2 <= f(s) = a0 s/(nu + s). So
+
+        c_q = (d - q) - sqrt(d - q) ||M - I||_F <= tr(P M) <= sum_{i not in H} w_i f(s_i).
+
+    The least mass whose f-weighted sum reaches c_q bounds Q(H^c) from below.
+    It is a fractional knapsack: take the points in decreasing order of f. A
+    sample is accepted when for every q = 0 .. d-1 that bound exceeds
+    (d - q)/a0 + ``EQ_TOL``, the exact check's rule, plus the allowance
+    ``rho`` below. The bound holds for every subspace, not only for spans of
+    sample points, and for any A; a fit makes ||M - I|| small.
+
+    c_q is lowered by two allowances:
+
+    * the exact check counts a point within its tolerance t of H as inside
+      H, with t = ``POINT_RTOL`` times the largest |y_i|. Such a point adds
+      at most w_i u_i min(s_i, (2 t ||L^{-1}||)^2) to tr(P M), so the sum of
+      that over all points is subtracted.
+    * ``rho`` = eps (n + 8 d^2 kappa(L) + 16) bounds the relative roundoff
+      of s, f, the entries of M and the n-term sums. kappa(L) =
+      sqrt(kappa(A)) is the condition number of the solve that whitens the
+      points, whose relative error is about d eps kappa(L); the extra factor
+      d leaves room for pivot growth. (1 + sqrt(d)) rho tr(M) covers the
+      error in ||M - I||_F and in the prefix sums of w f; rho on the mass
+      side covers the exact check's own sums.
+    """
+    pts, w = _as_stack(points, weights)
+    R, n, d = pts.shape
+    a0 = float(a0)
+    if not a0 > d:
+        raise ValueError(f"need a0 > d, got a0={a0} with d={d}")
+    A = np.asarray(A, dtype=float)
+    if A.shape != (R, d, d):
+        raise ValueError(f"A must have shape {(R, d, d)} to match the points, got {A.shape}")
+    L = np.linalg.cholesky(A)
+    Z = np.linalg.solve(L, np.swapaxes(pts, 1, 2))
+    s = np.einsum("rin,rin->rn", Z, Z)
+    wu = w * a0 / (a0 - d + s)
+    M = (Z * wu[:, None, :]) @ np.swapaxes(Z, 1, 2)
+    e = np.linalg.norm(M - np.eye(d), axis=(1, 2))
+    f = a0 * s / (a0 - d + s)
+    total = np.einsum("rn,rn->r", w, f)
+
+    sv = np.linalg.svd(L, compute_uv=False)
+    rho = np.finfo(float).eps * (n + 8 * d * d * sv[:, 0] / sv[:, -1] + 16)
+    reach_tol = np.square(2.0 * POINT_RTOL * _point_scale(pts) / sv[:, -1])
+    near = np.einsum("rn,rn->r", wu, np.minimum(s, reach_tol[:, None]))
+    lower = (1.0 + math.sqrt(d)) * rho * total + near
+
+    # fractional knapsack: points by decreasing f, with running mass and f-weighted mass
+    order = np.argsort(-f, axis=1, kind="stable")
+    f_sorted, w_sorted = np.take_along_axis(f, order, 1), np.take_along_axis(w, order, 1)
+    mass = np.concatenate([np.zeros((R, 1)), np.cumsum(w_sorted, axis=1)], axis=1)
+    reach = np.concatenate([np.zeros((R, 1)), np.cumsum(w_sorted * f_sorted, axis=1)], axis=1)
+    rows = np.arange(R)
+    member = np.ones(R, dtype=bool)
+    for q in range(d):
+        c = (d - q) - math.sqrt(d - q) * e - lower
+        k = np.minimum((reach[:, 1:] < c[:, None]).sum(axis=1), n - 1)  # the point that reaches c
+        with np.errstate(divide="ignore", invalid="ignore"):
+            bound = mass[rows, k] + (c - reach[rows, k]) / f_sorted[rows, k]
+        member &= (c > 0.0) & (reach[:, -1] >= c) & (bound > (d - q) / a0 + EQ_TOL + rho)
+    return member
 
 
 def _best_candidate(cands):

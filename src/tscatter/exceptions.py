@@ -28,8 +28,9 @@ class DomainViolation(Exception):
 class NumericalBreakdown(RuntimeError):
     """The scatter solver produced an invalid iterate.
 
-    Impossible in exact arithmetic once the domain check passes; signals an
-    ill-conditioned input.
+    Impossible in exact arithmetic on the existence domain, where it signals
+    an ill-conditioned input. Off the domain the iterates collapse, and the
+    solvers that check the domain raise :class:`DomainViolation` instead.
     """
 
 
@@ -40,9 +41,10 @@ class NoPositiveSolution(ValueError):
 class EnumerationBudgetError(ValueError):
     """Exact subspace enumeration would exceed its work budget.
 
-    Raised instead of silently running for hours. The documented non-exact
-    check is the library's ``check_scatter_domain(..., method="randomized")``;
-    the CLI has none.
+    Raised instead of silently running for hours. The solvers raise it only
+    for a sample whose membership the certificate from its fit cannot
+    accept. The documented non-exact check is the library's
+    ``check_scatter_domain(..., method="randomized")``; the CLI has none.
     """
 
 

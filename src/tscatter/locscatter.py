@@ -21,8 +21,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .domain_check import EmpiricalSample, check_locscat_domain, lift
-from .exceptions import DomainViolation, NuOutOfRange
-from .scatter import ScatterConfig, ScatterResult, solve_scatter, weight_u
+from .exceptions import NuOutOfRange
+from .scatter import ScatterConfig, ScatterResult, _fit_then_check, solve_scatter, weight_u
 from .symspace import SpdMatrix, extract
 
 __all__ = [
@@ -60,23 +60,26 @@ def solve_locscatter(
     """Compute (mu, Sigma) for the sample at tail parameter nu > 1.
 
     ``cfg`` supplies solver tolerances only; its ``nu`` field is replaced by
-    nu - 1 for the lifted solve. Raises :class:`NuOutOfRange` for nu <= 1 and
-    :class:`DomainViolation` when the sample puts too much mass on an affine
-    subspace, unless ``check_domain=False`` skips that check.
+    nu - 1 for the lifted solve. Raises :class:`NuOutOfRange` for nu <= 1.
+    Unless ``check_domain=False``, it fits first and then certifies from the
+    lifted fit that no affine subspace carries too much mass; only when the
+    certificate cannot accept, or the fit broke down, does it run the exact
+    check, raising :class:`DomainViolation` with its report for a law
+    outside the domain. The estimate does not depend on ``check_domain``.
     """
     nu = float(nu)
     if not nu > 1.0:
         raise NuOutOfRange(f"location-scatter requires nu > 1, got {nu}")
-    d = sample.d
-    if check_domain:
-        report = check_locscat_domain(sample, nu + d)
-        if not report.member:
-            raise DomainViolation(report)
-
     cfg = ScatterConfig(nu=nu - 1.0) if cfg is None else dataclasses.replace(cfg, nu=nu - 1.0)
-    # affine-domain membership is the lifted linear condition, so the lifted
-    # solve does not check it again
-    return certify_lifted_fit(sample, nu, solve_scatter(lift(sample), cfg, check_domain=False))
+    lifted = lift(sample)
+
+    # affine-domain membership is the lifted linear condition at the same a0
+    def fit():
+        return solve_scatter(lifted, cfg, check_domain=False)
+
+    a0 = nu + sample.d
+    diag = _fit_then_check(fit, lifted, a0, lambda: check_locscat_domain(sample, a0)) if check_domain else fit()
+    return certify_lifted_fit(sample, nu, diag)
 
 
 def certify_lifted_fit(sample: EmpiricalSample, nu: float, diag: ScatterResult) -> LocScatEstimate:

@@ -24,7 +24,9 @@ There is one solver loop, and it runs on a stack of samples of equal size
 (``solve_scatter_stack``): every array carries a leading sample axis, each
 sample keeps its own step choice, stop test and breakdown check, and a
 sample that has stopped leaves the stack. ``solve_scatter`` is the stack of
-one, after dropping zero-weight points and checking the domain.
+one, after dropping zero-weight points: it fits, certifies domain membership
+from the fit, and enumerates subspaces only when the certificate cannot
+accept.
 """
 
 from __future__ import annotations
@@ -33,7 +35,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .domain_check import EmpiricalSample, check_scatter_domain
+from .domain_check import EmpiricalSample, certify_members, check_scatter_domain
 from .exceptions import DomainViolation, NumericalBreakdown
 from .symspace import (
     SpdMatrix,
@@ -147,7 +149,10 @@ def _newton_candidates(L, Z, s, w, nu: float, M):
     """
     R, d, _ = Z.shape
     eye = np.eye(d)
-    G = outer_gram(np.swapaxes(Z, 1, 2), (nu + d) * w / (nu + s) ** 2)
+    with np.errstate(over="ignore"):
+        # an iterate collapsing off the domain can take s past 1e154, whose weight is then 0
+        g = (nu + d) * w / (nu + s) ** 2
+    G = outer_gram(np.swapaxes(Z, 1, 2), g)
     H = np.eye(G.shape[-1]) - G
     rhs = -sym_to_vec(M - eye)[..., None]
     ok = np.ones(R, dtype=bool)
@@ -186,16 +191,46 @@ def solve_scatter(
 ) -> ScatterResult:
     """Compute the scatter matrix of one sample: a stack of one.
 
-    Drops zero-weight points, raises :class:`DomainViolation` when the law
-    fails the existence check (unless ``check_domain=False``), then runs
-    :func:`solve_scatter_stack` on the sample alone.
+    Drops zero-weight points and runs :func:`solve_scatter_stack` on the
+    sample alone. Unless ``check_domain=False``, it then certifies from the
+    fit that the law is in the existence domain
+    (:func:`~tscatter.domain_check.certify_members`). Where the certificate
+    cannot accept, or the fit broke down, it runs the exact check and raises
+    :class:`DomainViolation` with its report when the law is outside; a
+    breakdown on a member law is raised as is. The fit returned does not
+    depend on ``check_domain``.
     """
     sample = sample.drop_zero_weights()
-    if check_domain:
-        report = check_scatter_domain(sample, cfg.nu + sample.d)
+
+    def fit():
+        return solve_scatter_stack(sample.points[None], sample.weights[None], cfg)[0]
+
+    if not check_domain:
+        return fit()
+    a0 = cfg.nu + sample.d
+    return _fit_then_check(fit, sample, a0, lambda: check_scatter_domain(sample, a0))
+
+
+def _fit_then_check(fit, sample: EmpiricalSample, a0: float, check):
+    """``fit()``, returned once the sample's membership at ``a0`` is certified from it.
+
+    When the certificate cannot accept it, or ``fit()`` raises
+    :class:`NumericalBreakdown`, runs the exact ``check()``: raises
+    :class:`DomainViolation` with its report when the law is outside the
+    domain, re-raises the breakdown when it is a member, and otherwise
+    returns the fit.
+    """
+    try:
+        result, breakdown = fit(), None
+    except NumericalBreakdown as exc:
+        result, breakdown = None, exc
+    if result is None or not certify_members(sample.points[None], sample.weights[None], result.A.mat[None], a0)[0]:
+        report = check()
         if not report.member:
             raise DomainViolation(report)
-    return solve_scatter_stack(sample.points[None], sample.weights[None], cfg)[0]
+    if breakdown is not None:
+        raise breakdown
+    return result
 
 
 def solve_scatter_stack(points, weights, cfg: ScatterConfig) -> list[ScatterResult]:
@@ -217,6 +252,19 @@ def solve_scatter_stack(points, weights, cfg: ScatterConfig) -> list[ScatterResu
     breaks down, if an MM iterate leaves the SPD cone or the objective
     increases beyond roundoff, neither of which can happen in exact
     arithmetic on the domain.
+    """
+    results, broken = _solve_stack(points, weights, cfg)
+    if broken:
+        i = min(broken)
+        raise NumericalBreakdown(broken[i] if len(results) == 1 else f"sample {i}: {broken[i]}")
+    return results
+
+
+def _solve_stack(points, weights, cfg: ScatterConfig):
+    """:func:`solve_scatter_stack` that records breakdowns instead of raising them.
+
+    Returns the results, None for each sample that broke down, and a dict
+    from those samples' stack positions to what went wrong.
     """
     Y = np.asarray(points, dtype=float)
     w = np.asarray(weights, dtype=float)
@@ -293,8 +341,4 @@ def solve_scatter_stack(points, weights, cfg: ScatterConfig) -> list[ScatterResu
             )
         for i, value in zip(ids.tolist(), obj.tolist()):
             traces[i].append(value)
-
-    if broken:
-        i = min(broken)
-        raise NumericalBreakdown(broken[i] if R == 1 else f"sample {i}: {broken[i]}")
-    return results
+    return results, broken

@@ -4,9 +4,11 @@ Replicates draw i.i.d. samples from a configured law, fit the scatter or
 location-scatter functional, and compare the empirical covariance of
 sqrt(n) * (vectorized estimate - functional) against the analytic asymptotic
 covariance. Replicate RNG streams are keyed by (seed, replicate index). Each
-chunk of replicates is domain-checked as one stack (lifted first for
-location-scatter) and its in-domain replicates are fitted as one stack of
-the solver loop, so reports are bit-identical across runs and chunk sizes.
+chunk of replicates is fitted as one stack of the solver loop (lifted first
+for location-scatter), its domain membership is certified from those fits in
+one call, and only the replicates the certificate cannot accept are checked
+by exact enumeration, again as one stack. Reports are bit-identical across
+runs and chunk sizes.
 
 For discrete target laws the functional and its covariance are computed
 exactly from the law itself; for continuous laws they are estimated from one
@@ -27,13 +29,12 @@ from .domain_check import (
     DomainReport,
     EmpiricalSample,
     _affine_report,
-    check_locscat_domain,
-    check_scatter_domain,
+    certify_members,
     check_scatter_domain_stack,
 )
-from .exceptions import DomainViolation, EnumerationBudgetError
+from .exceptions import DomainViolation, EnumerationBudgetError, NumericalBreakdown
 from .locscatter import certify_lifted_fit, solve_locscatter
-from .scatter import ScatterConfig, _sample_bytes, solve_scatter, solve_scatter_stack
+from .scatter import ScatterConfig, _sample_bytes, _solve_stack, solve_scatter
 from .symspace import as_spd, sym_to_vec
 
 __all__ = [
@@ -184,7 +185,9 @@ def _target_objects(sampler: Sampler, nu: float, mode: str, surrogate_n: int):
     """The functional theta0 of the target law, its asymptotic covariance and warnings.
 
     The law is fitted once, at the default tolerances, and that fit serves
-    both theta0 and the covariance.
+    both theta0 and the covariance. Its domain membership is certified from
+    the fit, or else checked by exact enumeration; where that is past the
+    subset budget the law goes unchecked, with a warning.
     """
     warnings = []
     law = as_discrete_law(sampler)
@@ -192,23 +195,21 @@ def _target_objects(sampler: Sampler, nu: float, mode: str, surrogate_n: int):
         rng = sampler.rng_for(SURROGATE_REPLICATE)
         law = EmpiricalSample(sampler.draw(surrogate_n, rng)).merged()[0]
         warnings.append(f"surrogate truth from one n={surrogate_n} draw")
-    # exhaustive subspace enumeration over a huge merged continuous sample is
-    # quadratic, so the gate runs on small laws only and within the subset budget
-    check = check_scatter_domain if mode == "scatter" else check_locscat_domain
+
+    def fit(check_domain):
+        if mode == "scatter":
+            return solve_scatter(law, ScatterConfig(nu=nu), check_domain=check_domain)
+        return solve_locscatter(law, nu, check_domain=check_domain)
+
     try:
-        report = check(law, nu + law.d) if law.n <= 2000 else None
+        est = fit(True)
     except EnumerationBudgetError:
-        report = None
-    if report is None:
         warnings.append("domain of the target law not checked: exact enumeration too large")
-    elif not report.member:
-        raise DomainViolation(report)
+        est = fit(False)
     if mode == "scatter":
-        fit = solve_scatter(law, ScatterConfig(nu=nu), check_domain=False)
-        target_cov = asymptotic_cov_scatter(law, nu, fit=fit, check_domain=False)
-        theta0 = sym_to_vec(fit.A.mat)
+        target_cov = asymptotic_cov_scatter(law, nu, fit=est, check_domain=False)
+        theta0 = sym_to_vec(est.A.mat)
     else:
-        est = solve_locscatter(law, nu, check_domain=False)
         target_cov = asymptotic_cov_locscatter(law, nu, fit=est)
         theta0 = _locscat_theta(est)
     return theta0, target_cov, warnings
@@ -217,11 +218,13 @@ def _target_objects(sampler: Sampler, nu: float, mode: str, surrogate_n: int):
 def _replicate_thetas(sampler: Sampler, cfg: ScatterConfig, n: int, mode: str, reps: range) -> list:
     """Vectorized estimate of each replicate in ``reps``, or its failing domain report.
 
-    Replicates are drawn, checked and fitted in chunks whose solver scratch
-    stays near ``BLOCK_BYTES``: each chunk's draws are domain-checked as one
-    stack (lifted, and weighted as ``lift`` weighs one draw, in locscatter
-    mode) and its in-domain draws fitted as one stack, each as drawn, with
-    uniform weights. A failing report's witness indices are rows of the draw.
+    Replicates are drawn, fitted and checked in chunks whose solver scratch
+    stays near ``BLOCK_BYTES``. Each chunk's draws, each as drawn with
+    uniform weights (and lifted in locscatter mode), are fitted as one stack;
+    one call certifies the members among those that did not break down, and
+    the rest are checked by exact enumeration as one stack. A failing
+    report's witness indices are rows of the draw. A member replicate whose
+    fit broke down raises :class:`NumericalBreakdown`.
     """
     d = sampler.dim
     lifted = mode == "locscatter"
@@ -233,16 +236,29 @@ def _replicate_thetas(sampler: Sampler, cfg: ScatterConfig, n: int, mode: str, r
         draws = np.stack([sampler.draw(n, sampler.rng_for(rep)) for rep in chunk_reps]) + 0.0  # no -0.0
         points = np.concatenate([draws, np.ones(draws.shape[:2] + (1,))], axis=2) if lifted else draws
         weights = np.full(draws.shape[:2], 1.0 / n)
-        found = check_scatter_domain_stack(points, weights if lifted else None, cfg.nu + d)
-        found = [_affine_report(report) for report in found] if lifted else found
-        inside = [i for i, report in enumerate(found) if report.member]
-        if inside:
-            fits = solve_scatter_stack(points[inside], weights[inside], solve_cfg)
-            for i, fit in zip(inside, fits):
-                found[i] = (
-                    _locscat_theta(certify_lifted_fit(EmpiricalSample(draws[i]), cfg.nu, fit)) if lifted
-                    else sym_to_vec(fit.A.mat)
-                )
+        fits, broken = _solve_stack(points, weights, solve_cfg)
+        member = np.zeros(len(fits), dtype=bool)
+        fitted = [i for i, fit in enumerate(fits) if fit is not None]
+        if fitted:
+            A = np.stack([fits[i].A.mat for i in fitted])
+            member[fitted] = certify_members(points[fitted], weights[fitted], A, cfg.nu + d)
+        found = [None] * len(fits)
+        rest = np.flatnonzero(~member)
+        if rest.size:
+            # uniform weights as the check makes them, so that reports equal a draw's own
+            reports = check_scatter_domain_stack(points[rest], weights[rest] if lifted else None, cfg.nu + d)
+            for i, report in zip(rest.tolist(), reports):
+                if not report.member:
+                    found[i] = _affine_report(report) if lifted else report
+                elif i in broken:
+                    raise NumericalBreakdown(f"replicate {chunk_reps[i]}: {broken[i]}")
+                else:
+                    member[i] = True
+        for i in np.flatnonzero(member).tolist():
+            found[i] = (
+                _locscat_theta(certify_lifted_fit(EmpiricalSample(draws[i]), cfg.nu, fits[i])) if lifted
+                else sym_to_vec(fits[i].A.mat)
+            )
         outcomes += found
     return outcomes
 
@@ -262,11 +278,14 @@ def run_clt_experiment(
     ``cfg`` sets the solver tolerances of the replicate fits only (its ``nu``
     is replaced by ``nu``): the functional they are centred on and the
     analytic target covariance come from one fit of the target law at the
-    default tolerances. Requires
-    ``reps >= 2``. Replicates failing the domain check are counted in
+    default tolerances. Requires ``reps >= 2``. Each chunk of replicates is
+    fitted as one stack, then certified from its fits, and only the
+    replicates the certificate cannot accept are checked by exact
+    enumeration. Replicates outside the domain are counted in
     ``existence_rate`` and skipped; a rate below 0.99 adds a near-boundary
     warning to the report. A location-scatter replicate whose extracted
-    Sigma is not positive definite raises :class:`DegeneracyError`.
+    Sigma is not positive definite raises :class:`DegeneracyError`, and a
+    member replicate whose fit broke down :class:`NumericalBreakdown`.
     """
     if mode not in ("scatter", "locscatter"):
         raise ValueError(f"unknown mode {mode!r}")

@@ -1,11 +1,14 @@
+import io
 import json
 from pathlib import Path
 
 import jsonschema
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from tscatter import NumericalBreakdown, cli
+from tscatter import CsvParseError, EmpiricalSample, NumericalBreakdown, cli, discrete_sampler, solve_locscatter
 
 SCHEMA = json.loads((Path(__file__).resolve().parents[1] / "docs" / "result_schema.json").read_text())
 
@@ -108,6 +111,18 @@ class TestSuccessEnvelopes:
         assert rough["payload"]["empirical_cov"] != full["payload"]["empirical_cov"]
         assert rough["payload"]["target_cov"] == full["payload"]["target_cov"]
 
+    @pytest.mark.parametrize("mode,steps", [("scatter", "1"), ("locscatter", "3")])
+    def test_asymptotics_honours_solver_settings(self, cloud2, tmp_path, mode, steps):
+        # the covariance is taken at the command's own fit: a few steps from
+        # the start are no converged fit, which the envelope says, and S moves
+        argv = ["asymptotics", cloud2, "--nu", "3", "--mode", mode]
+        _, full = run(argv, tmp_path)
+        code, rough = run(argv + ["--max-iter", steps], tmp_path)
+        assert code == cli.EXIT_OK
+        assert full["warnings"] == []
+        assert len(rough["warnings"]) == 1
+        assert rough["payload"]["S"] != full["payload"]["S"]
+
     def test_simulate_writes_null_for_undefined_statistics(self, tmp_path):
         # on the four-point law some statistic has nothing to measure: no
         # covariance entry above the threshold, or a coordinate that never varies
@@ -120,14 +135,41 @@ class TestSuccessEnvelopes:
 
     def test_simulate_past_the_exact_check_budget(self, tmp_path):
         # the lifted check of a 2000-point 2-D law needs 2000 + C(2000, 2)
-        # subsets, over the exact budget: the target law goes unchecked, with
-        # a warning, instead of the run failing
+        # subsets, over the exact budget; the certificate from the law's fit
+        # decides it instead, so the target law is checked after all
         rng = np.random.default_rng(9)
         path = write_csv(tmp_path / "law.csv", rng.standard_normal((2000, 2)))
         argv = ["simulate", path, "--nu", "2", "--mode", "locscatter", "--n", "30", "--reps", "2"]
         code, env = run(argv, tmp_path)
         assert code == cli.EXIT_OK
-        assert any("not checked" in msg for msg in env["warnings"])
+        assert not any("not checked" in msg for msg in env["warnings"])
+
+    def test_estimate_past_the_exact_check_budget(self, tmp_path):
+        # 200 points in 4-D lift to 200 distinct points in R^5, past the
+        # subset budget of exact enumeration (83 points there): the fit's
+        # certificate accepts the law
+        rng = np.random.default_rng(13)
+        Y = rng.standard_normal((200, 4))
+        path = write_csv(tmp_path / "g4.csv", Y)
+        code, env = run(["estimate", path, "--nu", "2"], tmp_path)
+        assert code == cli.EXIT_OK
+        assert env["payload"]["converged"] is True
+        est = solve_locscatter(EmpiricalSample(Y), 2.0, check_domain=False)
+        assert env["payload"]["mu"] == est.mu.tolist()
+
+    def test_simulate_locscatter_replicates_past_the_budget(self, tmp_path):
+        # replicates of 150 draws from a 400-point 4-D law hold more than 83
+        # distinct points, the most the lifted exact check takes in R^5
+        rng = np.random.default_rng(17)
+        law = rng.standard_normal((400, 4))
+        path = write_csv(tmp_path / "law4.csv", law)
+        argv = ["simulate", path, "--nu", "2", "--mode", "locscatter", "--n", "150", "--reps", "3", "--seed", "5"]
+        sampler = discrete_sampler(law, None, 5)
+        assert np.unique(sampler.draw(150, sampler.rng_for(0)), axis=0).shape[0] > 83
+        code, env = run(argv, tmp_path)
+        assert code == cli.EXIT_OK
+        assert env["payload"]["existence_rate"] == 1.0
+        assert not any("not checked" in msg for msg in env["warnings"])
 
     def test_estimate_in_four_dimensions(self, tmp_path):
         # the exact affine check of a 4-D sample runs on its lift to R^5
@@ -229,6 +271,21 @@ class TestUsageErrors:
     @pytest.mark.parametrize(
         "argv",
         [
+            ["check-domain", "x.csv", "--nu", "2", "--tol", "1e-3"],
+            ["oned", "x.csv", "--nu", "2", "--max-iter", "3"],
+            ["scatter", "x.csv", "--nu", "2", "--seed", "1"],
+        ],
+    )
+    def test_options_a_command_does_not_read_exit_1(self, argv, capsys):
+        # only the commands that fit take solver settings, and only simulate a seed
+        with pytest.raises(SystemExit) as exc:
+            cli.main(argv)
+        assert exc.value.code == cli.EXIT_USAGE
+        assert "unrecognized arguments" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
             ["simulate", "x.csv", "--nu", "2", "--workers", "2"],
             ["scatter", "x.csv"],
             ["frobnicate", "x.csv", "--nu", "2"],
@@ -239,3 +296,58 @@ class TestUsageErrors:
             cli.main(argv)
         assert exc.value.code == cli.EXIT_USAGE
         capsys.readouterr()
+
+
+ODD_CELLS = st.sampled_from([
+    "+.5", "5.", "1E-05", " 3 ", "\t4", "7 ", "0001", '"6"', '"1,5"', "", " ", "nan", "-inf",
+    "Infinity", "0x10", "1_0", "1e", "abc", "weight", "#1", "\x1c1", "\x0b2", "\u0661",
+])
+
+
+@st.composite
+def csv_texts(draw):
+    """CSV text: a table of numbers with a few odd cells and rows mixed in."""
+    width = draw(st.integers(1, 3))
+    numbers = st.one_of(st.integers(-99, 99), st.floats(allow_nan=False, allow_infinity=False)).map(repr)
+    cells = draw(st.lists(numbers, min_size=0, max_size=12))
+    for k, cell in draw(st.lists(st.tuples(st.integers(0, 11), ODD_CELLS), max_size=2)):
+        if cells:
+            cells[k % len(cells)] = cell
+    rows = [",".join(cells[k : k + width]) for k in range(0, len(cells), width)]
+    for k, row in draw(st.lists(st.tuples(st.integers(0, 4), st.lists(ODD_CELLS, min_size=1, max_size=3)), max_size=2)):
+        rows.insert(k % (len(rows) + 1), ",".join(row))  # ragged, blank or comma-only rows
+    if draw(st.booleans()):
+        rows.insert(0, ",".join(["x"] * (width - 1) + ["weight"]))
+    end = draw(st.sampled_from(["\n", "\r\n", "\r"]))
+    return end.join(rows) + draw(st.sampled_from(["", end, end + end]))
+
+
+def _outcome(text):
+    try:
+        sample = cli.ingest_csv(io.StringIO(text, newline=""))
+    except CsvParseError as exc:
+        return "error", str(exc)
+    return sample.points.tolist(), sample.weights.tolist()
+
+
+class TestCsvIngest:
+    @settings(max_examples=400, deadline=None)
+    @given(csv_texts())
+    def test_fast_path_matches_the_row_parser(self, text):
+        # the np.loadtxt path gives the row parser's sample or its error,
+        # on plain tables and on odd cells, blank rows and line ends
+        got = _outcome(text)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(cli, "_fast_table", lambda text: None)
+            want = _outcome(text)
+        assert got == want
+
+    def test_plain_tables_take_the_fast_path(self):
+        rng = np.random.default_rng(11)
+        Y = rng.standard_normal((50, 3))
+        text = "a,b,weight\r\n" + "\r\n".join(",".join(repr(float(v)) for v in row) for row in Y) + "\r\n\r\n"
+        header, arr = cli._fast_table(text)
+        assert header == ["a", "b", "weight"]
+        assert np.array_equal(arr, Y)
+        for bad in ("1,2\n3,nan\n", '1,"2"\n', "1,2\n \n3,4\n", "1,2\r3,4\n", "1,2\n3\n"):
+            assert cli._fast_table(bad) is None, bad

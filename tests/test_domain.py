@@ -9,13 +9,17 @@ from hypothesis import strategies as st
 from tscatter import (
     EmpiricalSample,
     EnumerationBudgetError,
+    ScatterConfig,
+    certify_members,
     check_locscat_domain,
     check_scatter_domain,
     check_scatter_domain_stack,
     lift,
     max_atom,
+    solve_scatter_stack,
 )
 from tscatter import domain_check
+from tscatter.scatter import _solve_stack
 from oracles import (
     check_locscat_domain_direct,
     check_locscat_domain_loop,
@@ -663,3 +667,140 @@ class TestStack:
             check_scatter_domain_stack(P, None, 4.0)
         with pytest.raises(EnumerationBudgetError, match="sample 0"):
             check_scatter_domain_stack(P[::-1], None, 4.0)
+
+
+def _threshold_law(d, n, lifted, seed):
+    """n points in the check's R^d and an a0 at which a planted subspace's mass k/n is exactly its threshold.
+
+    The subspace has dimension q and k > q n / d points, so
+    a0 = (d - q) n / (n - k) exceeds d and 1 - (d - q)/a0 = k/n. Lifted, the
+    points are (y, 1) and the subspace is the lift of an affine one.
+    """
+    rng = np.random.default_rng(seed)
+    q = int(rng.integers(int(lifted), d))
+    while q > int(lifted) and (q * n) // d > n - 2:
+        q -= 1
+    k = int(rng.integers((q * n) // d + 1, n))
+    free = d - 1 if lifted else d
+    span = rng.standard_normal((q - int(lifted), free))
+    inside = rng.standard_normal((k, span.shape[0])) @ span
+    if lifted:
+        inside += rng.standard_normal(free)
+    pts = np.vstack([inside, rng.standard_normal((n - k, free))])[rng.permutation(n)]
+    if lifted:
+        pts = np.hstack([pts, np.ones((n, 1))])
+    return pts, (d - q) * n / (n - k)
+
+
+CERTIFY_LAWS = st.tuples(
+    st.sampled_from(["gaussian", "lattice", "line", "plane", "origin", "not_one_line", "circle_ends",
+                     "flat line", "flat plane", "threshold"]),
+    st.integers(2, 5),                 # dimension of the check
+    st.booleans(),                     # lifted: every point is (y, 1)
+    st.integers(3, 16),                # points before merging
+    st.sampled_from(["uniform", "dirichlet", "zeros"]),
+    st.integers(0, 2**32 - 1),
+    st.floats(0.05, 3.0),              # a0 above its minimum
+    st.sampled_from([0.0, 1e-12, 1e-9, 1e-6, 1e-3]),  # a threshold law's a0, raised by this share
+)
+
+
+class TestCertificate:
+    """``certify_members`` accepts only laws the exact check accepts."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(CERTIFY_LAWS)
+    def test_never_accepts_what_enumeration_rejects(self, case):
+        # the certificate holds for any SPD matrix, so it is tried at the
+        # law's fit (which may stop anywhere off the domain) and at a random one
+        kind, d, lifted, n, weighting, seed, extra, raise_a0 = case
+        rng = np.random.default_rng(seed)
+        if kind == "threshold":
+            P, a0 = _threshold_law(d, n, lifted, seed)
+            if raise_a0 == 0.0:
+                assert not check_scatter_domain(EmpiricalSample(P), a0).member
+            a0 *= 1.0 + raise_a0
+        else:
+            if kind.startswith("flat"):
+                pts = _flat_law(kind.split()[1], d - lifted, n, False, seed).points
+            else:
+                pts = _stack_member(kind, d - lifted, n, rng)
+            P = np.hstack([pts, np.ones((pts.shape[0], 1))]) if lifted else pts
+            a0 = d + extra
+        w = None
+        if weighting != "uniform":
+            w = rng.dirichlet(np.ones(P.shape[0]))
+            if weighting == "zeros":
+                w[rng.random(w.size) < 0.3] = 0.0
+                w[0] += w.sum() == 0.0
+                w /= w.sum()
+        q = EmpiricalSample(P, w)
+        fits, _ = _solve_stack(q.points[None], q.weights[None], ScatterConfig(nu=a0 - d, max_iter=200))
+        G = rng.standard_normal((d, d))
+        candidates = [G @ G.T + 1e-3 * np.eye(d)] + [fit.A.mat for fit in fits if fit is not None]
+        accepted = certify_members(np.stack([q.points] * len(candidates)), np.stack([q.weights] * len(candidates)),
+                                   np.stack(candidates), a0)
+        if accepted.any():
+            assert check_scatter_domain(q, a0).member
+
+    @pytest.mark.parametrize("d", [2, 3, 5, 8])
+    def test_accepts_fits_of_generic_laws(self, d):
+        # what makes it worth running: clouds inside the domain are accepted
+        # from their fit, in every dimension, scatter and lifted
+        rng = np.random.default_rng(d)
+        for nu in (0.2, 1.0, 4.0):
+            P = np.stack([rng.standard_normal((60, d)) / np.sqrt(rng.chisquare(3.0, (60, 1))) for _ in range(5)])
+            fits = solve_scatter_stack(P, np.full((5, 60), 1 / 60), ScatterConfig(nu=nu))
+            assert certify_members(P, None, np.stack([f.A.mat for f in fits]), nu + d).all()
+            L = np.concatenate([P, np.ones((5, 60, 1))], axis=2)
+            fits = solve_scatter_stack(L, np.full((5, 60), 1 / 60), ScatterConfig(nu=nu))
+            assert certify_members(L, None, np.stack([f.A.mat for f in fits]), nu + d + 1).all()
+
+    def test_refuses_off_domain_fits_that_stop_as_converged(self):
+        # of 40 draws of 300 from the near-boundary four-point law, the ones
+        # with 3/4 of their mass on an axis (the threshold at nu = 2) are
+        # outside the domain, yet some of their fits stop on the gradient
+        # test, far out in the cone; the certificate must refuse them
+        r = np.sqrt(2.0)
+        law = EmpiricalSample(np.array([[r, 0], [-r, 0], [0, r], [0, -r]]), np.array([0.372, 0.372, 0.128, 0.128]))
+        rng = np.random.default_rng(3)
+        P = law.points[np.stack([rng.choice(4, size=300, p=law.weights) for _ in range(40)])]
+        W = np.full((40, 300), 1 / 300)
+        fits, broken = _solve_stack(P, W, ScatterConfig(nu=2.0))
+        reports = check_scatter_domain_stack(P, None, 4.0)
+        converged_outside = [i for i, (fit, rpt) in enumerate(zip(fits, reports))
+                             if fit is not None and fit.stop_reason == "grad" and not rpt.member]
+        assert converged_outside
+        A = np.stack([fits[i].A.mat for i in converged_outside])
+        assert not certify_members(P[converged_outside], W[converged_outside], A, 4.0).any()
+        inside = [i for i, rpt in enumerate(reports) if rpt.member]
+        A = np.stack([fits[i].A.mat for i in inside])
+        assert certify_members(P[inside], W[inside], A, 4.0).all()
+
+    def test_roundoff_allowance(self):
+        # at a converged fit M - I is mostly a multiple of I, so where
+        # tr(M) < d, c_0 = d - sqrt(d) ||M - I||_F equals the sum of w f =
+        # tr(M) up to roundoff: the q = 0 bound without an allowance is then
+        # decided by the last bits. With it, every replicate of a Monte Carlo
+        # chunk inside the domain is accepted
+        rng = np.random.default_rng(2)
+        law = rng.standard_normal((400, 2)) / np.sqrt(rng.chisquare(3.0, (400, 1)) / 3.0)
+        P = law[rng.integers(400, size=(34, 300))]
+        W = np.full((34, 300), 1 / 300)
+        A = np.stack([fit.A.mat for fit in solve_scatter_stack(P, W, ScatterConfig(nu=2.0))])
+        assert all(rpt.member for rpt in check_scatter_domain_stack(P, None, 4.0))
+        assert certify_members(P, W, A, 4.0).all()
+        Z = np.linalg.solve(np.linalg.cholesky(A), np.swapaxes(P, 1, 2))
+        s = np.einsum("rin,rin->rn", Z, Z)
+        M = (Z * (W * 4.0 / (2.0 + s))[:, None, :]) @ np.swapaxes(Z, 1, 2)
+        c0 = 2.0 - np.sqrt(2.0) * np.linalg.norm(M - np.eye(2), axis=(1, 2))
+        total = (W * 4.0 * s / (2.0 + s)).sum(axis=1)
+        assert (total - c0 <= 1e-14).sum() >= 3
+
+    def test_rejects_bad_input(self):
+        P = np.random.default_rng(5).standard_normal((2, 6, 3))
+        A = np.stack([np.eye(3)] * 2)
+        with pytest.raises(ValueError):
+            certify_members(P, None, A[:1], 4.0)
+        with pytest.raises(ValueError):
+            certify_members(P, None, A, 3.0)

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
@@ -6,6 +8,7 @@ from hypothesis import strategies as st
 from tscatter import (
     DomainViolation,
     EmpiricalSample,
+    EnumerationBudgetError,
     ScatterConfig,
     check_scatter_domain,
     lift,
@@ -150,6 +153,29 @@ class TestSolveScatter:
         with pytest.raises(DomainViolation) as exc:
             solve_scatter(q, ScatterConfig(nu=2.0))
         assert not exc.value.report.member
+
+    def test_past_the_exact_check_budget(self):
+        # 100 distinct points in d = 6 need more subsets than the exact
+        # check's budget allows (48 points there); the certificate from the
+        # fit accepts the law, and the fit is the one made without a check
+        rng = np.random.default_rng(19)
+        q = random_in_domain(rng, 100, 6)
+        cfg = ScatterConfig(nu=1.5)
+        with pytest.raises(EnumerationBudgetError):
+            check_scatter_domain(q, cfg.nu + q.d)
+        got, want = solve_scatter(q, cfg), solve_scatter(q, cfg, check_domain=False)
+        assert np.array_equal(got.A.mat, want.A.mat)
+        assert dataclasses.replace(got, A=None) == dataclasses.replace(want, A=None)
+
+    def test_off_domain_fit_is_refused_with_the_exact_report(self):
+        # the fit of a law with 3/4 of its mass on a line through the origin
+        # (the threshold at nu = 2, d = 2) stops as converged, far out in
+        # the cone; the certificate refuses it and the exact report is raised
+        pts = np.vstack([np.outer(np.arange(1.0, 7.0), [0.6, 0.8]), [[1.0, -2.0], [-3.0, 0.5]]])
+        q = EmpiricalSample(pts)
+        with pytest.raises(DomainViolation) as exc:
+            solve_scatter(q, ScatterConfig(nu=2.0))
+        assert exc.value.report == check_scatter_domain(q, 4.0)
 
     def test_max_iter_returns_best_iterate(self):
         rng = np.random.default_rng(17)

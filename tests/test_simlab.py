@@ -131,25 +131,27 @@ class TestCltExperiment:
 
 class TestStackedReplicates:
     def test_chunk_size_does_not_change_the_report(self, monkeypatch):
-        # a near-boundary law, so chunks also hold replicates outside the domain
+        # a near-boundary law, so chunks also hold replicates outside the domain;
+        # each chunk is fitted whole, off-domain replicates included
         pts, _ = four_point_arrays()
         s = discrete_sampler(pts, np.array([0.372, 0.372, 0.128, 0.128]), seed=3)
         n, reps = 300, 40
         stacks = []
-        solve = simlab.solve_scatter_stack
+        solve = simlab._solve_stack
 
         def spy(points, weights, cfg):
             stacks[-1].append(points.shape[0])
             return solve(points, weights, cfg)
 
-        monkeypatch.setattr(simlab, "solve_scatter_stack", spy)
+        monkeypatch.setattr(simlab, "_solve_stack", spy)
         reports = {}
         for chunk in (1, 3, 40):
             monkeypatch.setattr(simlab, "BLOCK_BYTES", chunk * scatter._sample_bytes(n, 2))
             stacks.append([])
             reports[chunk] = run_clt_experiment(s, 2.0, n=n, reps=reps)
             assert max(stacks[-1]) <= chunk
-        assert stacks[-1] == [round(reports[40].existence_rate * reps)]
+            assert sum(stacks[-1]) == reps
+        assert stacks[-1] == [reps]
         assert 0.0 < reports[40].existence_rate < 1.0
         ref = reports[40].empirical_cov
         for chunk in (1, 3):
@@ -195,29 +197,50 @@ def replicates_one_at_a_time(sampler, cfg, n, mode, reps):
 class TestStackedDomainChecks:
     @pytest.mark.parametrize("mode", ["scatter", "locscatter"])
     def test_one_stacked_check_per_chunk(self, monkeypatch, mode):
-        # a near-boundary law, so chunks hold replicates on both sides of the domain
+        # a near-boundary law, so chunks hold replicates on both sides of the
+        # domain: each chunk is certified in one call, and only the replicates
+        # the certificate cannot accept are enumerated, in one stack
         pts, _ = four_point_arrays()
         s = discrete_sampler(pts, np.array([0.372, 0.372, 0.128, 0.128]), seed=3)
         n, cfg = 300, ScatterConfig(nu=2.0)
         monkeypatch.setattr(simlab, "BLOCK_BYTES", 7 * scatter._sample_bytes(n, 2 + (mode == "locscatter")))
-        stacks = []
-        stacked = simlab.check_scatter_domain_stack
+        fitted, certified, enumerated = [], [], []
+        solve, certify, stacked = simlab._solve_stack, simlab.certify_members, simlab.check_scatter_domain_stack
 
-        def spy(points, weights, a0):
-            stacks.append(points.shape[0])
+        def solve_spy(points, weights, cfg):
+            results, broken = solve(points, weights, cfg)
+            fitted.append((points.shape[0], len(broken)))
+            return results, broken
+
+        def certify_spy(points, weights, A, a0):
+            member = certify(points, weights, A, a0)
+            certified.append((len(fitted), int(member.sum())))
+            return member
+
+        def check_spy(points, weights, a0):
+            enumerated.append((len(fitted), points.shape[0]))
             return stacked(points, weights, a0)
 
         def alone(*args, **kwargs):
             raise AssertionError("a replicate was domain-checked on its own")
 
-        monkeypatch.setattr(simlab, "check_scatter_domain_stack", spy)
-        monkeypatch.setattr(simlab, "check_scatter_domain", alone)
-        monkeypatch.setattr(simlab, "check_locscat_domain", alone)
+        monkeypatch.setattr(simlab, "_solve_stack", solve_spy)
+        monkeypatch.setattr(simlab, "certify_members", certify_spy)
+        monkeypatch.setattr(simlab, "check_scatter_domain_stack", check_spy)
+        monkeypatch.setattr(tscatter.scatter, "check_scatter_domain", alone)
+        monkeypatch.setattr(tscatter.locscatter, "check_locscat_domain", alone)
         got = simlab._replicate_thetas(s, cfg, n, mode, range(40))
-        assert stacks == [7, 7, 7, 7, 7, 5]
+        assert [size for size, _ in fitted] == [7, 7, 7, 7, 7, 5]
+        # at most one certificate and one enumeration per chunk, and every
+        # replicate not certified, broken fits included, is enumerated
+        accepted = dict(certified)
+        assert len(accepted) == len(certified) and len(dict(enumerated)) == len(enumerated)
+        for chunk, (size, _) in enumerate(fitted, start=1):
+            assert dict(enumerated).get(chunk, 0) == size - accepted.get(chunk, 0)
+        assert 0 < sum(accepted.values()) < 40 and sum(broken for _, broken in fitted) > 0
         want = replicates_one_at_a_time(s, cfg, n, mode, range(40))
         assert [type(g) for g in got] == [type(w) for w in want]
-        assert 0 < sum(isinstance(w, np.ndarray) for w in want) < 40
+        assert sum(isinstance(w, np.ndarray) for w in want) == sum(accepted.values())
         for g, w in zip(got, want):
             if isinstance(w, np.ndarray):
                 assert np.abs(g - w).max() <= 1e-12 * np.abs(w).max()
