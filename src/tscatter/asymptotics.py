@@ -25,6 +25,7 @@ import numpy as np
 from scipy.linalg import cho_factor, cho_solve
 
 from .domain_check import EmpiricalSample, lift
+from .exceptions import NumericalBreakdown
 from .locscatter import solve_locscatter
 from .scatter import ScatterConfig, ScatterResult, solve_scatter
 from .symspace import (
@@ -100,21 +101,30 @@ def hessian(sample: EmpiricalSample, A, nu: float) -> HessianMap:
     A = as_spd(A)
     if sample.d != A.dim:
         raise ValueError("sample dimension does not match matrix dimension")
-    return _curvature(sample, A, nu, A.quad_forms(sample.points), np.swapaxes(outer_vecs(sample.points), 0, 1))
+    V, T = np.swapaxes(outer_vecs(sample.points), 0, 1), congruence_matrix(A.mat)
+    return _curvature(sample, A, nu, A.quad_forms(sample.points), V, T)[0]
 
 
-def _curvature(sample: EmpiricalSample, A, nu: float, s, V) -> HessianMap:
-    # hessian from quadratic forms s and (K, n) rows V = sym_to_vec(y y'), scaled in place
+def _curvature(sample: EmpiricalSample, A, nu: float, s, V, T):
+    # hessian T - G and its Gram matrix G = sum_i (nu+d) w_i v_i v_i' / (nu+s_i)^2, from quadratic forms s,
+    # (K, n) rows V of v_i = sym_to_vec(y_i y_i'), scaled in place, and T[a,b] = trace(A E_a A E_b)
     V *= np.sqrt((nu + A.dim) * sample.weights / (nu + s) ** 2)
-    # first term: T[a,b] = trace(A E_a A E_b), the congruence matrix of A
-    H = symmetrize(congruence_matrix(A.mat) - V @ V.T, rtol=1e-6)
-    return HessianMap(dim=A.dim, matrix=H, min_eigenvalue=float(np.linalg.eigvalsh(H)[0]))
+    G = V @ V.T
+    H = symmetrize(T - G, rtol=1e-6)
+    return HessianMap(dim=A.dim, matrix=H, min_eigenvalue=float(np.linalg.eigvalsh(H)[0])), G
 
 
 def _fit(sample: EmpiricalSample, nu: float, fit=None, check_domain=True) -> ScatterResult:
-    if fit is not None:
-        return fit
-    return solve_scatter(sample, ScatterConfig(nu=nu), check_domain=check_domain)
+    return fit if fit is not None else solve_scatter(sample, ScatterConfig(nu=nu), check_domain=check_domain)
+
+
+def _factor(hess: HessianMap):
+    # the curvature is positive definite at the functional, not necessarily at an unconverged fit
+    try:
+        return cho_factor(hess.matrix)
+    except np.linalg.LinAlgError as exc:
+        raise NumericalBreakdown(f"curvature is not positive definite (least eigenvalue {hess.min_eigenvalue:.3g}):"
+                                 " the fit is too far from the functional") from exc
 
 
 def influence(y, sample: EmpiricalSample, nu: float, *, fit=None, hess=None) -> np.ndarray:
@@ -126,19 +136,15 @@ def influence(y, sample: EmpiricalSample, nu: float, *, fit=None, hess=None) -> 
     contamination, and IF is the congruent image A (2 H^{-1} score(y)) A. The
     weighted sample average of IF vanishes.
     """
-    result = _fit(sample, nu, fit)
-    A = result.A
-    hess = hess if hess is not None else hessian(sample, A, nu)
-    factor = cho_factor(hess.matrix)
+    A = _fit(sample, nu, fit).A
+    factor = _factor(hess if hess is not None else hessian(sample, A, nu))
     g = sym_to_vec(score(y, A, nu))
     dC = vec_to_sym(2.0 * cho_solve(factor, g))
     return symmetrize(A.mat @ dC @ A.mat, rtol=1e-9)
 
 
 def _numerical_rank(S: np.ndarray) -> int:
-    sv = np.linalg.svd(S, compute_uv=False)
-    if sv.size == 0 or sv[0] <= 0.0:
-        return 0
+    sv = np.linalg.svd(S, compute_uv=False)  # descending: a zero S has rank 0
     return int((sv > DEFAULT_RANK_TOL * sv[0]).sum())
 
 
@@ -157,24 +163,24 @@ def asymptotic_cov_scatter(
     A-parametrization by the congruence X -> A X A. Rank follows the law's
     geometry: d(d+1)/2 when no quadratic polynomial annihilates the sample,
     never less than d-1 for d >= 2, and exactly 1 for d = 1.
+
+    K is read off the curvature's Gram matrix G, not an n x K score matrix:
+    the score of y_i is c_i v_i - vec(A)/2, v_i = sym_to_vec(y_i y_i') and
+    c_i = (nu+d)/(2(nu+s_i)), and sum_i w_i c_i^2 v_i v_i' = (nu+d)/4 G, so
+    K = (nu+d)/4 G - m m' with m = sum_i w_i c_i v_i = vec(A)/2 at the fit.
+    The subtraction loses digits only where K is small against m m'; against
+    centring the scores first, S moves under 1e-13 relative on the tested laws.
     """
-    result = _fit(sample, nu, fit, check_domain)
-    A = result.A
+    A = _fit(sample, nu, fit, check_domain).A
     d = A.dim
     s, V = A.quad_forms(sample.points), np.swapaxes(outer_vecs(sample.points), 0, 1)
-    coef = (nu + d) / (2.0 * (nu + s))
-    Gv = coef[:, None] * V.T
-    Gv -= 0.5 * sym_to_vec(A.mat)
-    H = _curvature(sample, A, nu, s, V)  # scales V, so only after Gv
-    del V  # n x K words, freed before Gv is weighted below
-    Gv -= sample.weights @ Gv  # centred in place
-    K = (Gv * sample.weights[:, None]).T @ Gv
+    m = V @ (sample.weights * (nu + d) / (2.0 * (nu + s)))  # before _curvature scales V
+    T = congruence_matrix(A.mat)
+    H, G = _curvature(sample, A, nu, s, V, T)
+    K = (nu + d) / 4.0 * G - np.outer(m, m)
 
-    factor = cho_factor(H.matrix)
-    half = 2.0 * cho_solve(factor, K)          # (H/2)^{-1} K
-    Sc = 2.0 * cho_solve(factor, half.T).T     # (H/2)^{-1} K (H/2)^{-1}
-    J = congruence_matrix(A.mat)
-    S = symmetrize(J @ Sc @ J.T, rtol=1e-6)
+    X = 2.0 * cho_solve(_factor(H), T)  # (H/2)^{-1} T, so that S = T (H/2)^{-1} K (H/2)^{-1} T = X' K X
+    S = symmetrize(X.T @ K @ X, rtol=1e-6)
     return AsymptoticCov(S=S, rank=_numerical_rank(S), parametrization="scatter_A")
 
 

@@ -263,9 +263,7 @@ def _emit(envelope: dict, args: argparse.Namespace):
         buf = io.StringIO()
         writer = csv.writer(buf)
         writer.writerow(["key", "value"])
-        flat = _flatten("payload", envelope["payload"])
-        for key, value in flat:
-            writer.writerow([key, value])
+        writer.writerows(_flatten("payload", envelope["payload"]))
         text = buf.getvalue()
     else:
         text = json.dumps(envelope, indent=2) + "\n"
@@ -278,15 +276,9 @@ def _emit(envelope: dict, args: argparse.Namespace):
 
 def _flatten(prefix, obj):
     if isinstance(obj, dict):
-        out = []
-        for k, v in obj.items():
-            out.extend(_flatten(f"{prefix}.{k}", v))
-        return out
+        return [kv for k, v in obj.items() for kv in _flatten(f"{prefix}.{k}", v)]
     if isinstance(obj, list):
-        out = []
-        for i, v in enumerate(obj):
-            out.extend(_flatten(f"{prefix}[{i}]", v))
-        return out
+        return [kv for i, v in enumerate(obj) for kv in _flatten(f"{prefix}[{i}]", v)]
     return [(prefix, obj)]
 
 

@@ -23,7 +23,7 @@ import numpy as np
 from .domain_check import EmpiricalSample, check_locscat_domain, lift
 from .exceptions import NuOutOfRange
 from .scatter import ScatterConfig, ScatterResult, _fit_then_check, solve_scatter, weight_u
-from .symspace import SpdMatrix, extract
+from .symspace import SpdMatrix, _extract
 
 __all__ = [
     "LocScatEstimate",
@@ -88,8 +88,7 @@ def certify_lifted_fit(sample: EmpiricalSample, nu: float, diag: ScatterResult) 
     Extracts the block embedding and computes both certificates. Raises
     :class:`DegeneracyError` when the extracted Sigma is not SPD.
     """
-    Sigma_arr, mu, gamma = extract(diag.A)
-    Sigma = SpdMatrix(Sigma_arr)
+    Sigma, mu, gamma = _extract(diag.A)
     s = Sigma.quad_forms(sample.points - mu)
     weight_check = float(sample.weights @ weight_u(s, nu, sample.d))
     converged = (
@@ -97,8 +96,7 @@ def certify_lifted_fit(sample: EmpiricalSample, nu: float, diag: ScatterResult) 
         and abs(gamma - 1.0) <= IDENTITY_CHECK_TOL
         and abs(weight_check - 1.0) <= IDENTITY_CHECK_TOL
     )
-    mu = mu.copy()
-    mu.setflags(write=False)
+    mu.setflags(write=False)  # a fresh array from _extract
     return LocScatEstimate(
         mu=mu,
         Sigma=Sigma,

@@ -299,7 +299,7 @@ def _solve_stack(points, weights, cfg: ScatterConfig):
         for j in np.flatnonzero(~going):
             i = ids[j]
             results[i] = ScatterResult(
-                A=SpdMatrix(B[j]),
+                A=SpdMatrix._factored(B[j].copy(), L[j].copy()),  # B[j] is exactly symmetric, L[j] its factor
                 iterations=k,
                 newton_steps=int(newton_steps[i]),
                 objective=float(obj[j]),

@@ -34,7 +34,7 @@ from .domain_check import (
 )
 from .exceptions import DomainViolation, EnumerationBudgetError, NumericalBreakdown
 from .locscatter import certify_lifted_fit, solve_locscatter
-from .scatter import ScatterConfig, _sample_bytes, _solve_stack, solve_scatter
+from .scatter import ScatterConfig, ScatterResult, _sample_bytes, _solve_stack, solve_scatter
 from .symspace import as_spd, sym_to_vec
 
 __all__ = [
@@ -177,8 +177,11 @@ class McReport:
     warnings: tuple[str, ...] = ()
 
 
-def _locscat_theta(est) -> np.ndarray:
-    return np.concatenate([est.mu, sym_to_vec(est.Sigma.mat)])
+def _thetas(fits) -> np.ndarray:
+    """Rows sym_to_vec(A) of scatter fits, or mu over sym_to_vec(Sigma) of location-scatter estimates."""
+    if isinstance(fits[0], ScatterResult):
+        return sym_to_vec(np.stack([fit.A.mat for fit in fits]))
+    return np.hstack([np.stack([est.mu for est in fits]), sym_to_vec(np.stack([est.Sigma.mat for est in fits]))])
 
 
 def _target_objects(sampler: Sampler, nu: float, mode: str, surrogate_n: int):
@@ -206,13 +209,8 @@ def _target_objects(sampler: Sampler, nu: float, mode: str, surrogate_n: int):
     except EnumerationBudgetError:
         warnings.append("domain of the target law not checked: exact enumeration too large")
         est = fit(False)
-    if mode == "scatter":
-        target_cov = asymptotic_cov_scatter(law, nu, fit=est, check_domain=False)
-        theta0 = sym_to_vec(est.A.mat)
-    else:
-        target_cov = asymptotic_cov_locscatter(law, nu, fit=est)
-        theta0 = _locscat_theta(est)
-    return theta0, target_cov, warnings
+    cov = asymptotic_cov_scatter if mode == "scatter" else asymptotic_cov_locscatter
+    return _thetas([est])[0], cov(law, nu, fit=est, check_domain=False), warnings
 
 
 def _replicate_thetas(sampler: Sampler, cfg: ScatterConfig, n: int, mode: str, reps: range) -> list:
@@ -254,11 +252,10 @@ def _replicate_thetas(sampler: Sampler, cfg: ScatterConfig, n: int, mode: str, r
                     raise NumericalBreakdown(f"replicate {chunk_reps[i]}: {broken[i]}")
                 else:
                     member[i] = True
-        for i in np.flatnonzero(member).tolist():
-            found[i] = (
-                _locscat_theta(certify_lifted_fit(EmpiricalSample(draws[i]), cfg.nu, fits[i])) if lifted
-                else sym_to_vec(fits[i].A.mat)
-            )
+        kept = np.flatnonzero(member).tolist()
+        ests = [certify_lifted_fit(EmpiricalSample(draws[i]), cfg.nu, fits[i]) if lifted else fits[i] for i in kept]
+        for i, theta in zip(kept, _thetas(ests) if ests else ()):
+            found[i] = theta
         outcomes += found
     return outcomes
 
@@ -309,20 +306,15 @@ def run_clt_experiment(
         raise DomainViolation(failing, "too few replicates inside the existence domain")
 
     errors = np.sqrt(n) * (np.stack(kept) - theta0)
-    emp = np.cov(errors, rowvar=False, ddof=1)
-    emp = np.atleast_2d(emp)
+    emp = np.atleast_2d(np.cov(errors, rowvar=False, ddof=1))
     emp = (emp + emp.T) / 2.0
 
     S = target_cov.S
     mask = np.abs(S) > REL_THRESHOLD
-    if mask.any():
-        max_rel_err = float(np.max(np.abs(emp[mask] - S[mask]) / np.abs(S[mask])))
-    else:
-        max_rel_err = float("nan")
+    max_rel_err = float(np.max(np.abs(emp[mask] - S[mask]) / np.abs(S[mask]))) if mask.any() else float("nan")
 
     ks = []
-    for j in range(errors.shape[1]):
-        col = errors[:, j]
+    for col in errors.T:
         sd = col.std(ddof=1)
         if sd > 1e-12 * (1.0 + np.abs(col).max()):
             ks.append(float(stats.kstest(col, "norm", args=(col.mean(), sd)).statistic))

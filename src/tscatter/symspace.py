@@ -101,11 +101,18 @@ class SpdMatrix:
                 "matrix is not positive definite: it needs finite entries, a positive "
                 "trace and Cholesky pivots above PIVOT_RTOL times the trace"
             )
-        chol = chol[0]
-        m.setflags(write=False)
+        self._hold(m, chol[0])
+
+    @classmethod
+    def _factored(cls, mat, chol):
+        # what the constructor builds from an exactly symmetric mat whose factor chol passed spd_cholesky
+        return object.__new__(cls)._hold(mat, chol)
+
+    def _hold(self, mat, chol):
+        mat.setflags(write=False)
         chol.setflags(write=False)
-        self._mat = m
-        self._chol = chol
+        self._mat, self._chol = mat, chol
+        return self
 
     @property
     def mat(self) -> np.ndarray:
@@ -149,11 +156,17 @@ def extract(A):
     """Invert the block embedding: recover (Sigma, mu, gamma) from A.
 
     ``gamma`` is the bottom-right entry, ``mu`` the rescaled last column,
-    ``Sigma`` the rescaled top-left block minus ``mu mu'``. Raises
+    ``Sigma`` the rescaled top-left block minus ``mu mu'``, read-only. Raises
     :class:`DegeneracyError` when the recovered Sigma is not positive
     definite, which signals that A is outside the valid image of the
     embedding.
     """
+    Sigma, mu, gamma = _extract(A)
+    return Sigma.mat, mu, gamma
+
+
+def _extract(A):
+    # extract, with Sigma as the SpdMatrix that validated it
     A = as_spd(A)
     if A.dim < 2:
         raise ValueError("extract needs a matrix of dimension at least 2")
@@ -165,10 +178,9 @@ def extract(A):
     mu = m[:d, d] / gamma
     Sigma = m[:d, :d] / gamma - np.outer(mu, mu)
     try:
-        SpdMatrix(Sigma)
+        return SpdMatrix(Sigma), mu, gamma
     except NotSpdError as exc:
         raise DegeneracyError("recovered scatter block is not positive definite") from exc
-    return symmetrize(Sigma, rtol=1e-9), mu, gamma
 
 
 def sym_dim(d: int) -> int:

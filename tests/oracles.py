@@ -4,7 +4,9 @@ import dataclasses
 import itertools
 
 import numpy as np
+from scipy.linalg import cho_factor, cho_solve
 
+from tscatter.asymptotics import DEFAULT_RANK_TOL, extract_jacobian, hessian
 from tscatter.domain_check import (
     EQ_TOL,
     POINT_RTOL,
@@ -22,7 +24,7 @@ from tscatter.scatter import (
     _rho_diff,
     weight_u,
 )
-from tscatter.symspace import SpdMatrix, _layout, as_spd, symmetrize
+from tscatter.symspace import SpdMatrix, _layout, as_spd, congruence_matrix, outer_vecs, sym_to_vec, symmetrize
 
 
 def objective(sample: EmpiricalSample, A, nu: float) -> float:
@@ -358,3 +360,35 @@ def solve_scatter_mm(sample: EmpiricalSample, cfg: ScatterConfig) -> ScatterResu
         stop_reason=stop_reason,
         fp_residual=fp_residual,
     )
+
+
+def sandwich_two_pass(sample: EmpiricalSample, nu: float, fit: ScatterResult):
+    """``asymptotic_cov_scatter`` at ``fit`` with K from the centred n x K score matrix.
+
+    The reference for reading K off the curvature's Gram matrix: the scores
+    vec(-A/2 + (nu+d) y y' / (2 (nu+s))) are formed row by row, centred, and
+    K is their weighted Gram matrix, a second n x K^2 product next to the one
+    in ``hessian``. Returns ``(S, rank)``, the rank at ``DEFAULT_RANK_TOL``.
+    """
+    A = fit.A
+    s = A.quad_forms(sample.points)
+    scores = ((nu + A.dim) / (2.0 * (nu + s)))[:, None] * outer_vecs(sample.points) - 0.5 * sym_to_vec(A.mat)
+    scores -= sample.weights @ scores
+    K = (scores * sample.weights[:, None]).T @ scores
+    factor = cho_factor(hessian(sample, A, nu).matrix)
+    half = 2.0 * cho_solve(factor, K)       # (H/2)^{-1} K
+    Sc = 2.0 * cho_solve(factor, half.T).T  # (H/2)^{-1} K (H/2)^{-1}
+    J = congruence_matrix(A.mat)
+    return _with_rank(symmetrize(J @ Sc @ J.T, rtol=1e-6))
+
+
+def sandwich_two_pass_locscatter(sample: EmpiricalSample, est):
+    """``asymptotic_cov_locscatter`` at the estimate ``est`` through :func:`sandwich_two_pass`."""
+    S_lift, _ = sandwich_two_pass(lift(sample), est.nu - 1.0, est.scatter_diag)
+    J = extract_jacobian(est.scatter_diag.A)
+    return _with_rank(symmetrize(J @ S_lift @ J.T, rtol=1e-6))
+
+
+def _with_rank(S):
+    sv = np.linalg.svd(S, compute_uv=False)
+    return S, int((sv > DEFAULT_RANK_TOL * sv[0]).sum())

@@ -1,7 +1,9 @@
 import numpy as np
+import pytest
 
 from tscatter import (
     EmpiricalSample,
+    NumericalBreakdown,
     ScatterConfig,
     asymptotic_cov_locscatter,
     asymptotic_cov_scatter,
@@ -11,12 +13,15 @@ from tscatter import (
     hessian,
     influence,
     score,
+    solve_locscatter,
     solve_scatter,
     sym_basis,
     sym_dim,
     sym_to_vec,
     vec_to_sym,
 )
+
+from oracles import sandwich_two_pass, sandwich_two_pass_locscatter
 
 
 def four_point_law():
@@ -250,6 +255,59 @@ class TestScatterCov:
             assert H.min_eigenvalue >= floor
             checked += 1
         assert checked >= 30
+
+
+def t_cloud(rng, n, d, df):
+    return EmpiricalSample(rng.standard_normal((n, d)) / np.sqrt(rng.chisquare(df, (n, 1)) / df))
+
+
+SANDWICH_CASES = {
+    "t2_d10": (lambda: t_cloud(np.random.default_rng(47), 2000, 10, 2.0), 1.0),
+    "d1": (lambda: EmpiricalSample(np.random.default_rng(53).standard_normal((25, 1))), 2.0),
+    "weighted_four_point": (lambda: EmpiricalSample(four_point_law().points, [0.4, 0.3, 0.2, 0.1]), 2.0),
+    "axis_d3": (lambda: axis_law(3), 2.0),
+    "nu_small_d4": (lambda: t_cloud(np.random.default_rng(59), 500, 4, 1.0), 0.1),
+}
+
+
+class TestSandwichAgainstTwoPass:
+    """K read off the curvature's Gram matrix equals K from centred scores, up to roundoff."""
+
+    @staticmethod
+    def assert_agree(cov, S, rank):
+        assert np.abs(cov.S - S).max() <= 1e-10 * np.abs(S).max()
+        assert cov.rank == rank
+
+    @pytest.mark.parametrize("case", sorted(SANDWICH_CASES))
+    def test_scatter(self, case):
+        make, nu = SANDWICH_CASES[case]
+        q = make()
+        fit = solve_scatter(q, ScatterConfig(nu=nu), check_domain=False)
+        assert fit.converged
+        self.assert_agree(asymptotic_cov_scatter(q, nu, fit=fit), *sandwich_two_pass(q, nu, fit))
+
+    @pytest.mark.parametrize("case", sorted(SANDWICH_CASES))
+    def test_locscatter(self, case):
+        make, nu = SANDWICH_CASES[case]
+        q = make()
+        est = solve_locscatter(q, nu + 1.0, check_domain=False)
+        assert est.converged
+        self.assert_agree(asymptotic_cov_locscatter(q, nu + 1.0, fit=est), *sandwich_two_pass_locscatter(q, est))
+
+
+class TestUnconvergedFit:
+    def test_curvature_not_positive_definite_is_a_breakdown(self):
+        # one step from the identity the curvature of this cloud has a
+        # negative eigenvalue; the sandwich and the influence function both
+        # need its Cholesky factor
+        q = EmpiricalSample(np.random.default_rng(3).standard_normal((12, 2)) + [1.0, -2.0])
+        fit = solve_scatter(q, ScatterConfig(nu=1.5, max_iter=1))
+        assert not fit.converged
+        assert hessian(q, fit.A, 1.5).min_eigenvalue < 0.0
+        with pytest.raises(NumericalBreakdown, match="curvature is not positive definite"):
+            asymptotic_cov_scatter(q, 1.5, fit=fit)
+        with pytest.raises(NumericalBreakdown, match="curvature is not positive definite"):
+            influence(q.points[0], q, 1.5, fit=fit)
 
 
 class TestExtractJacobian:

@@ -230,6 +230,15 @@ class TestErrorEnvelopes:
         }
         assert env["timing_ms"] > 0.0
 
+    @pytest.mark.parametrize("mode,nu", [("locscatter", "2"), ("scatter", "1.5")])
+    def test_asymptotics_at_a_fit_far_from_the_functional_exit_3(self, cloud2, tmp_path, mode, nu):
+        # one step from the start the curvature is not positive definite, so
+        # the sandwich has no Cholesky factor: a numerical failure, not a usage error
+        code, env = run(["asymptotics", cloud2, "--nu", nu, "--mode", mode, "--max-iter", "1"], tmp_path)
+        assert code == cli.EXIT_NUMERICAL
+        assert env["payload"]["error"] == "numerical_failure"
+        assert env["payload"]["message"].startswith("curvature is not positive definite")
+
 
 class TestUsageErrors:
     def test_bad_cell_exit_1(self, tmp_path, capsys):

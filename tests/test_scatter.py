@@ -439,6 +439,25 @@ class TestStack:
         assert raw.iterations == ren.iterations
         assert raw.newton_steps == ren.newton_steps
 
+    def test_results_hold_the_factor_of_their_matrix(self):
+        # each result is built from the loop's own iterate and Cholesky
+        # factor: the factor must be the one the matrix has, bit for bit, on
+        # stacks and on stacks of one, after Newton steps and after MM steps
+        heavy = np.random.default_rng(23)
+        heavy = heavy.standard_normal((200, 3)) / np.abs(heavy.standard_normal((200, 1)))
+        Y = np.stack([np.random.default_rng(3).standard_normal((200, 3)), 1e3 * heavy, 1e6 * heavy])
+        w = np.full(Y.shape[:2], 1.0 / 200)
+        results = []
+        for cfg in (ScatterConfig(nu=1.0), ScatterConfig(nu=1.0, max_iter=3)):
+            results += solve_scatter_stack(Y, w, cfg)
+            results += [solve_scatter_stack(Y[i : i + 1], w[i : i + 1], cfg)[0] for i in range(len(Y))]
+        assert any(0 < r.newton_steps == r.iterations for r in results)   # Newton steps only
+        assert any(r.newton_steps == 0 < r.iterations for r in results)   # MM steps only
+        assert any(0 < r.newton_steps < r.iterations for r in results)
+        for r in results:
+            assert np.array_equal(r.A.chol, np.linalg.cholesky(r.A.mat))
+            assert not r.A.mat.flags.writeable and not r.A.chol.flags.writeable
+
     def test_rejects_ragged_shapes(self):
         with pytest.raises(ValueError):
             solve_scatter_stack(np.ones((2, 5, 2)), np.full((2, 4), 0.25), ScatterConfig(nu=1.0))

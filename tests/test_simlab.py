@@ -188,7 +188,8 @@ def replicates_one_at_a_time(sampler, cfg, n, mode, reps):
         if not report.member:
             out.append(report)
         elif mode == "locscatter":
-            out.append(simlab._locscat_theta(solve_locscatter(q, cfg.nu, cfg, check_domain=False)))
+            est = solve_locscatter(q, cfg.nu, cfg, check_domain=False)
+            out.append(np.concatenate([est.mu, sym_to_vec(est.Sigma.mat)]))
         else:
             out.append(sym_to_vec(solve_scatter(q, cfg, check_domain=False).A.mat))
     return out
