@@ -25,7 +25,6 @@ from .domain_check import (
     certify_members,
     check_locscat_domain,
     check_scatter_domain,
-    check_scatter_domain_stack,
     lift,
     max_atom,
 )

@@ -44,6 +44,12 @@ EXIT_USAGE = 1
 EXIT_DOMAIN = 2
 EXIT_NUMERICAL = 3
 
+# the warning for a fit that did not converge, by functional
+UNCONVERGED = {
+    "scatter": "solver stopped before meeting the gradient tolerance",
+    "locscatter": "estimate did not meet its convergence certificates",
+}
+
 
 def ingest_csv(source) -> EmpiricalSample:
     """Parse a CSV of observations into a weighted sample.
@@ -175,23 +181,24 @@ def _round_trip(obj):
     return obj
 
 
-def dispatch(args: argparse.Namespace) -> tuple[dict, list[str]]:
-    """Run one command parsed by ``build_parser``; return its payload and warnings.
+def dispatch(args: argparse.Namespace, warnings: list[str]) -> dict:
+    """Run one command parsed by ``build_parser``; return its payload.
 
-    Payload values may still be numpy objects; :func:`main` encodes them.
+    Warnings are appended to ``warnings`` as they arise, so a command that
+    fails later still reports them. Payload values may still be numpy
+    objects; :func:`main` encodes them.
     Settings out of range raise ``ValueError`` downstream: ``ScatterConfig``
     rejects nu <= 0, tol <= 0 and max-iter < 1 for the commands that fit,
     the domain check rejects nu <= 0, and the location-scatter and 1-D
     functionals raise ``NuOutOfRange`` for nu <= 1.
     """
-    warnings: list[str] = []
     scfg = ScatterConfig(nu=args.nu, tol_grad=args.tol, max_iter=args.max_iter) if "tol" in args else None
     sample = ingest_csv(sys.stdin if args.input == "-" else args.input)
 
     if args.command == "estimate":
         est = solve_locscatter(sample, args.nu, scfg)
         if not est.converged:
-            warnings.append("estimate did not meet its convergence certificates")
+            warnings.append(UNCONVERGED["locscatter"])
         payload = {
             "mu": est.mu,
             "Sigma": est.Sigma.mat,
@@ -206,7 +213,7 @@ def dispatch(args: argparse.Namespace) -> tuple[dict, list[str]]:
     elif args.command == "scatter":
         result = solve_scatter(sample, scfg)
         if not result.converged:
-            warnings.append("solver stopped before meeting the gradient tolerance")
+            warnings.append(UNCONVERGED["scatter"])
         payload = {
             "A": result.A.mat,
             "iterations": result.iterations,
@@ -222,16 +229,11 @@ def dispatch(args: argparse.Namespace) -> tuple[dict, list[str]]:
         payload = {**asdict(check(sample, args.nu + sample.d)), "target": args.mode}
     elif args.command == "asymptotics":
         # the covariance is taken at a fit made with the command's solver settings
-        if args.mode == "scatter":
-            fit = solve_scatter(sample, scfg)
-            cov = asymptotic_cov_scatter(sample, args.nu, fit=fit)
-            unconverged = "solver stopped before meeting the gradient tolerance"
-        else:
-            fit = solve_locscatter(sample, args.nu, scfg)
-            cov = asymptotic_cov_locscatter(sample, args.nu, fit=fit)
-            unconverged = "estimate did not meet its convergence certificates"
+        scatter = args.mode == "scatter"
+        fit = solve_scatter(sample, scfg) if scatter else solve_locscatter(sample, args.nu, scfg)
         if not fit.converged:
-            warnings.append(unconverged)
+            warnings.append(UNCONVERGED[args.mode])
+        cov = (asymptotic_cov_scatter if scatter else asymptotic_cov_locscatter)(sample, args.nu, fit=fit)
         payload = asdict(cov)
     elif args.command == "oned":
         est = solve_oned(sample, args.nu)
@@ -255,7 +257,7 @@ def dispatch(args: argparse.Namespace) -> tuple[dict, list[str]]:
         }
     else:
         raise ValueError(f"unknown command {args.command!r}")
-    return payload, warnings
+    return payload
 
 
 def _emit(envelope: dict, args: argparse.Namespace):
@@ -334,11 +336,11 @@ def main(argv=None) -> int:
     start = time.perf_counter()
     warnings: list[str] = []
     try:
-        payload, warnings = dispatch(args)
+        payload = dispatch(args, warnings)
         code = EXIT_OK
     except DomainViolation as exc:
         payload = {"error": "domain_violation", "report": asdict(exc.report)}
-        warnings = [str(exc)]
+        warnings.append(str(exc))
         code = EXIT_DOMAIN
     except (NumericalBreakdown, NotSpdError, DegeneracyError) as exc:
         payload = {"error": "numerical_failure", "message": str(exc)}
@@ -352,7 +354,7 @@ def main(argv=None) -> int:
         "command": args.command,
         "timing_ms": (time.perf_counter() - start) * 1000.0,
         "payload": _round_trip(payload),
-        "warnings": list(warnings),
+        "warnings": warnings,
     }
     try:
         _emit(envelope, args)

@@ -27,14 +27,16 @@ The solve paths need only a verdict, and they have a fit. From it
 ``certify_members`` proves membership at O(n d^2) cost, for every subspace at
 once, and it never accepts a law the exact check rejects; it proves nothing
 when it declines. So the solvers fit first, certify, and enumerate only the
-samples the certificate cannot accept, and the budget limits them only there.
+samples the certificate cannot accept, and the budget limits them only there;
+one stacked helper in ``scatter`` does that for every solve path.
 ``check_scatter_domain`` always enumerates, since its report names the worst
 subspace.
 
-The exact check runs on stacks of samples (``check_scatter_domain_stack``),
-merged by one sort and padded to a common size; each block row is a (sample,
-fixed tuple) pair. Tolerances, maxima and ties are kept per sample and padding
-enters no test, so each report equals its sample's own. ``check_scatter_domain``
+The exact check (``_check_exact``) runs on stacks of samples, merged by one
+sort and padded to a common size; each block row is a (sample, fixed tuple)
+pair. Tolerances, maxima and ties are kept per sample and padding enters no
+test, so each report equals its sample's own. The solve paths enumerate the
+samples the certificate declines as one such stack; ``check_scatter_domain``
 is the stack of one, and ``EmpiricalSample.merged`` that of the stacked merge.
 """
 
@@ -54,7 +56,6 @@ __all__ = [
     "EmpiricalSample",
     "DomainReport",
     "check_scatter_domain",
-    "check_scatter_domain_stack",
     "certify_members",
     "check_locscat_domain",
     "lift",
@@ -242,8 +243,7 @@ def check_scatter_domain(
     multiple of ``BLOCK_BYTES`` whatever the sample size (O(m) for lines).
     Among subspaces with the same margin the report names the first found:
     lower dimension first, then ``itertools.combinations`` order of the merged
-    points, as if each subset were tested in turn. It is
-    :func:`check_scatter_domain_stack` on a stack of one. ``method="randomized"``
+    points, as if each subset were tested in turn. ``method="randomized"``
     instead tests random linear projections to at most 4 dimensions: any
     violation it finds certifies one in the original space (the preimage of a
     violating subspace has the same codimension and at least the same mass),
@@ -255,32 +255,20 @@ def check_scatter_domain(
     if not a0 > d:
         raise ValueError(f"need a0 > d, got a0={a0} with d={d}")
     if method == "exact":
-        return _check_exact(sample.points[None], sample.weights[None], a0, DEFAULT_BUDGET)[0]
+        return _check_exact(sample.points[None], sample.weights[None], a0)[0]
     if method == "randomized":
         return _check_randomized(*sample.merged(), a0, d, projections, seed)
     raise ValueError(f"unknown method {method!r}")
 
 
-def check_scatter_domain_stack(points, weights, a0: float) -> list[DomainReport]:
-    """Exact linear-subspace checks of a stack of samples, one report per sample.
-
-    ``points`` is (R, n, d); ``weights`` is (R, n), each row summing to 1
-    within 1e-12 and divided by its sum, or None for uniform weights. Report
-    r equals ``check_scatter_domain(EmpiricalSample(points[r], weights[r]),
-    a0)`` field for field. Raises :class:`EnumerationBudgetError`, before any
-    check, when any sample has more than ``DEFAULT_BUDGET`` subsets.
-    """
-    return _check_exact(*_as_stack(points, weights), float(a0), DEFAULT_BUDGET)
-
-
 def certify_members(points, weights, A, a0: float) -> np.ndarray:
     """Prove domain membership of a stack of samples from a scatter matrix of each.
 
-    ``points`` (R, n, d) and ``weights`` are as for
-    :func:`check_scatter_domain_stack`; ``A`` is an (R, d, d) stack of SPD
-    matrices, in practice each sample's fit at ``a0``. Returns one bool per
-    sample. True proves that the sample is a member, so that the exact check
-    accepts it too; False proves nothing.
+    ``points`` is (R, n, d); ``weights`` is (R, n), each row summing to 1
+    within 1e-12 and divided by its sum, or None for uniform weights. ``A``
+    is an (R, d, d) stack of SPD matrices, in practice each sample's fit at
+    ``a0``. Returns one bool per sample. True proves that the sample is a
+    member, so that the exact check accepts it too; False proves nothing.
 
     The bound is the necessity argument of Kent and Tyler (Ann. Statist. 19,
     1991) made quantitative. Let A = L L', z_i = L^{-1} y_i, s_i = |z_i|^2,
@@ -597,9 +585,13 @@ def _line_masses(w, C, norms, base, on, rows, pts, tol):
     return masses
 
 
-def _check_exact(points: np.ndarray, weights: np.ndarray, a0: float, budget) -> list[DomainReport]:
-    """Exact reports for a checked (R, n, d) stack, weights already divided by their sums."""
+def _check_exact(points: np.ndarray, weights: np.ndarray, a0: float, budget=None) -> list[DomainReport]:
+    """Exact reports for a checked (R, n, d) stack, weights already divided by their sums.
+
+    ``budget`` on the subsets of each sample defaults to ``DEFAULT_BUDGET``.
+    """
     R, _, d = points.shape
+    budget = DEFAULT_BUDGET if budget is None else budget
     if not a0 > d:
         raise ValueError(f"need a0 > d, got a0={a0} with d={d}")
     X, w, rep, sizes = _merge(points, weights)

@@ -20,9 +20,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .domain_check import EmpiricalSample, check_locscat_domain, lift
-from .exceptions import NuOutOfRange
-from .scatter import ScatterConfig, ScatterResult, _fit_then_check, solve_scatter, weight_u
+from .domain_check import EmpiricalSample, _affine_report, lift
+from .exceptions import DomainViolation, NuOutOfRange
+from .scatter import ScatterConfig, ScatterResult, solve_scatter, weight_u
 from .symspace import SpdMatrix, _extract
 
 __all__ = [
@@ -61,24 +61,23 @@ def solve_locscatter(
 
     ``cfg`` supplies solver tolerances only; its ``nu`` field is replaced by
     nu - 1 for the lifted solve. Raises :class:`NuOutOfRange` for nu <= 1.
-    Unless ``check_domain=False``, it fits first and then certifies from the
-    lifted fit that no affine subspace carries too much mass; only when the
-    certificate cannot accept, or the fit broke down, does it run the exact
-    check, raising :class:`DomainViolation` with its report for a law
-    outside the domain. The estimate does not depend on ``check_domain``.
+    The estimate is :func:`~tscatter.scatter.solve_scatter` of the lifted
+    sample, whose affine-domain membership is the lifted linear condition at
+    the same a0 = nu + d: unless ``check_domain=False``, it is certified from
+    the lifted fit, or else checked by exact enumeration, on the sample
+    without its zero-weight points. A law outside the domain raises
+    :class:`DomainViolation` with the report in affine dimensions and its
+    witnesses as rows of ``sample``. The estimate does not depend on
+    ``check_domain``.
     """
     nu = float(nu)
     if not nu > 1.0:
         raise NuOutOfRange(f"location-scatter requires nu > 1, got {nu}")
     cfg = ScatterConfig(nu=nu - 1.0) if cfg is None else dataclasses.replace(cfg, nu=nu - 1.0)
-    lifted = lift(sample)
-
-    # affine-domain membership is the lifted linear condition at the same a0
-    def fit():
-        return solve_scatter(lifted, cfg, check_domain=False)
-
-    a0 = nu + sample.d
-    diag = _fit_then_check(fit, lifted, a0, lambda: check_locscat_domain(sample, a0)) if check_domain else fit()
+    try:
+        diag = solve_scatter(lift(sample), cfg, check_domain=check_domain)
+    except DomainViolation as exc:
+        raise DomainViolation(_affine_report(exc.report)) from None
     return certify_lifted_fit(sample, nu, diag)
 
 

@@ -23,19 +23,22 @@ the Newton steps converge quadratically.
 There is one solver loop, and it runs on a stack of samples of equal size
 (``solve_scatter_stack``): every array carries a leading sample axis, each
 sample keeps its own step choice, stop test and breakdown check, and a
-sample that has stopped leaves the stack. ``solve_scatter`` is the stack of
-one, after dropping zero-weight points: it fits, certifies domain membership
-from the fit, and enumerates subspaces only when the certificate cannot
-accept.
+sample that has stopped leaves the stack. Every solve that checks the domain
+goes through one stacked helper: it fits the stack, certifies domain
+membership from the fits in one call, and enumerates subspaces, again as one
+stack, only for the samples the certificate cannot accept. ``solve_scatter``
+is its stack of one, after dropping zero-weight points; the location-scatter
+solve and the Monte Carlo replicates use it too.
 """
 
 from __future__ import annotations
 
+import dataclasses
 from dataclasses import dataclass
 
 import numpy as np
 
-from .domain_check import EmpiricalSample, certify_members, check_scatter_domain
+from .domain_check import EmpiricalSample, _check_exact, certify_members
 from .exceptions import DomainViolation, NumericalBreakdown
 from .symspace import (
     SpdMatrix,
@@ -63,26 +66,27 @@ MONOTONE_SLACK = 1e-12
 # of roundoff, and taking MM falls back to linear steps.
 NEWTON_TIE_EPS = 16 * np.finfo(float).eps
 
+# A sample stops once the whitened size of its last step is at most this.
+STEP_TOL = 1e-12
+
 
 @dataclass(frozen=True)
 class ScatterConfig:
     """Solver settings.
 
-    ``tol_grad`` bounds the whitened gradient norm of a converged fit and
-    ``tol_step`` the whitened size of the last step taken (see
+    ``tol_grad`` bounds the whitened gradient norm of a converged fit (see
     :func:`solve_scatter_stack`).
     """
 
     nu: float
     tol_grad: float = 1e-10
-    tol_step: float = 1e-12
     max_iter: int = 500
 
     def __post_init__(self):
         if not self.nu > 0.0:
             raise ValueError("nu must be positive")
-        if not (self.tol_grad > 0.0 and self.tol_step > 0.0):
-            raise ValueError("tolerances must be positive")
+        if not self.tol_grad > 0.0:
+            raise ValueError("tol_grad must be positive")
         if self.max_iter < 1:
             raise ValueError("max_iter must be at least 1")
 
@@ -191,46 +195,54 @@ def solve_scatter(
 ) -> ScatterResult:
     """Compute the scatter matrix of one sample: a stack of one.
 
-    Drops zero-weight points and runs :func:`solve_scatter_stack` on the
-    sample alone. Unless ``check_domain=False``, it then certifies from the
-    fit that the law is in the existence domain
-    (:func:`~tscatter.domain_check.certify_members`). Where the certificate
-    cannot accept, or the fit broke down, it runs the exact check and raises
-    :class:`DomainViolation` with its report when the law is outside; a
-    breakdown on a member law is raised as is. The fit returned does not
+    Drops zero-weight points and fits the rest. Unless
+    ``check_domain=False``, the fit goes through :func:`_fit_and_check`, so
+    the law is certified from it, or else checked by exact enumeration, on
+    the sample without its zero-weight points. A law outside the domain
+    raises :class:`DomainViolation` with the exact report, its witness
+    indices mapped back to rows of ``sample``; a breakdown of the fit of a
+    member law raises :class:`NumericalBreakdown`. The fit returned does not
     depend on ``check_domain``.
     """
+    rows = np.flatnonzero(sample.weights > 0.0)
     sample = sample.drop_zero_weights()
-
-    def fit():
-        return solve_scatter_stack(sample.points[None], sample.weights[None], cfg)[0]
-
     if not check_domain:
-        return fit()
-    a0 = cfg.nu + sample.d
-    return _fit_then_check(fit, sample, a0, lambda: check_scatter_domain(sample, a0))
-
-
-def _fit_then_check(fit, sample: EmpiricalSample, a0: float, check):
-    """``fit()``, returned once the sample's membership at ``a0`` is certified from it.
-
-    When the certificate cannot accept it, or ``fit()`` raises
-    :class:`NumericalBreakdown`, runs the exact ``check()``: raises
-    :class:`DomainViolation` with its report when the law is outside the
-    domain, re-raises the breakdown when it is a member, and otherwise
-    returns the fit.
-    """
-    try:
-        result, breakdown = fit(), None
-    except NumericalBreakdown as exc:
-        result, breakdown = None, exc
-    if result is None or not certify_members(sample.points[None], sample.weights[None], result.A.mat[None], a0)[0]:
-        report = check()
-        if not report.member:
-            raise DomainViolation(report)
-    if breakdown is not None:
-        raise breakdown
+        return solve_scatter_stack(sample.points[None], sample.weights[None], cfg)[0]
+    (result,), (report,), broken = _fit_and_check(sample.points[None], sample.weights[None], cfg)
+    if report is not None and not report.member:
+        witnesses = tuple(int(rows[i]) for i in report.witness_points)
+        raise DomainViolation(dataclasses.replace(report, witness_points=witnesses))
+    if broken:
+        raise NumericalBreakdown(broken[0])
     return result
+
+
+def _fit_and_check(points, weights, cfg: ScatterConfig):
+    """Fit a stack of samples and decide each one's domain membership at a0 = nu + d.
+
+    ``points`` (R, n, d) and ``weights`` (R, n) are samples as
+    :class:`EmpiricalSample` holds them. Runs :func:`_solve_stack`, certifies
+    the fits that did not break down in one
+    :func:`~tscatter.domain_check.certify_members` call, and checks the rest
+    by exact enumeration as one stack, with the same weights. Returns
+    ``(results, reports, broken)``: what :func:`_solve_stack` returns, and
+    per sample None where the certificate accepted it, else its exact
+    report. Raises :class:`EnumerationBudgetError` when a sample left to
+    enumerate is past the subset budget.
+    """
+    results, broken = _solve_stack(points, weights, cfg)
+    a0 = cfg.nu + points.shape[2]
+    member = np.zeros(len(results), dtype=bool)
+    fitted = [i for i, result in enumerate(results) if result is not None]
+    if fitted:
+        A = np.stack([results[i].A.mat for i in fitted])
+        member[fitted] = certify_members(points[fitted], weights[fitted], A, a0)
+    reports = [None] * len(results)
+    rest = np.flatnonzero(~member)
+    if rest.size:
+        for i, report in zip(rest.tolist(), _check_exact(points[rest], weights[rest], a0)):
+            reports[i] = report
+    return results, reports, broken
 
 
 def solve_scatter_stack(points, weights, cfg: ScatterConfig) -> list[ScatterResult]:
@@ -245,7 +257,7 @@ def solve_scatter_stack(points, weights, cfg: ScatterConfig) -> list[ScatterResu
     = (1/2)||I - M||_F, which does not change when the data are rescaled or
     linearly transformed. A sample stops once it is at most ``tol_grad``
     (``converged=True``), or when the whitened size ||L^{-1} B_next L^{-T} - I||_F
-    of its last step fell to ``tol_step``, or after ``max_iter`` steps
+    of its last step fell to ``STEP_TOL``, or after ``max_iter`` steps
     (``converged`` reflects the gradient criterion; the iterate reached is
     returned either way), and then leaves the active stack. Raises
     :class:`NumericalBreakdown`, for the first sample in stack order that
@@ -293,7 +305,7 @@ def _solve_stack(points, weights, cfg: ScatterConfig):
         grad = 0.5 * np.linalg.norm(eye - M, axis=(1, 2))
         fp = np.linalg.norm(B - B_mm, axis=(1, 2))
         stops = np.full(ids.size, "max_iter" if k == cfg.max_iter else "", dtype="<U8")
-        stops[last_step[ids] <= cfg.tol_step] = "step"
+        stops[last_step[ids] <= STEP_TOL] = "step"
         stops[grad <= cfg.tol_grad] = "grad"
         going = stops == ""
         for j in np.flatnonzero(~going):

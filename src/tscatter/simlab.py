@@ -4,11 +4,9 @@ Replicates draw i.i.d. samples from a configured law, fit the scatter or
 location-scatter functional, and compare the empirical covariance of
 sqrt(n) * (vectorized estimate - functional) against the analytic asymptotic
 covariance. Replicate RNG streams are keyed by (seed, replicate index). Each
-chunk of replicates is fitted as one stack of the solver loop (lifted first
-for location-scatter), its domain membership is certified from those fits in
-one call, and only the replicates the certificate cannot accept are checked
-by exact enumeration, again as one stack. Reports are bit-identical across
-runs and chunk sizes.
+chunk of replicates (lifted first for location-scatter) goes through the
+solve paths' one stacked fit-certify-enumerate helper in one call. Reports
+are bit-identical across runs and chunk sizes.
 
 For discrete target laws the functional and its covariance are computed
 exactly from the law itself; for continuous laws they are estimated from one
@@ -24,17 +22,10 @@ import numpy as np
 from scipy import stats
 
 from .asymptotics import AsymptoticCov, asymptotic_cov_locscatter, asymptotic_cov_scatter
-from .domain_check import (
-    BLOCK_BYTES,
-    DomainReport,
-    EmpiricalSample,
-    _affine_report,
-    certify_members,
-    check_scatter_domain_stack,
-)
+from .domain_check import BLOCK_BYTES, DomainReport, EmpiricalSample, _affine_report
 from .exceptions import DomainViolation, EnumerationBudgetError, NumericalBreakdown
 from .locscatter import certify_lifted_fit, solve_locscatter
-from .scatter import ScatterConfig, ScatterResult, _sample_bytes, _solve_stack, solve_scatter
+from .scatter import ScatterConfig, ScatterResult, _fit_and_check, _sample_bytes, solve_scatter
 from .symspace import as_spd, sym_to_vec
 
 __all__ = [
@@ -51,6 +42,9 @@ __all__ = [
 ]
 
 SURROGATE_REPLICATE = 2**31  # reserved substream index for surrogate-truth draws
+
+# size of the one draw that stands in for a continuous target law
+SURROGATE_N = 1_000_000
 
 # max_rel_err compares only target covariance entries larger than this in magnitude
 REL_THRESHOLD = 0.05
@@ -184,7 +178,7 @@ def _thetas(fits) -> np.ndarray:
     return np.hstack([np.stack([est.mu for est in fits]), sym_to_vec(np.stack([est.Sigma.mat for est in fits]))])
 
 
-def _target_objects(sampler: Sampler, nu: float, mode: str, surrogate_n: int):
+def _target_objects(sampler: Sampler, nu: float, mode: str):
     """The functional theta0 of the target law, its asymptotic covariance and warnings.
 
     The law is fitted once, at the default tolerances, and that fit serves
@@ -196,8 +190,8 @@ def _target_objects(sampler: Sampler, nu: float, mode: str, surrogate_n: int):
     law = as_discrete_law(sampler)
     if law is None:
         rng = sampler.rng_for(SURROGATE_REPLICATE)
-        law = EmpiricalSample(sampler.draw(surrogate_n, rng)).merged()[0]
-        warnings.append(f"surrogate truth from one n={surrogate_n} draw")
+        law = EmpiricalSample(sampler.draw(SURROGATE_N, rng)).merged()[0]
+        warnings.append(f"surrogate truth from one n={SURROGATE_N} draw")
 
     def fit(check_domain):
         if mode == "scatter":
@@ -217,12 +211,12 @@ def _replicate_thetas(sampler: Sampler, cfg: ScatterConfig, n: int, mode: str, r
     """Vectorized estimate of each replicate in ``reps``, or its failing domain report.
 
     Replicates are drawn, fitted and checked in chunks whose solver scratch
-    stays near ``BLOCK_BYTES``. Each chunk's draws, each as drawn with
-    uniform weights (and lifted in locscatter mode), are fitted as one stack;
-    one call certifies the members among those that did not break down, and
-    the rest are checked by exact enumeration as one stack. A failing
-    report's witness indices are rows of the draw. A member replicate whose
-    fit broke down raises :class:`NumericalBreakdown`.
+    stays near ``BLOCK_BYTES``. Each chunk's draws, with the weights
+    :class:`EmpiricalSample` gives a draw (lifted in locscatter mode, with
+    the weights :func:`~tscatter.domain_check.lift` gives it), go through
+    one :func:`~tscatter.scatter._fit_and_check` call. A failing report's
+    witness indices are rows of the draw. A member replicate whose fit broke
+    down raises :class:`NumericalBreakdown`.
     """
     d = sampler.dim
     lifted = mode == "locscatter"
@@ -232,27 +226,19 @@ def _replicate_thetas(sampler: Sampler, cfg: ScatterConfig, n: int, mode: str, r
     for first in range(reps.start, reps.stop, chunk):
         chunk_reps = range(first, min(first + chunk, reps.stop))
         draws = np.stack([sampler.draw(n, sampler.rng_for(rep)) for rep in chunk_reps]) + 0.0  # no -0.0
-        points = np.concatenate([draws, np.ones(draws.shape[:2] + (1,))], axis=2) if lifted else draws
-        weights = np.full(draws.shape[:2], 1.0 / n)
-        fits, broken = _solve_stack(points, weights, solve_cfg)
-        member = np.zeros(len(fits), dtype=bool)
-        fitted = [i for i, fit in enumerate(fits) if fit is not None]
-        if fitted:
-            A = np.stack([fits[i].A.mat for i in fitted])
-            member[fitted] = certify_members(points[fitted], weights[fitted], A, cfg.nu + d)
-        found = [None] * len(fits)
-        rest = np.flatnonzero(~member)
-        if rest.size:
-            # uniform weights as the check makes them, so that reports equal a draw's own
-            reports = check_scatter_domain_stack(points[rest], weights[rest] if lifted else None, cfg.nu + d)
-            for i, report in zip(rest.tolist(), reports):
-                if not report.member:
-                    found[i] = _affine_report(report) if lifted else report
-                elif i in broken:
-                    raise NumericalBreakdown(f"replicate {chunk_reps[i]}: {broken[i]}")
-                else:
-                    member[i] = True
-        kept = np.flatnonzero(member).tolist()
+        points, weights = draws, np.full(draws.shape[:2], 1.0 / n)
+        if lifted:
+            points = np.concatenate([draws, np.ones(draws.shape[:2] + (1,))], axis=2)
+            weights = weights / weights.sum(axis=1, keepdims=True)
+        fits, reports, broken = _fit_and_check(points, weights, solve_cfg)
+        found, kept = [None] * len(fits), []
+        for i, report in enumerate(reports):
+            if report is not None and not report.member:
+                found[i] = _affine_report(report) if lifted else report
+            elif i in broken:
+                raise NumericalBreakdown(f"replicate {chunk_reps[i]}: {broken[i]}")
+            else:
+                kept.append(i)
         ests = [certify_lifted_fit(EmpiricalSample(draws[i]), cfg.nu, fits[i]) if lifted else fits[i] for i in kept]
         for i, theta in zip(kept, _thetas(ests) if ests else ()):
             found[i] = theta
@@ -267,7 +253,6 @@ def run_clt_experiment(
     reps: int,
     *,
     mode: str = "scatter",
-    surrogate_n: int = 1_000_000,
     cfg: ScatterConfig | None = None,
 ) -> McReport:
     """Compare replicate fluctuations against the asymptotic covariance.
@@ -293,7 +278,7 @@ def run_clt_experiment(
         raise ValueError("n must be positive")
 
     cfg = ScatterConfig(nu=nu) if cfg is None else dataclasses.replace(cfg, nu=nu)
-    theta0, target_cov, warnings = _target_objects(sampler, nu, mode, surrogate_n)
+    theta0, target_cov, warnings = _target_objects(sampler, nu, mode)
 
     outcomes = _replicate_thetas(sampler, cfg, n, mode, range(reps))
     kept = [th for th in outcomes if isinstance(th, np.ndarray)]
@@ -342,7 +327,6 @@ def run_consistency_sweep(
     reps: int,
     *,
     mode: str = "locscatter",
-    surrogate_n: int = 1_000_000,
 ) -> list[tuple[int, float]]:
     """Mean estimation error at each sample size; errors shrink like n^{-1/2}.
 
@@ -353,7 +337,7 @@ def run_consistency_sweep(
     if len(n_list) < 2:
         raise ValueError("need at least two sample sizes to measure a rate")
     cfg = ScatterConfig(nu=nu)
-    theta0, _, _ = _target_objects(sampler, nu, mode, surrogate_n)
+    theta0, _, _ = _target_objects(sampler, nu, mode)
     out = []
     for pos, n in enumerate(n_list):
         outcomes = _replicate_thetas(sampler, cfg, n, mode, range(pos * reps, (pos + 1) * reps))

@@ -292,7 +292,7 @@ def profile_objective(sample: EmpiricalSample, mu: float, sigma: float, nu: floa
     return np.log(sigma) + float(w @ _rho_diff((x - mu) ** 2 / sigma**2, x**2, nu, 1))
 
 
-def solve_scatter_mm(sample: EmpiricalSample, cfg: ScatterConfig) -> ScatterResult:
+def solve_scatter_mm(sample: EmpiricalSample, cfg: ScatterConfig, *, tol_step: float = 1e-12) -> ScatterResult:
     """Scatter matrix by the plain majorize-minimize (MM) fixed-point iteration.
 
     The reference for ``solve_scatter``: every step is the reweighting map
@@ -340,7 +340,7 @@ def solve_scatter_mm(sample: EmpiricalSample, cfg: ScatterConfig) -> ScatterResu
         if grad_norm <= cfg.tol_grad and fp_residual <= 10.0 * cfg.tol_grad * norm_B:
             stop_reason = "grad"
             break
-        if fp_residual / norm_B <= cfg.tol_step:
+        if fp_residual / norm_B <= tol_step:
             stop_reason = "step"
             break
         try:

@@ -238,6 +238,22 @@ class TestErrorEnvelopes:
         assert code == cli.EXIT_NUMERICAL
         assert env["payload"]["error"] == "numerical_failure"
         assert env["payload"]["message"].startswith("curvature is not positive definite")
+        # the fit's warning, gathered before the failure, stays in the envelope
+        unconverged = {"scatter": "solver stopped before meeting the gradient tolerance",
+                       "locscatter": "estimate did not meet its convergence certificates"}
+        assert env["warnings"] == [unconverged[mode]]
+
+    def test_witnesses_are_rows_of_the_csv(self, tmp_path):
+        # zero-weight rows carry no mass, and the solve commands name the
+        # same witness row as check-domain: the first positive row on the x-axis
+        rows = [[0, 0, 0], [5, 5, 0], [1, 0, 1], [2, 0, 1], [3, 0, 1], [4, 0, 1], [0, 1, 0.2]]
+        path = write_csv(tmp_path / "weighted.csv", rows, header=["x", "y", "weight"])
+        code, env = run(["check-domain", path, "--nu", "1", "--target", "scatter"], tmp_path)
+        assert code == cli.EXIT_OK and env["payload"]["witness_points"] == [2]
+        for argv in (["scatter", path, "--nu", "1"], ["asymptotics", path, "--nu", "1", "--mode", "scatter"]):
+            code, env = run(argv, tmp_path)
+            assert code == cli.EXIT_DOMAIN
+            assert env["payload"]["report"] == {**env["payload"]["report"], "member": False, "witness_points": [2]}
 
 
 class TestUsageErrors:

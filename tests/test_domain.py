@@ -13,7 +13,6 @@ from tscatter import (
     certify_members,
     check_locscat_domain,
     check_scatter_domain,
-    check_scatter_domain_stack,
     lift,
     max_atom,
     solve_scatter_stack,
@@ -561,6 +560,15 @@ STACKS = st.tuples(
 )
 
 
+def check_stack(points, weights, a0):
+    """Exact reports of a stack of samples by the kernel the solve paths enumerate with.
+
+    ``weights`` may be None for uniform weights; each row is divided by its
+    sum, as :class:`EmpiricalSample` does.
+    """
+    return domain_check._check_exact(*domain_check._as_stack(points, weights), float(a0))
+
+
 class TestStack:
     """The stacked exact check returns each sample's own report, field for field."""
 
@@ -586,7 +594,7 @@ class TestStack:
                 # blocks, and the line pass puts several samples in one block
                 m = max(EmpiricalSample(p).merged()[0].n for p in P)
                 mp.setattr(domain_check, "BLOCK_BYTES", 8 * m * (d + 16) * per_block)
-            got = check_scatter_domain_stack(P, W, d + extra)
+            got = check_stack(P, W, d + extra)
             want = [check_scatter_domain(EmpiricalSample(p, None if W is None else W[r]), d + extra)
                     for r, p in enumerate(P)]
         assert got == want
@@ -599,7 +607,7 @@ class TestStack:
         P[2, 10:] = P[2, :20]   # copies of its own rows
         sizes = [EmpiricalSample(p).merged()[0].n for p in P]
         assert len(set(sizes)) > 2 and min(sizes) == 1
-        assert check_scatter_domain_stack(P, None, 4.5) == [check_scatter_domain(EmpiricalSample(p), 4.5) for p in P]
+        assert check_stack(P, None, 4.5) == [check_scatter_domain(EmpiricalSample(p), 4.5) for p in P]
 
     @pytest.mark.parametrize("seed", range(8))
     def test_padding_is_inside_no_span(self, seed):
@@ -616,7 +624,7 @@ class TestStack:
         narrow = np.vstack([np.outer(np.arange(1.0, 10.0), u), u + 0.7e-9 * normal, 0.1 * rng.standard_normal((4, d))])
         P = np.stack([rng.standard_normal((20, d)), np.vstack([narrow, narrow[:6]])])
         W = rng.dirichlet(np.ones(20), size=2)
-        got = check_scatter_domain_stack(P, W, d + 0.5)
+        got = check_stack(P, W, d + 0.5)
         assert got == [check_scatter_domain(EmpiricalSample(p, w), d + 0.5) for p, w in zip(P, W)]
 
     def test_each_sample_keeps_its_own_tolerance(self):
@@ -628,33 +636,33 @@ class TestStack:
         line = np.outer([1.0, 2.0, -1.0, 3.0], u)  # |3u| = 3 is the largest norm
         p = np.vstack([line, u + 1.5e-9 * np.array([0.8, -0.6]), rng.uniform(-1.0, 1.0, (3, 2))])
         for P in (np.stack([p, 1e6 * p]), np.stack([1e6 * p, p])):
-            got = check_scatter_domain_stack(P, None, 2.5)
+            got = check_stack(P, None, 2.5)
             assert got == [check_scatter_domain(EmpiricalSample(q), 2.5) for q in P]
             assert got[0].worst_mass == got[1].worst_mass == 5 / 8
 
     def test_stack_of_one_is_check_scatter_domain(self):
         q = _law("plane", 4, 11, True, 101)
-        assert check_scatter_domain_stack(q.points[None], q.weights[None], 5.0) == [check_scatter_domain(q, 5.0)]
+        assert check_stack(q.points[None], q.weights[None], 5.0) == [check_scatter_domain(q, 5.0)]
 
     def test_rejects_bad_input(self):
         P = np.random.default_rng(103).standard_normal((2, 5, 3))
         W = np.full((2, 5), 0.2)
         for bad in ([P[0], P[1, :4]], P[0], np.zeros((2, 0, 3))):  # ragged, not a stack, empty samples
             with pytest.raises(ValueError):
-                check_scatter_domain_stack(bad, None, 4.0)
+                check_stack(bad, None, 4.0)
         for value in (np.nan, np.inf):
             Q = P.copy()
             Q[1, 2, 0] = value
             with pytest.raises(ValueError):
-                check_scatter_domain_stack(Q, W, 4.0)
+                check_stack(Q, W, 4.0)
         # the row of the second sample only, or the shape
         bad_rows = [W[:, :4], np.where(np.eye(2, 5, -1) > 0, np.nan, W), W * [[1.0], [1.5]],
                     W + [[0.0] * 5, [0.0, 0.0, 0.0, 0.3, -0.3]]]
         for weights in bad_rows:
             with pytest.raises(ValueError):
-                check_scatter_domain_stack(P, weights, 4.0)
+                check_stack(P, weights, 4.0)
         with pytest.raises(ValueError):
-            check_scatter_domain_stack(P, W, 3.0)  # a0 must exceed d
+            check_stack(P, W, 3.0)  # a0 must exceed d
 
     def test_budget_covers_every_sample(self):
         # 2000 distinct points in d = 3 need 2000 + C(2000, 2) > DEFAULT_BUDGET
@@ -664,9 +672,9 @@ class TestStack:
         P = np.stack([few, rng.standard_normal((2000, 3))])
         assert check_scatter_domain(EmpiricalSample(P[0]), 4.0).exact
         with pytest.raises(EnumerationBudgetError, match="sample 1"):
-            check_scatter_domain_stack(P, None, 4.0)
+            check_stack(P, None, 4.0)
         with pytest.raises(EnumerationBudgetError, match="sample 0"):
-            check_scatter_domain_stack(P[::-1], None, 4.0)
+            check_stack(P[::-1], None, 4.0)
 
 
 def _threshold_law(d, n, lifted, seed):
@@ -767,7 +775,7 @@ class TestCertificate:
         P = law.points[np.stack([rng.choice(4, size=300, p=law.weights) for _ in range(40)])]
         W = np.full((40, 300), 1 / 300)
         fits, broken = _solve_stack(P, W, ScatterConfig(nu=2.0))
-        reports = check_scatter_domain_stack(P, None, 4.0)
+        reports = check_stack(P, None, 4.0)
         converged_outside = [i for i, (fit, rpt) in enumerate(zip(fits, reports))
                              if fit is not None and fit.stop_reason == "grad" and not rpt.member]
         assert converged_outside
@@ -788,7 +796,7 @@ class TestCertificate:
         P = law[rng.integers(400, size=(34, 300))]
         W = np.full((34, 300), 1 / 300)
         A = np.stack([fit.A.mat for fit in solve_scatter_stack(P, W, ScatterConfig(nu=2.0))])
-        assert all(rpt.member for rpt in check_scatter_domain_stack(P, None, 4.0))
+        assert all(rpt.member for rpt in check_stack(P, None, 4.0))
         assert certify_members(P, W, A, 4.0).all()
         Z = np.linalg.solve(np.linalg.cholesky(A), np.swapaxes(P, 1, 2))
         s = np.einsum("rin,rin->rn", Z, Z)
@@ -798,9 +806,24 @@ class TestCertificate:
         assert (total - c0 <= 1e-14).sum() >= 3
 
     def test_rejects_bad_input(self):
-        P = np.random.default_rng(5).standard_normal((2, 6, 3))
+        P = np.random.default_rng(103).standard_normal((2, 5, 3))
+        W = np.full((2, 5), 0.2)
         A = np.stack([np.eye(3)] * 2)
+        for bad in ([P[0], P[1, :4]], P[0], np.zeros((2, 0, 3))):  # ragged, not a stack, empty samples
+            with pytest.raises(ValueError):
+                certify_members(bad, None, A, 4.0)
+        for value in (np.nan, np.inf):
+            Q = P.copy()
+            Q[1, 2, 0] = value
+            with pytest.raises(ValueError):
+                certify_members(Q, W, A, 4.0)
+        # the row of the second sample only, or the shape
+        bad_rows = [W[:, :4], np.where(np.eye(2, 5, -1) > 0, np.nan, W), W * [[1.0], [1.5]],
+                    W + [[0.0] * 5, [0.0, 0.0, 0.0, 0.3, -0.3]]]
+        for weights in bad_rows:
+            with pytest.raises(ValueError):
+                certify_members(P, weights, A, 4.0)
         with pytest.raises(ValueError):
             certify_members(P, None, A[:1], 4.0)
         with pytest.raises(ValueError):
-            certify_members(P, None, A, 3.0)
+            certify_members(P, W, A, 3.0)  # a0 must exceed d

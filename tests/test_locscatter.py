@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -6,6 +8,7 @@ from tscatter import (
     EmpiricalSample,
     NuOutOfRange,
     ScatterConfig,
+    check_locscat_domain,
     lift,
     solve_locscatter,
     two_point_closed_form,
@@ -87,6 +90,19 @@ class TestCertificates:
         s = EmpiricalSample(np.array([[0.0], [1.0]]), np.array([2.0 / 3.0, 1.0 / 3.0]))
         with pytest.raises(DomainViolation):
             solve_locscatter(s, 2.0)
+
+
+    def test_witnesses_are_rows_of_the_sample(self):
+        # 8 of 10 positive rows on the line y = 0, past the threshold 3/4 at
+        # nu = 2; a zero-weight row on that line comes first in the merged
+        # order, and the report names positive rows of the caller's sample
+        pts = np.array([[-1.0, 0.0], [9.0, 9.0]] + [[float(i), 0.0] for i in range(8)] + [[1.0, 2.0], [3.0, -1.0]])
+        q = EmpiricalSample(pts, np.array([0.0, 0.0] + [0.1] * 10))
+        with pytest.raises(DomainViolation) as exc:
+            solve_locscatter(q, 2.0)
+        want = check_locscat_domain(q.drop_zero_weights(), 4.0)
+        assert not want.member and want.witness_points == (0, 1)
+        assert exc.value.report == dataclasses.replace(want, witness_points=(2, 3))
 
 
 class TestDirectEmOracle:

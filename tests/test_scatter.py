@@ -1,4 +1,5 @@
 import dataclasses
+import functools
 
 import numpy as np
 import pytest
@@ -12,6 +13,7 @@ from tscatter import (
     ScatterConfig,
     check_scatter_domain,
     lift,
+    solve_locscatter,
     solve_scatter,
     weight_u,
 )
@@ -193,6 +195,50 @@ class TestSolveScatter:
         assert np.linalg.norm(res.A.mat - np.eye(2)) <= 1e-8
 
 
+    def test_witnesses_are_rows_of_the_sample(self):
+        # the fit and the check both run on the sample without its zero-weight
+        # rows, and the report names rows of the caller's sample, as
+        # check_scatter_domain does: here the first positive row on the x-axis
+        pts = np.array([[0, 0], [5, 5], [1, 0], [2, 0], [3, 0], [4, 0], [0, 1]], dtype=float)
+        q = EmpiricalSample(pts, np.array([0, 0, 1, 1, 1, 1, 0.2]) / 4.2)
+        with pytest.raises(DomainViolation) as exc:
+            solve_scatter(q, ScatterConfig(nu=1.0))
+        want = check_scatter_domain(q.drop_zero_weights(), 3.0)
+        assert want.witness_points == (0,)
+        assert exc.value.report == dataclasses.replace(want, witness_points=(2,))
+        assert exc.value.report == check_scatter_domain(q, 3.0)
+
+    @pytest.mark.parametrize("functional", ["scatter", "locscatter"])
+    @pytest.mark.parametrize("inside", [True, False])
+    def test_one_certificate_through_the_shared_helper(self, monkeypatch, functional, inside):
+        # each solve fits, certifies once and enumerates only when the
+        # certificate cannot accept, all through scatter._fit_and_check
+        calls = []
+
+        def spy(name, fn):
+            def wrapped(*args):
+                calls.append(name)
+                return fn(*args)
+            monkeypatch.setattr(scatter, name, wrapped)
+
+        for name in ("_fit_and_check", "certify_members", "_check_exact"):
+            spy(name, getattr(scatter, name))
+        q = random_in_domain(np.random.default_rng(29), 30, 2)
+        if not inside:
+            # 3/4 of the mass on a line through the origin, the threshold at
+            # nu = 2 for both functionals; both fits stop on the gradient test
+            q = EmpiricalSample(np.vstack([np.outer(np.arange(1.0, 7.0), [0.6, 0.8]), [[1.0, -2.0], [-3.0, 0.5]]]))
+        solve = functools.partial(solve_scatter, q, ScatterConfig(nu=2.0))
+        if functional == "locscatter":
+            solve = functools.partial(solve_locscatter, q, 2.0)
+        if inside:
+            solve()
+        else:
+            with pytest.raises(DomainViolation):
+                solve()
+        assert calls == ["_fit_and_check", "certify_members"] + ["_check_exact"] * (not inside)
+
+
 class TestScaleIdentity:
     def test_gradient_trace_vanishes_at_identity_solutions(self):
         for q in (four_point_law(), axis_law(2), axis_law(3)):
@@ -321,8 +367,9 @@ class TestAgainstMmOracle:
         assume(ref.stop_reason != "max_iter")
         # at the default tol_grad the gap to the limit is up to ~1e-8 for
         # nu near 0.05, where the curvature is small; 1e-12 leaves a margin
-        res = solve_scatter(q, ScatterConfig(nu=nu, tol_grad=1e-12, tol_step=1e-15),
-                            check_domain=False)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(scatter, "STEP_TOL", 1e-15)
+            res = solve_scatter(q, ScatterConfig(nu=nu, tol_grad=1e-12), check_domain=False)
         assert res.converged
         assert np.linalg.norm(res.A.mat - ref.A.mat) <= 1e-8 * np.linalg.norm(ref.A.mat)
         assert_monotone(res.objective_trace)
@@ -334,7 +381,8 @@ class TestAgainstMmOracle:
         # agree with the MM fixed point
         rng = np.random.default_rng(71)
         q = EmpiricalSample(rng.standard_normal((2000, 10)) / np.sqrt(rng.chisquare(2.0, (2000, 1)) / 2.0))
-        cfg = ScatterConfig(nu=nu, tol_grad=1e-12, tol_step=1e-15)
+        cfg = ScatterConfig(nu=nu, tol_grad=1e-12)
+        monkeypatch.setattr(scatter, "STEP_TOL", 1e-15)
         res = solve_scatter(q, cfg, check_domain=False)
         monkeypatch.setattr(scatter, "outer_gram", outer_gram_einsum)
         want = solve_scatter(q, cfg, check_domain=False)
@@ -351,7 +399,7 @@ class TestAgainstMmOracle:
         rng = np.random.default_rng(23)
         q = EmpiricalSample(1e3 * rng.standard_normal((200, 3)) / np.abs(rng.standard_normal((200, 1))))
         res = solve_scatter(q, ScatterConfig(nu=1.0))
-        ref = solve_scatter_mm(q, ScatterConfig(nu=1.0, tol_grad=1e-14, tol_step=1e-14, max_iter=5000))
+        ref = solve_scatter_mm(q, ScatterConfig(nu=1.0, tol_grad=1e-14, max_iter=5000), tol_step=1e-14)
         assert ref.stop_reason == "grad"
         assert res.converged
         assert 0 < res.newton_steps < res.iterations

@@ -123,10 +123,10 @@ class TestCltExperiment:
 
     def test_surrogate_truth_flagged_for_continuous_targets(self):
         s = gaussian_sampler(np.zeros(1), np.eye(1), seed=13)
-        rpt = run_clt_experiment(
-            s, 2.0, n=300, reps=40, mode="locscatter", surrogate_n=20_000
-        )
-        assert any("surrogate" in msg for msg in rpt.warnings)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(simlab, "SURROGATE_N", 20_000)
+            rpt = run_clt_experiment(s, 2.0, n=300, reps=40, mode="locscatter")
+        assert "surrogate truth from one n=20000 draw" in rpt.warnings
 
 
 class TestStackedReplicates:
@@ -137,13 +137,13 @@ class TestStackedReplicates:
         s = discrete_sampler(pts, np.array([0.372, 0.372, 0.128, 0.128]), seed=3)
         n, reps = 300, 40
         stacks = []
-        solve = simlab._solve_stack
+        fit_and_check = simlab._fit_and_check
 
         def spy(points, weights, cfg):
             stacks[-1].append(points.shape[0])
-            return solve(points, weights, cfg)
+            return fit_and_check(points, weights, cfg)
 
-        monkeypatch.setattr(simlab, "_solve_stack", spy)
+        monkeypatch.setattr(simlab, "_fit_and_check", spy)
         reports = {}
         for chunk in (1, 3, 40):
             monkeypatch.setattr(simlab, "BLOCK_BYTES", chunk * scatter._sample_bytes(n, 2))
@@ -199,47 +199,55 @@ class TestStackedDomainChecks:
     @pytest.mark.parametrize("mode", ["scatter", "locscatter"])
     def test_one_stacked_check_per_chunk(self, monkeypatch, mode):
         # a near-boundary law, so chunks hold replicates on both sides of the
-        # domain: each chunk is certified in one call, and only the replicates
-        # the certificate cannot accept are enumerated, in one stack
+        # domain: each chunk goes through the solve paths' helper once, which
+        # certifies it in one call and enumerates only the replicates the
+        # certificate cannot accept, in one stack
         pts, _ = four_point_arrays()
         s = discrete_sampler(pts, np.array([0.372, 0.372, 0.128, 0.128]), seed=3)
         n, cfg = 300, ScatterConfig(nu=2.0)
+        want = replicates_one_at_a_time(s, cfg, n, mode, range(40))
         monkeypatch.setattr(simlab, "BLOCK_BYTES", 7 * scatter._sample_bytes(n, 2 + (mode == "locscatter")))
-        fitted, certified, enumerated = [], [], []
-        solve, certify, stacked = simlab._solve_stack, simlab.certify_members, simlab.check_scatter_domain_stack
+        chunks, fitted, certified, enumerated = [], [], [], []
+        helper, solve, certify, check = (
+            simlab._fit_and_check, scatter._solve_stack, scatter.certify_members, scatter._check_exact)
+
+        def helper_spy(points, weights, cfg):
+            chunks.append(points.shape[0])
+            return helper(points, weights, cfg)
 
         def solve_spy(points, weights, cfg):
             results, broken = solve(points, weights, cfg)
-            fitted.append((points.shape[0], len(broken)))
+            fitted.append((len(chunks), points.shape[0], len(broken)))
             return results, broken
 
         def certify_spy(points, weights, A, a0):
             member = certify(points, weights, A, a0)
-            certified.append((len(fitted), int(member.sum())))
+            certified.append((len(chunks), int(member.sum())))
             return member
 
         def check_spy(points, weights, a0):
-            enumerated.append((len(fitted), points.shape[0]))
-            return stacked(points, weights, a0)
+            enumerated.append((len(chunks), points.shape[0]))
+            return check(points, weights, a0)
 
         def alone(*args, **kwargs):
             raise AssertionError("a replicate was domain-checked on its own")
 
-        monkeypatch.setattr(simlab, "_solve_stack", solve_spy)
-        monkeypatch.setattr(simlab, "certify_members", certify_spy)
-        monkeypatch.setattr(simlab, "check_scatter_domain_stack", check_spy)
-        monkeypatch.setattr(tscatter.scatter, "check_scatter_domain", alone)
-        monkeypatch.setattr(tscatter.locscatter, "check_locscat_domain", alone)
+        monkeypatch.setattr(simlab, "_fit_and_check", helper_spy)
+        monkeypatch.setattr(scatter, "_solve_stack", solve_spy)
+        monkeypatch.setattr(scatter, "certify_members", certify_spy)
+        monkeypatch.setattr(scatter, "_check_exact", check_spy)
+        monkeypatch.setattr(tscatter.domain_check, "check_scatter_domain", alone)
         got = simlab._replicate_thetas(s, cfg, n, mode, range(40))
-        assert [size for size, _ in fitted] == [7, 7, 7, 7, 7, 5]
-        # at most one certificate and one enumeration per chunk, and every
-        # replicate not certified, broken fits included, is enumerated
+        assert chunks == [7, 7, 7, 7, 7, 5]
+        # each chunk is fitted whole; at most one certificate and one
+        # enumeration per chunk, and every replicate not certified, broken
+        # fits included, is enumerated
+        assert [(chunk, size) for chunk, size, _ in fitted] == list(enumerate(chunks, start=1))
         accepted = dict(certified)
         assert len(accepted) == len(certified) and len(dict(enumerated)) == len(enumerated)
-        for chunk, (size, _) in enumerate(fitted, start=1):
+        for chunk, size in enumerate(chunks, start=1):
             assert dict(enumerated).get(chunk, 0) == size - accepted.get(chunk, 0)
-        assert 0 < sum(accepted.values()) < 40 and sum(broken for _, broken in fitted) > 0
-        want = replicates_one_at_a_time(s, cfg, n, mode, range(40))
+        assert 0 < sum(accepted.values()) < 40 and sum(broken for _, _, broken in fitted) > 0
         assert [type(g) for g in got] == [type(w) for w in want]
         assert sum(isinstance(w, np.ndarray) for w in want) == sum(accepted.values())
         for g, w in zip(got, want):
