@@ -19,9 +19,12 @@ blocks, so scratch memory stays within a small multiple of ``BLOCK_BYTES``
 however many there are, and the line search (s = 1) needs O(m). Ties in
 mass go to the first subset in ``itertools.combinations`` order, as if every
 subset were tested. A budget on the number of subsets, C(m, 1) + ... +
-C(m, d-1), is the only limit on exact enumeration; past it a randomized
-projection check is available, whose rejections are certified but whose
-acceptances are not exact.
+C(m, d-1), is the only limit on exact enumeration; past it the check refuses
+to run rather than answer inexactly.
+
+The domain is a property of the law, so rows of zero weight take no part in
+any verdict: ``check_scatter_domain`` and the solvers decide on the sample
+without them and name witnesses by the caller's rows (``_positive_rows``).
 
 The solve paths need only a verdict, and they have a fit. From it
 ``certify_members`` proves membership at O(n d^2) cost, for every subspace at
@@ -37,7 +40,8 @@ sort and padded to a common size; each block row is a (sample, fixed tuple)
 pair. Tolerances, maxima and ties are kept per sample and padding enters no
 test, so each report equals its sample's own. The solve paths enumerate the
 samples the certificate declines as one such stack; ``check_scatter_domain``
-is the stack of one, and ``EmpiricalSample.merged`` that of the stacked merge.
+is the stack of one of its sample's positive rows, and
+``EmpiricalSample.merged`` that of the stacked merge.
 """
 
 from __future__ import annotations
@@ -133,9 +137,9 @@ class DomainReport:
 
     ``member`` is False exactly when some recorded subspace reaches its mass
     threshold. ``worst_*`` describe the subspace with the largest
-    mass - threshold margin; ``witness_points`` are indices into the checked
-    sample spanning it. ``exact`` is False for randomized projection checks,
-    whose acceptances are not certificates.
+    mass - threshold margin; ``witness_points`` are rows of the caller's
+    sample spanning it, never rows of zero weight. ``exact`` is always True;
+    it is kept for the v1 result envelope.
     """
 
     member: bool
@@ -219,22 +223,30 @@ def _subset_count(m: int, max_size: int) -> int:
     return sum(math.comb(m, s) for s in range(1, max_size + 1))
 
 
-def check_scatter_domain(
-    sample: EmpiricalSample,
-    a0: float,
-    *,
-    method: str = "exact",
-    projections: int = 32,
-    seed: int = 0,
-) -> DomainReport:
+def _positive_rows(sample: EmpiricalSample):
+    """``sample`` without its zero-weight rows, and a map of reports on it to the caller's rows.
+
+    The map rewrites a report's ``witness_points`` as indices into ``sample``.
+    """
+    rows = np.flatnonzero(sample.weights > 0.0)
+
+    def to_caller(report: DomainReport) -> DomainReport:
+        return dataclasses.replace(report, witness_points=tuple(int(rows[i]) for i in report.witness_points))
+
+    return sample.drop_zero_weights(), to_caller
+
+
+def check_scatter_domain(sample: EmpiricalSample, a0: float) -> DomainReport:
     """Decide whether the law satisfies the linear-subspace mass conditions.
 
     Membership requires ``mass(H) < 1 - (d - q)/a0`` strictly for every linear
     subspace H of dimension q <= d-1 (including H = {0}). Equality within
-    ``EQ_TOL`` counts as a violation. Requires ``a0 > d``.
+    ``EQ_TOL`` counts as a violation. Requires ``a0 > d``. Rows of zero weight
+    are dropped first, as the solvers drop them; witnesses are rows of
+    ``sample``.
 
-    ``method="exact"`` covers every subspace spanned by at most d-1 distinct
-    sample points, in any dimension; the only refusal is
+    The check is exact: it covers every subspace spanned by at most d-1
+    distinct sample points, in any dimension; the only refusal is
     :class:`EnumerationBudgetError` when the number of such subsets, which it
     does not test one by one, exceeds ``DEFAULT_BUDGET``. For each span size s
     it projects the points off each tuple of s-1 of them and groups the rest by
@@ -243,22 +255,10 @@ def check_scatter_domain(
     multiple of ``BLOCK_BYTES`` whatever the sample size (O(m) for lines).
     Among subspaces with the same margin the report names the first found:
     lower dimension first, then ``itertools.combinations`` order of the merged
-    points, as if each subset were tested in turn. ``method="randomized"``
-    instead tests random linear projections to at most 4 dimensions: any
-    violation it finds certifies one in the original space (the preimage of a
-    violating subspace has the same codimension and at least the same mass),
-    but membership verdicts are only heuristic and the report is flagged
-    ``exact=False``.
+    points, as if each subset were tested in turn.
     """
-    a0 = float(a0)
-    d = sample.d
-    if not a0 > d:
-        raise ValueError(f"need a0 > d, got a0={a0} with d={d}")
-    if method == "exact":
-        return _check_exact(sample.points[None], sample.weights[None], a0)[0]
-    if method == "randomized":
-        return _check_randomized(*sample.merged(), a0, d, projections, seed)
-    raise ValueError(f"unknown method {method!r}")
+    positive, to_caller = _positive_rows(sample)
+    return to_caller(_check_exact(positive.points[None], positive.weights[None], float(a0))[0])
 
 
 def certify_members(points, weights, A, a0: float) -> np.ndarray:
@@ -585,22 +585,22 @@ def _line_masses(w, C, norms, base, on, rows, pts, tol):
     return masses
 
 
-def _check_exact(points: np.ndarray, weights: np.ndarray, a0: float, budget=None) -> list[DomainReport]:
+def _check_exact(points: np.ndarray, weights: np.ndarray, a0: float) -> list[DomainReport]:
     """Exact reports for a checked (R, n, d) stack, weights already divided by their sums.
 
-    ``budget`` on the subsets of each sample defaults to ``DEFAULT_BUDGET``.
+    Each sample's subsets are limited by ``DEFAULT_BUDGET``.
     """
     R, _, d = points.shape
-    budget = DEFAULT_BUDGET if budget is None else budget
     if not a0 > d:
         raise ValueError(f"need a0 > d, got a0={a0} with d={d}")
     X, w, rep, sizes = _merge(points, weights)
     w = _normalized(w, sizes)  # again, as the EmpiricalSample of merged() does
     for r, m in enumerate(sizes.tolist()):
-        if _subset_count(m, d - 1) > budget:
+        if _subset_count(m, d - 1) > DEFAULT_BUDGET:
             raise EnumerationBudgetError(("" if R == 1 else f"sample {r}: ") + f"exact enumeration over {m} distinct"
-                                         f" points in d={d} exceeds budget={budget}; non-exact: the library's"
-                                         f" check_scatter_domain(..., method='randomized'), not in the CLI")
+                                         f" points in d={d} exceeds budget={DEFAULT_BUDGET}; past it the solve paths"
+                                         f" (library, and CLI scatter/estimate/asymptotics/simulate) certify"
+                                         f" membership from the fit")
     # each sample padded to the largest merged size with zero points of zero weight
     valid = np.arange(sizes.max()) < sizes[:, None]
     Xp, wp = np.zeros(valid.shape + (d,)), np.zeros(valid.shape)
@@ -624,26 +624,7 @@ def _check_exact(points: np.ndarray, weights: np.ndarray, a0: float, budget=None
     return reports
 
 
-def _check_randomized(merged: EmpiricalSample, rep, a0: float, d: int, projections: int, seed: int) -> DomainReport:
-    rng = np.random.default_rng(seed)
-    k = min(d, 4)
-    for _ in range(projections):
-        basis, _ = np.linalg.qr(rng.standard_normal((d, k)))
-        proj = EmpiricalSample(merged.points @ basis, merged.weights)
-        # thresholds 1 - codim/a0 depend only on codimension, which the
-        # preimage of a projected subspace preserves, so the projected check
-        # runs with the same a0: any violation it finds is certified upstairs.
-        sub = _check_exact(proj.points[None], proj.weights[None], a0, math.inf)[0]
-        if not sub.member:
-            updim = d - (k - (sub.worst_subspace_dim or 0))
-            return DomainReport(member=False, a0=a0, worst_subspace_dim=updim, worst_mass=sub.worst_mass,
-                                threshold=1.0 - (d - updim) / a0,
-                                witness_points=tuple(int(rep[i]) for i in sub.witness_points), exact=False)
-    return DomainReport(member=True, a0=a0, worst_subspace_dim=None, worst_mass=0.0,
-                        threshold=1.0 - d / a0, exact=False)
-
-
-def check_locscat_domain(sample: EmpiricalSample, a0: float, **kwargs) -> DomainReport:
+def check_locscat_domain(sample: EmpiricalSample, a0: float) -> DomainReport:
     """Affine-hyperplane domain check, via the lift to one dimension up.
 
     Membership requires ``mass(J) < 1 - (d - q)/a0`` for every affine subspace
@@ -655,4 +636,4 @@ def check_locscat_domain(sample: EmpiricalSample, a0: float, **kwargs) -> Domain
     d = sample.d
     if not a0 > d + 1:
         raise ValueError(f"need a0 > d + 1, got a0={a0} with d={d}")
-    return _affine_report(check_scatter_domain(lift(sample), a0, **kwargs))
+    return _affine_report(check_scatter_domain(lift(sample), a0))

@@ -41,10 +41,11 @@ class NoPositiveSolution(ValueError):
 class EnumerationBudgetError(ValueError):
     """Exact subspace enumeration would exceed its work budget.
 
-    Raised instead of silently running for hours. The solvers raise it only
-    for a sample whose membership the certificate from its fit cannot
-    accept. The documented non-exact check is the library's
-    ``check_scatter_domain(..., method="randomized")``; the CLI has none.
+    Raised instead of silently running for hours, or answering inexactly.
+    Past the budget the solve paths (the library's, and the CLI's
+    ``scatter``, ``estimate``, ``asymptotics`` and ``simulate``) still decide
+    membership exactly when the certificate from the fit accepts the sample;
+    they raise this only for a sample it cannot accept.
     """
 
 

@@ -33,12 +33,11 @@ solve and the Monte Carlo replicates use it too.
 
 from __future__ import annotations
 
-import dataclasses
 from dataclasses import dataclass
 
 import numpy as np
 
-from .domain_check import EmpiricalSample, _check_exact, certify_members
+from .domain_check import EmpiricalSample, _check_exact, _positive_rows, certify_members
 from .exceptions import DomainViolation, NumericalBreakdown
 from .symspace import (
     SpdMatrix,
@@ -199,19 +198,17 @@ def solve_scatter(
     ``check_domain=False``, the fit goes through :func:`_fit_and_check`, so
     the law is certified from it, or else checked by exact enumeration, on
     the sample without its zero-weight points. A law outside the domain
-    raises :class:`DomainViolation` with the exact report, its witness
-    indices mapped back to rows of ``sample``; a breakdown of the fit of a
-    member law raises :class:`NumericalBreakdown`. The fit returned does not
-    depend on ``check_domain``.
+    raises :class:`DomainViolation` with the report
+    :func:`~tscatter.domain_check.check_scatter_domain` gives for ``sample``;
+    a breakdown of the fit of a member law raises :class:`NumericalBreakdown`.
+    The fit returned does not depend on ``check_domain``.
     """
-    rows = np.flatnonzero(sample.weights > 0.0)
-    sample = sample.drop_zero_weights()
+    sample, to_caller = _positive_rows(sample)
     if not check_domain:
         return solve_scatter_stack(sample.points[None], sample.weights[None], cfg)[0]
     (result,), (report,), broken = _fit_and_check(sample.points[None], sample.weights[None], cfg)
     if report is not None and not report.member:
-        witnesses = tuple(int(rows[i]) for i in report.witness_points)
-        raise DomainViolation(dataclasses.replace(report, witness_points=witnesses))
+        raise DomainViolation(to_caller(report))
     if broken:
         raise NumericalBreakdown(broken[0])
     return result

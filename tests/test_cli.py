@@ -255,6 +255,17 @@ class TestErrorEnvelopes:
             assert code == cli.EXIT_DOMAIN
             assert env["payload"]["report"] == {**env["payload"]["report"], "member": False, "witness_points": [2]}
 
+    def test_check_domain_names_the_rows_estimate_names(self, tmp_path):
+        # 8 of 10 positive rows on the line y = 0, and zero-weight rows first,
+        # (-1, 0) on that line: both commands decide on the law, not its rows
+        rows = [[-1, 0, 0], [9, 9, 0]] + [[i, 0, 1] for i in range(8)] + [[1, 2, 1], [3, -1, 1]]
+        path = write_csv(tmp_path / "lead.csv", rows, header=["x", "y", "weight"])
+        code, check = run(["check-domain", path, "--nu", "2", "--target", "locscatter"], tmp_path)
+        assert code == cli.EXIT_OK and check["payload"].pop("target") == "locscatter"
+        code, est = run(["estimate", path, "--nu", "2"], tmp_path)
+        assert code == cli.EXIT_DOMAIN
+        assert est["payload"]["report"] == check["payload"] and check["payload"]["witness_points"] == [2, 3]
+
 
 class TestUsageErrors:
     def test_bad_cell_exit_1(self, tmp_path, capsys):

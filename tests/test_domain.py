@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import tracemalloc
 
@@ -7,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tscatter import (
+    DomainViolation,
     EmpiricalSample,
     EnumerationBudgetError,
     ScatterConfig,
@@ -15,6 +17,8 @@ from tscatter import (
     check_scatter_domain,
     lift,
     max_atom,
+    solve_locscatter,
+    solve_scatter,
     solve_scatter_stack,
 )
 from tscatter import domain_check
@@ -148,30 +152,47 @@ class TestScatterDomain:
         for idx in rpt.witness_points:
             assert pts[idx][1] == 0.0
 
-    def test_budget_guard_and_randomized_fallback(self, monkeypatch):
+    def test_budget_guard(self, monkeypatch):
         rng = np.random.default_rng(31)
         pts = rng.standard_normal((40, 5))  # 102,090 subsets, over a budget of 1000
         q = EmpiricalSample(pts)
         monkeypatch.setattr(domain_check, "DEFAULT_BUDGET", 1000)
-        with pytest.raises(EnumerationBudgetError, match="method='randomized'"):
+        with pytest.raises(EnumerationBudgetError, match="budget=1000; past it the solve paths"):
             check_scatter_domain(q, 7.0)
-        rpt = check_scatter_domain(q, 7.0, method="randomized", seed=3, projections=8)
-        assert rpt.member
-        assert not rpt.exact
 
-    def test_randomized_certifies_violations(self):
-        # mass 0.9 on a 2-dim subspace of R^5; threshold 1 - 3/7 < 0.9
-        rng = np.random.default_rng(37)
-        base = rng.standard_normal((30, 2))
-        inplane = np.hstack([base, np.zeros((30, 3))])
-        off = rng.standard_normal((4, 5))
-        pts = np.vstack([inplane, off])
-        w = np.concatenate([np.full(30, 0.9 / 30), np.full(4, 0.1 / 4)])
-        q = EmpiricalSample(pts, w)
-        rpt = check_scatter_domain(q, 7.0, method="randomized", seed=11)
-        assert not rpt.member
-        assert not rpt.exact
-        assert rpt.worst_mass >= rpt.threshold - 1e-12
+
+# 8 of 10 positive rows on the line y = 0, which passes through the origin:
+# past the threshold 3/4 of both functionals at nu = 2. The two zero-weight
+# rows come first, (-1, 0) on that line and (9, 9) off it
+ZERO_LEAD_POINTS = np.array([[-1.0, 0.0], [9.0, 9.0]] + [[float(i), 0.0] for i in range(8)] + [[1.0, 2.0], [3.0, -1.0]])
+ZERO_LEAD_WEIGHTS = np.array([0.0, 0.0] + [0.1] * 10)
+
+
+class TestZeroWeightRows:
+    """Rows of zero weight carry no mass, so no verdict depends on them."""
+
+    @pytest.mark.parametrize("check", [check_scatter_domain, check_locscat_domain])
+    @pytest.mark.parametrize("at", [0, 14, 30])
+    def test_far_row_leaves_the_verdict(self, check, at):
+        # a zero-weight row at (1e10, 0) once scaled the point tolerance so
+        # that every point counted as on the origin
+        pts = np.random.default_rng(113).standard_normal((30, 2))
+        want = check(EmpiricalSample(pts), 4.0)
+        got = check(EmpiricalSample(np.insert(pts, at, [1e10, 0.0], axis=0), np.insert(np.full(30, 1 / 30), at, 0.0)), 4.0)
+        assert want.member
+        assert got == dataclasses.replace(want, witness_points=tuple(i + (i >= at) for i in want.witness_points))
+
+    @pytest.mark.parametrize("check,solve,witnesses", [
+        (check_scatter_domain, lambda q: solve_scatter(q, ScatterConfig(nu=2.0)), (3,)),
+        (check_locscat_domain, lambda q: solve_locscatter(q, 2.0), (2, 3)),
+    ], ids=["scatter", "locscatter"])
+    def test_check_names_the_rows_the_solver_names(self, check, solve, witnesses):
+        q = EmpiricalSample(ZERO_LEAD_POINTS, ZERO_LEAD_WEIGHTS)
+        report = check(q, 4.0)  # a0 = nu + d for both functionals
+        assert not report.member and report.witness_points == witnesses
+        with pytest.raises(DomainViolation) as exc:
+            solve(q)
+        assert exc.value.report == report
 
 
 class TestLift:
@@ -595,8 +616,7 @@ class TestStack:
                 m = max(EmpiricalSample(p).merged()[0].n for p in P)
                 mp.setattr(domain_check, "BLOCK_BYTES", 8 * m * (d + 16) * per_block)
             got = check_stack(P, W, d + extra)
-            want = [check_scatter_domain(EmpiricalSample(p, None if W is None else W[r]), d + extra)
-                    for r, p in enumerate(P)]
+            want = [check_stack(p[None], None if W is None else W[r][None], d + extra)[0] for r, p in enumerate(P)]
         assert got == want
 
     def test_merged_sizes_are_ragged(self):

@@ -1,5 +1,3 @@
-import dataclasses
-
 import numpy as np
 import pytest
 
@@ -95,14 +93,15 @@ class TestCertificates:
     def test_witnesses_are_rows_of_the_sample(self):
         # 8 of 10 positive rows on the line y = 0, past the threshold 3/4 at
         # nu = 2; a zero-weight row on that line comes first in the merged
-        # order, and the report names positive rows of the caller's sample
+        # order, and both the solve and the check name positive rows of the
+        # caller's sample
         pts = np.array([[-1.0, 0.0], [9.0, 9.0]] + [[float(i), 0.0] for i in range(8)] + [[1.0, 2.0], [3.0, -1.0]])
         q = EmpiricalSample(pts, np.array([0.0, 0.0] + [0.1] * 10))
         with pytest.raises(DomainViolation) as exc:
             solve_locscatter(q, 2.0)
-        want = check_locscat_domain(q.drop_zero_weights(), 4.0)
-        assert not want.member and want.witness_points == (0, 1)
-        assert exc.value.report == dataclasses.replace(want, witness_points=(2, 3))
+        want = check_locscat_domain(q, 4.0)
+        assert not want.member and want.witness_points == (2, 3)
+        assert exc.value.report == want
 
 
 class TestDirectEmOracle:
