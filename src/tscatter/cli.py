@@ -236,25 +236,14 @@ def dispatch(args: argparse.Namespace, warnings: list[str]) -> dict:
         cov = (asymptotic_cov_scatter if scatter else asymptotic_cov_locscatter)(sample, args.nu, fit=fit)
         payload = asdict(cov)
     elif args.command == "oned":
-        est = solve_oned(sample, args.nu)
-        payload = {"mu": est.mu, "sigma": est.sigma, "boundary": est.boundary, "atom": est.atom}
+        payload = asdict(solve_oned(sample, args.nu))
     elif args.command == "simulate":
         sampler = discrete_sampler(sample.points, sample.weights, args.seed)
         report = run_clt_experiment(
             sampler, args.nu, n=args.n, reps=args.reps, mode=args.mode, cfg=scfg
         )
-        warnings.extend(report.warnings)
-        payload = {
-            "n": report.n,
-            "reps": report.reps,
-            "mode": report.mode,
-            "seed": report.seed,
-            "empirical_cov": report.empirical_cov,
-            "target_cov": asdict(report.target_cov),
-            "max_rel_err": report.max_rel_err,
-            "normality_stat": report.normality_stat,
-            "existence_rate": report.existence_rate,
-        }
+        payload = asdict(report)
+        warnings.extend(payload.pop("warnings"))
     else:
         raise ValueError(f"unknown command {args.command!r}")
     return payload

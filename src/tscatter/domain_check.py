@@ -87,7 +87,9 @@ class EmpiricalSample:
     """A weighted discrete law: n points in R^d with nonnegative weights summing to 1.
 
     One-dimensional point arrays are promoted to shape (n, 1). Weights default
-    to uniform. Arrays are canonicalized (-0.0 becomes +0.0) and frozen.
+    to uniform. The constructor checks the arrays, makes -0.0 +0.0, divides the
+    weights by their sum once and freezes them. Derived laws (``merged``,
+    ``drop_zero_weights``, ``lift``) carry those arrays, not divided again.
     """
 
     points: np.ndarray
@@ -101,9 +103,16 @@ class EmpiricalSample:
             raise ValueError(f"points must be an (n, d) array with n >= 1, got {pts.shape}")
         w = None if self.weights is None else np.asarray(self.weights, dtype=float).reshape(1, -1)
         pts, w = _as_stack(pts[None], w)
-        for name, arr in (("points", pts[0]), ("weights", w[0])):
+        EmpiricalSample._carry(pts[0], w[0], law=self)
+
+    @classmethod
+    def _carry(cls, points: np.ndarray, weights: np.ndarray, law=None) -> "EmpiricalSample":
+        # canonical arrays frozen into `law` (a new sample by default), not checked or divided again
+        law = object.__new__(cls) if law is None else law
+        for name, arr in (("points", points), ("weights", weights)):
             arr.setflags(write=False)
-            object.__setattr__(self, name, arr)
+            object.__setattr__(law, name, arr)
+        return law
 
     @property
     def n(self) -> int:
@@ -122,13 +131,13 @@ class EmpiricalSample:
         in index order. The stack of one of the stacked merge.
         """
         pts, w, rep, _ = _merge(self.points[None], self.weights[None])
-        return EmpiricalSample(pts, w), rep
+        return EmpiricalSample._carry(pts, w), rep
 
     def drop_zero_weights(self) -> "EmpiricalSample":
         keep = self.weights > 0.0
         if keep.all():
             return self
-        return EmpiricalSample(self.points[keep], self.weights[keep] / self.weights[keep].sum())
+        return EmpiricalSample._carry(self.points[keep], self.weights[keep])
 
 
 @dataclass(frozen=True)
@@ -154,7 +163,7 @@ class DomainReport:
 def lift(sample: EmpiricalSample) -> EmpiricalSample:
     """Append a constant coordinate 1 to every point, keeping weights."""
     ones = np.ones((sample.n, 1))
-    return EmpiricalSample(np.hstack([sample.points, ones]), sample.weights)
+    return EmpiricalSample._carry(np.hstack([sample.points, ones]), sample.weights)
 
 
 def _affine_report(report: DomainReport) -> DomainReport:
@@ -199,8 +208,8 @@ def _as_stack(points, weights):
 def _merge(points: np.ndarray, weights: np.ndarray):
     # EmpiricalSample.merged of each sample of a checked stack, by one stable
     # lexsort of every sample's points at once: all merged points one sample
-    # after another, their weights (divided once by the sample's total), the
-    # index of each one's first copy in its sample, and each merged size
+    # after another, their weights (the sums of their copies), the index of
+    # each one's first copy in its sample, and each merged size
     R, n, d = points.shape
     order = np.lexsort(points.transpose(2, 0, 1)[::-1], axis=-1).ravel()  # copies keep index order
     flat = order + np.arange(R).repeat(n) * n
@@ -210,7 +219,7 @@ def _merge(points: np.ndarray, weights: np.ndarray):
     first[::n] = True
     w = np.bincount(np.cumsum(first) - 1, weights=weights.reshape(-1)[flat])
     sizes = first.reshape(R, n).sum(axis=1)
-    return pts[first], _normalized(w, sizes), order[first], sizes
+    return pts[first], w, order[first], sizes
 
 
 def _point_scale(points: np.ndarray):
@@ -372,11 +381,6 @@ def _exact_masses(counts: np.ndarray, idx: np.ndarray, w: np.ndarray) -> np.ndar
     for k in np.unique(counts[counts > 0]):
         masses[counts == k] = w[idx[size == k]].reshape(-1, k).sum(axis=1)
     return masses
-
-
-def _normalized(w: np.ndarray, sizes: np.ndarray) -> np.ndarray:
-    # each consecutive run of sizes[i] weights divided by its sum, as w / w.sum()
-    return w / np.repeat(_exact_masses(sizes, np.arange(w.size), w), sizes)
 
 
 def _frames(X: np.ndarray, smp: np.ndarray, fixed: np.ndarray, tol: np.ndarray):
@@ -594,7 +598,6 @@ def _check_exact(points: np.ndarray, weights: np.ndarray, a0: float) -> list[Dom
     if not a0 > d:
         raise ValueError(f"need a0 > d, got a0={a0} with d={d}")
     X, w, rep, sizes = _merge(points, weights)
-    w = _normalized(w, sizes)  # again, as the EmpiricalSample of merged() does
     for r, m in enumerate(sizes.tolist()):
         if _subset_count(m, d - 1) > DEFAULT_BUDGET:
             raise EnumerationBudgetError(("" if R == 1 else f"sample {r}: ") + f"exact enumeration over {m} distinct"

@@ -16,6 +16,7 @@ large surrogate sample and the report is flagged accordingly.
 from __future__ import annotations
 
 import dataclasses
+from collections.abc import Callable
 from dataclasses import dataclass
 
 import numpy as np
@@ -54,98 +55,72 @@ REL_THRESHOLD = 0.05
 class Sampler:
     """A law to draw replicates from, with deterministic per-replicate streams.
 
-    ``kind`` is one of ``gaussian``, ``multivariate_t``, ``discrete``, or
-    ``contaminated``. Streams are keyed by (seed, replicate), so identical
-    seeds reproduce identical draws regardless of scheduling.
+    ``draw(n, rng)`` returns n points in R^``dim``. ``law`` is the exact law
+    when it is discrete, else None; the factories below build it, and factor
+    any scatter matrix, once, so its weights are divided only then. Streams
+    are keyed by (seed, replicate), so identical seeds reproduce identical draws.
     """
 
-    kind: str
     seed: int
-    mu: np.ndarray | None = None
-    Sigma: np.ndarray | None = None
-    df: float | None = None
-    points: np.ndarray | None = None
-    weights: np.ndarray | None = None
-    base: "Sampler | None" = None
-    eps: float = 0.0
-    point: np.ndarray | None = None
-
-    @property
-    def dim(self) -> int:
-        if self.kind in ("gaussian", "multivariate_t"):
-            return self.mu.shape[0]
-        if self.kind == "discrete":
-            return self.points.shape[1]
-        return self.base.dim
+    dim: int
+    draw: Callable[[int, np.random.Generator], np.ndarray]
+    law: EmpiricalSample | None = None
 
     def rng_for(self, replicate: int) -> np.random.Generator:
         return np.random.default_rng([self.seed, int(replicate)])
 
-    def draw(self, n: int, rng: np.random.Generator) -> np.ndarray:
-        if self.kind == "gaussian":
-            L = np.linalg.cholesky(self.Sigma)
-            return self.mu + rng.standard_normal((n, self.dim)) @ L.T
-        if self.kind == "multivariate_t":
-            # Gaussian scale mixture: chi-square divisor with df degrees of freedom
-            L = np.linalg.cholesky(self.Sigma)
-            z = rng.standard_normal((n, self.dim)) @ L.T
-            g = rng.chisquare(self.df, size=n)
-            return self.mu + z / np.sqrt(g / self.df)[:, None]
-        if self.kind == "discrete":
-            idx = rng.choice(self.points.shape[0], size=n, p=self.weights)
-            return self.points[idx]
-        if self.kind == "contaminated":
-            pts = self.base.draw(n, rng)
-            mask = rng.random(n) < self.eps
-            pts[mask] = self.point
-            return pts
-        raise ValueError(f"unknown sampler kind {self.kind!r}")
-
 
 def gaussian_sampler(mu, Sigma, seed: int) -> Sampler:
     mu = np.asarray(mu, dtype=float).reshape(-1)
-    Sigma = as_spd(Sigma).mat
-    return Sampler(kind="gaussian", seed=int(seed), mu=mu, Sigma=Sigma)
+    L = np.linalg.cholesky(as_spd(Sigma).mat)
+
+    def draw(n, rng):
+        return mu + rng.standard_normal((n, mu.size)) @ L.T
+
+    return Sampler(int(seed), mu.size, draw)
 
 
 def t_sampler(df: float, mu, Sigma, seed: int) -> Sampler:
     if not df > 0:
         raise ValueError("df must be positive")
     mu = np.asarray(mu, dtype=float).reshape(-1)
-    Sigma = as_spd(Sigma).mat
-    return Sampler(kind="multivariate_t", seed=int(seed), mu=mu, Sigma=Sigma, df=float(df))
+    L = np.linalg.cholesky(as_spd(Sigma).mat)
+
+    def draw(n, rng):
+        # Gaussian scale mixture: chi-square divisor with df degrees of freedom
+        z = rng.standard_normal((n, mu.size)) @ L.T
+        g = rng.chisquare(df, size=n)
+        return mu + z / np.sqrt(g / df)[:, None]
+
+    return Sampler(int(seed), mu.size, draw)
 
 
 def discrete_sampler(points, weights, seed: int) -> Sampler:
     law = EmpiricalSample(points, weights)
-    return Sampler(kind="discrete", seed=int(seed), points=law.points, weights=law.weights)
+
+    def draw(n, rng):
+        return law.points[rng.choice(law.n, size=n, p=law.weights)]
+
+    return Sampler(int(seed), law.d, draw, law)
 
 
 def contaminated_sampler(base: Sampler, eps: float, point, seed: int | None = None) -> Sampler:
+    """``base`` with each draw replaced by ``point`` with probability ``eps``; exact when ``base`` is."""
     if not 0.0 <= eps < 1.0:
         raise ValueError("eps must lie in [0, 1)")
     point = np.asarray(point, dtype=float).reshape(-1)
-    return Sampler(
-        kind="contaminated",
-        seed=int(base.seed if seed is None else seed),
-        base=base,
-        eps=float(eps),
-        point=point,
-    )
 
+    def draw(n, rng):
+        pts = base.draw(n, rng)
+        mask = rng.random(n) < eps
+        pts[mask] = point
+        return pts
 
-def as_discrete_law(sampler: Sampler) -> EmpiricalSample | None:
-    """The sampler's law as a weighted sample, when it is exactly discrete."""
-    if sampler.kind == "discrete":
-        return EmpiricalSample(sampler.points, sampler.weights)
-    if sampler.kind == "contaminated":
-        base = as_discrete_law(sampler.base)
-        if base is None:
-            return None
-        pts = np.vstack([base.points, sampler.point[None, :]])
-        w = np.concatenate([(1.0 - sampler.eps) * base.weights, [sampler.eps]])
-        return EmpiricalSample(pts, w).merged()[0]
-    return None
+    law = None
+    if base.law is not None:
+        pts = np.vstack([base.law.points, point[None, :]])
+        law = EmpiricalSample(pts, np.concatenate([(1.0 - eps) * base.law.weights, [eps]])).merged()[0]
+    return Sampler(int(base.seed if seed is None else seed), base.dim, draw, law)
 
 
 @dataclass(frozen=True)
@@ -187,7 +162,7 @@ def _target_objects(sampler: Sampler, nu: float, mode: str):
     subset budget the law goes unchecked, with a warning.
     """
     warnings = []
-    law = as_discrete_law(sampler)
+    law = sampler.law
     if law is None:
         rng = sampler.rng_for(SURROGATE_REPLICATE)
         law = EmpiricalSample(sampler.draw(SURROGATE_N, rng)).merged()[0]
@@ -204,17 +179,17 @@ def _target_objects(sampler: Sampler, nu: float, mode: str):
         warnings.append("domain of the target law not checked: exact enumeration too large")
         est = fit(False)
     cov = asymptotic_cov_scatter if mode == "scatter" else asymptotic_cov_locscatter
-    return _thetas([est])[0], cov(law, nu, fit=est, check_domain=False), warnings
+    return _thetas([est])[0], cov(law, nu, fit=est), warnings
 
 
 def _replicate_thetas(sampler: Sampler, cfg: ScatterConfig, n: int, mode: str, reps: range) -> list:
     """Vectorized estimate of each replicate in ``reps``, or its failing domain report.
 
     Replicates are drawn, fitted and checked in chunks whose solver scratch
-    stays near ``BLOCK_BYTES``. Each chunk's draws, with the weights
-    :class:`EmpiricalSample` gives a draw (lifted in locscatter mode, with
-    the weights :func:`~tscatter.domain_check.lift` gives it), go through
-    one :func:`~tscatter.scatter._fit_and_check` call. A failing report's
+    stays near ``BLOCK_BYTES``. Each chunk's draws (lifted in locscatter
+    mode), with the uniform weights :class:`EmpiricalSample` gives a draw and
+    :func:`~tscatter.domain_check.lift` keeps, go through one
+    :func:`~tscatter.scatter._fit_and_check` call. A failing report's
     witness indices are rows of the draw. A member replicate whose fit broke
     down raises :class:`NumericalBreakdown`.
     """
@@ -229,7 +204,6 @@ def _replicate_thetas(sampler: Sampler, cfg: ScatterConfig, n: int, mode: str, r
         points, weights = draws, np.full(draws.shape[:2], 1.0 / n)
         if lifted:
             points = np.concatenate([draws, np.ones(draws.shape[:2] + (1,))], axis=2)
-            weights = weights / weights.sum(axis=1, keepdims=True)
         fits, reports, broken = _fit_and_check(points, weights, solve_cfg)
         found, kept = [None] * len(fits), []
         for i, report in enumerate(reports):

@@ -146,12 +146,15 @@ def direct_em_step(sample: EmpiricalSample, mu, Sigma, nu: float):
 
 
 def merged_unique(sample: EmpiricalSample):
-    """``EmpiricalSample.merged`` by ``np.unique(axis=0)``: the reference for the lexsort merge."""
+    """``EmpiricalSample.merged`` by ``np.unique(axis=0)``: the reference for the lexsort merge.
+
+    Merged weights are the sums of their copies, not divided again.
+    """
     uniq, first, inverse = np.unique(
         sample.points, axis=0, return_index=True, return_inverse=True
     )
     w = np.bincount(inverse.reshape(-1), weights=sample.weights, minlength=uniq.shape[0])
-    return EmpiricalSample(uniq, w / w.sum()), first
+    return EmpiricalSample._carry(uniq, w), first
 
 
 def check_locscat_domain_direct(sample: EmpiricalSample, a0: float) -> DomainReport:

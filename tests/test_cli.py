@@ -1,3 +1,4 @@
+import dataclasses
 import io
 import json
 from pathlib import Path
@@ -9,6 +10,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tscatter import CsvParseError, EmpiricalSample, NumericalBreakdown, cli, discrete_sampler, solve_locscatter
+from tscatter.asymptotics import AsymptoticCov
+from tscatter.oned import OneDEstimate
+from tscatter.simlab import McReport
 
 SCHEMA = json.loads((Path(__file__).resolve().parents[1] / "docs" / "result_schema.json").read_text())
 
@@ -101,6 +105,16 @@ class TestSuccessEnvelopes:
         assert code == cli.EXIT_OK
         assert env["payload"]["reps"] == 20
         assert np.asarray(env["payload"]["empirical_cov"]).shape == (3, 3)
+
+    def test_payloads_follow_their_dataclasses(self, tmp_path):
+        # oned writes every OneDEstimate field, simulate every McReport field
+        # but its warnings, which go to the envelope; in field order
+        path = write_csv(tmp_path / "x.csv", [[-1.0], [0.5], [2.0], [3.0]])
+        _, env = run(["oned", path, "--nu", "3"], tmp_path)
+        assert list(env["payload"]) == [f.name for f in dataclasses.fields(OneDEstimate)]
+        _, env = run(["simulate", path, "--nu", "2", "--n", "40", "--reps", "5"], tmp_path)
+        assert list(env["payload"]) == [f.name for f in dataclasses.fields(McReport) if f.name != "warnings"]
+        assert list(env["payload"]["target_cov"]) == [f.name for f in dataclasses.fields(AsymptoticCov)]
 
     def test_simulate_honours_solver_settings(self, tmp_path):
         rng = np.random.default_rng(5)

@@ -364,7 +364,8 @@ class TestMerged:
     @given(st.integers(1, 300), st.integers(1, 4), st.integers(0, 2**32 - 1))
     def test_matches_unique(self, n, d, seed):
         # duplicate-heavy lattice laws with Dirichlet weights: same points in
-        # the same order, same first-occurrence representatives, same sums
+        # the same order, same first-occurrence representatives, and merged
+        # weights that are the np.bincount sums of the copies, not divided again
         rng = np.random.default_rng(seed)
         q = EmpiricalSample(rng.integers(-2, 3, size=(n, d)).astype(float), rng.dirichlet(np.ones(n)))
         got, rep = q.merged()
@@ -372,6 +373,41 @@ class TestMerged:
         assert np.array_equal(got.points, want.points)
         assert np.array_equal(rep, want_rep)
         assert np.array_equal(got.weights, want.weights)
+
+
+def _same_bits(a, b):
+    return a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+def _with_zero_rows(q, k, seed):
+    """``q`` with ``k`` zero-weight rows inserted: copies of its rows, new points or far ones."""
+    rng = np.random.default_rng(seed)
+    rows = np.stack([q.points[rng.integers(q.n)], rng.standard_normal(q.d), 1e6 * rng.standard_normal(q.d)])
+    at = np.sort(rng.integers(0, q.n + 1, size=k))
+    return EmpiricalSample(np.insert(q.points, at, rows[rng.integers(3, size=k)], axis=0), np.insert(q.weights, at, 0.0))
+
+
+class TestDerivedLawsCarryTheirArrays:
+    """A law's weights are divided once, where it enters; derived laws carry its arrays."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(LAWS, st.integers(1, 3), st.integers(0, 2**32 - 1))
+    def test_lift_and_dropping_zero_weights_commute(self, law, k, seed):
+        kind, d, n, dirichlet, law_seed, extra = law
+        q = _with_zero_rows(_law(kind, d - 1, n, dirichlet, law_seed), k, seed)  # lifted check runs in R^d
+        positive = q.drop_zero_weights()
+        a, b = lift(q).drop_zero_weights(), lift(positive)
+        assert _same_bits(a.points, b.points) and _same_bits(a.weights, b.weights)
+        rows = np.flatnonzero(q.weights > 0.0)
+        want = check_locscat_domain(positive, d + extra)
+        want = dataclasses.replace(want, witness_points=tuple(int(rows[i]) for i in want.witness_points))
+        assert check_locscat_domain(q, d + extra) == want
+
+    @settings(max_examples=200, deadline=None)
+    @given(LAWS)
+    def test_lift_keeps_the_weights(self, law):
+        q = _law(*law[:5])
+        assert _same_bits(lift(q).weights, q.weights)
 
 
 def _flat_law(kind, d, n, dirichlet, seed):

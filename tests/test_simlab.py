@@ -23,7 +23,6 @@ from tscatter import (
 )
 import tscatter
 from tscatter import scatter, simlab
-from tscatter.simlab import as_discrete_law
 
 
 def four_point_arrays():
@@ -67,11 +66,77 @@ class TestSamplers:
         pts, w = four_point_arrays()
         base = discrete_sampler(pts, w, seed=0)
         cont = contaminated_sampler(base, 0.05, np.array([3.0, 0.0]))
-        law = as_discrete_law(cont)
+        law = cont.law
         assert law is not None
         assert np.isclose(law.weights.sum(), 1.0)
         k = np.nonzero((law.points == np.array([3.0, 0.0])).all(axis=1))[0]
         assert np.isclose(law.weights[k[0]], 0.05)
+
+
+class TestSamplerDraws:
+    """Each sampler draws by its formula from the replicate's stream and holds its exact law."""
+
+    MU, SIGMA, N = np.array([1.0, -2.0]), np.array([[2.0, 0.6], [0.6, 1.0]]), 64
+
+    def formulas(self):
+        pts, _ = four_point_arrays()
+        w = np.array([0.4, 0.3, 0.2, 0.1])
+        mu, L, n = self.MU, np.linalg.cholesky(self.SIGMA), self.N
+        p = EmpiricalSample(pts, w).weights
+
+        def gaussian(rng):
+            return mu + rng.standard_normal((n, 2)) @ L.T
+
+        def t(rng):
+            z = rng.standard_normal((n, 2)) @ L.T
+            return mu + z / np.sqrt(rng.chisquare(3.0, size=n) / 3.0)[:, None]
+
+        def discrete(rng):
+            return pts[rng.choice(4, size=n, p=p)]
+
+        def contaminated(formula):
+            def draw(rng):
+                x = formula(rng)
+                x[rng.random(n) < 0.2] = [9.0, 9.0]
+                return x
+            return draw
+
+        return [
+            (gaussian_sampler(mu, self.SIGMA, seed=5), gaussian),
+            (t_sampler(3.0, mu, self.SIGMA, seed=5), t),
+            (discrete_sampler(pts, w, seed=5), discrete),
+            (contaminated_sampler(gaussian_sampler(mu, self.SIGMA, seed=5), 0.2, [9.0, 9.0]), contaminated(gaussian)),
+            (contaminated_sampler(discrete_sampler(pts, w, seed=5), 0.2, [9.0, 9.0]), contaminated(discrete)),
+        ]
+
+    def test_draws_follow_their_formulas(self):
+        for sampler, formula in self.formulas():
+            assert sampler.dim == 2
+            for rep in (0, 7):
+                got = sampler.draw(self.N, sampler.rng_for(rep))
+                want = formula(np.random.default_rng([5, rep]))
+                assert got.shape == want.shape and got.tobytes() == want.tobytes()
+
+    def test_scatter_matrix_is_factored_once_per_sampler(self, monkeypatch):
+        samplers = [sampler for sampler, _ in self.formulas()]
+        calls = []
+        cholesky = np.linalg.cholesky
+        monkeypatch.setattr(np.linalg, "cholesky", lambda a: calls.append(a) or cholesky(a))
+        for sampler in samplers:
+            for rep in range(3):
+                sampler.draw(self.N, sampler.rng_for(rep))
+        assert calls == []
+
+    def test_exact_laws_are_built_once(self):
+        pts, _ = four_point_arrays()
+        w = np.array([0.4, 0.3, 0.2, 0.1])
+        gaussian, t, discrete, mixed, cont = [sampler for sampler, _ in self.formulas()]
+        assert gaussian.law is None and t.law is None and mixed.law is None
+        want = EmpiricalSample(pts, w)
+        assert discrete.law.weights.tobytes() == want.weights.tobytes()
+        merged = EmpiricalSample(np.vstack([pts, [[9.0, 9.0]]]), np.append(0.8 * want.weights, 0.2)).merged()[0]
+        assert cont.law.points.tobytes() == merged.points.tobytes()
+        assert cont.law.weights.tobytes() == merged.weights.tobytes()
 
 
 class TestCltExperiment:
