@@ -180,7 +180,10 @@ def asymptotic_cov_scatter(
     K = (nu + d) / 4.0 * G - np.outer(m, m)
 
     X = 2.0 * cho_solve(_factor(H), T)  # (H/2)^{-1} T, so that S = T (H/2)^{-1} K (H/2)^{-1} T = X' K X
-    S = symmetrize(X.T @ K @ X, rtol=1e-6)
+    try:
+        S = symmetrize(X.T @ K @ X, rtol=1e-6)
+    except ValueError as exc:  # roundoff of a curvature that is positive definite but ill-conditioned
+        raise NumericalBreakdown(f"sandwich {exc}: the fit is too far from the functional") from exc
     return AsymptoticCov(S=S, rank=_numerical_rank(S), parametrization="scatter_A")
 
 

@@ -238,7 +238,7 @@ def dispatch(args: argparse.Namespace, warnings: list[str]) -> dict:
     elif args.command == "oned":
         payload = asdict(solve_oned(sample, args.nu))
     elif args.command == "simulate":
-        sampler = discrete_sampler(sample.points, sample.weights, args.seed)
+        sampler = discrete_sampler(sample, None, args.seed)
         report = run_clt_experiment(
             sampler, args.nu, n=args.n, reps=args.reps, mode=args.mode, cfg=scfg
         )

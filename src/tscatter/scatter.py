@@ -20,6 +20,10 @@ the MM step would, up to roundoff, so the monotone descent of the MM iteration
 (Kent and Tyler, Ann. Statist. 19, 1991) carries over, and near the solution
 the Newton steps converge quadratically.
 
+Each sample starts at the best multiple c I of the identity (the scalar case
+of the fixed-point equation), which scales with the data as the fit does,
+A(lambda Y) = lambda^2 A(Y), so the steps taken do not depend on the units.
+
 There is one solver loop, and it runs on a stack of samples of equal size
 (``solve_scatter_stack``): every array carries a leading sample axis, each
 sample keeps its own step choice, stop test and breakdown check, and a
@@ -138,6 +142,28 @@ def _whiten(L, Yt, t, w, nu: float):
     return Z, s, obj
 
 
+def _scale_start(t, w, nu: float, d: int):
+    """Scale c of each sample's start c I, the minimizer of Qh over multiples of I.
+
+    With ``t`` (R, n) the squared norms, c solves sum_i w_i (nu+d) t_i/(nu c + t_i) = d.
+    In x = 1/c the left side is concave and increasing, so Newton steps from
+    x = 0 climb to the root; each sample stops on its own at a relative step
+    of 1e-6, so its c does not depend on the stack. Without a root the law is
+    off the domain, (nu+d) Q(y != 0) <= d, and c = 1.
+    """
+    a = (nu + d) * w
+    x = np.zeros(len(t))
+    ids = np.flatnonzero(np.where(t > 0, a, 0.0).sum(axis=1) > d)
+    while ids.size:
+        ti = t[ids]
+        r = nu / (nu + ti * x[ids, None])  # nu/(nu + t x), in (0, 1]
+        psi, dpsi = (a[ids] * (1.0 - r)).sum(axis=1), (a[ids] * (ti * r) * r).sum(axis=1) / nu
+        step = (d - psi) / dpsi
+        x[ids] += step
+        ids = ids[step > 1e-6 * x[ids]]
+    return np.divide(1.0, x, out=np.ones(len(t)), where=x > 0)
+
+
 def _newton_candidates(L, Z, s, w, nu: float, M):
     """Newton steps for Qh on the whitened concentration matrices C = L' B^{-1} L.
 
@@ -248,7 +274,9 @@ def solve_scatter_stack(points, weights, cfg: ScatterConfig) -> list[ScatterResu
     ``points`` is (R, n, d) and ``weights`` (R, n), each row of weights a
     probability vector; the samples are not domain-checked. Returns one
     :class:`ScatterResult` per sample, in order. Each sample iterates on its
-    own from B = I: every iteration whitens it with the Cholesky factor of its iterate
+    own from B = c I, the minimizer of the objective over multiples of I
+    (c = 1 where there is none), which scales with the data as the fit
+    does: every iteration whitens it with the Cholesky factor of its iterate
     B = L L' and forms the whitened MM image M = sum_i w_i u(s_i) z_i z_i'.
     ``grad_norm`` is the whitened gradient (1/2)||L^{-1}(B - L M L')L^{-T}||_F
     = (1/2)||I - M||_F, which does not change when the data are rescaled or
@@ -284,7 +312,8 @@ def _solve_stack(points, weights, cfg: ScatterConfig):
     eye = np.eye(d)
     Yt = np.ascontiguousarray(np.swapaxes(Y, 1, 2))
     t = np.einsum("rnd,rnd->rn", Y, Y)
-    B = L = np.tile(eye, (R, 1, 1))  # every sample starts at I, its own Cholesky factor
+    L = np.sqrt(_scale_start(t, w, nu, d))[:, None, None] * eye
+    B = L * L  # every sample starts at c I; L is diagonal, so L * L = L L'
     Z, s, obj = _whiten(L, Yt, t, w, nu)
 
     ids = np.arange(R)              # stack positions of the samples still iterating

@@ -96,10 +96,14 @@ def t_sampler(df: float, mu, Sigma, seed: int) -> Sampler:
 
 
 def discrete_sampler(points, weights, seed: int) -> Sampler:
-    law = EmpiricalSample(points, weights)
+    """Draws from the law of ``points`` and ``weights``, or from ``points`` as it is if it is a law."""
+    law = points if isinstance(points, EmpiricalSample) else EmpiricalSample(points, weights)
+    cdf = np.cumsum(law.weights)
+    cdf /= cdf[-1]
 
     def draw(n, rng):
-        return law.points[rng.choice(law.n, size=n, p=law.weights)]
+        # the draws of rng.choice(law.n, size=n, p=law.weights), with the CDF built once
+        return law.points[np.searchsorted(cdf, rng.random(n), side="right")]
 
     return Sampler(int(seed), law.d, draw, law)
 

@@ -297,10 +297,10 @@ class TestSandwichAgainstTwoPass:
 
 class TestUnconvergedFit:
     def test_curvature_not_positive_definite_is_a_breakdown(self):
-        # one step from the identity the curvature of this cloud has a
-        # negative eigenvalue; the sandwich and the influence function both
-        # need its Cholesky factor
-        q = EmpiricalSample(np.random.default_rng(3).standard_normal((12, 2)) + [1.0, -2.0])
+        # one step from the start the curvature of this cloud, thirty times
+        # wider than tall, has a negative eigenvalue; the sandwich and the
+        # influence function both need its Cholesky factor
+        q = EmpiricalSample(np.random.default_rng(7).standard_normal((12, 2)) * [30.0, 1.0])
         fit = solve_scatter(q, ScatterConfig(nu=1.5, max_iter=1))
         assert not fit.converged
         assert hessian(q, fit.A, 1.5).min_eigenvalue < 0.0
@@ -308,6 +308,16 @@ class TestUnconvergedFit:
             asymptotic_cov_scatter(q, 1.5, fit=fit)
         with pytest.raises(NumericalBreakdown, match="curvature is not positive definite"):
             influence(q.points[0], q, 1.5, fit=fit)
+
+    def test_asymmetric_sandwich_is_a_breakdown(self):
+        # one step from the start on this flat cloud far from the origin the
+        # lifted curvature is positive definite but so ill-conditioned that
+        # the sandwich comes out visibly asymmetric: a numerical failure too
+        q = EmpiricalSample(np.random.default_rng(3).standard_normal((12, 2)) * [1.0, 0.1] + [100.0, -200.0])
+        est = solve_locscatter(q, 2.0, ScatterConfig(nu=2.0, max_iter=1), check_domain=False)
+        assert not est.converged
+        with pytest.raises(NumericalBreakdown, match="sandwich matrix asymmetry"):
+            asymptotic_cov_locscatter(q, 2.0, fit=est)
 
 
 class TestExtractJacobian:

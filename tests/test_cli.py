@@ -47,6 +47,13 @@ def cloud2(tmp_path):
 
 
 @pytest.fixture
+def wide2(tmp_path):
+    # thirty times wider than tall: one step from the start is far from the functional
+    rng = np.random.default_rng(7)
+    return write_csv(tmp_path / "wide2.csv", rng.standard_normal((12, 2)) * [30.0, 1.0])
+
+
+@pytest.fixture
 def line_heavy(tmp_path):
     # 8 of 10 points on the line y = 0: outside the location-scatter domain at nu = 2
     pts = [[float(i), 0.0] for i in range(8)] + [[1.0, 2.0], [3.0, -1.0]]
@@ -245,10 +252,10 @@ class TestErrorEnvelopes:
         assert env["timing_ms"] > 0.0
 
     @pytest.mark.parametrize("mode,nu", [("locscatter", "2"), ("scatter", "1.5")])
-    def test_asymptotics_at_a_fit_far_from_the_functional_exit_3(self, cloud2, tmp_path, mode, nu):
+    def test_asymptotics_at_a_fit_far_from_the_functional_exit_3(self, wide2, tmp_path, mode, nu):
         # one step from the start the curvature is not positive definite, so
         # the sandwich has no Cholesky factor: a numerical failure, not a usage error
-        code, env = run(["asymptotics", cloud2, "--nu", nu, "--mode", mode, "--max-iter", "1"], tmp_path)
+        code, env = run(["asymptotics", wide2, "--nu", nu, "--mode", mode, "--max-iter", "1"], tmp_path)
         assert code == cli.EXIT_NUMERICAL
         assert env["payload"]["error"] == "numerical_failure"
         assert env["payload"]["message"].startswith("curvature is not positive definite")

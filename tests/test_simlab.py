@@ -54,6 +54,23 @@ class TestSamplers:
         frac = np.mean((draw == pts[0]).all(axis=1))
         assert abs(frac - 0.25) < 0.01
 
+    def test_discrete_sampler_takes_a_law_as_it_is(self):
+        # the CSV law of `simulate` is the law the other commands fit: its
+        # weights are not divided by their sum a second time
+        w = np.random.default_rng(2).dirichlet(np.ones(7))
+        q = EmpiricalSample(np.random.default_rng(3).standard_normal((7, 2)), w)
+        s = discrete_sampler(q, None, seed=0)
+        assert s.law is q and np.array_equal(s.law.weights, q.weights)
+
+    def test_discrete_sampler_draws_as_choice_does(self):
+        # the CDF built once gives, bit for bit, the draws of Generator.choice
+        w = np.random.default_rng(4).dirichlet(np.ones(40))
+        q = EmpiricalSample(np.random.default_rng(5).standard_normal((40, 3)), w)
+        s = discrete_sampler(q.points, q.weights, seed=9)
+        for replicate in range(200):
+            want = q.points[s.rng_for(replicate).choice(q.n, size=300, p=q.weights)]
+            assert np.array_equal(s.draw(300, s.rng_for(replicate)), want)
+
     def test_contaminated_mixture(self):
         pts, w = four_point_arrays()
         base = discrete_sampler(pts, w, seed=0)
