@@ -22,7 +22,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve
 
 from .domain_check import EmpiricalSample, lift
 from .exceptions import NumericalBreakdown
@@ -118,13 +117,17 @@ def _fit(sample: EmpiricalSample, nu: float, fit=None, check_domain=True) -> Sca
     return fit if fit is not None else solve_scatter(sample, ScatterConfig(nu=nu), check_domain=check_domain)
 
 
-def _factor(hess: HessianMap):
+def _curvature_solve(hess: HessianMap, rhs) -> np.ndarray:
+    """H^{-1} rhs by a Cholesky factorization of the curvature H."""
+    from scipy.linalg import cho_factor, cho_solve
+
     # the curvature is positive definite at the functional, not necessarily at an unconverged fit
     try:
-        return cho_factor(hess.matrix)
+        factor = cho_factor(hess.matrix)
     except np.linalg.LinAlgError as exc:
         raise NumericalBreakdown(f"curvature is not positive definite (least eigenvalue {hess.min_eigenvalue:.3g}):"
                                  " the fit is too far from the functional") from exc
+    return cho_solve(factor, rhs)
 
 
 def influence(y, sample: EmpiricalSample, nu: float, *, fit=None, hess=None) -> np.ndarray:
@@ -137,9 +140,8 @@ def influence(y, sample: EmpiricalSample, nu: float, *, fit=None, hess=None) -> 
     weighted sample average of IF vanishes.
     """
     A = _fit(sample, nu, fit).A
-    factor = _factor(hess if hess is not None else hessian(sample, A, nu))
-    g = sym_to_vec(score(y, A, nu))
-    dC = vec_to_sym(2.0 * cho_solve(factor, g))
+    hess = hess if hess is not None else hessian(sample, A, nu)
+    dC = vec_to_sym(2.0 * _curvature_solve(hess, sym_to_vec(score(y, A, nu))))
     return symmetrize(A.mat @ dC @ A.mat, rtol=1e-9)
 
 
@@ -179,7 +181,7 @@ def asymptotic_cov_scatter(
     H, G = _curvature(sample, A, nu, s, V, T)
     K = (nu + d) / 4.0 * G - np.outer(m, m)
 
-    X = 2.0 * cho_solve(_factor(H), T)  # (H/2)^{-1} T, so that S = T (H/2)^{-1} K (H/2)^{-1} T = X' K X
+    X = 2.0 * _curvature_solve(H, T)  # (H/2)^{-1} T, so that S = T (H/2)^{-1} K (H/2)^{-1} T = X' K X
     try:
         S = symmetrize(X.T @ K @ X, rtol=1e-6)
     except ValueError as exc:  # roundoff of a curvature that is positive definite but ill-conditioned

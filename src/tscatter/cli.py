@@ -7,6 +7,12 @@ a versioned envelope ``{"version": "v1", "command", "timing_ms", "payload",
 
 Exit codes: 0 success, 1 usage, input or output error, 2 domain violation
 (with a structured report in the payload), 3 numerical failure.
+
+Start-up imports numpy and the package only. A command loads a SciPy
+subpackage when it first uses it: ``asymptotics`` and ``simulate`` load
+``scipy.linalg`` (the sandwich's Cholesky solves), ``oned`` loads
+``scipy.optimize`` (its root search) and ``simulate`` also loads
+``scipy.special`` (the normal CDF of its normality statistic).
 """
 
 from __future__ import annotations

@@ -26,7 +26,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import brentq
 
 from .domain_check import EQ_TOL, EmpiricalSample, max_atom
 from .exceptions import NoPositiveSolution, NuOutOfRange
@@ -72,6 +71,8 @@ def sigma_of_mu(sample: EmpiricalSample, mu: float, nu: float) -> float:
     s^2 = int (x-mu)^2 dQ, so F is below 1/(nu+1) at sigma = 2 sqrt((nu+1)/nu) s.
     The returned root satisfies |F - 1/(nu+1)| <= 1e-12.
     """
+    from scipy.optimize import brentq
+
     x, w = _as_oned(sample)
     mu = float(mu)
     target = 1.0 / (nu + 1.0)
@@ -123,6 +124,8 @@ def solve_oned(sample: EmpiricalSample, nu: float) -> OneDEstimate:
     # each term w (mu-x)/D of the derivative is <= 0 and some mass lies
     # elsewhere, so it is < 0; at max x it is > 0. Each zero is a critical point
     # of Qh (d/dsigma Qh vanishes at sigma(mu)), and Qh has only one.
+    from scipy.optimize import brentq
+
     lo, hi = float(x.min()), float(x.max())
     mu = brentq(lambda m: _profile_derivative(sample, m, nu), lo, hi,
                 xtol=4.0 * np.finfo(float).eps * (hi - lo), maxiter=200)

@@ -128,17 +128,16 @@ def weight_u(s, nu: float, d: int):
     return float(out) if out.ndim == 0 else out
 
 
-def _rho_diff(s, t, nu: float, d: int):
-    # rho(s) - rho(t); the log(nu) normalizations cancel
-    return 0.5 * (nu + d) * (np.log(nu + s) - np.log(nu + t))
+def _whiten(L, Yt, log_t, w, nu: float):
+    """Whitened points Z = L^{-1} Y' (R, d, n), quadratic forms s and Qh at B = L L'.
 
-
-def _whiten(L, Yt, t, w, nu: float):
-    """Whitened points Z = L^{-1} Y' (R, d, n), quadratic forms s and Qh at B = L L'."""
+    ``log_t`` holds log(nu + t_i) with t_i = |y_i|^2, so that
+    rho(s_i) - rho(t_i) = ((nu + d)/2) (log(nu + s_i) - log(nu + t_i)).
+    """
     Z = np.linalg.inv(L) @ Yt
     s = np.einsum("rin,rin->rn", Z, Z)
     half_logdet = np.log(np.diagonal(L, axis1=1, axis2=2)).sum(axis=1)
-    obj = half_logdet + np.einsum("rn,rn->r", w, _rho_diff(s, t, nu, L.shape[-1]))
+    obj = half_logdet + np.einsum("rn,rn->r", w, 0.5 * (nu + L.shape[-1]) * (np.log(nu + s) - log_t))
     return Z, s, obj
 
 
@@ -154,13 +153,20 @@ def _scale_start(t, w, nu: float, d: int):
     a = (nu + d) * w
     x = np.zeros(len(t))
     ids = np.flatnonzero(np.where(t > 0, a, 0.0).sum(axis=1) > d)
-    while ids.size:
-        ti = t[ids]
-        r = nu / (nu + ti * x[ids, None])  # nu/(nu + t x), in (0, 1]
-        psi, dpsi = (a[ids] * (1.0 - r)).sum(axis=1), (a[ids] * (ti * r) * r).sum(axis=1) / nu
+    # the samples still stepping, compacted; at x = 0 every r is 1, so the first step is d/(sum_i a_i t_i/nu)
+    ti, ai = t[ids], a[ids]
+    xi = step = d / ((ai * ti).sum(axis=1) / nu)
+    while True:
+        going = step > 1e-6 * xi
+        if not going.all():
+            x[ids[~going]] = xi[~going]
+            ids, ti, ai, xi = ids[going], ti[going], ai[going], xi[going]
+        if not ids.size:
+            break
+        r = nu / (nu + ti * xi[:, None])  # nu/(nu + t x), in (0, 1]
+        psi, dpsi = (ai * (1.0 - r)).sum(axis=1), (ai * (ti * r) * r).sum(axis=1) / nu
         step = (d - psi) / dpsi
-        x[ids] += step
-        ids = ids[step > 1e-6 * x[ids]]
+        xi = xi + step
     return np.divide(1.0, x, out=np.ones(len(t)), where=x > 0)
 
 
@@ -314,7 +320,8 @@ def _solve_stack(points, weights, cfg: ScatterConfig):
     t = np.einsum("rnd,rnd->rn", Y, Y)
     L = np.sqrt(_scale_start(t, w, nu, d))[:, None, None] * eye
     B = L * L  # every sample starts at c I; L is diagonal, so L * L = L L'
-    Z, s, obj = _whiten(L, Yt, t, w, nu)
+    log_t = np.log(nu + t)
+    Z, s, obj = _whiten(L, Yt, log_t, w, nu)
 
     ids = np.arange(R)              # stack positions of the samples still iterating
     last_step = np.full(R, np.inf)  # whitened size of each sample's latest step
@@ -348,16 +355,16 @@ def _solve_stack(points, weights, cfg: ScatterConfig):
                 fp_residual=float(fp[j]),
             )
         if not going.all():
-            ids, Yt, t, w, B, L, Z, s, obj, M, B_mm, grad = (
-                a[going] for a in (ids, Yt, t, w, B, L, Z, s, obj, M, B_mm, grad)
+            ids, Yt, log_t, w, B, L, Z, s, obj, M, B_mm, grad = (
+                a[going] for a in (ids, Yt, log_t, w, B, L, Z, s, obj, M, B_mm, grad)
             )
             if not ids.size:
                 break
 
         L_mm, ok_mm = spd_cholesky(B_mm)
-        Z_mm, s_mm, obj_mm = _whiten(L_mm, Yt, t, w, nu)
+        Z_mm, s_mm, obj_mm = _whiten(L_mm, Yt, log_t, w, nu)
         B_nt, L_nt, size_nt, ok_nt = _newton_candidates(L, Z, s, w, nu, M)
-        Z_nt, s_nt, obj_nt = _whiten(L_nt, Yt, t, w, nu)
+        Z_nt, s_nt, obj_nt = _whiten(L_nt, Yt, log_t, w, nu)
         newton = ok_nt & (obj_nt <= obj_mm + NEWTON_TIE_EPS * np.maximum(1.0, np.abs(obj_mm)))
         obj_next = np.where(newton, obj_nt, obj_mm)
         sound = ok_mm & ~(obj_next > obj + MONOTONE_SLACK * np.maximum(1.0, np.abs(obj)))
@@ -374,8 +381,8 @@ def _solve_stack(points, weights, cfg: ScatterConfig):
         B, L, Z = np.where(pick, B_nt, B_mm), np.where(pick, L_nt, L_mm), np.where(pick, Z_nt, Z_mm)
         s, obj = np.where(newton[:, None], s_nt, s_mm), obj_next
         if not sound.all():
-            ids, Yt, t, w, B, L, Z, s, obj = (
-                a[sound] for a in (ids, Yt, t, w, B, L, Z, s, obj)
+            ids, Yt, log_t, w, B, L, Z, s, obj = (
+                a[sound] for a in (ids, Yt, log_t, w, B, L, Z, s, obj)
             )
         for i, value in zip(ids.tolist(), obj.tolist()):
             traces[i].append(value)

@@ -11,7 +11,6 @@ from __future__ import annotations
 import functools
 
 import numpy as np
-from scipy.linalg import cho_solve, solve_triangular
 
 from .exceptions import DegeneracyError, NotSpdError
 
@@ -129,6 +128,8 @@ class SpdMatrix:
 
     def solve(self, b):
         """Solve A x = b using the cached factorization."""
+        from scipy.linalg import cho_solve
+
         return cho_solve((self._chol, True), np.asarray(b, dtype=float))
 
     def inv(self) -> np.ndarray:
@@ -138,9 +139,14 @@ class SpdMatrix:
         return 2.0 * float(np.log(np.diag(self._chol)).sum())
 
     def quad_forms(self, points) -> np.ndarray:
-        """Row-wise quadratic forms y_i' A^{-1} y_i for an (n, d) array."""
+        """Row-wise quadratic forms y_i' A^{-1} y_i for an (n, d) array.
+
+        Whitens the points as the solver's ``scatter._whiten`` does,
+        z_i = L^{-1} y_i with the inverse of the Cholesky factor formed once,
+        and returns |z_i|^2.
+        """
         pts = np.atleast_2d(np.asarray(points, dtype=float))
-        z = solve_triangular(self._chol, pts.T, lower=True)
+        z = np.linalg.inv(self._chol) @ pts.T
         return np.einsum("ij,ij->j", z, z)
 
     def __repr__(self):

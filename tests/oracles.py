@@ -17,14 +17,13 @@ from tscatter.domain_check import (
     lift,
 )
 from tscatter.exceptions import DegeneracyError, NotSpdError, NumericalBreakdown
-from tscatter.scatter import (
-    MONOTONE_SLACK,
-    ScatterConfig,
-    ScatterResult,
-    _rho_diff,
-    weight_u,
-)
+from tscatter.scatter import MONOTONE_SLACK, ScatterConfig, ScatterResult, weight_u
 from tscatter.symspace import SpdMatrix, _layout, as_spd, congruence_matrix, outer_vecs, sym_to_vec, symmetrize
+
+
+def _rho_diff(s, t, nu: float, d: int):
+    # rho(s) - rho(t); the log(nu) normalizations cancel
+    return 0.5 * (nu + d) * (np.log(nu + s) - np.log(nu + t))
 
 
 def objective(sample: EmpiricalSample, A, nu: float) -> float:
@@ -363,6 +362,25 @@ def solve_scatter_mm(sample: EmpiricalSample, cfg: ScatterConfig, *, tol_step: f
         stop_reason=stop_reason,
         fp_residual=fp_residual,
     )
+
+
+def scale_start_loop(t, w, nu: float, d: int):
+    """``scatter._scale_start`` as a plain Newton loop in x = 1/c from x = 0.
+
+    Every pass re-indexes the samples still stepping; the package takes the
+    first pass in closed form and compacts its arrays only when a sample stops.
+    """
+    a = (nu + d) * w
+    x = np.zeros(len(t))
+    ids = np.flatnonzero(np.where(t > 0, a, 0.0).sum(axis=1) > d)
+    while ids.size:
+        ti = t[ids]
+        r = nu / (nu + ti * x[ids, None])
+        psi, dpsi = (a[ids] * (1.0 - r)).sum(axis=1), (a[ids] * (ti * r) * r).sum(axis=1) / nu
+        step = (d - psi) / dpsi
+        x[ids] += step
+        ids = ids[step > 1e-6 * x[ids]]
+    return np.divide(1.0, x, out=np.ones(len(t)), where=x > 0)
 
 
 def sandwich_two_pass(sample: EmpiricalSample, nu: float, fit: ScatterResult):

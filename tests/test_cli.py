@@ -1,6 +1,9 @@
 import dataclasses
 import io
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import jsonschema
@@ -9,6 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import tscatter
 from tscatter import CsvParseError, EmpiricalSample, NumericalBreakdown, cli, discrete_sampler, solve_locscatter
 from tscatter.asymptotics import AsymptoticCov
 from tscatter.oned import OneDEstimate
@@ -408,3 +412,17 @@ class TestCsvIngest:
         assert np.array_equal(arr, Y)
         for bad in ("1,2\n3,nan\n", '1,"2"\n', "1,2\n \n3,4\n", "1,2\r3,4\n", "1,2\n3\n"):
             assert cli._fast_table(bad) is None, bad
+
+
+class TestStartUp:
+    def test_start_up_loads_no_scipy(self):
+        # every CLI call pays for what importing the package loads; each SciPy
+        # subpackage is imported by the function that uses it
+        code = (
+            "import json, sys, tscatter, tscatter.cli; tscatter.cli.build_parser(); "
+            "print(json.dumps(sorted(m for m in sys.modules if m.partition('.')[0] == 'scipy')))"
+        )
+        env = dict(os.environ, PYTHONPATH=str(Path(tscatter.__file__).resolve().parents[1]))
+        got = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
+                             check=True, timeout=120)
+        assert json.loads(got.stdout) == []

@@ -21,7 +21,7 @@ from tscatter import (
 from tscatter import scatter
 from tscatter.scatter import solve_scatter_stack
 
-from oracles import gradient, objective, outer_gram_einsum, solve_scatter_mm
+from oracles import gradient, objective, outer_gram_einsum, scale_start_loop, solve_scatter_mm
 
 
 def four_point_law():
@@ -360,6 +360,18 @@ class TestScaleFree:
         for i in range(4):
             assert scatter._scale_start(t[i : i + 1], w[i : i + 1], 1.5, 3)[0] == c[i]
         assert np.array_equal(scatter._scale_start(t[::-1], w, 1.5, 3), c[::-1])
+
+    def test_start_scale_matches_the_newton_loop(self):
+        # the closed-form first step and the compacted arrays change no bit of c
+        rng = np.random.default_rng(31)
+        for _ in range(200):
+            R, n, d = rng.integers(1, 8), rng.integers(2, 40), rng.integers(1, 6)
+            Y = rng.standard_normal((R, n, d)) * 10.0 ** rng.uniform(-5, 5, (R, 1, 1))
+            Y[0, rng.integers(1, n + 1) :] = 0.0  # most of the first law on the origin, often without a root
+            t = np.einsum("rnd,rnd->rn", Y, Y)
+            w = rng.dirichlet(np.ones(n), size=R)
+            nu = 10.0 ** rng.uniform(-2, 1)
+            assert np.array_equal(scatter._scale_start(t, w, nu, d), scale_start_loop(t, w, nu, d))
 
     def test_law_without_a_scale_is_refused_quietly(self):
         # (nu + d) Q(y != 0) = 0.9 < d: the scale equation has no root, so

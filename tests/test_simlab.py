@@ -1,5 +1,8 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy import stats
 
 from tscatter import (
     DomainViolation,
@@ -154,6 +157,27 @@ class TestSamplerDraws:
         merged = EmpiricalSample(np.vstack([pts, [[9.0, 9.0]]]), np.append(0.8 * want.weights, 0.2)).merged()[0]
         assert cont.law.points.tobytes() == merged.points.tobytes()
         assert cont.law.weights.tobytes() == merged.weights.tobytes()
+
+
+@st.composite
+def ks_columns(draw):
+    # n >= 2 values drawn from a pool of at most n, so ties are common, at scales 1e-6 to 1e6
+    n = draw(st.integers(2, 80))
+    pool = draw(st.lists(st.floats(-1.0, 1.0), min_size=1, max_size=n))
+    idx = draw(st.lists(st.integers(0, len(pool) - 1), min_size=n, max_size=n))
+    return 10.0 ** draw(st.integers(-6, 6)) * np.array(pool)[idx]
+
+
+class TestNormalityStat:
+    @settings(max_examples=300, deadline=None)
+    @given(ks_columns())
+    def test_matches_kstest(self, col):
+        got = simlab._normality_stat(col)
+        sd = col.std(ddof=1)
+        if sd > 1e-12 * (1.0 + np.abs(col).max()):
+            assert got == stats.kstest(col, "norm", args=(col.mean(), sd)).statistic
+        else:
+            assert np.isnan(got)
 
 
 class TestCltExperiment:

@@ -66,6 +66,13 @@ class TestSpdMatrix:
         pts = rng.standard_normal((5, 3))
         expected = np.einsum("ij,jk,ik->i", pts, a.inv(), pts)
         assert np.allclose(a.quad_forms(pts), expected, atol=1e-12)
+        # cond(A) = 1e10: both sides carry roundoff of up to cond(A) eps, relative
+        q, _ = np.linalg.qr(rng.standard_normal((3, 3)))
+        m = q @ np.diag([1.0, 1e-5, 1e-10]) @ q.T
+        a = SpdMatrix((m + m.T) / 2.0)
+        expected = np.einsum("ij,jk,ik->i", pts, a.inv(), pts)
+        rtol = np.linalg.cond(a.mat) * np.finfo(float).eps
+        assert np.allclose(a.quad_forms(pts), expected, rtol=rtol, atol=0.0)
 
     def test_immutable(self):
         a = SpdMatrix(np.eye(2))
