@@ -118,16 +118,14 @@ def _fit(sample: EmpiricalSample, nu: float, fit=None, check_domain=True) -> Sca
 
 
 def _curvature_solve(hess: HessianMap, rhs) -> np.ndarray:
-    """H^{-1} rhs by a Cholesky factorization of the curvature H."""
-    from scipy.linalg import cho_factor, cho_solve
-
+    """H^{-1} rhs for the curvature H, once a Cholesky factorization shows H positive definite."""
     # the curvature is positive definite at the functional, not necessarily at an unconverged fit
     try:
-        factor = cho_factor(hess.matrix)
+        np.linalg.cholesky(hess.matrix)
     except np.linalg.LinAlgError as exc:
         raise NumericalBreakdown(f"curvature is not positive definite (least eigenvalue {hess.min_eigenvalue:.3g}):"
                                  " the fit is too far from the functional") from exc
-    return cho_solve(factor, rhs)
+    return np.linalg.solve(hess.matrix, rhs)
 
 
 def influence(y, sample: EmpiricalSample, nu: float, *, fit=None, hess=None) -> np.ndarray:

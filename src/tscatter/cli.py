@@ -9,10 +9,9 @@ Exit codes: 0 success, 1 usage, input or output error, 2 domain violation
 (with a structured report in the payload), 3 numerical failure.
 
 Start-up imports numpy and the package only. A command loads a SciPy
-subpackage when it first uses it: ``asymptotics`` and ``simulate`` load
-``scipy.linalg`` (the sandwich's Cholesky solves), ``oned`` loads
-``scipy.optimize`` (its root search) and ``simulate`` also loads
-``scipy.special`` (the normal CDF of its normality statistic).
+subpackage when it first uses it: ``oned`` loads ``scipy.optimize`` (its
+root search) and ``simulate`` loads ``scipy.special`` (the normal CDF of its
+normality statistic). The others, ``asymptotics`` included, load none.
 """
 
 from __future__ import annotations

@@ -20,6 +20,14 @@ the MM step would, up to roundoff, so the monotone descent of the MM iteration
 (Kent and Tyler, Ann. Statist. 19, 1991) carries over, and near the solution
 the Newton steps converge quadratically.
 
+The Newton system lives on the K = d(d+1)/2 coordinates of a symmetric
+matrix. On small fits it is solved exactly from its K x K Gram matrix, which
+costs n K^2 multiply-adds and 8 n K bytes of outer-product rows; from
+``CG_MIN_WORK`` multiply-adds on it is solved inexactly by preconditioned
+conjugate gradients on d x d matrices, about 4 n d^2 flops and O(n d)
+memory per product. A step that CG cannot find is declined, and the sample
+takes the MM step.
+
 Each sample starts at the best multiple c I of the identity (the scalar case
 of the fixed-point equation), which scales with the data as the fit does,
 A(lambda Y) = lambda^2 A(Y), so the steps taken do not depend on the units.
@@ -71,6 +79,16 @@ NEWTON_TIE_EPS = 16 * np.finfo(float).eps
 
 # A sample stops once the whitened size of its last step is at most this.
 STEP_TOL = 1e-12
+
+# Newton steps of samples whose Gram matrix costs at least this many
+# multiply-adds, n K^2 with K = d(d+1)/2, are solved by conjugate gradients
+# (see _cg_side): 2e4 points in 10 dimensions (6e7) are, 300-point samples
+# in 2 or 3 dimensions (up to 1.1e4) and 44 points in 4 (4.4e3) are not.
+# Whole t(2) fits with conjugate gradients took, against the Gram matrix,
+# 0.7-0.95x the time at d = 5 to 10 past the constant, 1.1-1.2x on 2e4
+# points in 2 to 4 dimensions, near the constant, and 2.2x on 44 points in
+# 4 dimensions (one BLAS thread, 2-core x86).
+CG_MIN_WORK = 1e6
 
 
 @dataclass(frozen=True)
@@ -174,34 +192,47 @@ def _newton_candidates(L, Z, s, w, nu: float, M):
     """Newton steps for Qh on the whitened concentration matrices C = L' B^{-1} L.
 
     At C = I the gradient is (M - I)/2 and the curvature is (I - G)/2, with G
-    the outer-product Gram matrix of the whitened points weighted by
-    (nu+d) w/(nu+s)^2: the operator of ``asymptotics.hessian`` at the
-    identity. The step D solves (I - G) vec(D) = -vec(M - I), and the
-    candidate is L (I + D)^{-1} L'. Returns the candidates, their Cholesky
+    the operator G(P) = sum_i g_i (z_i' P z_i) z_i z_i' of the whitened points
+    weighted by g_i = (nu+d) w_i/(nu+s_i)^2: the operator of
+    ``asymptotics.hessian`` at the identity. The step D solves
+    (I - G) D = I - M, and the candidate is L (I + D)^{-1} L'.
+
+    Where forming G costs at least ``CG_MIN_WORK`` per sample (see
+    :func:`_cg_side`), the step is an inexact Newton step by
+    :func:`_cg_steps`, solved to the relative residual
+    min(1/2, ||I - M||_F) (the forcing rule of Dembo, Eisenstat and
+    Steihaug, SIAM J. Numer. Anal. 19, 1982), which keeps the local
+    convergence quadratic; below it, G is the K x K Gram matrix of the
+    outer-product rows and the step an exact solve. The safeguard in the
+    solver loop is the same for both. Returns the candidates, their Cholesky
     factors, the whitened step sizes ||(I + D)^{-1} - I||_F, and which
-    candidates exist: the system is solvable and I + D and the candidate
-    are SPD.
+    candidates exist: the step was found, and I + D and the candidate are SPD.
     """
-    R, d, _ = Z.shape
+    R, d, n = Z.shape
     eye = np.eye(d)
     with np.errstate(over="ignore"):
         # an iterate collapsing off the domain can take s past 1e154, whose weight is then 0
         g = (nu + d) * w / (nu + s) ** 2
-    G = outer_gram(np.swapaxes(Z, 1, 2), g)
-    H = np.eye(G.shape[-1]) - G
-    rhs = -sym_to_vec(M - eye)[..., None]
-    ok = np.ones(R, dtype=bool)
-    try:
-        step = np.linalg.solve(H, rhs)[..., 0]
-    except np.linalg.LinAlgError:
-        # a stacked solve fails as a whole; redo it one system at a time
-        step = np.zeros(rhs.shape[:2])
-        for i in range(R):
-            try:
-                step[i] = np.linalg.solve(H[i], rhs[i])[:, 0]
-            except np.linalg.LinAlgError:
-                ok[i] = False
-    Lc, ok_c = spd_cholesky(eye + vec_to_sym(step))
+    if _cg_side(n, d):
+        E = eye - M
+        step, ok = _cg_steps(Z, s, g, E, np.minimum(0.5, np.linalg.norm(E, axis=(1, 2))))
+    else:
+        G = outer_gram(np.swapaxes(Z, 1, 2), g)
+        H = np.eye(G.shape[-1]) - G
+        rhs = -sym_to_vec(M - eye)[..., None]
+        ok = np.ones(R, dtype=bool)
+        try:
+            step = np.linalg.solve(H, rhs)[..., 0]
+        except np.linalg.LinAlgError:
+            # a stacked solve fails as a whole; redo it one system at a time
+            step = np.zeros(rhs.shape[:2])
+            for i in range(R):
+                try:
+                    step[i] = np.linalg.solve(H[i], rhs[i])[:, 0]
+                except np.linalg.LinAlgError:
+                    ok[i] = False
+        step = vec_to_sym(step)
+    Lc, ok_c = spd_cholesky(eye + step)
     Lc_inv = np.linalg.inv(Lc)
     # L C^{-1} L' = W'W with W = chol(C)^{-1} L'
     W = Lc_inv @ np.swapaxes(L, 1, 2)
@@ -211,14 +242,97 @@ def _newton_candidates(L, Z, s, w, nu: float, M):
     return B, chol, size, ok & ok_c & ok_b
 
 
+def _cg_side(n: int, d: int) -> bool:
+    """Whether Newton steps on n points in R^d are solved by conjugate gradients.
+
+    Forming the Gram matrix of the (K, n) outer-product rows costs n K^2
+    multiply-adds, K = d(d+1)/2, and one conjugate-gradient product about
+    4 n d^2 flops; on small fits the Gram matrix is cheap, and the dozen
+    numpy calls of each conjugate-gradient product cost more than they
+    save. The rule reads the size of one sample only, never the size of
+    the stack, so a sample's fit does not depend on the stack it is solved in.
+    """
+    return n * sym_dim(d) ** 2 >= CG_MIN_WORK
+
+
+def _cg_steps(Z, s, g, E, eta):
+    """Solve (I - G) D = E for each sample by preconditioned conjugate gradients.
+
+    ``Z`` (R, d, n) holds the whitened points, ``s`` (R, n) their squared
+    norms, ``g`` (R, n) the weights of G(P) = Z diag(g o colsum(Z o PZ)) Z',
+    ``E`` (R, d, d) the symmetric right-hand sides and ``eta`` (R,) the
+    relative residuals to reach. Each product with G takes about 4 n d^2
+    flops and O(n d) memory; the K x K matrix of G is never formed. The
+    preconditioner is the elliptical form of G, G(P) ~ alpha (2P + tr(P) I)
+    with alpha = sum_i g_i s_i^2/(d(d+2)), exact in expectation for a
+    spherically symmetric cloud, and inverted in closed form. A sample stops
+    at ||r||_F <= eta ||E||_F or after K = d(d+1)/2 products, and leaves the
+    active stack, so its step does not depend on the others. Returns the
+    steps and which exist: a sample whose preconditioner is not positive
+    definite, whose CG meets a direction p with p'(I - G)p <= 0, or whose
+    step is not finite, gets D = 0 and ``ok = False``.
+    """
+    d = Z.shape[1]
+    eye = np.eye(d)
+    alpha = np.einsum("rn,rn->r", g * s, s) / (d * (d + 2))  # s s overflows past s = 1e154, g s does not
+    on_trace, off_trace = 1.0 - (d + 2) * alpha, 1.0 - 2.0 * alpha
+    ok = (on_trace > 0.0) & (off_trace > 0.0)
+    steps = np.zeros_like(E)
+    # the elliptical form of I - G maps P to E = (1 - 2 alpha) P - alpha tr(P) I, so its inverse maps E
+    # to P = (E + alpha tr(P) I)/(1 - 2 alpha) with tr(P) = tr(E)/(1 - (d+2) alpha)
+    ids = np.flatnonzero(ok)
+    a_tr, a_off = alpha[ids] / on_trace[ids], 1.0 / off_trace[ids]
+
+    def precondition(r):
+        return (r + (a_tr * np.trace(r, axis1=1, axis2=2))[:, None, None] * eye) * a_off[:, None, None]
+
+    if not ok.all():
+        Z, g = Z[ids], g[ids]
+    r = E[ids]
+    tol = eta[ids] * np.linalg.norm(r, axis=(1, 2))
+    D = np.zeros_like(r)
+    p = precondition(r)
+    rz = np.einsum("rij,rij->r", r, p)
+    declined = np.zeros(ids.size, dtype=bool)
+    K = sym_dim(d)
+    for k in range(K + 1):
+        stop = declined | (np.linalg.norm(r, axis=(1, 2)) <= tol) | (k == K)
+        if stop.any():
+            ok[ids[declined]] = False
+            steps[ids[stop & ~declined]] = D[stop & ~declined]
+            ids, Z, g, a_tr, a_off, tol, D, r, p, rz = (
+                a[~stop] for a in (ids, Z, g, a_tr, a_off, tol, D, r, p, rz)
+            )
+            if not ids.size:
+                break
+        c = g * np.einsum("rin,rin->rn", Z, p @ Z)  # (z_i' p z_i) g_i
+        Gp = (Z * c[:, None, :]) @ np.swapaxes(Z, 1, 2)
+        Hp = p - 0.5 * (Gp + np.swapaxes(Gp, 1, 2))
+        pHp = np.einsum("rij,rij->r", p, Hp)
+        declined = ~(pHp > 0.0)
+        step = np.divide(rz, pHp, out=np.zeros(ids.size), where=~declined)[:, None, None]
+        D = D + step * p
+        r = r - step * Hp
+        z = precondition(r)
+        rz, rz_old = np.einsum("rij,rij->r", r, z), rz
+        p = z + np.divide(rz, rz_old, out=np.zeros(ids.size), where=~declined)[:, None, None] * p
+    finite = np.isfinite(steps).all(axis=(1, 2))
+    steps[~finite] = 0.0
+    return steps, ok & finite
+
+
 def _sample_bytes(n: int, d: int) -> int:
     """Scratch memory one sample of an (R, n, d) stack takes in the solver loop.
 
     Per point: the data and its transposed copy, three whitened copies and
-    the one kept, quadratic forms and weights, and its column of the
-    coordinate-major (K, n) outer-product rows of the Newton system.
+    the one kept, and quadratic forms and weights; then what the Newton step
+    takes: on the dense side of :func:`_cg_side`, the point's column of the
+    coordinate-major (K, n) outer-product rows of the Gram matrix, on the
+    conjugate-gradient side a compacted whitened copy and two d-vectors and
+    a weight of each product.
     """
-    return 8 * n * (6 * d + sym_dim(d) + 10)
+    newton = 3 * d + 1 if _cg_side(n, d) else sym_dim(d)
+    return 8 * n * (6 * d + newton + 10)
 
 
 def solve_scatter(

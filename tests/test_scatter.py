@@ -20,6 +20,7 @@ from tscatter import (
 )
 from tscatter import scatter
 from tscatter.scatter import solve_scatter_stack
+from tscatter.symspace import sym_dim, sym_to_vec, vec_to_sym
 
 from oracles import gradient, objective, outer_gram_einsum, scale_start_loop, solve_scatter_mm
 
@@ -37,6 +38,25 @@ def axis_law(d):
 
 def random_in_domain(rng, n, d):
     return EmpiricalSample(rng.standard_normal((n, d)))
+
+
+# CG_MIN_WORK values that put every fit on one side: exact Newton steps from
+# the Gram matrix, or conjugate-gradient steps
+DENSE, CG = np.inf, 0.0
+
+
+def _t2_cloud(n, d, seed):
+    rng = np.random.default_rng(seed)
+    return EmpiricalSample(rng.standard_normal((n, d)) / np.sqrt(rng.chisquare(2.0, (n, 1)) / 2.0))
+
+
+def _newton_inputs(q, B, nu):
+    """What the solver loop hands _newton_candidates at the iterate B, as a stack of one."""
+    L = np.linalg.cholesky(B)[None]
+    Yt, w = q.points.T[None], q.weights[None]
+    Z, s, _ = scatter._whiten(L, Yt, np.log(nu + (Yt * Yt).sum(axis=1)), w, nu)
+    M = (Z * (w * (nu + q.d) / (nu + s))[:, None, :]) @ np.swapaxes(Z, 1, 2)
+    return L, Z, s, w, (M + np.swapaxes(M, 1, 2)) / 2.0
 
 
 def assert_monotone(trace):
@@ -328,9 +348,11 @@ class TestScaleFree:
         assert np.linalg.norm(res.A.mat - target) <= 1e-8 * np.linalg.norm(target)
 
     @pytest.mark.parametrize("c", [1e-6, 1e-3, 1.0, 1e3, 1e6])
-    def test_step_counts_do_not_depend_on_units(self, c):
+    def test_step_counts_do_not_depend_on_units(self, monkeypatch, c):
         # the start c I scales with the data, so the fit of c X takes the
-        # steps of the fit of X: an MM fallback, then Newton steps
+        # steps of the fit of X: an MM fallback, then Newton steps (exact
+        # ones: with conjugate-gradient steps this cloud takes Newton steps only)
+        monkeypatch.setattr(scatter, "CG_MIN_WORK", DENSE)
         rng = np.random.default_rng(23)
         heavy = rng.standard_normal((200, 3)) / np.abs(rng.standard_normal((200, 1)))
         cfg = ScatterConfig(nu=1.0)
@@ -413,6 +435,15 @@ class TestAgainstMmOracle:
     @settings(max_examples=100, deadline=None)
     @given(LAWS)
     def test_matches_mm_limit(self, case):
+        self._check_mm_limit(case, DENSE)
+
+    @settings(max_examples=100, deadline=None)
+    @given(LAWS)
+    def test_matches_mm_limit_on_cg_steps(self, case):
+        self._check_mm_limit(case, CG)
+
+    @staticmethod
+    def _check_mm_limit(case, cg_min_work):
         kind, d, extra, dirichlet, seed, nu = case
         assume(kind != "lifted" or d >= 2)
         q = _law(kind, d, d + extra, dirichlet, seed)
@@ -424,29 +455,101 @@ class TestAgainstMmOracle:
         # nu near 0.05, where the curvature is small; 1e-12 leaves a margin
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(scatter, "STEP_TOL", 1e-15)
+            mp.setattr(scatter, "CG_MIN_WORK", cg_min_work)
             res = solve_scatter(q, ScatterConfig(nu=nu, tol_grad=1e-12), check_domain=False)
         assert res.converged
         assert np.linalg.norm(res.A.mat - ref.A.mat) <= 1e-8 * np.linalg.norm(ref.A.mat)
         assert_monotone(res.objective_trace)
 
     @pytest.mark.parametrize("nu", [0.1, 5.0])
-    def test_d10_newton_system_matches_einsum_oracle(self, monkeypatch, nu):
-        # fit-d10-sized outer-product rows (K = 55): the fit with the package's
-        # Gram matrix takes the same steps as with the einsum sum, and both
-        # agree with the MM fixed point
-        rng = np.random.default_rng(71)
-        q = EmpiricalSample(rng.standard_normal((2000, 10)) / np.sqrt(rng.chisquare(2.0, (2000, 1)) / 2.0))
-        cfg = ScatterConfig(nu=nu, tol_grad=1e-12)
-        monkeypatch.setattr(scatter, "STEP_TOL", 1e-15)
-        res = solve_scatter(q, cfg, check_domain=False)
-        monkeypatch.setattr(scatter, "outer_gram", outer_gram_einsum)
-        want = solve_scatter(q, cfg, check_domain=False)
-        assert res.converged and res.newton_steps > 0
-        assert (res.iterations, res.newton_steps) == (want.iterations, want.newton_steps)
-        _assert_same_fit(res, want)
+    def test_d10_newton_system_matches_einsum_oracle(self, nu):
+        # fit-d10-sized steps (K = 55) are solved by conjugate gradients: at a
+        # relative residual of 1e-13 the step is the solve of the Gram system
+        # summed by einsum, and the default fit lands on the MM fixed point
+        q = _t2_cloud(2000, 10, 71)
+        assert scatter._cg_side(q.n, q.d)
         ref = solve_scatter_mm(q, ScatterConfig(nu=nu, tol_grad=1e-13, max_iter=5000))
         assert ref.stop_reason != "max_iter"
+        for B in (ref.A.mat, 1.5 * ref.A.mat + np.diag(np.diag(ref.A.mat))):
+            _, Z, s, w, M = _newton_inputs(q, B, nu)
+            g = (nu + q.d) * w / (nu + s) ** 2
+            E = np.eye(q.d) - M
+            D, ok = scatter._cg_steps(Z, s, g, E, np.array([1e-13]))
+            H = np.eye(sym_dim(q.d)) - outer_gram_einsum(np.swapaxes(Z, 1, 2), g)
+            want = vec_to_sym(np.linalg.solve(H, sym_to_vec(E)[..., None])[..., 0])
+            assert ok[0]
+            assert np.linalg.norm(D - want) <= 1e-10 * np.linalg.norm(want)
+        res = solve_scatter(q, ScatterConfig(nu=nu), check_domain=False)
+        assert res.converged and res.newton_steps > 0
         assert np.linalg.norm(res.A.mat - ref.A.mat) <= 1e-8 * np.linalg.norm(ref.A.mat)
+        assert_monotone(res.objective_trace)
+
+    def test_fits_past_the_constant_form_no_gram_matrix(self, monkeypatch):
+        # n K^2 = 2000 * 55^2 is past CG_MIN_WORK: every Newton step is
+        # solved by conjugate gradients, and outer_gram is never called
+        calls = []
+        monkeypatch.setattr(scatter, "outer_gram", lambda *args: calls.append(args))
+        res = solve_scatter(_t2_cloud(2000, 10, 73), ScatterConfig(nu=1.0), check_domain=False)
+        assert res.converged and res.newton_steps > 0
+        assert calls == []
+
+    @pytest.mark.parametrize("nu", [0.1, 1.0, 5.0])
+    def test_cg_fits_match_dense_fits(self, monkeypatch, nu):
+        # the inexact steps change the path, not the fit: both converge to
+        # the default tol_grad and agree within 1e-9, on no more steps
+        q = _t2_cloud(2000, 10, 79)
+        cfg = ScatterConfig(nu=nu)
+        cg = solve_scatter(q, cfg, check_domain=False)
+        monkeypatch.setattr(scatter, "CG_MIN_WORK", DENSE)
+        dense = solve_scatter(q, cfg, check_domain=False)
+        assert cg.converged and dense.converged
+        assert cg.iterations <= dense.iterations
+        assert np.linalg.norm(cg.A.mat - dense.A.mat) <= 1e-9 * np.linalg.norm(dense.A.mat)
+        assert_monotone(cg.objective_trace)
+
+    def test_cg_declines_an_indefinite_step(self):
+        # at B = 1e-6 A every s_i is far past nu, so alpha (d + 2) nears
+        # (nu + d)/d > 1: the elliptical preconditioner is not positive
+        # definite and the Newton candidate is declined, with finite output;
+        # in a stack beside a sample that takes a CG step, each sample's
+        # candidate is the one it gets alone
+        nu = 1.0
+        q = _t2_cloud(2000, 10, 83)
+        A = solve_scatter(q, ScatterConfig(nu=nu), check_domain=False).A.mat
+        tiny, near = _newton_inputs(q, 1e-6 * A, nu), _newton_inputs(q, 1.2 * A, nu)
+        _, _, s, w, _ = tiny
+        g = (nu + q.d) * w / (nu + s) ** 2
+        assert np.einsum("rn,rn->r", g, s * s)[0] / q.d > 1.0
+
+        def candidates(L, Z, s, w, M):
+            return scatter._newton_candidates(L, Z, s, w, nu, M)
+
+        stacked = candidates(*(np.concatenate(parts) for parts in zip(tiny, near)))
+        singles = [candidates(*tiny), candidates(*near)]
+        assert stacked[3].tolist() == [False, True]
+        for got in stacked[:3]:
+            assert np.isfinite(got).all()
+        for j, single in enumerate(singles):
+            for got, want in zip(stacked, single):
+                assert np.allclose(got[j], want[0], rtol=1e-12, atol=0.0)
+
+    def test_cg_declines_a_direction_of_negative_curvature(self):
+        # a fifth of the mass far out on the first axis, at B = I: the weight
+        # (nu + d)/5 > 1 makes I - G indefinite along e1 e1', while the
+        # elliptical preconditioner stays positive definite; CG meets
+        # p'(I - G)p <= 0 and declines the step
+        nu, d, n = 1.0, 10, 2000
+        rng = np.random.default_rng(0)
+        Y = rng.standard_normal((n, d))
+        Y[: n // 5] = 0.0
+        Y[: n // 5, 0] = 1e3 * rng.choice([-1.0, 1.0], n // 5)
+        q = EmpiricalSample(Y)
+        _, Z, s, w, M = _newton_inputs(q, np.eye(d), nu)
+        g = (nu + d) * w / (nu + s) ** 2
+        assert 0.0 < np.einsum("rn,rn->r", g, s * s)[0] / d < 1.0
+        D, ok = scatter._cg_steps(Z, s, g, np.eye(d) - M, np.array([0.5]))
+        assert ok.tolist() == [False]
+        assert not D.any()
 
     def test_small_nu_converges_within_default_max_iter(self):
         # near the Tyler limit: the MM iteration alone stops unconverged at 500
@@ -473,34 +576,53 @@ def _assert_same_fit(got, want):
     assert np.linalg.norm(got.A.mat - want.A.mat) <= 1e-10 * np.linalg.norm(want.A.mat)
 
 
+STACKS = (
+    st.sampled_from(["gaussian", "lattice", "lifted"]),
+    st.integers(1, 5),                 # dimension
+    st.integers(1, 20),                # points beyond d
+    st.lists(st.tuples(st.booleans(), st.integers(0, 2**32 - 1)), min_size=1, max_size=6),
+    st.floats(0.05, 20.0),             # nu
+)
+
+
 class TestStack:
     """One loop over a stack of samples, each iterating as if alone."""
 
     @settings(max_examples=100, deadline=None)
-    @given(
-        st.sampled_from(["gaussian", "lattice", "lifted"]),
-        st.integers(1, 5),                                  # dimension
-        st.integers(1, 20),                                 # points beyond d
-        st.lists(st.tuples(st.booleans(), st.integers(0, 2**32 - 1)), min_size=1, max_size=6),
-        st.floats(0.05, 20.0),                              # nu
-    )
+    @given(*STACKS)
     def test_matches_single_solves(self, kind, d, extra, members, nu):
+        self._check_single_solves(kind, d, extra, members, nu, DENSE)
+
+    @settings(max_examples=100, deadline=None)
+    @given(*STACKS)
+    def test_matches_single_solves_on_cg_steps(self, kind, d, extra, members, nu):
+        self._check_single_solves(kind, d, extra, members, nu, CG)
+
+    @staticmethod
+    def _check_single_solves(kind, d, extra, members, nu, cg_min_work):
         assume(kind != "lifted" or d >= 2)
         laws = [_law(kind, d, d + extra, dirichlet, seed) for dirichlet, seed in members]
         laws = [q for q in laws if check_scatter_domain(q, nu + d).member]
         assume(laws)
         cfg = ScatterConfig(nu=nu)
-        stacked = solve_scatter_stack(
-            np.stack([q.points for q in laws]), np.stack([q.weights for q in laws]), cfg
-        )
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(scatter, "CG_MIN_WORK", cg_min_work)
+            stacked = solve_scatter_stack(
+                np.stack([q.points for q in laws]), np.stack([q.weights for q in laws]), cfg
+            )
+            singles = [solve_scatter(q, cfg, check_domain=False) for q in laws]
         assert len(stacked) == len(laws)
-        for q, got in zip(laws, stacked):
-            _assert_same_fit(got, solve_scatter(q, cfg, check_domain=False))
+        for got, want in zip(stacked, singles):
+            _assert_same_fit(got, want)
+            assert (got.iterations, got.newton_steps) == (want.iterations, want.newton_steps)
 
-    def test_mixed_stops_in_one_stack(self):
+    def test_mixed_stops_in_one_stack(self, monkeypatch):
         # one shared max_iter: a sample that converges on Newton steps, one
         # that needs an MM fallback first (heavy tails, in units 1e3), and one
-        # too far from the origin to converge in time (12 steps, 4 of them MM)
+        # too far from the origin to converge in time (12 steps, 4 of them
+        # MM); exact Newton steps, as with conjugate-gradient steps the
+        # second takes Newton steps only
+        monkeypatch.setattr(scatter, "CG_MIN_WORK", DENSE)
         heavy = np.random.default_rng(23)
         heavy = heavy.standard_normal((200, 3)) / np.abs(heavy.standard_normal((200, 1)))
         laws = [
