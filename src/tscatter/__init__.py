@@ -56,13 +56,10 @@ from .scatter import (
 from .simlab import (
     McReport,
     Sampler,
-    check_class_constraint,
     contaminated_sampler,
     discrete_sampler,
-    fit_loglog_slope,
     gaussian_sampler,
     run_clt_experiment,
-    run_consistency_sweep,
     t_sampler,
 )
 from .symspace import (

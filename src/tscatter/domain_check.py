@@ -77,8 +77,7 @@ POINT_RTOL = 1e-9
 # Subsets examined before exact enumeration refuses to run.
 DEFAULT_BUDGET = 2_000_000
 
-# Scratch memory, in bytes, that exact enumeration sizes its subset blocks to,
-# and the Monte Carlo harness its stacks of replicate fits.
+# Scratch memory, in bytes, that exact enumeration sizes its subset blocks to.
 BLOCK_BYTES = 2 * 2**20
 
 
@@ -223,8 +222,9 @@ def _merge(points: np.ndarray, weights: np.ndarray):
 
 
 def _point_scale(points: np.ndarray):
-    # largest point norm of each sample of an (..., m, d) stack, 1 when all are 0
-    top = np.linalg.norm(points, axis=-1).max(axis=-1)
+    # largest point norm of each sample of an (..., m, d) stack, 1 when all are 0;
+    # the root of the largest squared norm, as np.linalg.norm sums the squares
+    top = np.sqrt(np.square(points).sum(axis=-1).max(axis=-1))
     return np.where(top > 0.0, top, 1.0)
 
 
@@ -302,12 +302,21 @@ def certify_members(points, weights, A, a0: float) -> np.ndarray:
       at most w_i u_i min(s_i, (2 t ||L^{-1}||)^2) to tr(P M), so the sum of
       that over all points is subtracted.
     * ``rho`` = eps (n + 8 d^2 kappa(L) + 16) bounds the relative roundoff
-      of s, f, the entries of M and the n-term sums. kappa(L) =
-      sqrt(kappa(A)) is the condition number of the solve that whitens the
-      points, whose relative error is about d eps kappa(L); the extra factor
-      d leaves room for pivot growth. (1 + sqrt(d)) rho tr(M) covers the
-      error in ||M - I||_F and in the prefix sums of w f; rho on the mass
-      side covers the exact check's own sums.
+      of s, f, the entries of M and the n-term sums. The points are
+      whitened as the solver whitens them, z_i = X y_i with X the computed
+      inverse of L. X is the exact inverse of a matrix L~ whose singular
+      values are within relative d eps kappa(L) of L's, since the residual
+      X L - I of an LU-based inverse is that small (the factor d leaves
+      room for pivot growth). The bound holds for any A, so it holds at
+      L~ L~', whose kappa and ||L~^{-1}|| differ from L's only by factors
+      1 + O(d eps kappa(L)). What is left is the rounding of the products
+      X y_i, at most d eps |X| |y_i| entrywise, which is d^(3/2) eps
+      kappa(L~) relative to |z_i| at most: within the d^2 eps kappa(L) of
+      a backward-stable solve with pivot growth, so 8 d^2 kappa(L), with
+      kappa(L) = sqrt(kappa(A)), still covers the whitening.
+      (1 + sqrt(d)) rho tr(M) covers the error in ||M - I||_F and in the
+      prefix sums of w f; rho on the mass side covers the exact check's
+      own sums.
     """
     pts, w = _as_stack(points, weights)
     R, n, d = pts.shape
@@ -318,7 +327,7 @@ def certify_members(points, weights, A, a0: float) -> np.ndarray:
     if A.shape != (R, d, d):
         raise ValueError(f"A must have shape {(R, d, d)} to match the points, got {A.shape}")
     L = np.linalg.cholesky(A)
-    Z = np.linalg.solve(L, np.swapaxes(pts, 1, 2))
+    Z = np.linalg.inv(L) @ np.swapaxes(pts, 1, 2)
     s = np.einsum("rin,rin->rn", Z, Z)
     wu = w * a0 / (a0 - d + s)
     M = (Z * wu[:, None, :]) @ np.swapaxes(Z, 1, 2)
@@ -332,11 +341,16 @@ def certify_members(points, weights, A, a0: float) -> np.ndarray:
     near = np.einsum("rn,rn->r", wu, np.minimum(s, reach_tol[:, None]))
     lower = (1.0 + math.sqrt(d)) * rho * total + near
 
-    # fractional knapsack: points by decreasing f, with running mass and f-weighted mass
-    order = np.argsort(-f, axis=1, kind="stable")
-    f_sorted, w_sorted = np.take_along_axis(f, order, 1), np.take_along_axis(w, order, 1)
-    mass = np.concatenate([np.zeros((R, 1)), np.cumsum(w_sorted, axis=1)], axis=1)
-    reach = np.concatenate([np.zeros((R, 1)), np.cumsum(w_sorted * f_sorted, axis=1)], axis=1)
+    # fractional knapsack: points by decreasing f, with running mass and f-weighted mass;
+    # where all points weigh the same, as in Monte Carlo draws, the order of tied f is immaterial
+    if (w == w[:, :1]).all():
+        f_sorted, w_sorted = np.sort(f, axis=1)[:, ::-1], w
+    else:
+        order = np.argsort(-f, axis=1, kind="stable")
+        f_sorted, w_sorted = np.take_along_axis(f, order, 1), np.take_along_axis(w, order, 1)
+    mass, reach = np.zeros((R, n + 1)), np.zeros((R, n + 1))
+    np.cumsum(w_sorted, axis=1, out=mass[:, 1:])
+    np.cumsum(w_sorted * f_sorted, axis=1, out=reach[:, 1:])
     rows = np.arange(R)
     member = np.ones(R, dtype=bool)
     for q in range(d):

@@ -3,10 +3,13 @@
 Replicates draw i.i.d. samples from a configured law, fit the scatter or
 location-scatter functional, and compare the empirical covariance of
 sqrt(n) * (vectorized estimate - functional) against the analytic asymptotic
-covariance. Replicate RNG streams are keyed by (seed, replicate index). Each
-chunk of replicates (lifted first for location-scatter) goes through the
-solve paths' one stacked fit-certify-enumerate helper in one call. Reports
-are bit-identical across runs and chunk sizes.
+covariance. Replicate RNG streams are keyed by (seed, replicate index). A
+job's replicates are split into the fewest stacks whose solver scratch fits
+``STACK_BYTES``, of sizes that differ by at most one, and each stack (lifted
+first for location-scatter) goes through the solve paths' one stacked
+fit-certify-enumerate helper in one call. Replicates whose fit did not
+converge are counted, not averaged in. Reports are bit-identical across runs
+and agree across stack sizes.
 
 For discrete target laws the functional and its covariance are computed
 exactly from the law itself; for continuous laws they are estimated from one
@@ -22,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .asymptotics import AsymptoticCov, asymptotic_cov_locscatter, asymptotic_cov_scatter
-from .domain_check import BLOCK_BYTES, DomainReport, EmpiricalSample, _affine_report
+from .domain_check import DomainReport, EmpiricalSample, _affine_report
 from .exceptions import DomainViolation, EnumerationBudgetError, NumericalBreakdown
 from .locscatter import certify_lifted_fit, solve_locscatter
 from .scatter import ScatterConfig, ScatterResult, _fit_and_check, _sample_bytes, solve_scatter
@@ -36,9 +39,6 @@ __all__ = [
     "contaminated_sampler",
     "McReport",
     "run_clt_experiment",
-    "run_consistency_sweep",
-    "fit_loglog_slope",
-    "check_class_constraint",
 ]
 
 SURROGATE_REPLICATE = 2**31  # reserved substream index for surrogate-truth draws
@@ -48,6 +48,10 @@ SURROGATE_N = 1_000_000
 
 # max_rel_err compares only target covariance entries larger than this in magnitude
 REL_THRESHOLD = 0.05
+
+# Solver scratch memory, in bytes, that one stack of replicate fits may take.
+# A 150-replicate job of 300 draws in 2-D (60 kB each) runs as two stacks of 75.
+STACK_BYTES = 8 * 2**20
 
 
 @dataclass(frozen=True)
@@ -134,7 +138,7 @@ class McReport:
     sqrt(n) * (vectorized estimate - functional); ``max_rel_err`` compares it
     entrywise to ``target_cov.S`` over entries exceeding ``REL_THRESHOLD`` in
     magnitude. ``existence_rate`` is the fraction of replicates passing the
-    domain check; only those contribute estimates.
+    domain check; only those whose fit converged contribute estimates.
     """
 
     n: int
@@ -185,12 +189,25 @@ def _target_objects(sampler: Sampler, nu: float, mode: str):
     return _thetas([est])[0], cov(law, nu, fit=est), warnings
 
 
-def _replicate_thetas(sampler: Sampler, cfg: ScatterConfig, n: int, mode: str, reps: range) -> list:
-    """Vectorized estimate of each replicate in ``reps``, or its failing domain report.
+def _stacks(reps: range, cap: int):
+    """``reps`` in the fewest consecutive stacks of at most ``cap``, larger ones first by at most one."""
+    count = -(-len(reps) // cap)
+    size, extra = divmod(len(reps), max(count, 1))
+    first = reps.start
+    for j in range(count):
+        stop = first + size + (j < extra)
+        yield range(first, stop)
+        first = stop
 
-    Replicates are drawn, fitted and checked in chunks whose solver scratch
-    stays near ``BLOCK_BYTES``. Each chunk's draws (lifted in locscatter
-    mode), with the uniform weights :class:`EmpiricalSample` gives a draw and
+
+def _replicate_thetas(sampler: Sampler, cfg: ScatterConfig, n: int, mode: str, reps: range) -> list:
+    """Per replicate in ``reps``: its vectorized estimate, its failing domain report, or None.
+
+    None marks a member replicate whose fit did not converge. Replicates are
+    drawn, fitted and checked in the fewest stacks whose solver scratch fits
+    ``STACK_BYTES``, of sizes that differ by at most one. Each stack's draws
+    (lifted in locscatter mode), with the uniform weights
+    :class:`EmpiricalSample` gives a draw and
     :func:`~tscatter.domain_check.lift` keeps, go through one
     :func:`~tscatter.scatter._fit_and_check` call. A failing report's
     witness indices are rows of the draw. A member replicate whose fit broke
@@ -199,11 +216,9 @@ def _replicate_thetas(sampler: Sampler, cfg: ScatterConfig, n: int, mode: str, r
     d = sampler.dim
     lifted = mode == "locscatter"
     solve_cfg = dataclasses.replace(cfg, nu=cfg.nu - 1.0) if lifted else cfg
-    chunk = max(1, BLOCK_BYTES // _sample_bytes(n, d + lifted))
     outcomes = []
-    for first in range(reps.start, reps.stop, chunk):
-        chunk_reps = range(first, min(first + chunk, reps.stop))
-        draws = np.stack([sampler.draw(n, sampler.rng_for(rep)) for rep in chunk_reps]) + 0.0  # no -0.0
+    for stack_reps in _stacks(reps, max(1, STACK_BYTES // _sample_bytes(n, d + lifted))):
+        draws = np.stack([sampler.draw(n, sampler.rng_for(rep)) for rep in stack_reps]) + 0.0  # no -0.0
         points, weights = draws, np.full(draws.shape[:2], 1.0 / n)
         if lifted:
             points = np.concatenate([draws, np.ones(draws.shape[:2] + (1,))], axis=2)
@@ -213,12 +228,12 @@ def _replicate_thetas(sampler: Sampler, cfg: ScatterConfig, n: int, mode: str, r
             if report is not None and not report.member:
                 found[i] = _affine_report(report) if lifted else report
             elif i in broken:
-                raise NumericalBreakdown(f"replicate {chunk_reps[i]}: {broken[i]}")
+                raise NumericalBreakdown(f"replicate {stack_reps[i]}: {broken[i]}")
             else:
                 kept.append(i)
         ests = [certify_lifted_fit(EmpiricalSample(draws[i]), cfg.nu, fits[i]) if lifted else fits[i] for i in kept]
-        for i, theta in zip(kept, _thetas(ests) if ests else ()):
-            found[i] = theta
+        for i, est, theta in zip(kept, ests, _thetas(ests) if ests else ()):
+            found[i] = theta if est.converged else None
         outcomes += found
     return outcomes
 
@@ -237,14 +252,18 @@ def run_clt_experiment(
     ``cfg`` sets the solver tolerances of the replicate fits only (its ``nu``
     is replaced by ``nu``): the functional they are centred on and the
     analytic target covariance come from one fit of the target law at the
-    default tolerances. Requires ``reps >= 2``. Each chunk of replicates is
-    fitted as one stack, then certified from its fits, and only the
-    replicates the certificate cannot accept are checked by exact
-    enumeration. Replicates outside the domain are counted in
-    ``existence_rate`` and skipped; a rate below 0.99 adds a near-boundary
-    warning to the report. A location-scatter replicate whose extracted
-    Sigma is not positive definite raises :class:`DegeneracyError`, and a
-    member replicate whose fit broke down :class:`NumericalBreakdown`.
+    default tolerances. Requires ``reps >= 2``. Each stack of replicates is
+    fitted at once, then certified from its fits, and only the replicates
+    the certificate cannot accept are checked by exact enumeration.
+    Replicates outside the domain are counted in ``existence_rate`` and
+    skipped; a rate below 0.99 adds a near-boundary warning to the report.
+    Member replicates whose fit did not converge are left out of the
+    covariance and counted in a warning. Fewer than two members raise
+    :class:`DomainViolation` with a failing replicate's report, fewer than
+    two converged members :class:`NumericalBreakdown`. A location-scatter
+    replicate whose extracted Sigma is not positive definite raises
+    :class:`DegeneracyError`, and a member replicate whose fit broke down
+    :class:`NumericalBreakdown`.
     """
     if mode not in ("scatter", "locscatter"):
         raise ValueError(f"unknown mode {mode!r}")
@@ -259,13 +278,18 @@ def run_clt_experiment(
 
     outcomes = _replicate_thetas(sampler, cfg, n, mode, range(reps))
     kept = [th for th in outcomes if isinstance(th, np.ndarray)]
-    existence_rate = len(kept) / reps
+    members = sum(not isinstance(out, DomainReport) for out in outcomes)
+    existence_rate = members / reps
     if existence_rate < 0.99:
         warnings.append(f"existence rate {existence_rate:.4f} below 0.99: near-boundary law")
-    if len(kept) < 2:
+    if members < 2:
         # reps >= 2, so some replicate failed; its report is the evidence
         failing = next(out for out in outcomes if isinstance(out, DomainReport))
         raise DomainViolation(failing, "too few replicates inside the existence domain")
+    if len(kept) < members:
+        warnings.append(f"{members - len(kept)} of {members} member replicate fits did not converge: left out")
+    if len(kept) < 2:
+        raise NumericalBreakdown(f"only {len(kept)} of {members} member replicate fits converged: too few")
 
     errors = np.sqrt(n) * (np.stack(kept) - theta0)
     emp = np.atleast_2d(np.cov(errors, rowvar=False, ddof=1))
@@ -305,59 +329,3 @@ def _normality_stat(col) -> float:
     n = col.size
     cdf = ndtr((np.sort(col) - col.mean()) / sd)
     return float(max((np.arange(1.0, n + 1) / n - cdf).max(), (cdf - np.arange(0.0, n) / n).max()))
-
-
-def run_consistency_sweep(
-    sampler: Sampler,
-    nu: float,
-    n_list,
-    reps: int,
-    *,
-    mode: str = "locscatter",
-) -> list[tuple[int, float]]:
-    """Mean estimation error at each sample size; errors shrink like n^{-1/2}.
-
-    Returns ``[(n, mean ||estimate - functional||), ...]``; fit the log-log
-    slope with :func:`fit_loglog_slope`. Needs at least two sample sizes.
-    """
-    n_list = [int(n) for n in n_list]
-    if len(n_list) < 2:
-        raise ValueError("need at least two sample sizes to measure a rate")
-    cfg = ScatterConfig(nu=nu)
-    theta0, _, _ = _target_objects(sampler, nu, mode)
-    out = []
-    for pos, n in enumerate(n_list):
-        outcomes = _replicate_thetas(sampler, cfg, n, mode, range(pos * reps, (pos + 1) * reps))
-        errs = [np.linalg.norm(th - theta0) for th in outcomes if isinstance(th, np.ndarray)]
-        out.append((n, float(np.mean(errs))))
-    return out
-
-
-def fit_loglog_slope(pairs) -> float:
-    """Least-squares slope of log(error) against log(n)."""
-    ns = np.log([p[0] for p in pairs])
-    es = np.log([p[1] for p in pairs])
-    return float(np.polyfit(ns, es, 1)[0])
-
-
-def check_class_constraint(sample: EmpiricalSample, M: float, delta: float, nu: float) -> bool:
-    """Membership in the tail-and-conditioning class used for uniform asymptotics.
-
-    True iff the mass outside radius M is at most (1 - delta)/(nu + d) and the
-    fitted scatter matrix A satisfies max(||A||, ||A^{-1}||) < 1/delta in
-    operator norm. Laws outside the existence domain are not in the class.
-    """
-    if not M > 0.0:
-        raise ValueError("M must be positive")
-    if not 0.0 < delta < 1.0:
-        raise ValueError("delta must lie in (0, 1)")
-    d = sample.d
-    tail = float(sample.weights[np.linalg.norm(sample.points, axis=1) > M].sum())
-    if tail > (1.0 - delta) / (nu + d):
-        return False
-    try:
-        fit = solve_scatter(sample, ScatterConfig(nu=nu))
-    except DomainViolation:
-        return False
-    eigs = np.linalg.eigvalsh(fit.A.mat)
-    return max(eigs[-1], 1.0 / eigs[0]) < 1.0 / delta

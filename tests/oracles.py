@@ -16,8 +16,9 @@ from tscatter.domain_check import (
     _point_scale,
     lift,
 )
-from tscatter.exceptions import DegeneracyError, NotSpdError, NumericalBreakdown
-from tscatter.scatter import MONOTONE_SLACK, ScatterConfig, ScatterResult, weight_u
+from tscatter.exceptions import DegeneracyError, DomainViolation, NotSpdError, NumericalBreakdown
+from tscatter.scatter import MONOTONE_SLACK, ScatterConfig, ScatterResult, solve_scatter, weight_u
+from tscatter.simlab import Sampler, _replicate_thetas, _target_objects
 from tscatter.symspace import SpdMatrix, _layout, as_spd, congruence_matrix, outer_vecs, sym_to_vec, symmetrize
 
 
@@ -413,3 +414,59 @@ def sandwich_two_pass_locscatter(sample: EmpiricalSample, est):
 def _with_rank(S):
     sv = np.linalg.svd(S, compute_uv=False)
     return S, int((sv > DEFAULT_RANK_TOL * sv[0]).sum())
+
+
+def run_consistency_sweep(
+    sampler: Sampler,
+    nu: float,
+    n_list,
+    reps: int,
+    *,
+    mode: str = "locscatter",
+) -> list[tuple[int, float]]:
+    """Mean estimation error at each sample size; errors shrink like n^{-1/2}.
+
+    Returns ``[(n, mean ||estimate - functional||), ...]``; fit the log-log
+    slope with :func:`fit_loglog_slope`. Needs at least two sample sizes.
+    """
+    n_list = [int(n) for n in n_list]
+    if len(n_list) < 2:
+        raise ValueError("need at least two sample sizes to measure a rate")
+    cfg = ScatterConfig(nu=nu)
+    theta0, _, _ = _target_objects(sampler, nu, mode)
+    out = []
+    for pos, n in enumerate(n_list):
+        outcomes = _replicate_thetas(sampler, cfg, n, mode, range(pos * reps, (pos + 1) * reps))
+        errs = [np.linalg.norm(th - theta0) for th in outcomes if isinstance(th, np.ndarray)]
+        out.append((n, float(np.mean(errs))))
+    return out
+
+
+def fit_loglog_slope(pairs) -> float:
+    """Least-squares slope of log(error) against log(n)."""
+    ns = np.log([p[0] for p in pairs])
+    es = np.log([p[1] for p in pairs])
+    return float(np.polyfit(ns, es, 1)[0])
+
+
+def check_class_constraint(sample: EmpiricalSample, M: float, delta: float, nu: float) -> bool:
+    """Membership in the tail-and-conditioning class used for uniform asymptotics.
+
+    True iff the mass outside radius M is at most (1 - delta)/(nu + d) and the
+    fitted scatter matrix A satisfies max(||A||, ||A^{-1}||) < 1/delta in
+    operator norm. Laws outside the existence domain are not in the class.
+    """
+    if not M > 0.0:
+        raise ValueError("M must be positive")
+    if not 0.0 < delta < 1.0:
+        raise ValueError("delta must lie in (0, 1)")
+    d = sample.d
+    tail = float(sample.weights[np.linalg.norm(sample.points, axis=1) > M].sum())
+    if tail > (1.0 - delta) / (nu + d):
+        return False
+    try:
+        fit = solve_scatter(sample, ScatterConfig(nu=nu))
+    except DomainViolation:
+        return False
+    eigs = np.linalg.eigvalsh(fit.A.mat)
+    return max(eigs[-1], 1.0 / eigs[0]) < 1.0 / delta

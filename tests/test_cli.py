@@ -132,7 +132,8 @@ class TestSuccessEnvelopes:
         path = write_csv(tmp_path / "law.csv", rng.standard_normal((6, 2)))
         argv = ["simulate", path, "--nu", "2", "--n", "60", "--reps", "20", "--seed", "1"]
         _, full = run(argv, tmp_path)
-        _, rough = run(argv + ["--max-iter", "1", "--tol", "1e-3"], tmp_path)
+        code, rough = run(argv + ["--max-iter", "5", "--tol", "1e-3"], tmp_path)
+        assert code == cli.EXIT_OK and rough["warnings"] == []
         assert rough["payload"]["empirical_cov"] != full["payload"]["empirical_cov"]
         assert rough["payload"]["target_cov"] == full["payload"]["target_cov"]
 
@@ -241,6 +242,29 @@ class TestErrorEnvelopes:
         assert code == cli.EXIT_DOMAIN
         assert env["payload"]["error"] == "domain_violation"
         assert env["payload"]["report"]["member"] is False
+
+    def test_simulate_with_unconverged_replicates(self, tmp_path):
+        # one step leaves every replicate fit of this law unconverged: they
+        # are not averaged into a covariance, and the run is a numerical
+        # failure, not a domain violation (every replicate is a member)
+        rng = np.random.default_rng([0, 2])
+        law = rng.standard_normal((400, 2)) / np.sqrt(rng.chisquare(3.0, (400, 1)) / 3.0)
+        path = write_csv(tmp_path / "law.csv", law)
+        argv = ["simulate", path, "--nu", "2", "--n", "300", "--reps", "20"]
+        code, env = run(argv + ["--max-iter", "1"], tmp_path)
+        assert code == cli.EXIT_NUMERICAL
+        assert env["payload"] == {
+            "error": "numerical_failure",
+            "message": "only 0 of 20 member replicate fits converged: too few",
+        }
+        # at four steps some converge: those alone make the covariance, and
+        # the rest are counted in a warning
+        code, env = run(argv + ["--max-iter", "4"], tmp_path)
+        assert code == cli.EXIT_OK
+        assert env["payload"]["existence_rate"] == 1.0
+        (msg,) = env["warnings"]
+        assert msg.endswith(" of 20 member replicate fits did not converge: left out")
+        assert 0 < int(msg.split()[0]) < 19
 
     def test_numerical_failure_exit_3(self, cloud2, tmp_path, monkeypatch):
         def breakdown(*args, **kwargs):

@@ -700,6 +700,18 @@ class TestStack:
         q = _law("plane", 4, 11, True, 101)
         assert check_stack(q.points[None], q.weights[None], 5.0) == [check_scatter_domain(q, 5.0)]
 
+    def test_accepts_a_monte_carlo_stack_of_75_whole(self):
+        # a Monte Carlo job's stack: 75 replicates of 300 draws from a
+        # 400-point 2-D t(3) law, all inside the domain. Whitened by the
+        # inverse factor, every fit is accepted, so none is left to enumerate
+        rng = np.random.default_rng(0)
+        law = rng.standard_normal((400, 2)) / np.sqrt(rng.chisquare(3.0, (400, 1)) / 3.0)
+        P = law[rng.integers(400, size=(75, 300))]
+        W = np.full((75, 300), 1 / 300)
+        A = np.stack([fit.A.mat for fit in solve_scatter_stack(P, W, ScatterConfig(nu=2.0))])
+        assert all(rpt.member for rpt in check_stack(P, None, 4.0))
+        assert certify_members(P, W, A, 4.0).all()
+
     def test_rejects_bad_input(self):
         P = np.random.default_rng(103).standard_normal((2, 5, 3))
         W = np.full((2, 5), 0.2)
@@ -860,6 +872,18 @@ class TestCertificate:
         c0 = 2.0 - np.sqrt(2.0) * np.linalg.norm(M - np.eye(2), axis=(1, 2))
         total = (W * 4.0 * s / (2.0 + s)).sum(axis=1)
         assert (total - c0 <= 1e-14).sum() >= 3
+
+    def test_accepts_a_monte_carlo_stack_of_75_whole(self):
+        # a Monte Carlo job's stack: 75 replicates of 300 draws from a
+        # 400-point 2-D t(3) law, all inside the domain. Whitened by the
+        # inverse factor, every fit is accepted, so none is left to enumerate
+        rng = np.random.default_rng(0)
+        law = rng.standard_normal((400, 2)) / np.sqrt(rng.chisquare(3.0, (400, 1)) / 3.0)
+        P = law[rng.integers(400, size=(75, 300))]
+        W = np.full((75, 300), 1 / 300)
+        A = np.stack([fit.A.mat for fit in solve_scatter_stack(P, W, ScatterConfig(nu=2.0))])
+        assert all(rpt.member for rpt in check_stack(P, None, 4.0))
+        assert certify_members(P, W, A, 4.0).all()
 
     def test_rejects_bad_input(self):
         P = np.random.default_rng(103).standard_normal((2, 5, 3))

@@ -7,18 +7,16 @@ from scipy import stats
 from tscatter import (
     DomainViolation,
     EmpiricalSample,
+    NumericalBreakdown,
     ScatterConfig,
     asymptotic_cov_locscatter,
-    check_class_constraint,
     check_locscat_domain,
     check_scatter_domain,
     contaminated_sampler,
     discrete_sampler,
-    fit_loglog_slope,
     gaussian_sampler,
     influence,
     run_clt_experiment,
-    run_consistency_sweep,
     solve_locscatter,
     solve_scatter,
     sym_to_vec,
@@ -26,6 +24,8 @@ from tscatter import (
 )
 import tscatter
 from tscatter import scatter, simlab
+
+from oracles import check_class_constraint, fit_loglog_slope, run_consistency_sweep
 
 
 def four_point_arrays():
@@ -237,8 +237,8 @@ class TestCltExperiment:
 
 class TestStackedReplicates:
     def test_chunk_size_does_not_change_the_report(self, monkeypatch):
-        # a near-boundary law, so chunks also hold replicates outside the domain;
-        # each chunk is fitted whole, off-domain replicates included
+        # a near-boundary law, so stacks also hold replicates outside the domain;
+        # each stack is fitted whole, off-domain replicates included
         pts, _ = four_point_arrays()
         s = discrete_sampler(pts, np.array([0.372, 0.372, 0.128, 0.128]), seed=3)
         n, reps = 300, 40
@@ -252,7 +252,7 @@ class TestStackedReplicates:
         monkeypatch.setattr(simlab, "_fit_and_check", spy)
         reports = {}
         for chunk in (1, 3, 40):
-            monkeypatch.setattr(simlab, "BLOCK_BYTES", chunk * scatter._sample_bytes(n, 2))
+            monkeypatch.setattr(simlab, "STACK_BYTES", chunk * scatter._sample_bytes(n, 2))
             stacks.append([])
             reports[chunk] = run_clt_experiment(s, 2.0, n=n, reps=reps)
             assert max(stacks[-1]) <= chunk
@@ -263,6 +263,37 @@ class TestStackedReplicates:
         for chunk in (1, 3):
             assert reports[chunk].existence_rate == reports[40].existence_rate
             assert np.abs(reports[chunk].empirical_cov - ref).max() <= 1e-12 * np.abs(ref).max()
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(0, 500), st.integers(0, 300), st.integers(1, 200))
+    def test_stacks_are_even_and_within_the_cap(self, start, count, cap):
+        reps = range(start, start + count)
+        stacks = list(simlab._stacks(reps, cap))
+        sizes = [len(stack) for stack in stacks]
+        assert [rep for stack in stacks for rep in stack] == list(reps)
+        assert len(stacks) == -(-count // cap)  # the fewest that fit the cap
+        assert all(size <= cap for size in sizes)
+        assert not sizes or max(sizes) - min(sizes) <= 1
+        assert sizes == sorted(sizes, reverse=True)
+
+    @pytest.mark.parametrize("mode", ["scatter", "locscatter"])
+    def test_a_job_of_150_replicates_runs_as_two_stacks(self, monkeypatch, mode):
+        # 300 draws in 2-D (3-D lifted) from a 400-point t(3) law: within the
+        # default budget, 150 replicates are two stacks of 75, not 139 and 11
+        rng = np.random.default_rng(0)
+        law = rng.standard_normal((400, 2)) / np.sqrt(rng.chisquare(3.0, (400, 1)) / 3.0)
+        s = discrete_sampler(law, None, seed=0)
+        stacks, fit_and_check = [], simlab._fit_and_check
+
+        def spy(points, weights, cfg):
+            stacks.append(points.shape[0])
+            return fit_and_check(points, weights, cfg)
+
+        monkeypatch.setattr(simlab, "_fit_and_check", spy)
+        cap = simlab.STACK_BYTES // scatter._sample_bytes(300, 2 + (mode == "locscatter"))
+        got = simlab._replicate_thetas(s, ScatterConfig(nu=2.0), 300, mode, range(150))
+        assert 75 <= cap < 150 and stacks == [75, 75]
+        assert all(isinstance(theta, np.ndarray) for theta in got)
 
     @pytest.mark.parametrize("mode", ["scatter", "locscatter"])
     def test_target_law_is_fitted_once(self, monkeypatch, mode):
@@ -295,9 +326,10 @@ def replicates_one_at_a_time(sampler, cfg, n, mode, reps):
             out.append(report)
         elif mode == "locscatter":
             est = solve_locscatter(q, cfg.nu, cfg, check_domain=False)
-            out.append(np.concatenate([est.mu, sym_to_vec(est.Sigma.mat)]))
+            out.append(np.concatenate([est.mu, sym_to_vec(est.Sigma.mat)]) if est.converged else None)
         else:
-            out.append(sym_to_vec(solve_scatter(q, cfg, check_domain=False).A.mat))
+            fit = solve_scatter(q, cfg, check_domain=False)
+            out.append(sym_to_vec(fit.A.mat) if fit.converged else None)
     return out
 
 
@@ -312,7 +344,7 @@ class TestStackedDomainChecks:
         s = discrete_sampler(pts, np.array([0.372, 0.372, 0.128, 0.128]), seed=3)
         n, cfg = 300, ScatterConfig(nu=2.0)
         want = replicates_one_at_a_time(s, cfg, n, mode, range(40))
-        monkeypatch.setattr(simlab, "BLOCK_BYTES", 7 * scatter._sample_bytes(n, 2 + (mode == "locscatter")))
+        monkeypatch.setattr(simlab, "STACK_BYTES", 7 * scatter._sample_bytes(n, 2 + (mode == "locscatter")))
         chunks, fitted, certified, enumerated = [], [], [], []
         helper, solve, certify, check = (
             simlab._fit_and_check, scatter._solve_stack, scatter.certify_members, scatter._check_exact)
@@ -344,7 +376,7 @@ class TestStackedDomainChecks:
         monkeypatch.setattr(scatter, "_check_exact", check_spy)
         monkeypatch.setattr(tscatter.domain_check, "check_scatter_domain", alone)
         got = simlab._replicate_thetas(s, cfg, n, mode, range(40))
-        assert chunks == [7, 7, 7, 7, 7, 5]
+        assert chunks == [7, 7, 7, 7, 6, 6]
         # each chunk is fitted whole; at most one certificate and one
         # enumeration per chunk, and every replicate not certified, broken
         # fits included, is enumerated
@@ -386,6 +418,37 @@ class TestStackedDomainChecks:
             run_clt_experiment(s, 2.0, n=1, reps=5, mode=mode)
         assert not want.value.report.member
         assert got.value.report == want.value.report
+
+
+class TestUnconvergedReplicates:
+    @pytest.mark.parametrize("mode,max_iter", [("scatter", 4), ("locscatter", 4)])
+    def test_are_left_out_and_counted(self, monkeypatch, mode, max_iter):
+        # a 400-point t(3) law inside the domain: at these step limits some
+        # replicate fits stop on max_iter; they count as members but are not
+        # averaged into the covariance
+        rng = np.random.default_rng(0)
+        law = rng.standard_normal((400, 2)) / np.sqrt(rng.chisquare(3.0, (400, 1)) / 3.0)
+        s = discrete_sampler(law, None, seed=0)
+        cfg = ScatterConfig(nu=2.0, max_iter=max_iter)
+        want = replicates_one_at_a_time(s, cfg, 300, mode, range(40))
+        got = simlab._replicate_thetas(s, cfg, 300, mode, range(40))
+        assert [type(g) for g in got] == [type(w) for w in want]
+        missing = sum(w is None for w in want)
+        assert 0 < missing < 39
+        rpt = run_clt_experiment(s, 2.0, n=300, reps=40, mode=mode, cfg=cfg)
+        assert rpt.existence_rate == 1.0
+        assert f"{missing} of 40 member replicate fits did not converge: left out" in rpt.warnings
+        monkeypatch.setattr(simlab, "_replicate_thetas", replicates_one_at_a_time)
+        ref = run_clt_experiment(s, 2.0, n=300, reps=40, mode=mode, cfg=cfg).empirical_cov
+        assert np.abs(rpt.empirical_cov - ref).max() <= 1e-12 * np.abs(ref).max()
+
+    def test_too_few_converged_is_a_breakdown(self):
+        # no replicate is off the domain, so this is no domain violation
+        rng = np.random.default_rng(0)
+        law = rng.standard_normal((400, 2)) / np.sqrt(rng.chisquare(3.0, (400, 1)) / 3.0)
+        s = discrete_sampler(law, None, seed=0)
+        with pytest.raises(NumericalBreakdown, match="only 0 of 20 member replicate fits converged"):
+            run_clt_experiment(s, 2.0, n=300, reps=20, cfg=ScatterConfig(nu=2.0, max_iter=1))
 
 
 class TestContaminationBias:
