@@ -4,7 +4,7 @@ The scatter functional generalizes the covariance matrix to arbitrarily
 heavy-tailed laws; for tail parameter nu > 1 a location vector comes along by
 solving the pure scatter problem one dimension up. The package bundles the
 existence-domain checks, the safeguarded Newton solver (one loop over stacks
-of samples), influence and asymptotic covariance computations, the
+of samples), curvature and asymptotic covariance computations, the
 one-dimensional extended functional, a Monte Carlo validation harness, and a
 CSV-driven CLI.
 """
@@ -16,8 +16,6 @@ from .asymptotics import (
     asymptotic_cov_scatter,
     extract_jacobian,
     hessian,
-    influence,
-    score,
 )
 from .domain_check import (
     DomainReport,
@@ -41,10 +39,8 @@ from .exceptions import (
 from .locscatter import LocScatEstimate, solve_locscatter
 from .oned import (
     OneDEstimate,
-    boundary_rate_probe,
     sigma_of_mu,
     solve_oned,
-    two_point_closed_form,
 )
 from .scatter import (
     ScatterConfig,

@@ -1,17 +1,17 @@
-"""Curvature, influence, and asymptotic covariance of the scatter functionals.
+"""Curvature and asymptotic covariance of the scatter functionals.
 
 All second-order objects live on the space of symmetric matrices in the
 coordinates of :func:`~tscatter.symspace.sym_to_vec`. Conventions:
 
-* ``score(y, A)`` is the per-point gradient of the adjusted loss with respect
-  to the concentration matrix C = A^{-1}; it integrates to zero at the
+* The score of a point y is the gradient of its adjusted loss with respect
+  to the concentration matrix C = A^{-1},
+  -A/2 + (nu+d) y y' / (2 (nu + y'A^{-1}y)); it integrates to zero at the
   functional.
 * ``hessian`` returns the curvature operator normalized so that its quadratic
   form is ``|A^{1/2} D A^{1/2}|_F^2 - (nu+d) int (y'Dy)^2/(nu+y'Cy)^2 dQ``.
   This is twice the calculus Hessian of the objective in C; the analytic
-  factor is reinserted wherever derivatives are chained (influence,
-  covariance), so those outputs are the actual first-order contamination
-  derivative and the actual asymptotic covariance of the estimates.
+  factor is reinserted where the covariance chains derivatives, so it is the
+  actual asymptotic covariance of the estimates.
 * Covariances are reported for the A-parametrization (and for (mu, Sigma)
   after the extraction Jacobian), obtained from the C-side sandwich by the
   congruence X -> A X A.
@@ -41,9 +41,7 @@ from .symspace import (
 __all__ = [
     "HessianMap",
     "AsymptoticCov",
-    "score",
     "hessian",
-    "influence",
     "asymptotic_cov_scatter",
     "asymptotic_cov_locscatter",
     "extract_jacobian",
@@ -78,19 +76,6 @@ class AsymptoticCov:
     S: np.ndarray
     rank: int
     parametrization: str
-
-
-def score(y, A, nu: float) -> np.ndarray:
-    """Per-point score -A/2 + (nu+d) y y' / (2 (nu + y'A^{-1}y)).
-
-    The weighted sum of scores over the sample vanishes at the fitted scatter
-    matrix.
-    """
-    A = as_spd(A)
-    y = np.asarray(y, dtype=float).reshape(-1)
-    s = float(A.quad_forms(y[None, :])[0])
-    d = A.dim
-    return -A.mat / 2.0 + (nu + d) * np.outer(y, y) / (2.0 * (nu + s))
 
 
 def hessian(sample: EmpiricalSample, A, nu: float) -> HessianMap:
@@ -141,21 +126,6 @@ def _curvature_solve(hess: HessianMap, rhs) -> np.ndarray:
         raise NumericalBreakdown(f"curvature is not positive definite (least eigenvalue {hess.min_eigenvalue:.3g}):"
                                  " the fit is too far from the functional") from exc
     return np.linalg.solve(hess.matrix, rhs)
-
-
-def influence(y, sample: EmpiricalSample, nu: float, *, fit=None, hess=None) -> np.ndarray:
-    """First-order contamination derivative of the scatter matrix at y.
-
-    Returns IF(y) with A(( 1 - eps) Q + eps delta_y) = A(Q) + eps IF(y) + O(eps^2).
-    Writing H for the curvature operator of :func:`hessian` at the fitted A,
-    the concentration matrix moves by -2 H^{-1} score(y) per unit of
-    contamination, and IF is the congruent image A (2 H^{-1} score(y)) A. The
-    weighted sample average of IF vanishes.
-    """
-    A = _fit(sample, nu, fit).A
-    hess = hess if hess is not None else hessian(sample, A, nu)
-    dC = vec_to_sym(2.0 * _curvature_solve(hess, sym_to_vec(score(y, A, nu))))
-    return symmetrize(A.mat @ dC @ A.mat, rtol=1e-9)
 
 
 def _numerical_rank(S: np.ndarray) -> int:

@@ -35,6 +35,34 @@ one stacked helper in ``scatter`` does that for every solve path.
 ``check_scatter_domain`` always enumerates, since its report names the worst
 subspace.
 
+Off the domain the solver's iterate collapses onto a subspace H of too much
+mass, and its top eigenspace turns towards H. ``_collapse_witness`` reads a
+candidate subspace off that eigenspace for each dimension q: it keeps the
+fewest points, by relative residual off the eigenspace, that carry the
+threshold mass, picks q of them by pivoted Gram-Schmidt, and counts the
+points within half the exact check's tolerance t of their span. It fires
+when that mass reaches the threshold minus ``EQ_TOL``, plus an allowance for
+the order of summation. That makes its rejection exact, by three facts:
+
+* the pivots, taken in merged order, pass the exact check's own
+  independence test (|diag R| of their QR above t) with a factor of two to
+  spare, so the enumeration tests their span, from the first q - 1 of them
+  as fixed tuple and the last as the line through it;
+* a point within t/2 of that span is, for the enumeration, inside span(F)
+  or within t/2 of the pivot's line on the complement of span(F). There its
+  direction lies within pi t/(4 r) of the pivot's, r being the length of its
+  projection onto the generic plane, against the pi t/r half-width of its
+  arc, so its arc reaches the pivot's direction: the point is in the
+  pivot's group, or the group is not clean (its directions spread, or an
+  arc of its row crosses the ends of the circle) and the residual test, at
+  t, counts it;
+* the enumeration keeps the largest such mass, so the worst subspace it
+  reports has a margin at least the witness's, and it rejects the law.
+
+So a member law is never stopped, whatever the iterate; the witness proves
+nothing when it does not fire. At q = 0 it is the mass at the origin, the
+collapse of the whole iterate.
+
 The exact check (``_check_exact``) runs on stacks of samples, merged by one
 sort and padded to a common size; each block row is a (sample, fixed tuple)
 pair. Tolerances, maxima and ties are kept per sample and padding enters no
@@ -326,6 +354,16 @@ def certify_members(points, weights, A, a0: float) -> np.ndarray:
     A = np.asarray(A, dtype=float)
     if A.shape != (R, d, d):
         raise ValueError(f"A must have shape {(R, d, d)} to match the points, got {A.shape}")
+    return _certify_members(pts, w, A, a0)
+
+
+def _certify_members(pts, w, A, a0: float) -> np.ndarray:
+    """:func:`certify_members` of checked arrays, with the weights used as given.
+
+    The solve paths pass the arrays they fitted, so the law certified is the
+    law fitted, bit for bit, and the law the exact check would enumerate.
+    """
+    R, n, d = pts.shape
     L = np.linalg.cholesky(A)
     Z = np.linalg.inv(L) @ np.swapaxes(pts, 1, 2)
     s = np.einsum("rin,rin->rn", Z, Z)
@@ -639,6 +677,74 @@ def _check_exact(points: np.ndarray, weights: np.ndarray, a0: float) -> list[Dom
         reports.append(DomainReport(member=mass < threshold - EQ_TOL, a0=a0, worst_subspace_dim=dim,
                                     worst_mass=mass, threshold=threshold, witness_points=witness))
     return reports
+
+
+def _collapse_witness(points: np.ndarray, weights: np.ndarray, B: np.ndarray, a0: float):
+    """A subspace that the exact check rejects the law on, read off an iterate collapsing onto it, or None.
+
+    ``points`` (n, d) and ``weights`` (n,) are one sample as the solver holds
+    it and ``B`` its (d, d) iterate. For q = 0 .. d-1 the candidates are the
+    fewest positive-weight points, by relative residual off the span of B's
+    top q eigenvectors, whose mass reaches the threshold 1 - (d - q)/a0;
+    greedy pivoted Gram-Schmidt picks q of them, and the points within half
+    the exact check's tolerance of their span count as inside. Returns
+    ``(q, rows, mass, threshold)``, the pivots' rows in the exact check's
+    merged (lexicographic) order, for the first q whose mass is at least
+    threshold - ``EQ_TOL`` plus a summation allowance. At q = 0 there are no
+    pivots and the test is the mass at the origin.
+
+    The rejection is exact (see the module docstring): the pivots pass the
+    exact check's independence test in its own order with twice its
+    tolerance to spare, so it tests their span, and every point counted here
+    it counts inside that span too.
+    """
+    n, d = points.shape
+    positive = weights > 0.0
+    tol = POINT_RTOL * _point_scale(points[positive])
+    norms = np.linalg.norm(points, axis=1)
+    # the exact check's masses sum the merged weights in another order, off by a few n eps
+    slack = 4 * (n + 2) * np.finfo(float).eps
+    vecs = np.linalg.eigh(B)[1]
+    span = np.zeros((d, 0))
+    for q in range(d):
+        threshold = 1.0 - (d - q) / a0
+        need = threshold - EQ_TOL + slack
+        rows = np.zeros(0, dtype=np.intp)
+        if q:
+            top = vecs[:, d - q:]
+            off = np.linalg.norm(points - (points @ top) @ top.T, axis=1)
+            rel = np.divide(off, norms, out=np.zeros(n), where=norms > tol / 2)
+            rel[~positive] = np.inf
+            order = np.argsort(rel, kind="stable")
+            cands = order[: np.searchsorted(np.cumsum(weights[order]), need) + 1]
+            rows = _pivots(points[cands], q, 2.0 * tol)
+            if rows is None:
+                continue
+            rows = cands[rows]
+            rows = rows[np.lexsort(points[rows].T[::-1])]
+            span, r = np.linalg.qr(points[rows].T)
+            if not (np.abs(np.diagonal(r)) > 2.0 * tol).all():
+                continue
+        inside = (np.linalg.norm(points - (points @ span) @ span.T, axis=1) <= tol / 2) & positive
+        mass = weights[inside].sum()
+        if mass >= need:
+            return q, tuple(rows.tolist()), float(mass), threshold
+    return None
+
+
+def _pivots(X: np.ndarray, q: int, tol: float):
+    # q rows of X by greedy pivoted Gram-Schmidt, each the farthest from the
+    # span of those before it; None once the farthest is within tol of it
+    resid, rows = X.copy(), []
+    for _ in range(q):
+        sq = np.square(resid).sum(axis=1)
+        j = int(np.argmax(sq))
+        if not sq[j] > tol * tol:
+            return None
+        rows.append(j)
+        u = resid[j] / math.sqrt(sq[j])
+        resid -= np.outer(resid @ u, u)
+    return np.array(rows)
 
 
 def check_locscat_domain(sample: EmpiricalSample, a0: float) -> DomainReport:

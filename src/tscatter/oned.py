@@ -15,10 +15,9 @@ which has a unique root because F decreases strictly in sigma. In the
 interior case Qh has exactly one critical point (Kent & Tyler 1991): the one
 root of the profile derivative d/dmu Qh(mu, sigma(mu)) between min x and max x.
 
-Two-point laws admit closed forms, used as oracles and for the boundary-rate
-probe: the scale is of order sqrt(eps/(nu-1)) when the big-atom mass is
-approached from inside at distance eps, so sigma is continuous but not
-Lipschitz across the boundary.
+Two-point laws admit closed forms: the scale is of order sqrt(eps/(nu-1))
+when the big-atom mass is approached from inside at distance eps, so sigma is
+continuous but not Lipschitz across the boundary.
 """
 
 from __future__ import annotations
@@ -34,8 +33,6 @@ __all__ = [
     "OneDEstimate",
     "sigma_of_mu",
     "solve_oned",
-    "two_point_closed_form",
-    "boundary_rate_probe",
 ]
 
 SCALE_RESIDUAL_TOL = 1e-12
@@ -130,61 +127,3 @@ def solve_oned(sample: EmpiricalSample, nu: float) -> OneDEstimate:
     mu = brentq(lambda m: _profile_derivative(sample, m, nu), lo, hi,
                 xtol=4.0 * np.finfo(float).eps * (hi - lo), maxiter=200)
     return OneDEstimate(mu=float(mu), sigma=sigma_of_mu(sample, mu, nu), boundary=False)
-
-
-def two_point_closed_form(a: float, b: float, p: float, nu: float) -> OneDEstimate:
-    """Exact functional of q delta_a + p delta_b with p the mass at b.
-
-    On the unit interval the interior critical point is
-    mu_p = (nu p - q)/(nu - 1) and
-    sigma_p^2 = (nu^2 p q - nu (p^2 + q^2) + p q)/(nu - 1)^2,
-    valid for 1/(nu+1) < p < nu/(nu+1); general endpoints follow by the affine
-    map t -> a + (b-a) t. Outside that range the mass at one endpoint reaches
-    nu/(nu+1) and the boundary value sits there with sigma = 0.
-    """
-    nu = float(nu)
-    if not nu > 1.0:
-        raise NuOutOfRange(f"requires nu > 1, got {nu}")
-    a, b, p = float(a), float(b), float(p)
-    if not a < b:
-        raise ValueError("need a < b")
-    if not 0.0 <= p <= 1.0:
-        raise ValueError("p must lie in [0, 1]")
-    q = 1.0 - p
-    lo = 1.0 / (nu + 1.0)
-    hi = nu / (nu + 1.0)
-    if p <= lo + EQ_TOL:
-        return OneDEstimate(mu=a, sigma=0.0, boundary=True, atom=(a, q))
-    if p >= hi - EQ_TOL:
-        return OneDEstimate(mu=b, sigma=0.0, boundary=True, atom=(b, p))
-    mu_p = (nu * p - q) / (nu - 1.0)
-    sig2 = (nu**2 * p * q - nu * (p**2 + q**2) + p * q) / (nu - 1.0) ** 2
-    return OneDEstimate(
-        mu=a + (b - a) * mu_p,
-        sigma=(b - a) * float(np.sqrt(sig2)),
-        boundary=False,
-        atom=None,
-    )
-
-
-def boundary_rate_probe(nu: float, eps_list) -> list[tuple[float, float]]:
-    """Scale of the two-point family approaching the big-atom boundary.
-
-    For each eps, the law puts mass (nu - eps)/(nu + 1) at 1 and the rest at
-    0; returns (eps, sigma) computed by the full solver. The ratio
-    sigma / sqrt(eps/(nu-1)) tends to 1 as eps decreases to 0, exhibiting the
-    square-root (non-Lipschitz) boundary rate.
-    """
-    nu = float(nu)
-    if not nu > 1.0:
-        raise NuOutOfRange(f"requires nu > 1, got {nu}")
-    out = []
-    for eps in eps_list:
-        eps = float(eps)
-        if not 0.0 < eps < nu:
-            raise ValueError("eps values must lie in (0, nu)")
-        p = (nu - eps) / (nu + 1.0)
-        sample = EmpiricalSample(np.array([[0.0], [1.0]]), np.array([1.0 - p, p]))
-        est = solve_oned(sample, nu)
-        out.append((eps, est.sigma))
-    return out

@@ -32,15 +32,28 @@ Each sample starts at the best multiple c I of the identity (the scalar case
 of the fixed-point equation), which scales with the data as the fit does,
 A(lambda Y) = lambda^2 A(Y), so the steps taken do not depend on the units.
 
+Off the domain there is no critical point: the objective falls without
+bound as the iterate collapses onto a subspace H that carries too much mass,
+shrinking to zero across it (Kent and Tyler 1991), and the top eigenspace of
+the iterate turns towards H (the subspace-finding behaviour of Tyler's
+iteration; Zhang, Information and Inference 5, 2016). A sample whose iterate
+degenerates steadily, its Cholesky factor's diagonal spreading out or
+shrinking by more than ``COLLAPSE_RATE`` on ``COLLAPSE_STEPS`` steps in a row,
+asks :func:`~tscatter.domain_check._collapse_witness` for a subspace read off
+that eigenspace on which the exact check rejects the law. If there is one, the
+sample stops as broken down: a collapse is never returned as a fit. The
+witness never fires on a member law and leaves the iterate alone, so fits
+inside the domain take the same steps to the same bits with or without it.
+
 There is one solver loop, and it runs on a stack of samples of equal size
 (``solve_scatter_stack``): every array carries a leading sample axis, each
 sample keeps its own step choice, stop test and breakdown check, and a
 sample that has stopped leaves the stack. Every solve that checks the domain
 goes through one stacked helper: it fits the stack, certifies domain
 membership from the fits in one call, and enumerates subspaces, again as one
-stack, only for the samples the certificate cannot accept. ``solve_scatter``
-is its stack of one, after dropping zero-weight points; the location-scatter
-solve and the Monte Carlo replicates use it too.
+stack, only for the samples the certificate cannot accept, collapsed ones
+included. ``solve_scatter`` is its stack of one, after dropping zero-weight
+points; the location-scatter solve and the Monte Carlo replicates use it too.
 """
 
 from __future__ import annotations
@@ -49,7 +62,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .domain_check import EmpiricalSample, _check_exact, _positive_rows, certify_members
+from .domain_check import EmpiricalSample, _certify_members, _check_exact, _collapse_witness, _positive_rows
 from .exceptions import DomainViolation, NumericalBreakdown
 from .symspace import (
     SpdMatrix,
@@ -79,6 +92,13 @@ NEWTON_TIE_EPS = 16 * np.finfo(float).eps
 
 # A sample stops once the whitened size of its last step is at most this.
 STEP_TOL = 1e-12
+
+# A sample asks the witness of a collapse (domain_check._collapse_witness)
+# once its iterate has degenerated on this many steps in a row: the spread
+# max/min of the diagonal of its Cholesky factor grew, or the largest entry of
+# that diagonal shrank (a collapse onto the origin), by more than this factor
+COLLAPSE_STEPS = 3
+COLLAPSE_RATE = 1.2
 
 # Newton steps of samples whose Gram matrix costs at least this many
 # multiply-adds, n K^2 with K = d(d+1)/2, are solved by conjugate gradients
@@ -321,6 +341,13 @@ def _cg_steps(Z, s, g, E, eta):
     return steps, ok & finite
 
 
+def _spread(L):
+    # max/min and max of the diagonal of each Cholesky factor in a stack
+    diag = np.diagonal(L, axis1=1, axis2=2)
+    top = diag.max(axis=1)
+    return top / diag.min(axis=1), top
+
+
 def _sample_bytes(n: int, d: int) -> int:
     """Scratch memory one sample of an (R, n, d) stack takes in the solver loop.
 
@@ -365,9 +392,9 @@ def _fit_and_check(points, weights, cfg: ScatterConfig):
 
     ``points`` (R, n, d) and ``weights`` (R, n) are samples as
     :class:`EmpiricalSample` holds them. Runs :func:`_solve_stack`, certifies
-    the fits that did not break down in one
-    :func:`~tscatter.domain_check.certify_members` call, and checks the rest
-    by exact enumeration as one stack, with the same weights. Returns
+    the fits that did not break down or collapse in one call of the
+    certificate, on the arrays fitted, and checks the rest by exact
+    enumeration as one stack, with the same weights. Returns
     ``(results, reports, broken)``: what :func:`_solve_stack` returns, and
     per sample None where the certificate accepted it, else its exact
     report. Raises :class:`EnumerationBudgetError` when a sample left to
@@ -379,7 +406,7 @@ def _fit_and_check(points, weights, cfg: ScatterConfig):
     fitted = [i for i, result in enumerate(results) if result is not None]
     if fitted:
         A = np.stack([results[i].A.mat for i in fitted])
-        member[fitted] = certify_members(points[fitted], weights[fitted], A, a0)
+        member[fitted] = _certify_members(points[fitted], weights[fitted], A, a0)
     reports = [None] * len(results)
     rest = np.flatnonzero(~member)
     if rest.size:
@@ -408,7 +435,10 @@ def solve_scatter_stack(points, weights, cfg: ScatterConfig) -> list[ScatterResu
     :class:`NumericalBreakdown`, for the first sample in stack order that
     breaks down, if an MM iterate leaves the SPD cone or the objective
     increases beyond roundoff, neither of which can happen in exact
-    arithmetic on the domain.
+    arithmetic on the domain, or if the iterate collapsed onto a subspace
+    whose mass puts the law outside the domain at a0 = nu + d, as the exact
+    check would find (see the module docstring); a collapse cannot happen on
+    the domain at all.
     """
     results, broken = _solve_stack(points, weights, cfg)
     if broken:
@@ -420,8 +450,8 @@ def solve_scatter_stack(points, weights, cfg: ScatterConfig) -> list[ScatterResu
 def _solve_stack(points, weights, cfg: ScatterConfig):
     """:func:`solve_scatter_stack` that records breakdowns instead of raising them.
 
-    Returns the results, None for each sample that broke down, and a dict
-    from those samples' stack positions to what went wrong.
+    Returns the results, None for each sample that broke down or collapsed,
+    and a dict from those samples' stack positions to what went wrong.
     """
     Y = np.asarray(points, dtype=float)
     w = np.asarray(weights, dtype=float)
@@ -439,6 +469,8 @@ def _solve_stack(points, weights, cfg: ScatterConfig):
 
     ids = np.arange(R)              # stack positions of the samples still iterating
     last_step = np.full(R, np.inf)  # whitened size of each sample's latest step
+    spread, top = _spread(L)        # of the diagonal of each iterate's factor
+    streak = np.zeros(R, dtype=int)  # steps in a row on which it degenerated
     newton_steps = np.zeros(R, dtype=int)
     traces = [[value] for value in obj.tolist()]
     results = [None] * R
@@ -469,8 +501,8 @@ def _solve_stack(points, weights, cfg: ScatterConfig):
                 fp_residual=float(fp[j]),
             )
         if not going.all():
-            ids, Yt, log_t, w, B, L, Z, s, obj, M, B_mm, grad = (
-                a[going] for a in (ids, Yt, log_t, w, B, L, Z, s, obj, M, B_mm, grad)
+            ids, Yt, log_t, w, B, L, Z, s, obj, M, B_mm, grad, spread, top, streak = (
+                a[going] for a in (ids, Yt, log_t, w, B, L, Z, s, obj, M, B_mm, grad, spread, top, streak)
             )
             if not ids.size:
                 break
@@ -494,9 +526,20 @@ def _solve_stack(points, weights, cfg: ScatterConfig):
         pick = newton[:, None, None]
         B, L, Z = np.where(pick, B_nt, B_mm), np.where(pick, L_nt, L_mm), np.where(pick, Z_nt, Z_mm)
         s, obj = np.where(newton[:, None], s_nt, s_mm), obj_next
+        # an iterate that degenerates steadily may be collapsing off the domain: ask the witness
+        spread_next, top_next = _spread(L)
+        streak = np.where((spread_next > COLLAPSE_RATE * spread) | (COLLAPSE_RATE * top_next < top), streak + 1, 0)
+        spread, top = spread_next, top_next
+        for j in np.flatnonzero(sound & (streak >= COLLAPSE_STEPS)):
+            found = _collapse_witness(Y[ids[j]], w[j], B[j], nu + d)
+            if found:
+                q, _, mass, threshold = found
+                broken[ids[j]] = (f"iterate collapsed onto a {q}-subspace of mass {mass!r} >= {threshold!r} "
+                                  f"at iteration {k + 1}")
+                sound[j] = False
         if not sound.all():
-            ids, Yt, log_t, w, B, L, Z, s, obj = (
-                a[sound] for a in (ids, Yt, log_t, w, B, L, Z, s, obj)
+            ids, Yt, log_t, w, B, L, Z, s, obj, spread, top, streak = (
+                a[sound] for a in (ids, Yt, log_t, w, B, L, Z, s, obj, spread, top, streak)
             )
         for i, value in zip(ids.tolist(), obj.tolist()):
             traces[i].append(value)

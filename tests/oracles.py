@@ -6,7 +6,7 @@ import itertools
 import numpy as np
 from scipy.linalg import cho_factor, cho_solve
 
-from tscatter.asymptotics import DEFAULT_RANK_TOL, extract_jacobian, hessian
+from tscatter.asymptotics import DEFAULT_RANK_TOL, _curvature_solve, _fit, extract_jacobian, hessian
 from tscatter.domain_check import (
     EQ_TOL,
     POINT_RTOL,
@@ -16,10 +16,20 @@ from tscatter.domain_check import (
     _point_scale,
     lift,
 )
-from tscatter.exceptions import DegeneracyError, DomainViolation, NotSpdError, NumericalBreakdown
+from tscatter.exceptions import DegeneracyError, DomainViolation, NotSpdError, NumericalBreakdown, NuOutOfRange
+from tscatter.oned import OneDEstimate, solve_oned
 from tscatter.scatter import MONOTONE_SLACK, ScatterConfig, ScatterResult, solve_scatter, weight_u
 from tscatter.simlab import Sampler, _replicate_thetas, _target_objects
-from tscatter.symspace import SpdMatrix, _layout, as_spd, congruence_matrix, outer_vecs, sym_to_vec, symmetrize
+from tscatter.symspace import (
+    SpdMatrix,
+    _layout,
+    as_spd,
+    congruence_matrix,
+    outer_vecs,
+    sym_to_vec,
+    symmetrize,
+    vec_to_sym,
+)
 
 
 def _rho_diff(s, t, nu: float, d: int):
@@ -285,6 +295,23 @@ def check_locscat_domain_loop(sample: EmpiricalSample, a0: float) -> DomainRepor
     return dataclasses.replace(rpt, worst_subspace_dim=max(rpt.worst_subspace_dim - 1, 0))
 
 
+def span_mass_loop(sample: EmpiricalSample, rows) -> float:
+    """Mass :func:`check_scatter_domain_loop` counts in the span of the points at ``rows``.
+
+    The merged law's points within the loop's tolerance of the span of
+    ``sample.points[rows]`` (taken in that order, as the loop takes a subset
+    in merged order), by the loop's QR and residual test; for no rows, the
+    mass at the origin.
+    """
+    merged, _ = sample.merged()
+    X, w = merged.points, merged.weights
+    resid = X
+    if len(rows):
+        q, _ = np.linalg.qr(sample.points[list(rows)].T)
+        resid = X - (X @ q) @ q.T
+    return float(w[np.linalg.norm(resid, axis=1) <= POINT_RTOL * _point_scale(X)].sum())
+
+
 def profile_objective(sample: EmpiricalSample, mu: float, sigma: float, nu: float) -> float:
     """Objective Qh(mu, sigma) of the one-dimensional functional; zero at (0, 1).
 
@@ -470,3 +497,89 @@ def check_class_constraint(sample: EmpiricalSample, M: float, delta: float, nu: 
         return False
     eigs = np.linalg.eigvalsh(fit.A.mat)
     return max(eigs[-1], 1.0 / eigs[0]) < 1.0 / delta
+
+
+def score(y, A, nu: float) -> np.ndarray:
+    """Per-point score -A/2 + (nu+d) y y' / (2 (nu + y'A^{-1}y)).
+
+    The weighted sum of scores over the sample vanishes at the fitted scatter
+    matrix.
+    """
+    A = as_spd(A)
+    y = np.asarray(y, dtype=float).reshape(-1)
+    s = float(A.quad_forms(y[None, :])[0])
+    d = A.dim
+    return -A.mat / 2.0 + (nu + d) * np.outer(y, y) / (2.0 * (nu + s))
+
+
+def influence(y, sample: EmpiricalSample, nu: float, *, fit=None, hess=None) -> np.ndarray:
+    """First-order contamination derivative of the scatter matrix at y.
+
+    Returns IF(y) with A(( 1 - eps) Q + eps delta_y) = A(Q) + eps IF(y) + O(eps^2).
+    Writing H for the curvature operator of :func:`hessian` at the fitted A,
+    the concentration matrix moves by -2 H^{-1} score(y) per unit of
+    contamination, and IF is the congruent image A (2 H^{-1} score(y)) A. The
+    weighted sample average of IF vanishes.
+    """
+    A = _fit(sample, nu, fit).A
+    hess = hess if hess is not None else hessian(sample, A, nu)
+    dC = vec_to_sym(2.0 * _curvature_solve(hess, sym_to_vec(score(y, A, nu))))
+    return symmetrize(A.mat @ dC @ A.mat, rtol=1e-9)
+
+
+def two_point_closed_form(a: float, b: float, p: float, nu: float) -> OneDEstimate:
+    """Exact functional of q delta_a + p delta_b with p the mass at b.
+
+    On the unit interval the interior critical point is
+    mu_p = (nu p - q)/(nu - 1) and
+    sigma_p^2 = (nu^2 p q - nu (p^2 + q^2) + p q)/(nu - 1)^2,
+    valid for 1/(nu+1) < p < nu/(nu+1); general endpoints follow by the affine
+    map t -> a + (b-a) t. Outside that range the mass at one endpoint reaches
+    nu/(nu+1) and the boundary value sits there with sigma = 0.
+    """
+    nu = float(nu)
+    if not nu > 1.0:
+        raise NuOutOfRange(f"requires nu > 1, got {nu}")
+    a, b, p = float(a), float(b), float(p)
+    if not a < b:
+        raise ValueError("need a < b")
+    if not 0.0 <= p <= 1.0:
+        raise ValueError("p must lie in [0, 1]")
+    q = 1.0 - p
+    lo = 1.0 / (nu + 1.0)
+    hi = nu / (nu + 1.0)
+    if p <= lo + EQ_TOL:
+        return OneDEstimate(mu=a, sigma=0.0, boundary=True, atom=(a, q))
+    if p >= hi - EQ_TOL:
+        return OneDEstimate(mu=b, sigma=0.0, boundary=True, atom=(b, p))
+    mu_p = (nu * p - q) / (nu - 1.0)
+    sig2 = (nu**2 * p * q - nu * (p**2 + q**2) + p * q) / (nu - 1.0) ** 2
+    return OneDEstimate(
+        mu=a + (b - a) * mu_p,
+        sigma=(b - a) * float(np.sqrt(sig2)),
+        boundary=False,
+        atom=None,
+    )
+
+
+def boundary_rate_probe(nu: float, eps_list) -> list[tuple[float, float]]:
+    """Scale of the two-point family approaching the big-atom boundary.
+
+    For each eps, the law puts mass (nu - eps)/(nu + 1) at 1 and the rest at
+    0; returns (eps, sigma) computed by the full solver. The ratio
+    sigma / sqrt(eps/(nu-1)) tends to 1 as eps decreases to 0, exhibiting the
+    square-root (non-Lipschitz) boundary rate.
+    """
+    nu = float(nu)
+    if not nu > 1.0:
+        raise NuOutOfRange(f"requires nu > 1, got {nu}")
+    out = []
+    for eps in eps_list:
+        eps = float(eps)
+        if not 0.0 < eps < nu:
+            raise ValueError("eps values must lie in (0, nu)")
+        p = (nu - eps) / (nu + 1.0)
+        sample = EmpiricalSample(np.array([[0.0], [1.0]]), np.array([1.0 - p, p]))
+        est = solve_oned(sample, nu)
+        out.append((eps, est.sigma))
+    return out

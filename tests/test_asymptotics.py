@@ -19,8 +19,6 @@ from tscatter import (
     extract,
     extract_jacobian,
     hessian,
-    influence,
-    score,
     solve_locscatter,
     solve_scatter,
     sym_basis,
@@ -29,7 +27,7 @@ from tscatter import (
     vec_to_sym,
 )
 
-from oracles import sandwich_two_pass, sandwich_two_pass_locscatter
+from oracles import influence, sandwich_two_pass, sandwich_two_pass_locscatter, score
 
 
 def four_point_law():

@@ -21,13 +21,14 @@ from tscatter import (
     solve_scatter,
     solve_scatter_stack,
 )
-from tscatter import domain_check
+from tscatter import domain_check, scatter
 from tscatter.scatter import _solve_stack
 from oracles import (
     check_locscat_domain_direct,
     check_locscat_domain_loop,
     check_scatter_domain_loop,
     merged_unique,
+    span_mass_loop,
 )
 
 
@@ -781,6 +782,32 @@ CERTIFY_LAWS = st.tuples(
 )
 
 
+def _certify_law(case):
+    """The law and a0 of a ``CERTIFY_LAWS`` case, and the generator it was drawn from."""
+    kind, d, lifted, n, weighting, seed, extra, raise_a0 = case
+    rng = np.random.default_rng(seed)
+    if kind == "threshold":
+        P, a0 = _threshold_law(d, n, lifted, seed)
+        if raise_a0 == 0.0:
+            assert not check_scatter_domain(EmpiricalSample(P), a0).member
+        a0 *= 1.0 + raise_a0
+    else:
+        if kind.startswith("flat"):
+            pts = _flat_law(kind.split()[1], d - lifted, n, False, seed).points
+        else:
+            pts = _stack_member(kind, d - lifted, n, rng)
+        P = np.hstack([pts, np.ones((pts.shape[0], 1))]) if lifted else pts
+        a0 = d + extra
+    w = None
+    if weighting != "uniform":
+        w = rng.dirichlet(np.ones(P.shape[0]))
+        if weighting == "zeros":
+            w[rng.random(w.size) < 0.3] = 0.0
+            w[0] += w.sum() == 0.0
+            w /= w.sum()
+    return EmpiricalSample(P, w), a0, rng
+
+
 class TestCertificate:
     """``certify_members`` accepts only laws the exact check accepts."""
 
@@ -788,30 +815,13 @@ class TestCertificate:
     @given(CERTIFY_LAWS)
     def test_never_accepts_what_enumeration_rejects(self, case):
         # the certificate holds for any SPD matrix, so it is tried at the
-        # law's fit (which may stop anywhere off the domain) and at a random one
-        kind, d, lifted, n, weighting, seed, extra, raise_a0 = case
-        rng = np.random.default_rng(seed)
-        if kind == "threshold":
-            P, a0 = _threshold_law(d, n, lifted, seed)
-            if raise_a0 == 0.0:
-                assert not check_scatter_domain(EmpiricalSample(P), a0).member
-            a0 *= 1.0 + raise_a0
-        else:
-            if kind.startswith("flat"):
-                pts = _flat_law(kind.split()[1], d - lifted, n, False, seed).points
-            else:
-                pts = _stack_member(kind, d - lifted, n, rng)
-            P = np.hstack([pts, np.ones((pts.shape[0], 1))]) if lifted else pts
-            a0 = d + extra
-        w = None
-        if weighting != "uniform":
-            w = rng.dirichlet(np.ones(P.shape[0]))
-            if weighting == "zeros":
-                w[rng.random(w.size) < 0.3] = 0.0
-                w[0] += w.sum() == 0.0
-                w /= w.sum()
-        q = EmpiricalSample(P, w)
-        fits, _ = _solve_stack(q.points[None], q.weights[None], ScatterConfig(nu=a0 - d, max_iter=200))
+        # law's fit (which may stop anywhere off the domain, taken without
+        # the collapse stop) and at a random one
+        q, a0, rng = _certify_law(case)
+        d = q.d
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(scatter, "COLLAPSE_STEPS", 201)
+            fits, _ = _solve_stack(q.points[None], q.weights[None], ScatterConfig(nu=a0 - d, max_iter=200))
         G = rng.standard_normal((d, d))
         candidates = [G @ G.T + 1e-3 * np.eye(d)] + [fit.A.mat for fit in fits if fit is not None]
         accepted = certify_members(np.stack([q.points] * len(candidates)), np.stack([q.weights] * len(candidates)),
@@ -832,18 +842,25 @@ class TestCertificate:
             fits = solve_scatter_stack(L, np.full((5, 60), 1 / 60), ScatterConfig(nu=nu))
             assert certify_members(L, None, np.stack([f.A.mat for f in fits]), nu + d + 1).all()
 
-    def test_refuses_off_domain_fits_that_stop_as_converged(self):
+    def test_refuses_off_domain_fits_that_stop_as_converged(self, monkeypatch):
         # of 40 draws of 300 from the near-boundary four-point law, the ones
         # with 3/4 of their mass on an axis (the threshold at nu = 2) are
-        # outside the domain, yet some of their fits stop on the gradient
-        # test, far out in the cone; the certificate must refuse them
+        # outside the domain. The solver stops them where their iterate
+        # collapses; without that stop some of their fits stop on the
+        # gradient test, far out in the cone, and the certificate must
+        # refuse those iterates
         r = np.sqrt(2.0)
         law = EmpiricalSample(np.array([[r, 0], [-r, 0], [0, r], [0, -r]]), np.array([0.372, 0.372, 0.128, 0.128]))
         rng = np.random.default_rng(3)
         P = law.points[np.stack([rng.choice(4, size=300, p=law.weights) for _ in range(40)])]
         W = np.full((40, 300), 1 / 300)
-        fits, broken = _solve_stack(P, W, ScatterConfig(nu=2.0))
+        cfg = ScatterConfig(nu=2.0)
         reports = check_stack(P, None, 4.0)
+        fits, _ = _solve_stack(P, W, cfg)
+        assert not [i for i, (fit, rpt) in enumerate(zip(fits, reports))
+                    if fit is not None and fit.stop_reason == "grad" and not rpt.member]
+        monkeypatch.setattr(scatter, "COLLAPSE_STEPS", cfg.max_iter + 1)  # the solver without its collapse stop
+        fits, _ = _solve_stack(P, W, cfg)
         converged_outside = [i for i, (fit, rpt) in enumerate(zip(fits, reports))
                              if fit is not None and fit.stop_reason == "grad" and not rpt.member]
         assert converged_outside
@@ -907,3 +924,50 @@ class TestCertificate:
             certify_members(P, None, A[:1], 4.0)
         with pytest.raises(ValueError):
             certify_members(P, W, A, 3.0)  # a0 must exceed d
+
+
+def _same_fit(a, b):
+    return (_same_bits(a.A.mat, b.A.mat) and (a.iterations, a.newton_steps, a.stop_reason, a.objective_trace)
+            == (b.iterations, b.newton_steps, b.stop_reason, b.objective_trace))
+
+
+class TestCollapseWitness:
+    """A fit stops on a collapse only where the exact check rejects the law."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(CERTIFY_LAWS)
+    def test_collapse_stops_only_laws_the_exact_check_rejects(self, case):
+        # every law family of this module, the exact-threshold constructions
+        # with a0 raised by 0 to 1e-3 among them, fitted with their
+        # zero-weight rows as solve_scatter_stack takes them; the law is the
+        # sample without those rows
+        q, a0, _ = _certify_law(case)
+        cfg = ScatterConfig(nu=a0 - q.d, max_iter=200)
+        found, witness = [], scatter._collapse_witness
+
+        def spy(*args):
+            found.append(witness(*args))
+            return found[-1]
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(scatter, "_collapse_witness", spy)
+            fits, broken = _solve_stack(q.points[None], q.weights[None], cfg)
+        positive = q.drop_zero_weights()
+        if "collapsed" in broken.get(0, ""):
+            assert not domain_check._check_exact(positive.points[None], positive.weights[None], a0)[0].member
+            dim, rows, mass, threshold = found[-1]
+            assert found[:-1] == [None] * (len(found) - 1) and len(rows) == dim
+            assert mass >= threshold - domain_check.EQ_TOL
+            # the loop's residual test counts at least the witness's points, in the merged law;
+            # the two masses sum the same weights in different orders
+            rows_of_positive = (np.cumsum(q.weights > 0.0) - 1)[list(rows)]
+            assert mass <= span_mass_loop(positive, rows_of_positive) + 4 * (q.n + 2) * np.finfo(float).eps
+        else:
+            # what the solver returns without the collapse stop, bit for bit
+            assert not any(found)
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(scatter, "COLLAPSE_STEPS", cfg.max_iter + 1)
+                want, want_broken = _solve_stack(q.points[None], q.weights[None], cfg)
+            assert broken == want_broken
+            assert (fits[0] is None) == (want[0] is None)
+            assert fits[0] is None or _same_fit(fits[0], want[0])

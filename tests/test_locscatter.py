@@ -9,11 +9,10 @@ from tscatter import (
     check_locscat_domain,
     lift,
     solve_locscatter,
-    two_point_closed_form,
     weight_u,
 )
 
-from oracles import direct_em_step, embed, objective, objective_locscat
+from oracles import direct_em_step, embed, objective, objective_locscat, two_point_closed_form
 
 
 def two_point(p):

@@ -8,15 +8,13 @@ from tscatter import (
     NoPositiveSolution,
     NuOutOfRange,
     ScatterConfig,
-    boundary_rate_probe,
     sigma_of_mu,
     solve_locscatter,
     solve_oned,
-    two_point_closed_form,
 )
 from tscatter.domain_check import EQ_TOL, max_atom
 from tscatter.oned import _profile_derivative
-from oracles import profile_objective
+from oracles import boundary_rate_probe, profile_objective, two_point_closed_form
 
 
 def sample1d(values, weights=None):

@@ -11,14 +11,17 @@ from tscatter import (
     DomainViolation,
     EmpiricalSample,
     EnumerationBudgetError,
+    NumericalBreakdown,
     ScatterConfig,
+    check_locscat_domain,
     check_scatter_domain,
+    discrete_sampler,
     lift,
     solve_locscatter,
     solve_scatter,
     weight_u,
 )
-from tscatter import scatter
+from tscatter import scatter, simlab
 from tscatter.scatter import solve_scatter_stack
 from tscatter.symspace import sym_dim, sym_to_vec, vec_to_sym
 
@@ -241,12 +244,13 @@ class TestSolveScatter:
                 return fn(*args)
             monkeypatch.setattr(scatter, name, wrapped)
 
-        for name in ("_fit_and_check", "certify_members", "_check_exact"):
+        for name in ("_fit_and_check", "_certify_members", "_check_exact"):
             spy(name, getattr(scatter, name))
         q = random_in_domain(np.random.default_rng(29), 30, 2)
         if not inside:
             # 3/4 of the mass on a line through the origin, the threshold at
-            # nu = 2 for both functionals; both fits stop on the gradient test
+            # nu = 2 for both functionals; both fits collapse onto that line,
+            # so there is no fit to certify
             q = EmpiricalSample(np.vstack([np.outer(np.arange(1.0, 7.0), [0.6, 0.8]), [[1.0, -2.0], [-3.0, 0.5]]]))
         solve = functools.partial(solve_scatter, q, ScatterConfig(nu=2.0))
         if functional == "locscatter":
@@ -256,7 +260,7 @@ class TestSolveScatter:
         else:
             with pytest.raises(DomainViolation):
                 solve()
-        assert calls == ["_fit_and_check", "certify_members"] + ["_check_exact"] * (not inside)
+        assert calls == ["_fit_and_check", "_certify_members" if inside else "_check_exact"]
 
 
 class TestScaleIdentity:
@@ -686,3 +690,87 @@ class TestStack:
     def test_rejects_ragged_shapes(self):
         with pytest.raises(ValueError):
             solve_scatter_stack(np.ones((2, 5, 2)), np.full((2, 4), 0.25), ScatterConfig(nu=1.0))
+
+
+def _collapse_step(message, dim):
+    # the iteration at which a fit stopped on a collapse onto a dim-subspace
+    head, _, step = message.rpartition(" at iteration ")
+    assert head.startswith(f"iterate collapsed onto a {dim}-subspace of mass "), message
+    return int(step)
+
+
+def _plane_law(seed):
+    # 35 of 40 t(3) points on the plane z = 0: mass 7/8 on an affine plane,
+    # past its threshold 5/6 at nu = 3 in R^3
+    rng = np.random.default_rng(seed)
+    Y = rng.standard_normal((40, 3)) / np.sqrt(rng.chisquare(3.0, (40, 1)) / 3.0)
+    Y[:35, 2] = 0.0
+    return EmpiricalSample(Y)
+
+
+class TestCollapseStop:
+    """Off-domain fits stop where the iterate collapses; in-domain fits do not change."""
+
+    @pytest.mark.parametrize("seed", range(1, 11))
+    def test_plane_law_stops_within_8_steps(self, seed):
+        # left the SPD cone after 36 to 38 steps without the stop
+        q = _plane_law(seed)
+        lifted = lift(q)
+        results, broken = scatter._solve_stack(lifted.points[None], lifted.weights[None], ScatterConfig(nu=2.0))
+        assert results == [None] and _collapse_step(broken[0], 3) <= 8
+        with pytest.raises(DomainViolation) as exc:
+            solve_locscatter(q, 3.0)
+        assert exc.value.report == check_locscat_domain(q, 6.0)
+
+    @pytest.mark.parametrize("nu", [0.5, 2.0])
+    def test_big_atom_at_the_origin_stops_within_50_steps(self, nu):
+        # 0.7 at the origin, past its threshold 1 - 1/(nu + 1): every step
+        # shrinks the iterate, which took all 500 steps without the stop
+        q = EmpiricalSample(np.array([[0.0], [1.0]]), np.array([0.7, 0.3]))
+        cfg = ScatterConfig(nu=nu)
+        results, broken = scatter._solve_stack(q.points[None], q.weights[None], cfg)
+        assert results == [None] and _collapse_step(broken[0], 0) <= 50
+        with pytest.raises(DomainViolation) as exc:
+            solve_scatter(q, cfg)
+        assert exc.value.report == check_scatter_domain(q, nu + 1.0)
+        # no fit comes out of a collapse, on any path
+        with pytest.raises(NumericalBreakdown, match="collapsed onto a 0-subspace"):
+            solve_scatter(q, cfg, check_domain=False)
+        with pytest.raises(NumericalBreakdown, match="collapsed onto a 0-subspace"):
+            solve_scatter_stack(q.points[None], q.weights[None], cfg)
+
+    @pytest.mark.parametrize("scale,nu", [(10.0, 0.2), (100.0, 0.2), (1e4, 1.0)])
+    def test_in_domain_fits_do_not_change(self, monkeypatch, scale, nu):
+        # clouds much wider than tall: their iterates spread out steadily on
+        # the way to the fit, so the witness is asked, and finds nothing
+        q = EmpiricalSample(np.random.default_rng(7).standard_normal((30, 2)) * [scale, 1.0])
+        cfg = ScatterConfig(nu=nu)
+        tries, witness = [], scatter._collapse_witness
+
+        def spy(*args):
+            tries.append(witness(*args))
+            return tries[-1]
+
+        monkeypatch.setattr(scatter, "_collapse_witness", spy)
+        got = solve_scatter(q, cfg)
+        assert tries and not any(tries)
+        monkeypatch.setattr(scatter, "COLLAPSE_STEPS", cfg.max_iter + 1)  # the solver without the stop
+        want = solve_scatter(q, cfg)
+        assert np.array_equal(got.A.mat, want.A.mat)
+        assert (got.iterations, got.newton_steps, got.stop_reason, got.objective_trace) == (
+            want.iterations, want.newton_steps, want.stop_reason, want.objective_trace)
+
+    @pytest.mark.parametrize("mode", ["scatter", "locscatter"])
+    def test_monte_carlo_replicates_do_not_change(self, monkeypatch, mode):
+        # the near-boundary four-point law: off-domain replicates now leave
+        # their stacks early, and every outcome stays as it was, bit for bit
+        pts = four_point_law().points
+        s = discrete_sampler(pts, np.array([0.372, 0.372, 0.128, 0.128]), seed=3)
+        cfg, reps = ScatterConfig(nu=2.0), range(40)
+        got = simlab._replicate_thetas(s, cfg, 300, mode, reps)
+        monkeypatch.setattr(scatter, "COLLAPSE_STEPS", cfg.max_iter + 1)
+        want = simlab._replicate_thetas(s, cfg, 300, mode, reps)
+        assert 0 < sum(isinstance(w, np.ndarray) for w in want) < len(reps)
+        for g, w in zip(got, want):
+            assert type(g) is type(w)
+            assert np.array_equal(g, w) if isinstance(w, np.ndarray) else g == w

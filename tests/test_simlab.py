@@ -15,7 +15,6 @@ from tscatter import (
     contaminated_sampler,
     discrete_sampler,
     gaussian_sampler,
-    influence,
     run_clt_experiment,
     solve_locscatter,
     solve_scatter,
@@ -25,7 +24,7 @@ from tscatter import (
 import tscatter
 from tscatter import scatter, simlab
 
-from oracles import check_class_constraint, fit_loglog_slope, run_consistency_sweep
+from oracles import check_class_constraint, fit_loglog_slope, influence, run_consistency_sweep
 
 
 def four_point_arrays():
@@ -347,7 +346,7 @@ class TestStackedDomainChecks:
         monkeypatch.setattr(simlab, "STACK_BYTES", 7 * scatter._sample_bytes(n, 2 + (mode == "locscatter")))
         chunks, fitted, certified, enumerated = [], [], [], []
         helper, solve, certify, check = (
-            simlab._fit_and_check, scatter._solve_stack, scatter.certify_members, scatter._check_exact)
+            simlab._fit_and_check, scatter._solve_stack, scatter._certify_members, scatter._check_exact)
 
         def helper_spy(points, weights, cfg):
             chunks.append(points.shape[0])
@@ -372,7 +371,7 @@ class TestStackedDomainChecks:
 
         monkeypatch.setattr(simlab, "_fit_and_check", helper_spy)
         monkeypatch.setattr(scatter, "_solve_stack", solve_spy)
-        monkeypatch.setattr(scatter, "certify_members", certify_spy)
+        monkeypatch.setattr(scatter, "_certify_members", certify_spy)
         monkeypatch.setattr(scatter, "_check_exact", check_spy)
         monkeypatch.setattr(tscatter.domain_check, "check_scatter_domain", alone)
         got = simlab._replicate_thetas(s, cfg, n, mode, range(40))
@@ -418,6 +417,42 @@ class TestStackedDomainChecks:
             run_clt_experiment(s, 2.0, n=1, reps=5, mode=mode)
         assert not want.value.report.member
         assert got.value.report == want.value.report
+
+
+class TestCertificateOfTheFit:
+    @pytest.mark.parametrize("mode", ["scatter", "locscatter"])
+    def test_reads_the_fitted_arrays(self, monkeypatch, mode):
+        # mc-d2's law: 150 replicates of 300 draws, two stacks of 75, every
+        # one inside the domain. The certificate gets the arrays the solver
+        # fitted; dividing the weights by their sum again would move them,
+        # as 300 copies of 1/300 sum to 1 + 2.2e-16
+        rng = np.random.default_rng(0)
+        law = rng.standard_normal((400, 2)) / np.sqrt(rng.chisquare(3.0, (400, 1)) / 3.0)
+        s, cfg = discrete_sampler(law, None, seed=0), ScatterConfig(nu=2.0)
+        fitted, certified = [], []
+        solve, certify = scatter._solve_stack, scatter._certify_members
+
+        def solve_spy(points, weights, cfg):
+            fitted.append((points, weights))
+            return solve(points, weights, cfg)
+
+        def certify_spy(points, weights, A, a0):
+            certified.append((points, weights))
+            return certify(points, weights, A, a0)
+
+        monkeypatch.setattr(scatter, "_solve_stack", solve_spy)
+        monkeypatch.setattr(scatter, "_certify_members", certify_spy)
+        got = simlab._replicate_thetas(s, cfg, 300, mode, range(150))
+        assert len(fitted) == len(certified) == 2
+        for (points, weights), (cert_points, cert_weights) in zip(fitted, certified):
+            assert np.array_equal(cert_points, points) and np.array_equal(cert_weights, weights)
+            assert not np.array_equal(weights / weights.sum(axis=1, keepdims=True), weights)
+        # the certificate decides verdicts only: through the public one, which
+        # divides again, every estimate comes out the same
+        monkeypatch.setattr(scatter, "_certify_members", tscatter.certify_members)
+        want = simlab._replicate_thetas(s, cfg, 300, mode, range(150))
+        assert all(isinstance(theta, np.ndarray) for theta in got)
+        assert all(np.array_equal(g, w) for g, w in zip(got, want))
 
 
 class TestUnconvergedReplicates:
