@@ -35,7 +35,6 @@ from .symspace import (
     sym_dim,
     sym_to_vec,
     symmetrize,
-    vec_to_sym,
 )
 
 __all__ = [

@@ -21,12 +21,11 @@ the MM step would, up to roundoff, so the monotone descent of the MM iteration
 the Newton steps converge quadratically.
 
 The Newton system lives on the K = d(d+1)/2 coordinates of a symmetric
-matrix. On small fits it is solved exactly from its K x K Gram matrix, which
-costs n K^2 multiply-adds and 8 n K bytes of outer-product rows; from
-``CG_MIN_WORK`` multiply-adds on it is solved inexactly by preconditioned
-conjugate gradients on d x d matrices, about 4 n d^2 flops and O(n d)
-memory per product. A step that CG cannot find is declined, and the sample
-takes the MM step.
+matrix. Its K x K matrix is never formed: each step is solved inexactly by
+preconditioned conjugate gradients on d x d matrices, about 4 n d^2 flops
+and O(n d) memory per product, to a relative residual that shrinks with the
+gradient, so the local convergence stays quadratic. A step that CG cannot
+find is declined, and the sample takes the MM step.
 
 Each sample starts at the best multiple c I of the identity (the scalar case
 of the fixed-point equation), which scales with the data as the fit does,
@@ -64,15 +63,7 @@ import numpy as np
 
 from .domain_check import EmpiricalSample, _certify_members, _check_exact, _collapse_witness, _positive_rows
 from .exceptions import DomainViolation, NumericalBreakdown
-from .symspace import (
-    SpdMatrix,
-    outer_gram,
-    spd_cholesky,
-    sym_dim,
-    sym_to_vec,
-    symmetrize,
-    vec_to_sym,
-)
+from .symspace import SpdMatrix, spd_cholesky, sym_dim, symmetrize
 
 __all__ = [
     "ScatterConfig",
@@ -99,16 +90,6 @@ STEP_TOL = 1e-12
 # that diagonal shrank (a collapse onto the origin), by more than this factor
 COLLAPSE_STEPS = 3
 COLLAPSE_RATE = 1.2
-
-# Newton steps of samples whose Gram matrix costs at least this many
-# multiply-adds, n K^2 with K = d(d+1)/2, are solved by conjugate gradients
-# (see _cg_side): 2e4 points in 10 dimensions (6e7) are, 300-point samples
-# in 2 or 3 dimensions (up to 1.1e4) and 44 points in 4 (4.4e3) are not.
-# Whole t(2) fits with conjugate gradients took, against the Gram matrix,
-# 0.7-0.95x the time at d = 5 to 10 past the constant, 1.1-1.2x on 2e4
-# points in 2 to 4 dimensions, near the constant, and 2.2x on 44 points in
-# 4 dimensions (one BLAS thread, 2-core x86).
-CG_MIN_WORK = 1e6
 
 
 @dataclass(frozen=True)
@@ -217,41 +198,20 @@ def _newton_candidates(L, Z, s, w, nu: float, M):
     ``asymptotics.hessian`` at the identity. The step D solves
     (I - G) D = I - M, and the candidate is L (I + D)^{-1} L'.
 
-    Where forming G costs at least ``CG_MIN_WORK`` per sample (see
-    :func:`_cg_side`), the step is an inexact Newton step by
-    :func:`_cg_steps`, solved to the relative residual
-    min(1/2, ||I - M||_F) (the forcing rule of Dembo, Eisenstat and
-    Steihaug, SIAM J. Numer. Anal. 19, 1982), which keeps the local
-    convergence quadratic; below it, G is the K x K Gram matrix of the
-    outer-product rows and the step an exact solve. The safeguard in the
-    solver loop is the same for both. Returns the candidates, their Cholesky
+    The step is an inexact Newton step by :func:`_cg_steps`, solved to the
+    relative residual min(1/2, ||I - M||_F) (the forcing rule of Dembo,
+    Eisenstat and Steihaug, SIAM J. Numer. Anal. 19, 1982), which keeps the
+    local convergence quadratic. Returns the candidates, their Cholesky
     factors, the whitened step sizes ||(I + D)^{-1} - I||_F, and which
     candidates exist: the step was found, and I + D and the candidate are SPD.
     """
-    R, d, n = Z.shape
+    d = Z.shape[1]
     eye = np.eye(d)
     with np.errstate(over="ignore"):
         # an iterate collapsing off the domain can take s past 1e154, whose weight is then 0
         g = (nu + d) * w / (nu + s) ** 2
-    if _cg_side(n, d):
-        E = eye - M
-        step, ok = _cg_steps(Z, s, g, E, np.minimum(0.5, np.linalg.norm(E, axis=(1, 2))))
-    else:
-        G = outer_gram(np.swapaxes(Z, 1, 2), g)
-        H = np.eye(G.shape[-1]) - G
-        rhs = -sym_to_vec(M - eye)[..., None]
-        ok = np.ones(R, dtype=bool)
-        try:
-            step = np.linalg.solve(H, rhs)[..., 0]
-        except np.linalg.LinAlgError:
-            # a stacked solve fails as a whole; redo it one system at a time
-            step = np.zeros(rhs.shape[:2])
-            for i in range(R):
-                try:
-                    step[i] = np.linalg.solve(H[i], rhs[i])[:, 0]
-                except np.linalg.LinAlgError:
-                    ok[i] = False
-        step = vec_to_sym(step)
+    E = eye - M
+    step, ok = _cg_steps(Z, s, g, E, np.minimum(0.5, np.linalg.norm(E, axis=(1, 2))))
     Lc, ok_c = spd_cholesky(eye + step)
     Lc_inv = np.linalg.inv(Lc)
     # L C^{-1} L' = W'W with W = chol(C)^{-1} L'
@@ -260,19 +220,6 @@ def _newton_candidates(L, Z, s, w, nu: float, M):
     chol, ok_b = spd_cholesky(B)
     size = np.linalg.norm(np.swapaxes(Lc_inv, 1, 2) @ Lc_inv - eye, axis=(1, 2))
     return B, chol, size, ok & ok_c & ok_b
-
-
-def _cg_side(n: int, d: int) -> bool:
-    """Whether Newton steps on n points in R^d are solved by conjugate gradients.
-
-    Forming the Gram matrix of the (K, n) outer-product rows costs n K^2
-    multiply-adds, K = d(d+1)/2, and one conjugate-gradient product about
-    4 n d^2 flops; on small fits the Gram matrix is cheap, and the dozen
-    numpy calls of each conjugate-gradient product cost more than they
-    save. The rule reads the size of one sample only, never the size of
-    the stack, so a sample's fit does not depend on the stack it is solved in.
-    """
-    return n * sym_dim(d) ** 2 >= CG_MIN_WORK
 
 
 def _cg_steps(Z, s, g, E, eta):
@@ -352,14 +299,11 @@ def _sample_bytes(n: int, d: int) -> int:
     """Scratch memory one sample of an (R, n, d) stack takes in the solver loop.
 
     Per point: the data and its transposed copy, three whitened copies and
-    the one kept, and quadratic forms and weights; then what the Newton step
-    takes: on the dense side of :func:`_cg_side`, the point's column of the
-    coordinate-major (K, n) outer-product rows of the Gram matrix, on the
-    conjugate-gradient side a compacted whitened copy and two d-vectors and
-    a weight of each product.
+    the one kept, and quadratic forms and weights; then what a Newton step
+    takes, a compacted whitened copy and two d-vectors and a weight of each
+    conjugate-gradient product.
     """
-    newton = 3 * d + 1 if _cg_side(n, d) else sym_dim(d)
-    return 8 * n * (6 * d + newton + 10)
+    return 8 * n * (9 * d + 11)
 
 
 def solve_scatter(

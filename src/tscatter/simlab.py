@@ -50,7 +50,7 @@ SURROGATE_N = 1_000_000
 REL_THRESHOLD = 0.05
 
 # Solver scratch memory, in bytes, that one stack of replicate fits may take.
-# A 150-replicate job of 300 draws in 2-D (60 kB each) runs as two stacks of 75.
+# A 150-replicate job of 300 draws in 2-D (70 kB each) runs as two stacks of 75.
 STACK_BYTES = 8 * 2**20
 
 

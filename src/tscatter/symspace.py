@@ -3,7 +3,7 @@
 Provides an SPD wrapper with a cached Cholesky factor, the extraction of
 (Sigma, mu, gamma) from a lifted (d+1)-dimensional scatter matrix, an
 isometric half-vectorization of the space of symmetric matrices, and the
-outer-product rows and weighted Gram matrices built on it.
+outer-product rows built on it.
 """
 
 from __future__ import annotations
@@ -25,7 +25,6 @@ __all__ = [
     "sym_basis",
     "congruence_matrix",
     "outer_vecs",
-    "outer_gram",
 ]
 
 SQRT2 = np.sqrt(2.0)
@@ -275,16 +274,3 @@ def outer_vecs(points) -> np.ndarray:
         np.multiply(zt[..., a : a + 1, :] * SQRT2, zt[..., a + 1 :, :], out=out[..., k : k + d - 1 - a, :])
         k += d - 1 - a
     return np.swapaxes(out, -1, -2)
-
-
-def outer_gram(points, c) -> np.ndarray:
-    """Weighted Gram matrix sum_i c_i vec(y_i y_i') vec(y_i y_i')' for c >= 0.
-
-    Scales the coordinate-major (K, n) rows of :func:`outer_vecs` by sqrt(c)
-    and takes one (K x n)(n x K) product on contiguous memory. With a leading
-    batch axis on ``points`` (R, n, d) and ``c`` (R, n), returns the (R, K, K)
-    stack.
-    """
-    V = np.swapaxes(outer_vecs(points), -1, -2)
-    V *= np.sqrt(np.asarray(c, dtype=float))[..., None, :]
-    return V @ np.swapaxes(V, -1, -2)

@@ -123,7 +123,11 @@ def outer_vecs_gather(points) -> np.ndarray:
 
 
 def outer_gram_einsum(points, c) -> np.ndarray:
-    """``symspace.outer_gram`` as the sum of c_i vec(y_i y_i') vec(y_i y_i')' by einsum."""
+    """Weighted Gram matrix sum_i c_i vec(y_i y_i') vec(y_i y_i')' by einsum.
+
+    The K x K matrix of the operator G of the solver's Newton steps, which
+    conjugate gradients apply without forming it.
+    """
     V = outer_vecs_gather(points)
     return np.einsum("...n,...ni,...nj->...ij", np.asarray(c, dtype=float), V, V)
 

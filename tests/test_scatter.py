@@ -43,11 +43,6 @@ def random_in_domain(rng, n, d):
     return EmpiricalSample(rng.standard_normal((n, d)))
 
 
-# CG_MIN_WORK values that put every fit on one side: exact Newton steps from
-# the Gram matrix, or conjugate-gradient steps
-DENSE, CG = np.inf, 0.0
-
-
 def _t2_cloud(n, d, seed):
     rng = np.random.default_rng(seed)
     return EmpiricalSample(rng.standard_normal((n, d)) / np.sqrt(rng.chisquare(2.0, (n, 1)) / 2.0))
@@ -352,13 +347,12 @@ class TestScaleFree:
         assert np.linalg.norm(res.A.mat - target) <= 1e-8 * np.linalg.norm(target)
 
     @pytest.mark.parametrize("c", [1e-6, 1e-3, 1.0, 1e3, 1e6])
-    def test_step_counts_do_not_depend_on_units(self, monkeypatch, c):
+    def test_step_counts_do_not_depend_on_units(self, c):
         # the start c I scales with the data, so the fit of c X takes the
-        # steps of the fit of X: an MM fallback, then Newton steps (exact
-        # ones: with conjugate-gradient steps this cloud takes Newton steps only)
-        monkeypatch.setattr(scatter, "CG_MIN_WORK", DENSE)
+        # steps of the fit of X: Newton steps and an MM fallback (a t(1)
+        # cloud off the origin; centred, it takes Newton steps only)
         rng = np.random.default_rng(23)
-        heavy = rng.standard_normal((200, 3)) / np.abs(rng.standard_normal((200, 1)))
+        heavy = rng.standard_normal((200, 3)) / np.abs(rng.standard_normal((200, 1))) + [3.0, 0.0, 0.0]
         cfg = ScatterConfig(nu=1.0)
         unit = solve_scatter(EmpiricalSample(heavy), cfg)
         res = solve_scatter(EmpiricalSample(c * heavy), cfg)
@@ -439,15 +433,6 @@ class TestAgainstMmOracle:
     @settings(max_examples=100, deadline=None)
     @given(LAWS)
     def test_matches_mm_limit(self, case):
-        self._check_mm_limit(case, DENSE)
-
-    @settings(max_examples=100, deadline=None)
-    @given(LAWS)
-    def test_matches_mm_limit_on_cg_steps(self, case):
-        self._check_mm_limit(case, CG)
-
-    @staticmethod
-    def _check_mm_limit(case, cg_min_work):
         kind, d, extra, dirichlet, seed, nu = case
         assume(kind != "lifted" or d >= 2)
         q = _law(kind, d, d + extra, dirichlet, seed)
@@ -459,7 +444,6 @@ class TestAgainstMmOracle:
         # nu near 0.05, where the curvature is small; 1e-12 leaves a margin
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(scatter, "STEP_TOL", 1e-15)
-            mp.setattr(scatter, "CG_MIN_WORK", cg_min_work)
             res = solve_scatter(q, ScatterConfig(nu=nu, tol_grad=1e-12), check_domain=False)
         assert res.converged
         assert np.linalg.norm(res.A.mat - ref.A.mat) <= 1e-8 * np.linalg.norm(ref.A.mat)
@@ -467,49 +451,33 @@ class TestAgainstMmOracle:
 
     @pytest.mark.parametrize("nu", [0.1, 5.0])
     def test_d10_newton_system_matches_einsum_oracle(self, nu):
-        # fit-d10-sized steps (K = 55) are solved by conjugate gradients: at a
-        # relative residual of 1e-13 the step is the solve of the Gram system
-        # summed by einsum, and the default fit lands on the MM fixed point
+        # fit-d10-sized steps (K = 55): at a relative residual of 1e-13 the
+        # conjugate-gradient step is the solve of the Gram system summed by
+        # einsum, and the default fit lands on the MM fixed point
         q = _t2_cloud(2000, 10, 71)
-        assert scatter._cg_side(q.n, q.d)
         ref = solve_scatter_mm(q, ScatterConfig(nu=nu, tol_grad=1e-13, max_iter=5000))
         assert ref.stop_reason != "max_iter"
         for B in (ref.A.mat, 1.5 * ref.A.mat + np.diag(np.diag(ref.A.mat))):
-            _, Z, s, w, M = _newton_inputs(q, B, nu)
-            g = (nu + q.d) * w / (nu + s) ** 2
-            E = np.eye(q.d) - M
-            D, ok = scatter._cg_steps(Z, s, g, E, np.array([1e-13]))
-            H = np.eye(sym_dim(q.d)) - outer_gram_einsum(np.swapaxes(Z, 1, 2), g)
-            want = vec_to_sym(np.linalg.solve(H, sym_to_vec(E)[..., None])[..., 0])
-            assert ok[0]
-            assert np.linalg.norm(D - want) <= 1e-10 * np.linalg.norm(want)
+            _assert_cg_solves_gram_system([q], [B], nu, 1e-10)
         res = solve_scatter(q, ScatterConfig(nu=nu), check_domain=False)
         assert res.converged and res.newton_steps > 0
         assert np.linalg.norm(res.A.mat - ref.A.mat) <= 1e-8 * np.linalg.norm(ref.A.mat)
         assert_monotone(res.objective_trace)
 
-    def test_fits_past_the_constant_form_no_gram_matrix(self, monkeypatch):
-        # n K^2 = 2000 * 55^2 is past CG_MIN_WORK: every Newton step is
-        # solved by conjugate gradients, and outer_gram is never called
-        calls = []
-        monkeypatch.setattr(scatter, "outer_gram", lambda *args: calls.append(args))
-        res = solve_scatter(_t2_cloud(2000, 10, 73), ScatterConfig(nu=1.0), check_domain=False)
-        assert res.converged and res.newton_steps > 0
-        assert calls == []
-
-    @pytest.mark.parametrize("nu", [0.1, 1.0, 5.0])
-    def test_cg_fits_match_dense_fits(self, monkeypatch, nu):
-        # the inexact steps change the path, not the fit: both converge to
-        # the default tol_grad and agree within 1e-9, on no more steps
-        q = _t2_cloud(2000, 10, 79)
-        cfg = ScatterConfig(nu=nu)
-        cg = solve_scatter(q, cfg, check_domain=False)
-        monkeypatch.setattr(scatter, "CG_MIN_WORK", DENSE)
-        dense = solve_scatter(q, cfg, check_domain=False)
-        assert cg.converged and dense.converged
-        assert cg.iterations <= dense.iterations
-        assert np.linalg.norm(cg.A.mat - dense.A.mat) <= 1e-9 * np.linalg.norm(dense.A.mat)
-        assert_monotone(cg.objective_trace)
+    @pytest.mark.parametrize("shape", ["d1", "d2", "d3", "lifted_d4", "stack"])
+    def test_small_newton_systems_match_einsum_oracle(self, shape):
+        # small fits take conjugate-gradient steps too: away from the fit,
+        # where I - M is not roundoff, the step at a relative residual of
+        # 1e-13 is the Gram solve, alone and in a stack of samples
+        nu = 1.5
+        if shape == "lifted_d4":
+            laws = [lift(_t2_cloud(44, 3, 89))]
+        elif shape == "stack":
+            laws = [_t2_cloud(300, 3, seed) for seed in (97, 101, 103, 107)]
+        else:
+            laws = [_t2_cloud(300, int(shape[1]), 109)]
+        A = [solve_scatter(q, ScatterConfig(nu=nu), check_domain=False).A.mat for q in laws]
+        _assert_cg_solves_gram_system(laws, [1.5 * a + np.diag(np.diag(a)) for a in A], nu, 1e-12)
 
     def test_cg_declines_an_indefinite_step(self):
         # at B = 1e-6 A every s_i is far past nu, so alpha (d + 2) nears
@@ -575,6 +543,21 @@ class TestAgainstMmOracle:
         assert worst <= 20
 
 
+def _assert_cg_solves_gram_system(laws, iterates, nu, rtol):
+    """_cg_steps at eta = 1e-13 on a stack of the laws at their iterates, against the einsum Gram solve."""
+    inputs = [_newton_inputs(q, B, nu) for q, B in zip(laws, iterates)]
+    _, Z, s, w, M = (np.concatenate(parts) for parts in zip(*inputs))
+    d = Z.shape[1]
+    g = (nu + d) * w / (nu + s) ** 2
+    E = np.eye(d) - M
+    D, ok = scatter._cg_steps(Z, s, g, E, np.full(len(laws), 1e-13))
+    H = np.eye(sym_dim(d)) - outer_gram_einsum(np.swapaxes(Z, 1, 2), g)
+    want = vec_to_sym(np.linalg.solve(H, sym_to_vec(E)[..., None])[..., 0])
+    assert ok.all()
+    for got, ref in zip(D, want):
+        assert np.linalg.norm(got - ref) <= rtol * np.linalg.norm(ref)
+
+
 def _assert_same_fit(got, want):
     assert got.stop_reason == want.stop_reason
     assert np.linalg.norm(got.A.mat - want.A.mat) <= 1e-10 * np.linalg.norm(want.A.mat)
@@ -595,43 +578,27 @@ class TestStack:
     @settings(max_examples=100, deadline=None)
     @given(*STACKS)
     def test_matches_single_solves(self, kind, d, extra, members, nu):
-        self._check_single_solves(kind, d, extra, members, nu, DENSE)
-
-    @settings(max_examples=100, deadline=None)
-    @given(*STACKS)
-    def test_matches_single_solves_on_cg_steps(self, kind, d, extra, members, nu):
-        self._check_single_solves(kind, d, extra, members, nu, CG)
-
-    @staticmethod
-    def _check_single_solves(kind, d, extra, members, nu, cg_min_work):
         assume(kind != "lifted" or d >= 2)
         laws = [_law(kind, d, d + extra, dirichlet, seed) for dirichlet, seed in members]
         laws = [q for q in laws if check_scatter_domain(q, nu + d).member]
         assume(laws)
         cfg = ScatterConfig(nu=nu)
-        with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(scatter, "CG_MIN_WORK", cg_min_work)
-            stacked = solve_scatter_stack(
-                np.stack([q.points for q in laws]), np.stack([q.weights for q in laws]), cfg
-            )
-            singles = [solve_scatter(q, cfg, check_domain=False) for q in laws]
+        stacked = solve_scatter_stack(np.stack([q.points for q in laws]), np.stack([q.weights for q in laws]), cfg)
+        singles = [solve_scatter(q, cfg, check_domain=False) for q in laws]
         assert len(stacked) == len(laws)
         for got, want in zip(stacked, singles):
             _assert_same_fit(got, want)
             assert (got.iterations, got.newton_steps) == (want.iterations, want.newton_steps)
 
-    def test_mixed_stops_in_one_stack(self, monkeypatch):
+    def test_mixed_stops_in_one_stack(self):
         # one shared max_iter: a sample that converges on Newton steps, one
-        # that needs an MM fallback first (heavy tails, in units 1e3), and one
-        # too far from the origin to converge in time (12 steps, 4 of them
-        # MM); exact Newton steps, as with conjugate-gradient steps the
-        # second takes Newton steps only
-        monkeypatch.setattr(scatter, "CG_MIN_WORK", DENSE)
+        # that needs an MM fallback (heavy tails off the origin, in units
+        # 1e3), and one too far from the origin to converge in time
         heavy = np.random.default_rng(23)
         heavy = heavy.standard_normal((200, 3)) / np.abs(heavy.standard_normal((200, 1)))
         laws = [
             EmpiricalSample(np.random.default_rng(3).standard_normal((200, 3))),
-            EmpiricalSample(1e3 * heavy),
+            EmpiricalSample(1e3 * (heavy + [3.0, 0.0, 0.0])),
             EmpiricalSample(heavy + [1e3, 0.0, 0.0]),
         ]
         cfg = ScatterConfig(nu=1.0, max_iter=8)

@@ -14,9 +14,9 @@ from tscatter import (
     vec_to_sym,
 )
 from tscatter.exceptions import DegeneracyError
-from tscatter.symspace import _layout, outer_gram, outer_vecs, spd_cholesky, symmetrize
+from tscatter.symspace import _layout, outer_vecs, spd_cholesky, symmetrize
 
-from oracles import embed, outer_gram_einsum, outer_vecs_gather
+from oracles import embed, outer_vecs_gather
 
 
 def random_spd(rng, d, scale=1.0):
@@ -218,15 +218,6 @@ class TestOuterProducts:
         # the returned view is writable, so callers may scale it in place
         got *= 2.0
         assert np.array_equal(got, 2.0 * want)
-
-    @pytest.mark.parametrize("layout", ["n_by_d", "solver_view", "strided", "d1"])
-    def test_outer_gram_matches_einsum(self, layout):
-        pts = _point_layouts()[layout]
-        c = np.random.default_rng(19).uniform(0.0, 2.0, pts.shape[:-1])
-        got = outer_gram(pts, c)
-        want = outer_gram_einsum(pts, c)
-        assert got.shape == want.shape
-        assert np.allclose(got, want, rtol=1e-12, atol=0.0)
 
 
 class TestStackedRules:
