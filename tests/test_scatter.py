@@ -433,6 +433,17 @@ class TestAgainstMmOracle:
     @settings(max_examples=100, deadline=None)
     @given(LAWS)
     def test_matches_mm_limit(self, case):
+        self._check_mm_limit(case, exact_steps=False)
+
+    @settings(max_examples=100, deadline=None)
+    @given(LAWS)
+    def test_matches_mm_limit_on_cg_steps(self, case):
+        # conjugate gradients run to a relative residual of 1e-13 (or K
+        # products) instead of the forcing rule: the near-exact Newton step
+        self._check_mm_limit(case, exact_steps=True)
+
+    @staticmethod
+    def _check_mm_limit(case, exact_steps):
         kind, d, extra, dirichlet, seed, nu = case
         assume(kind != "lifted" or d >= 2)
         q = _law(kind, d, d + extra, dirichlet, seed)
@@ -444,6 +455,8 @@ class TestAgainstMmOracle:
         # nu near 0.05, where the curvature is small; 1e-12 leaves a margin
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(scatter, "STEP_TOL", 1e-15)
+            if exact_steps:
+                _solve_cg_steps_exactly(mp)
             res = solve_scatter(q, ScatterConfig(nu=nu, tol_grad=1e-12), check_domain=False)
         assert res.converged
         assert np.linalg.norm(res.A.mat - ref.A.mat) <= 1e-8 * np.linalg.norm(ref.A.mat)
@@ -558,6 +571,12 @@ def _assert_cg_solves_gram_system(laws, iterates, nu, rtol):
         assert np.linalg.norm(got - ref) <= rtol * np.linalg.norm(ref)
 
 
+def _solve_cg_steps_exactly(mp):
+    """Make the solver's CG steps run to a relative residual of 1e-13 instead of its forcing rule."""
+    cg_steps = scatter._cg_steps
+    mp.setattr(scatter, "_cg_steps", lambda Z, s, g, E, eta: cg_steps(Z, s, g, E, np.full_like(eta, 1e-13)))
+
+
 def _assert_same_fit(got, want):
     assert got.stop_reason == want.stop_reason
     assert np.linalg.norm(got.A.mat - want.A.mat) <= 1e-10 * np.linalg.norm(want.A.mat)
@@ -578,13 +597,29 @@ class TestStack:
     @settings(max_examples=100, deadline=None)
     @given(*STACKS)
     def test_matches_single_solves(self, kind, d, extra, members, nu):
+        self._check_single_solves(kind, d, extra, members, nu, exact_steps=False)
+
+    @settings(max_examples=100, deadline=None)
+    @given(*STACKS)
+    def test_matches_single_solves_on_cg_steps(self, kind, d, extra, members, nu):
+        # near-exact CG steps: most samples run all K products and leave the
+        # active stack on the product count rather than on their residual
+        self._check_single_solves(kind, d, extra, members, nu, exact_steps=True)
+
+    @staticmethod
+    def _check_single_solves(kind, d, extra, members, nu, exact_steps):
         assume(kind != "lifted" or d >= 2)
         laws = [_law(kind, d, d + extra, dirichlet, seed) for dirichlet, seed in members]
         laws = [q for q in laws if check_scatter_domain(q, nu + d).member]
         assume(laws)
         cfg = ScatterConfig(nu=nu)
-        stacked = solve_scatter_stack(np.stack([q.points for q in laws]), np.stack([q.weights for q in laws]), cfg)
-        singles = [solve_scatter(q, cfg, check_domain=False) for q in laws]
+        with pytest.MonkeyPatch.context() as mp:
+            if exact_steps:
+                _solve_cg_steps_exactly(mp)
+            stacked = solve_scatter_stack(
+                np.stack([q.points for q in laws]), np.stack([q.weights for q in laws]), cfg
+            )
+            singles = [solve_scatter(q, cfg, check_domain=False) for q in laws]
         assert len(stacked) == len(laws)
         for got, want in zip(stacked, singles):
             _assert_same_fit(got, want)
