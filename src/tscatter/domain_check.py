@@ -31,7 +31,7 @@ The solve paths need only a verdict, and they have a fit. From it
 once, and it never accepts a law the exact check rejects; it proves nothing
 when it declines. So the solvers fit first, certify, and enumerate only the
 samples the certificate cannot accept, and the budget limits them only there;
-one stacked helper in ``scatter`` does that for every solve path.
+one stacked helper in ``scatter`` fits and certifies for every solve path.
 ``check_scatter_domain`` always enumerates, since its report names the worst
 subspace.
 
@@ -63,13 +63,17 @@ So a member law is never stopped, whatever the iterate; the witness proves
 nothing when it does not fire. At q = 0 it is the mass at the origin, the
 collapse of the whole iterate.
 
-The exact check (``_check_exact``) runs on stacks of samples, merged by one
-sort and padded to a common size; each block row is a (sample, fixed tuple)
-pair. Tolerances, maxima and ties are kept per sample and padding enters no
-test, so each report equals its sample's own. The solve paths enumerate the
-samples the certificate declines as one such stack; ``check_scatter_domain``
-is the stack of one of its sample's positive rows, and
-``EmpiricalSample.merged`` that of the stacked merge.
+The exact check (``_check_exact``) takes one sample, merged by one sort;
+each row of a block is one fixed tuple. Three callers enumerate:
+
+* ``check_scatter_domain``, on the sample's positive rows;
+* ``solve_scatter``, on a sample whose fit the certificate does not accept,
+  collapsed or not, so that its report names the worst subspace;
+* the Monte Carlo replicates, on each replicate that neither the certificate
+  nor the witness decides, one at a time. A replicate the witness stopped
+  counts as outside the domain without enumeration; ``run_clt_experiment``
+  enumerates the first replicate outside, on its own, only for the report
+  it raises when fewer than two replicates are members.
 """
 
 from __future__ import annotations
@@ -155,9 +159,9 @@ class EmpiricalSample:
         Returns ``(sample, rep_index)`` where ``rep_index[k]`` is the index in
         the original sample of the first occurrence of merged point k. Points
         come back in lexicographic order; each merged weight sums its copies
-        in index order. The stack of one of the stacked merge.
+        in index order.
         """
-        pts, w, rep, _ = _merge(self.points[None], self.weights[None])
+        pts, w, rep = _merge(self.points, self.weights)
         return EmpiricalSample._carry(pts, w), rep
 
     def drop_zero_weights(self) -> "EmpiricalSample":
@@ -233,20 +237,14 @@ def _as_stack(points, weights):
 
 
 def _merge(points: np.ndarray, weights: np.ndarray):
-    # EmpiricalSample.merged of each sample of a checked stack, by one stable
-    # lexsort of every sample's points at once: all merged points one sample
-    # after another, their weights (the sums of their copies), the index of
-    # each one's first copy in its sample, and each merged size
-    R, n, d = points.shape
-    order = np.lexsort(points.transpose(2, 0, 1)[::-1], axis=-1).ravel()  # copies keep index order
-    flat = order + np.arange(R).repeat(n) * n
-    pts = points.reshape(R * n, d)[flat]
-    first = np.ones(R * n, dtype=bool)
+    # EmpiricalSample.merged of a checked sample by one stable lexsort: the
+    # merged points, their weights (the sums of their copies) and the index
+    # of each one's first copy
+    order = np.lexsort(points.T[::-1])  # copies keep index order
+    pts = points[order]
+    first = np.ones(len(pts), dtype=bool)
     first[1:] = (pts[1:] != pts[:-1]).any(axis=1)
-    first[::n] = True
-    w = np.bincount(np.cumsum(first) - 1, weights=weights.reshape(-1)[flat])
-    sizes = first.reshape(R, n).sum(axis=1)
-    return pts[first], w, order[first], sizes
+    return pts[first], np.bincount(np.cumsum(first) - 1, weights=weights[order]), order[first]
 
 
 def _point_scale(points: np.ndarray):
@@ -295,7 +293,7 @@ def check_scatter_domain(sample: EmpiricalSample, a0: float) -> DomainReport:
     points, as if each subset were tested in turn.
     """
     positive, to_caller = _positive_rows(sample)
-    return to_caller(_check_exact(positive.points[None], positive.weights[None], float(a0))[0])
+    return to_caller(_check_exact(positive.points, positive.weights, float(a0)))
 
 
 def certify_members(points, weights, A, a0: float) -> np.ndarray:
@@ -405,16 +403,12 @@ def _best_candidate(cands):
     return max(cands, key=lambda c: (c[0] - c[1], c[0]))
 
 
-def _subset_blocks(sizes: np.ndarray, size: int, block: int):
-    # (sample, subset) index arrays of at most `block` pairs each: sample by
-    # sample, each sample's subsets of its own points in combinations order
-    # (size 0 gives every sample its one empty subset)
-    combos = itertools.chain.from_iterable(itertools.combinations(range(m), size) for m in sizes.tolist())
-    ends, done = np.cumsum([math.comb(m, size) for m in sizes.tolist()]), 0
+def _subset_blocks(m: int, size: int, block: int):
+    # the subsets of `size` of m points in combinations order, as index arrays
+    # of at most `block` rows (size 0 gives the one empty subset)
+    combos = itertools.combinations(range(m), size)
     while chunk := list(itertools.islice(combos, block)):
-        yield np.searchsorted(ends, np.arange(done, done + len(chunk)), "right"), np.array(
-            chunk, dtype=np.intp).reshape(len(chunk), size)
-        done += len(chunk)
+        yield np.array(chunk, dtype=np.intp).reshape(len(chunk), size)
 
 
 def _ranges(starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
@@ -435,23 +429,22 @@ def _exact_masses(counts: np.ndarray, idx: np.ndarray, w: np.ndarray) -> np.ndar
     return masses
 
 
-def _frames(X: np.ndarray, smp: np.ndarray, fixed: np.ndarray, tol: np.ndarray):
+def _frames(X: np.ndarray, fixed: np.ndarray, tol: float):
     """Coordinates of every point on the orthogonal complement of each fixed tuple's span.
 
-    Rows are (sample, fixed tuple) pairs; keeps the independent tuples (the
-    diag(R) test of their QR). Returns their samples and tuples, the (B, m,
-    d - s) coordinates and their norms, the distances to the span.
+    Keeps the independent tuples (the diag(R) test of their QR). Returns
+    them, the (B, m, d - s) coordinates and their norms, the distances to
+    the span.
     """
     s = fixed.shape[1]
     if s == 0:
-        C = X[smp]
+        C = X[None]
     else:
-        q, r = np.linalg.qr(X[smp[:, None], fixed].transpose(0, 2, 1), mode="complete")
-        indep = np.abs(np.diagonal(r, axis1=1, axis2=2)).min(axis=1) > tol[smp]
-        smp, fixed = smp[indep], fixed[indep]
-        # rows are sorted by sample: the points of a one-sample block broadcast
-        C = (X[smp[0]] if smp.size and smp[0] == smp[-1] else X[smp]) @ q[indep, :, s:]
-    return smp, fixed, C, np.sqrt(sum(np.square(C[..., k]) for k in range(C.shape[2])))
+        q, r = np.linalg.qr(X[fixed].transpose(0, 2, 1), mode="complete")
+        indep = np.abs(np.diagonal(r, axis1=1, axis2=2)).min(axis=1) > tol
+        fixed = fixed[indep]
+        C = X @ q[indep, :, s:]
+    return fixed, C, np.sqrt(sum(np.square(C[..., k]) for k in range(C.shape[2])))
 
 
 @functools.lru_cache(maxsize=None)
@@ -463,24 +456,24 @@ def _plane(r: int) -> np.ndarray:
     return plane
 
 
-def _line_groups(C: np.ndarray, norms: np.ndarray, on: np.ndarray, tol: np.ndarray):
+def _line_groups(C: np.ndarray, norms: np.ndarray, on: np.ndarray, tol: float):
     """Group the points of each frame by the line through the origin they lie on.
 
     ``C`` is (B, m, r): coordinates on a complement, with lengths ``norms``;
-    ``on`` marks the points farther than their row's ``tol`` (a (B, 1) column
-    or one scalar) from the origin. Each gets an arc on the circle of lines
-    (angles mod pi): the direction of its projection onto a fixed generic
-    plane, widened to every direction whose line passes within 2 tol of it.
-    One sort per row by arc start finds the overlapping arcs, which form a
-    group, so a line through one member holds no point of another group
-    within 2 tol. A group is clean when its members' directions lie so close
-    that each is within tol/2 of the line through any other, and no arc of
-    its row reaches past the ends of the circle, where it could split a group.
+    ``on`` marks the points farther than ``tol`` from the origin. Each gets
+    an arc on the circle of lines (angles mod pi): the direction of its
+    projection onto a fixed generic plane, widened to every direction whose
+    line passes within 2 tol of it. One sort per row by arc start finds the
+    overlapping arcs, which form a group, so a line through one member holds
+    no point of another group within 2 tol. A group is clean when its
+    members' directions lie so close that each is within tol/2 of the line
+    through any other, and no arc of its row reaches past the ends of the
+    circle, where it could split a group.
 
     Returns all (row, point) pairs, row by row, with each group contiguous and
-    every point not in ``on`` alone at the end of its row; their flat indices
-    row * m + point; the group starts; which groups are lines (not a point of
-    span(F) or padding); and which lines are clean.
+    every point not in ``on`` alone at the end of its row; the group starts;
+    which groups are lines (not a point of span(F)); and which lines are
+    clean.
     """
     B, m = norms.shape
     z = C @ _plane(C.shape[2])
@@ -510,104 +503,77 @@ def _line_groups(C: np.ndarray, norms: np.ndarray, on: np.ndarray, tol: np.ndarr
         u = C[rows[many], pts[many]] / norms[rows[many], pts[many], None]
         v = C[rows[first], pts[first]] / norms[rows[first], pts[first], None]
         chord = np.linalg.norm(u - np.copysign(1.0, (u * v).sum(axis=1))[:, None] * v, axis=1)
-        far = chord * norms.max(axis=1)[rows[many]] > np.broadcast_to(tol, (B, 1))[rows[many], 0] / 4
+        far = chord * norms.max(axis=1)[rows[many]] > tol / 4
         clean[np.searchsorted(seg, many[far], side="right") - 1] = False
-    return rows, pts, flat, seg, line, clean
+    return rows, pts, seg, line, clean
 
 
-def _heaviest_span(X: np.ndarray, w: np.ndarray, valid: np.ndarray, size: int, tol: np.ndarray):
-    """Heaviest subspace spanned by ``size`` independent sample points, per sample of a stack.
+def _heaviest_span(X: np.ndarray, w: np.ndarray, size: int, tol: float):
+    """Heaviest subspace spanned by ``size`` independent points of one merged sample.
 
-    ``X`` (R, m, d) and ``w`` (R, m) hold each sample's merged points and
-    weights, padded with zeros past the points ``valid`` marks. Returns each
-    sample's largest mass (-inf when no subset is independent) and the first
+    ``X`` (m, d) and ``w`` (m,) are the merged points and weights. Returns
+    the largest mass (-inf when no subset is independent) and the first
     subset in combinations order whose span has it (None then).
 
-    The subsets are walked as rows of a sample and a fixed tuple F of
-    ``size - 1`` of its points (in blocks, which may span samples, that keep
-    scratch memory near a few BLOCK_BYTES) and a last point j > max F. On the
-    complement of span(F) each span F + j is a line through the origin, so
-    one sort of the projected points by direction gives all of F's spans at
-    once. For a clean group every j in it has the same points inside, those
-    of span(F) and the group, so it stands for all of them as its first
-    member after max F. The members of a group that is not clean are tested
-    one by one with the residual test. Padding is inside no span.
+    The subsets are walked as rows of a fixed tuple F of ``size - 1`` points
+    (in blocks that keep scratch memory near a few BLOCK_BYTES) and a last
+    point j > max F. On the complement of span(F) each span F + j is a line
+    through the origin, so one sort of the projected points by direction
+    gives all of F's spans at once. For a clean group every j in it has the
+    same points inside, those of span(F) and the group, so it stands for all
+    of them as its first member after max F. The members of a group that is
+    not clean are tested one by one with the residual test.
     """
-    R, m, d = X.shape
-    sizes = valid.sum(axis=1)
-    low = sizes.min()  # no sample has padding before this column
+    m, d = X.shape
     # per fixed tuple and point: d coordinates and about 16 words of arcs,
     # sort order, groups and candidates
     block = max(1, BLOCK_BYTES // (8 * m * (d + 16)))
     # the running sums below are off by at most ~m*eps; candidates they put
-    # this close to their sample's top are re-summed exactly
-    slack = 4 * (sizes + 2) * np.finfo(float).eps
-    best_mass, best = np.full(R, -np.inf), [None] * R
-    for smp, fixed in _subset_blocks(sizes, size - 1, block):
-        smp, fixed, C, norms = _frames(X, smp, fixed, tol)
-        t = tol[smp[0]] if smp.size and smp[0] == smp[-1] else tol[smp][:, None]  # a scalar for one sample
-        # the points of span(F), inside every span through F; not padding, though at the origin
-        base = norms <= t
-        base[:, low:] &= valid[smp, low:]
-        on = norms > t
+    # this close to the top are re-summed exactly
+    slack = 4 * (m + 2) * np.finfo(float).eps
+    best_mass, best = -np.inf, None
+    for fixed in _subset_blocks(m, size - 1, block):
+        fixed, C, norms = _frames(X, fixed, tol)
+        base = norms <= tol  # the points of span(F), inside every span through F
+        on = norms > tol
         if not on.any():
             continue
-        after = fixed[:, -1] if size > 1 else np.full(smp.size, -1)
-        rows, pts, flat, seg, line, clean = _line_groups(C, norms, on, t)
+        after = fixed[:, -1] if size > 1 else np.full(len(fixed), -1)
+        rows, pts, seg, line, clean = _line_groups(C, norms, on, tol)
         g_row, g_len = rows[seg], np.diff(np.append(seg, pts.size))
         later = pts > after[rows]
         # one candidate per clean group: its first point after max F
         g_next = np.minimum.reduceat(np.where(later, pts, m), seg)
         tidy = np.flatnonzero(clean & (g_next < m))
         cand_row, cand_pt = g_row[tidy], g_next[tidy]
-        wb = w[smp]
-        approx = np.einsum("bm,bm->b", wb, base)[cand_row] + np.add.reduceat(wb.ravel()[flat], seg)[tidy]
+        approx = (base @ w)[cand_row] + np.add.reduceat(w[pts], seg)[tidy]
         # every member of a group that is not clean, on its own
         odd = np.repeat(line & ~clean, g_len) & later
         odd_row, odd_pt = rows[odd], pts[odd]
-        odd_mass = _line_masses(wb, C, norms, base, on, odd_row, odd_pt, t)
+        odd_mass = _line_masses(w, C, norms, base, on, odd_row, odd_pt, tol)
 
-        top = _fold(np.maximum, best_mass.copy(), smp, cand_row, approx)
-        _fold(np.maximum, top, smp, odd_row, odd_mass)
-        near = np.flatnonzero(approx >= _of(top - slack, smp, cand_row))
+        top = max(best_mass, approx.max(initial=-np.inf), odd_mass.max(initial=-np.inf))
+        near = np.flatnonzero(approx >= top - slack)
         masses = np.full(approx.size, -np.inf)
         if near.size:
-            masses[near] = _group_masses(wb.ravel(), flat, seg[tidy[near]], g_len[tidy[near]], base, cand_row[near])
+            masses[near] = _group_masses(w, pts, seg[tidy[near]], g_len[tidy[near]], base, cand_row[near])
         masses = np.concatenate([masses, odd_mass])
         cand_row, cand_pt = np.concatenate([cand_row, odd_row]), np.concatenate([cand_pt, odd_pt])
-        peak = _fold(np.maximum, np.full(R, -np.inf), smp, cand_row, masses)
-        # each sample's first maximum in combinations order (least row, then
-        # least point), where it beats the sample's maximum so far
-        wins = np.flatnonzero(masses == _of(np.where(peak > best_mass, peak, np.nan), smp, cand_row))
-        first = _fold(np.minimum, np.full(R, smp.size * m), smp, cand_row[wins], cand_row[wins] * m + cand_pt[wins])
-        for r in np.flatnonzero(first < smp.size * m):
-            row, pt = divmod(int(first[r]), m)
-            best_mass[r], best[r] = peak[r], (*fixed[row].tolist(), pt)
+        peak = masses.max(initial=-np.inf)
+        if peak > best_mass:
+            # the first maximum in combinations order: least row, then least point
+            wins = masses == peak
+            row, pt = divmod(int((cand_row[wins] * m + cand_pt[wins]).min()), m)
+            best_mass, best = peak, (*fixed[row].tolist(), pt)
     return best_mass, best
-
-
-def _fold(ufunc, out, smp, rows, values):
-    # out[smp[rows[i]]] = ufunc(out[smp[rows[i]]], values[i]) for every i, and
-    # out; one reduction when the block's rows (sorted by sample) are one sample's
-    if smp[0] != smp[-1]:
-        ufunc.at(out, smp[rows], values)
-    else:
-        out[smp[0]] = ufunc.reduce(values, initial=out[smp[0]])
-    return out
-
-
-def _of(per_sample, smp, rows):
-    # per_sample[smp[rows]], the one value when the block is one sample's
-    return per_sample[smp[0]] if smp[0] == smp[-1] else per_sample[smp][rows]
 
 
 def _group_masses(w, members, start, length, base, rows):
     # exact mass of each union of members[start:start + length] with the
     # points of span(F) of its row, in chunks of about BLOCK_BYTES // 128
-    # listed points (each takes at most about 16 words on its way through);
-    # points are flat indices row * m + point into the block's weights w
-    shift = base.size.bit_length()
-    b_pt = np.flatnonzero(base)
+    # listed points (each takes at most about 16 words on its way through)
+    shift = base.shape[1].bit_length()
+    b_pt = np.nonzero(base)[1]
     per_row = base.sum(axis=1)
     b_len, b_start = per_row[rows], (np.cumsum(per_row) - per_row)[rows]
     ends = np.cumsum(b_len + length)
@@ -627,7 +593,7 @@ def _group_masses(w, members, start, length, base, rows):
 
 
 def _line_masses(w, C, norms, base, on, rows, pts, tol):
-    # exact mass of span(F) + j for single candidates by the residual test (w, base, on: the block's)
+    # exact mass of span(F) + j for single candidates by the residual test
     m, r = C.shape[1:]
     masses = np.empty(rows.size)
     step = max(1, BLOCK_BYTES // (8 * m * r))
@@ -636,47 +602,35 @@ def _line_masses(w, C, norms, base, on, rows, pts, tol):
         Cb = C[b]
         u = Cb[np.arange(b.size), j] / norms[b, j, None]
         resid = Cb - (Cb @ u[..., None]) * u[:, None, :]
-        inside = (np.linalg.norm(resid, axis=2) <= np.broadcast_to(tol, (C.shape[0], 1))[b]) & on[b] | base[b]
-        masses[s : s + step] = _exact_masses(inside.sum(axis=1), np.flatnonzero(inside), w[b].ravel())
+        inside = (np.linalg.norm(resid, axis=2) <= tol) & on[b] | base[b]
+        masses[s : s + step] = _exact_masses(inside.sum(axis=1), np.nonzero(inside)[1], w)
     return masses
 
 
-def _check_exact(points: np.ndarray, weights: np.ndarray, a0: float) -> list[DomainReport]:
-    """Exact reports for a checked (R, n, d) stack, weights already divided by their sums.
+def _check_exact(points: np.ndarray, weights: np.ndarray, a0: float) -> DomainReport:
+    """Exact report for a checked (n, d) sample, its weights already divided by their sum.
 
-    Each sample's subsets are limited by ``DEFAULT_BUDGET``.
+    Its subsets are limited by ``DEFAULT_BUDGET``.
     """
-    R, _, d = points.shape
+    d = points.shape[1]
     if not a0 > d:
         raise ValueError(f"need a0 > d, got a0={a0} with d={d}")
-    X, w, rep, sizes = _merge(points, weights)
-    for r, m in enumerate(sizes.tolist()):
-        if _subset_count(m, d - 1) > DEFAULT_BUDGET:
-            raise EnumerationBudgetError(("" if R == 1 else f"sample {r}: ") + f"exact enumeration over {m} distinct"
-                                         f" points in d={d} exceeds budget={DEFAULT_BUDGET}; past it the solve paths"
-                                         f" (library, and CLI scatter/estimate/asymptotics/simulate) certify"
-                                         f" membership from the fit")
-    # each sample padded to the largest merged size with zero points of zero weight
-    valid = np.arange(sizes.max()) < sizes[:, None]
-    Xp, wp = np.zeros(valid.shape + (d,)), np.zeros(valid.shape)
-    Xp[valid], wp[valid] = X, w
-    tol = POINT_RTOL * _point_scale(Xp)
-
-    at_origin = (np.linalg.norm(Xp, axis=2) <= tol[:, None]) & valid
-    origin = _exact_masses(at_origin.sum(axis=1), np.flatnonzero(at_origin), wp.ravel())
+    X, w, rep = _merge(points, weights)
+    m = len(X)
+    if _subset_count(m, d - 1) > DEFAULT_BUDGET:
+        raise EnumerationBudgetError(f"exact enumeration over {m} distinct points in d={d} exceeds"
+                                     f" budget={DEFAULT_BUDGET}; past it the solve paths (library, and CLI"
+                                     f" scatter/estimate/asymptotics/simulate) certify membership from the fit")
+    tol = POINT_RTOL * _point_scale(X)
+    cands = [(float(w[np.linalg.norm(X, axis=1) <= tol].sum()), 1.0 - d / a0, 0, ())]
     # lines (one point, no fixed points) up to hyperplanes (d - 1 points)
-    spans = [_heaviest_span(Xp, wp, valid, size, tol) for size in range(1, d)]
-    reports, starts = [], np.cumsum(sizes) - sizes
-    for r in range(R):
-        cands = [(float(origin[r]), 1.0 - d / a0, 0, ())]
-        for size, (mass, subset) in enumerate(spans, start=1):
-            if subset[r] is not None:
-                witness = tuple(int(rep[starts[r] + i]) for i in subset[r])
-                cands.append((float(mass[r]), 1.0 - (d - size) / a0, size, witness))
-        mass, threshold, dim, witness = _best_candidate(cands)
-        reports.append(DomainReport(member=mass < threshold - EQ_TOL, a0=a0, worst_subspace_dim=dim,
-                                    worst_mass=mass, threshold=threshold, witness_points=witness))
-    return reports
+    for size in range(1, d):
+        mass, subset = _heaviest_span(X, w, size, tol)
+        if subset is not None:
+            cands.append((float(mass), 1.0 - (d - size) / a0, size, tuple(int(rep[i]) for i in subset)))
+    mass, threshold, dim, witness = _best_candidate(cands)
+    return DomainReport(member=mass < threshold - EQ_TOL, a0=a0, worst_subspace_dim=dim,
+                        worst_mass=mass, threshold=threshold, witness_points=witness)
 
 
 def _collapse_witness(points: np.ndarray, weights: np.ndarray, B: np.ndarray, a0: float):

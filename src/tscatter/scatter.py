@@ -47,12 +47,16 @@ inside the domain take the same steps to the same bits with or without it.
 There is one solver loop, and it runs on a stack of samples of equal size
 (``solve_scatter_stack``): every array carries a leading sample axis, each
 sample keeps its own step choice, stop test and breakdown check, and a
-sample that has stopped leaves the stack. Every solve that checks the domain
-goes through one stacked helper: it fits the stack, certifies domain
-membership from the fits in one call, and enumerates subspaces, again as one
-stack, only for the samples the certificate cannot accept, collapsed ones
-included. ``solve_scatter`` is its stack of one, after dropping zero-weight
-points; the location-scatter solve and the Monte Carlo replicates use it too.
+sample that has stopped leaves the stack; the samples the witness stopped
+are marked as collapsed. Every solve that checks the domain goes through one
+stacked helper, which fits the stack and certifies domain membership from
+the fits in one call. A certified sample is inside the domain and a
+collapsed one outside; the caller enumerates subspaces for any other sample,
+on its own. ``solve_scatter`` is the helper's stack of one, after dropping
+zero-weight points, and enumerates its sample whenever the certificate does
+not accept it, collapsed ones included, so that its report names the worst
+subspace; the location-scatter solve and the Monte Carlo replicates use the
+helper too.
 """
 
 from __future__ import annotations
@@ -323,40 +327,37 @@ def solve_scatter(
     sample, to_caller = _positive_rows(sample)
     if not check_domain:
         return solve_scatter_stack(sample.points[None], sample.weights[None], cfg)[0]
-    (result,), (report,), broken = _fit_and_check(sample.points[None], sample.weights[None], cfg)
-    if report is not None and not report.member:
-        raise DomainViolation(to_caller(report))
+    (result,), (member,), broken, _ = _fit_and_check(sample.points[None], sample.weights[None], cfg)
+    if not member:
+        # collapsed or not, the enumeration decides the law and names its worst subspace
+        report = _check_exact(sample.points, sample.weights, cfg.nu + sample.d)
+        if not report.member:
+            raise DomainViolation(to_caller(report))
     if broken:
         raise NumericalBreakdown(broken[0])
     return result
 
 
 def _fit_and_check(points, weights, cfg: ScatterConfig):
-    """Fit a stack of samples and decide each one's domain membership at a0 = nu + d.
+    """Fit a stack of samples and certify each one's domain membership at a0 = nu + d.
 
     ``points`` (R, n, d) and ``weights`` (R, n) are samples as
-    :class:`EmpiricalSample` holds them. Runs :func:`_solve_stack`, certifies
-    the fits that did not break down or collapse in one call of the
-    certificate, on the arrays fitted, and checks the rest by exact
-    enumeration as one stack, with the same weights. Returns
-    ``(results, reports, broken)``: what :func:`_solve_stack` returns, and
-    per sample None where the certificate accepted it, else its exact
-    report. Raises :class:`EnumerationBudgetError` when a sample left to
-    enumerate is past the subset budget.
+    :class:`EmpiricalSample` holds them. Runs :func:`_solve_stack` and
+    certifies the fits that did not break down or collapse in one call of
+    the certificate, on the arrays fitted. Returns
+    ``(results, member, broken, collapsed)``: what :func:`_solve_stack`
+    returns, with ``member`` True for each sample the certificate accepted.
+    A collapsed sample is off the domain; any other sample that is not a
+    certified member is undecided, and the caller enumerates it on its own,
+    with the same weights and a0.
     """
-    results, broken = _solve_stack(points, weights, cfg)
-    a0 = cfg.nu + points.shape[2]
+    results, broken, collapsed = _solve_stack(points, weights, cfg)
     member = np.zeros(len(results), dtype=bool)
     fitted = [i for i, result in enumerate(results) if result is not None]
     if fitted:
         A = np.stack([results[i].A.mat for i in fitted])
-        member[fitted] = _certify_members(points[fitted], weights[fitted], A, a0)
-    reports = [None] * len(results)
-    rest = np.flatnonzero(~member)
-    if rest.size:
-        for i, report in zip(rest.tolist(), _check_exact(points[rest], weights[rest], a0)):
-            reports[i] = report
-    return results, reports, broken
+        member[fitted] = _certify_members(points[fitted], weights[fitted], A, cfg.nu + points.shape[2])
+    return results, member, broken, collapsed
 
 
 def solve_scatter_stack(points, weights, cfg: ScatterConfig) -> list[ScatterResult]:
@@ -384,7 +385,7 @@ def solve_scatter_stack(points, weights, cfg: ScatterConfig) -> list[ScatterResu
     check would find (see the module docstring); a collapse cannot happen on
     the domain at all.
     """
-    results, broken = _solve_stack(points, weights, cfg)
+    results, broken, _ = _solve_stack(points, weights, cfg)
     if broken:
         i = min(broken)
         raise NumericalBreakdown(broken[i] if len(results) == 1 else f"sample {i}: {broken[i]}")
@@ -395,7 +396,9 @@ def _solve_stack(points, weights, cfg: ScatterConfig):
     """:func:`solve_scatter_stack` that records breakdowns instead of raising them.
 
     Returns the results, None for each sample that broke down or collapsed,
-    and a dict from those samples' stack positions to what went wrong.
+    a dict from those samples' stack positions to what went wrong, and the
+    set of the positions whose fit the collapse witness stopped: each of
+    those samples is proven off the domain.
     """
     Y = np.asarray(points, dtype=float)
     w = np.asarray(weights, dtype=float)
@@ -418,7 +421,7 @@ def _solve_stack(points, weights, cfg: ScatterConfig):
     newton_steps = np.zeros(R, dtype=int)
     traces = [[value] for value in obj.tolist()]
     results = [None] * R
-    broken = {}
+    broken, collapsed = {}, set()
     for k in range(cfg.max_iter + 1):
         if not ids.size:
             break
@@ -480,6 +483,7 @@ def _solve_stack(points, weights, cfg: ScatterConfig):
                 q, _, mass, threshold = found
                 broken[ids[j]] = (f"iterate collapsed onto a {q}-subspace of mass {mass!r} >= {threshold!r} "
                                   f"at iteration {k + 1}")
+                collapsed.add(int(ids[j]))
                 sound[j] = False
         if not sound.all():
             ids, Yt, log_t, w, B, L, Z, s, obj, spread, top, streak = (
@@ -487,4 +491,4 @@ def _solve_stack(points, weights, cfg: ScatterConfig):
             )
         for i, value in zip(ids.tolist(), obj.tolist()):
             traces[i].append(value)
-    return results, broken
+    return results, broken, collapsed

@@ -7,9 +7,11 @@ covariance. Replicate RNG streams are keyed by (seed, replicate index). A
 job's replicates are split into the fewest stacks whose solver scratch fits
 ``STACK_BYTES``, of sizes that differ by at most one, and each stack (lifted
 first for location-scatter) goes through the solve paths' one stacked
-fit-certify-enumerate helper in one call. Replicates whose fit did not
-converge are counted, not averaged in. Reports are bit-identical across runs
-and agree across stack sizes.
+fit-and-certify helper in one call. A replicate is inside the domain when
+the certificate accepts its fit and outside when the collapse witness
+stopped it; only a replicate that neither decides is enumerated, on its own.
+Replicates whose fit did not converge are counted, not averaged in. Reports
+are bit-identical across runs and agree across stack sizes.
 
 For discrete target laws the functional and its covariance are computed
 exactly from the law itself; for continuous laws they are estimated from one
@@ -25,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .asymptotics import AsymptoticCov, asymptotic_cov_locscatter, asymptotic_cov_scatter
-from .domain_check import DomainReport, EmpiricalSample, _affine_report
+from .domain_check import EmpiricalSample, _check_exact, check_locscat_domain, check_scatter_domain
 from .exceptions import DomainViolation, EnumerationBudgetError, NumericalBreakdown
 from .locscatter import certify_lifted_fit, solve_locscatter
 from .scatter import ScatterConfig, ScatterResult, _fit_and_check, _sample_bytes, solve_scatter
@@ -201,36 +203,41 @@ def _stacks(reps: range, cap: int):
 
 
 def _replicate_thetas(sampler: Sampler, cfg: ScatterConfig, n: int, mode: str, reps: range) -> list:
-    """Per replicate in ``reps``: its vectorized estimate, its failing domain report, or None.
+    """Per replicate in ``reps``: its vectorized estimate, False outside the domain, or None.
 
     None marks a member replicate whose fit did not converge. Replicates are
-    drawn, fitted and checked in the fewest stacks whose solver scratch fits
-    ``STACK_BYTES``, of sizes that differ by at most one. Each stack's draws
-    (lifted in locscatter mode), with the uniform weights
+    drawn, fitted and certified in the fewest stacks whose solver scratch
+    fits ``STACK_BYTES``, of sizes that differ by at most one. Each stack's
+    draws (lifted in locscatter mode), with the uniform weights
     :class:`EmpiricalSample` gives a draw and
     :func:`~tscatter.domain_check.lift` keeps, go through one
-    :func:`~tscatter.scatter._fit_and_check` call. A failing report's
-    witness indices are rows of the draw. A member replicate whose fit broke
-    down raises :class:`NumericalBreakdown`.
+    :func:`~tscatter.scatter._fit_and_check` call. A replicate is decided
+    there when the certificate accepts its fit or the collapse witness
+    stopped it (outside the domain); only a replicate neither decides is
+    enumerated, on its own. A member replicate whose fit broke down raises
+    :class:`NumericalBreakdown`, and one past the enumeration budget
+    :class:`EnumerationBudgetError`, each naming the replicate.
     """
     d = sampler.dim
     lifted = mode == "locscatter"
     solve_cfg = dataclasses.replace(cfg, nu=cfg.nu - 1.0) if lifted else cfg
+    a0 = solve_cfg.nu + (d + lifted)
     outcomes = []
     for stack_reps in _stacks(reps, max(1, STACK_BYTES // _sample_bytes(n, d + lifted))):
         draws = np.stack([sampler.draw(n, sampler.rng_for(rep)) for rep in stack_reps]) + 0.0  # no -0.0
         points, weights = draws, np.full(draws.shape[:2], 1.0 / n)
         if lifted:
             points = np.concatenate([draws, np.ones(draws.shape[:2] + (1,))], axis=2)
-        fits, reports, broken = _fit_and_check(points, weights, solve_cfg)
-        found, kept = [None] * len(fits), []
-        for i, report in enumerate(reports):
-            if report is not None and not report.member:
-                found[i] = _affine_report(report) if lifted else report
-            elif i in broken:
-                raise NumericalBreakdown(f"replicate {stack_reps[i]}: {broken[i]}")
-            else:
-                kept.append(i)
+        fits, member, broken, collapsed = _fit_and_check(points, weights, solve_cfg)
+        for i, rep in enumerate(stack_reps):
+            if not (member[i] or i in collapsed):
+                try:
+                    member[i] = _check_exact(points[i], weights[i], a0).member
+                except EnumerationBudgetError as exc:
+                    raise EnumerationBudgetError(f"replicate {rep}: {exc}") from None
+            if member[i] and i in broken:
+                raise NumericalBreakdown(f"replicate {rep}: {broken[i]}")
+        found, kept = [False] * len(fits), np.flatnonzero(member).tolist()
         ests = [certify_lifted_fit(EmpiricalSample(draws[i]), cfg.nu, fits[i]) if lifted else fits[i] for i in kept]
         for i, est, theta in zip(kept, ests, _thetas(ests) if ests else ()):
             found[i] = theta if est.converged else None
@@ -253,17 +260,18 @@ def run_clt_experiment(
     is replaced by ``nu``): the functional they are centred on and the
     analytic target covariance come from one fit of the target law at the
     default tolerances. Requires ``reps >= 2``. Each stack of replicates is
-    fitted at once, then certified from its fits, and only the replicates
-    the certificate cannot accept are checked by exact enumeration.
-    Replicates outside the domain are counted in ``existence_rate`` and
-    skipped; a rate below 0.99 adds a near-boundary warning to the report.
-    Member replicates whose fit did not converge are left out of the
-    covariance and counted in a warning. Fewer than two members raise
-    :class:`DomainViolation` with a failing replicate's report, fewer than
-    two converged members :class:`NumericalBreakdown`. A location-scatter
-    replicate whose extracted Sigma is not positive definite raises
-    :class:`DegeneracyError`, and a member replicate whose fit broke down
-    :class:`NumericalBreakdown`.
+    fitted at once and certified from its fits; a replicate whose fit
+    collapsed is outside the domain, and only a replicate that neither
+    decides is checked by exact enumeration, on its own. Replicates outside
+    the domain are counted in ``existence_rate`` and skipped; a rate below
+    0.99 adds a near-boundary warning to the report. Member replicates whose
+    fit did not converge are left out of the covariance and counted in a
+    warning. Fewer than two members raise :class:`DomainViolation` with the
+    report of the first replicate outside, enumerated on its own for it;
+    fewer than two converged members raise :class:`NumericalBreakdown`. A
+    location-scatter replicate whose extracted Sigma is not positive definite
+    raises :class:`DegeneracyError`, and a member replicate whose fit broke
+    down :class:`NumericalBreakdown`.
     """
     if mode not in ("scatter", "locscatter"):
         raise ValueError(f"unknown mode {mode!r}")
@@ -278,14 +286,20 @@ def run_clt_experiment(
 
     outcomes = _replicate_thetas(sampler, cfg, n, mode, range(reps))
     kept = [th for th in outcomes if isinstance(th, np.ndarray)]
-    members = sum(not isinstance(out, DomainReport) for out in outcomes)
+    members = sum(out is not False for out in outcomes)
     existence_rate = members / reps
     if existence_rate < 0.99:
         warnings.append(f"existence rate {existence_rate:.4f} below 0.99: near-boundary law")
     if members < 2:
-        # reps >= 2, so some replicate failed; its report is the evidence
-        failing = next(out for out in outcomes if isinstance(out, DomainReport))
-        raise DomainViolation(failing, "too few replicates inside the existence domain")
+        # reps >= 2, so some replicate failed: the first one, drawn again and
+        # enumerated on its own at the a0 its fit had, is the evidence
+        rep = next(rep for rep, out in enumerate(outcomes) if out is False)
+        q = EmpiricalSample(sampler.draw(n, sampler.rng_for(rep)))
+        if mode == "scatter":
+            report = check_scatter_domain(q, nu + q.d)
+        else:
+            report = check_locscat_domain(q, (nu - 1.0) + (q.d + 1))  # the lifted fit's nu plus its dimension
+        raise DomainViolation(report, "too few replicates inside the existence domain")
     if len(kept) < members:
         warnings.append(f"{members - len(kept)} of {members} member replicate fits did not converge: left out")
     if len(kept) < 2:

@@ -619,16 +619,19 @@ STACKS = st.tuples(
 
 
 def check_stack(points, weights, a0):
-    """Exact reports of a stack of samples by the kernel the solve paths enumerate with.
+    """``check_scatter_domain`` of each sample of a stack; ``weights`` may be None for uniform weights."""
+    return [check_scatter_domain(EmpiricalSample(p, None if weights is None else weights[r]), a0)
+            for r, p in enumerate(points)]
 
-    ``weights`` may be None for uniform weights; each row is divided by its
-    sum, as :class:`EmpiricalSample` does.
-    """
-    return domain_check._check_exact(*domain_check._as_stack(points, weights), float(a0))
+
+def check_loop(sample, a0):
+    """``check_scatter_domain_loop`` of the sample without its zero-weight rows, witnesses named by its rows."""
+    positive, to_caller = domain_check._positive_rows(sample)
+    return to_caller(check_scatter_domain_loop(positive, a0))
 
 
 class TestStack:
-    """The stacked exact check returns each sample's own report, field for field."""
+    """The exact check of each sample of a stack returns the per-subset loop's report, field for field."""
 
     @settings(max_examples=250, deadline=None)
     @given(STACKS)
@@ -646,60 +649,43 @@ class TestStack:
                 W[rng.random(W.shape) < 0.3] = 0.0
                 W[:, 0] += W.sum(axis=1) == 0.0
                 W /= W.sum(axis=1, keepdims=True)
-        with pytest.MonkeyPatch.context() as mp:
-            if per_block:
-                # blocks of a few rows: one sample's fixed tuples split across
-                # blocks, and the line pass puts several samples in one block
-                m = max(EmpiricalSample(p).merged()[0].n for p in P)
-                mp.setattr(domain_check, "BLOCK_BYTES", 8 * m * (d + 16) * per_block)
-            got = check_stack(P, W, d + extra)
-            want = [check_stack(p[None], None if W is None else W[r][None], d + extra)[0] for r, p in enumerate(P)]
-        assert got == want
-
-    def test_merged_sizes_are_ragged(self):
-        # duplicate-heavy draws merge to different sizes, padded in the stack
-        rng = np.random.default_rng(97)
-        P = np.stack([rng.integers(-1, 2, size=(30, 3)).astype(float) for _ in range(4)])
-        P[1] = P[1, 0]          # one atom
-        P[2, 10:] = P[2, :20]   # copies of its own rows
-        sizes = [EmpiricalSample(p).merged()[0].n for p in P]
-        assert len(set(sizes)) > 2 and min(sizes) == 1
-        assert check_stack(P, None, 4.5) == [check_scatter_domain(EmpiricalSample(p), 4.5) for p in P]
+        for r, p in enumerate(P):
+            q = EmpiricalSample(p, None if W is None else W[r])
+            with pytest.MonkeyPatch.context() as mp:
+                if per_block:
+                    # blocks of a few fixed tuples, so the sample's tuples split across blocks
+                    m = q.drop_zero_weights().merged()[0].n
+                    mp.setattr(domain_check, "BLOCK_BYTES", 8 * m * (d + 16) * per_block)
+                assert check_scatter_domain(q, d + extra) == check_loop(q, d + extra)
 
     @pytest.mark.parametrize("seed", range(8))
     def test_padding_is_inside_no_span(self, seed):
-        # the second sample merges to 14 points, so the stack pads it by 6;
-        # its group along u is not one line (k*u for k = 1..9, |9u| = 1, and
-        # one point 0.7 tol off u), so each member's span is summed on its
-        # own, over 10 points: zero-weight padding counted inside would move
-        # numpy's pairwise grouping and, for some weights, the sum
+        # a narrow law that merges to 14 points from 20 rows: its group along
+        # u is not one line (k*u for k = 1..9, |9u| = 1, and one point 0.7 tol
+        # off u), so each member's span is summed on its own, over 10 points,
+        # and no other point of the law may count inside it
         rng = np.random.default_rng(seed)
         d = 2 + seed % 2
         u = rng.standard_normal(d)
         u *= np.sign(u[0]) / (9 * np.linalg.norm(u))
         normal = np.linalg.svd(u[None])[2][-1]
         narrow = np.vstack([np.outer(np.arange(1.0, 10.0), u), u + 0.7e-9 * normal, 0.1 * rng.standard_normal((4, d))])
-        P = np.stack([rng.standard_normal((20, d)), np.vstack([narrow, narrow[:6]])])
-        W = rng.dirichlet(np.ones(20), size=2)
-        got = check_stack(P, W, d + 0.5)
-        assert got == [check_scatter_domain(EmpiricalSample(p, w), d + 0.5) for p, w in zip(P, W)]
+        q = EmpiricalSample(np.vstack([narrow, narrow[:6]]), rng.dirichlet(np.ones(20)))
+        assert q.merged()[0].n == 14
+        assert check_scatter_domain(q, d + 0.5) == check_loop(q, d + 0.5)
 
     def test_each_sample_keeps_its_own_tolerance(self):
-        # one law at scales 1 and 1e6, which share the line pass's block: a
-        # point 0.5 tol off the line through u lies on it only under its own
-        # sample's tolerance (1e-9 times the largest norm)
+        # one law at scales 1 and 1e6: a point 0.5 tol off the line through
+        # u lies on it only under the sample's own tolerance (1e-9 times its
+        # largest norm)
         rng = np.random.default_rng(109)
         u = np.array([0.6, 0.8])
         line = np.outer([1.0, 2.0, -1.0, 3.0], u)  # |3u| = 3 is the largest norm
         p = np.vstack([line, u + 1.5e-9 * np.array([0.8, -0.6]), rng.uniform(-1.0, 1.0, (3, 2))])
-        for P in (np.stack([p, 1e6 * p]), np.stack([1e6 * p, p])):
-            got = check_stack(P, None, 2.5)
-            assert got == [check_scatter_domain(EmpiricalSample(q), 2.5) for q in P]
-            assert got[0].worst_mass == got[1].worst_mass == 5 / 8
-
-    def test_stack_of_one_is_check_scatter_domain(self):
-        q = _law("plane", 4, 11, True, 101)
-        assert check_stack(q.points[None], q.weights[None], 5.0) == [check_scatter_domain(q, 5.0)]
+        for q in (EmpiricalSample(p), EmpiricalSample(1e6 * p)):
+            got = check_scatter_domain(q, 2.5)
+            assert got == check_loop(q, 2.5)
+            assert got.worst_mass == 5 / 8
 
     def test_accepts_a_monte_carlo_stack_of_75_whole(self):
         # a Monte Carlo job's stack: 75 replicates of 300 draws from a
@@ -712,38 +698,6 @@ class TestStack:
         A = np.stack([fit.A.mat for fit in solve_scatter_stack(P, W, ScatterConfig(nu=2.0))])
         assert all(rpt.member for rpt in check_stack(P, None, 4.0))
         assert certify_members(P, W, A, 4.0).all()
-
-    def test_rejects_bad_input(self):
-        P = np.random.default_rng(103).standard_normal((2, 5, 3))
-        W = np.full((2, 5), 0.2)
-        for bad in ([P[0], P[1, :4]], P[0], np.zeros((2, 0, 3))):  # ragged, not a stack, empty samples
-            with pytest.raises(ValueError):
-                check_stack(bad, None, 4.0)
-        for value in (np.nan, np.inf):
-            Q = P.copy()
-            Q[1, 2, 0] = value
-            with pytest.raises(ValueError):
-                check_stack(Q, W, 4.0)
-        # the row of the second sample only, or the shape
-        bad_rows = [W[:, :4], np.where(np.eye(2, 5, -1) > 0, np.nan, W), W * [[1.0], [1.5]],
-                    W + [[0.0] * 5, [0.0, 0.0, 0.0, 0.3, -0.3]]]
-        for weights in bad_rows:
-            with pytest.raises(ValueError):
-                check_stack(P, weights, 4.0)
-        with pytest.raises(ValueError):
-            check_stack(P, W, 3.0)  # a0 must exceed d
-
-    def test_budget_covers_every_sample(self):
-        # 2000 distinct points in d = 3 need 2000 + C(2000, 2) > DEFAULT_BUDGET
-        # subsets; the stack refuses before checking any sample
-        rng = np.random.default_rng(107)
-        few = rng.standard_normal((4, 3))[np.arange(2000) % 4]
-        P = np.stack([few, rng.standard_normal((2000, 3))])
-        assert check_scatter_domain(EmpiricalSample(P[0]), 4.0).exact
-        with pytest.raises(EnumerationBudgetError, match="sample 1"):
-            check_stack(P, None, 4.0)
-        with pytest.raises(EnumerationBudgetError, match="sample 0"):
-            check_stack(P[::-1], None, 4.0)
 
 
 def _threshold_law(d, n, lifted, seed):
@@ -821,7 +775,7 @@ class TestCertificate:
         d = q.d
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(scatter, "COLLAPSE_STEPS", 201)
-            fits, _ = _solve_stack(q.points[None], q.weights[None], ScatterConfig(nu=a0 - d, max_iter=200))
+            fits, *_ = _solve_stack(q.points[None], q.weights[None], ScatterConfig(nu=a0 - d, max_iter=200))
         G = rng.standard_normal((d, d))
         candidates = [G @ G.T + 1e-3 * np.eye(d)] + [fit.A.mat for fit in fits if fit is not None]
         accepted = certify_members(np.stack([q.points] * len(candidates)), np.stack([q.weights] * len(candidates)),
@@ -856,11 +810,11 @@ class TestCertificate:
         W = np.full((40, 300), 1 / 300)
         cfg = ScatterConfig(nu=2.0)
         reports = check_stack(P, None, 4.0)
-        fits, _ = _solve_stack(P, W, cfg)
+        fits, *_ = _solve_stack(P, W, cfg)
         assert not [i for i, (fit, rpt) in enumerate(zip(fits, reports))
                     if fit is not None and fit.stop_reason == "grad" and not rpt.member]
         monkeypatch.setattr(scatter, "COLLAPSE_STEPS", cfg.max_iter + 1)  # the solver without its collapse stop
-        fits, _ = _solve_stack(P, W, cfg)
+        fits, *_ = _solve_stack(P, W, cfg)
         converged_outside = [i for i, (fit, rpt) in enumerate(zip(fits, reports))
                              if fit is not None and fit.stop_reason == "grad" and not rpt.member]
         assert converged_outside
@@ -951,10 +905,11 @@ class TestCollapseWitness:
 
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(scatter, "_collapse_witness", spy)
-            fits, broken = _solve_stack(q.points[None], q.weights[None], cfg)
+            fits, broken, collapsed = _solve_stack(q.points[None], q.weights[None], cfg)
         positive = q.drop_zero_weights()
-        if "collapsed" in broken.get(0, ""):
-            assert not domain_check._check_exact(positive.points[None], positive.weights[None], a0)[0].member
+        assert collapsed == {i for i, why in broken.items() if "collapsed" in why}
+        if collapsed:
+            assert not domain_check._check_exact(positive.points, positive.weights, a0).member
             dim, rows, mass, threshold = found[-1]
             assert found[:-1] == [None] * (len(found) - 1) and len(rows) == dim
             assert mass >= threshold - domain_check.EQ_TOL
@@ -967,7 +922,7 @@ class TestCollapseWitness:
             assert not any(found)
             with pytest.MonkeyPatch.context() as mp:
                 mp.setattr(scatter, "COLLAPSE_STEPS", cfg.max_iter + 1)
-                want, want_broken = _solve_stack(q.points[None], q.weights[None], cfg)
+                want, want_broken, _ = _solve_stack(q.points[None], q.weights[None], cfg)
             assert broken == want_broken
             assert (fits[0] is None) == (want[0] is None)
             assert fits[0] is None or _same_fit(fits[0], want[0])

@@ -229,8 +229,8 @@ class TestSolveScatter:
     @pytest.mark.parametrize("functional", ["scatter", "locscatter"])
     @pytest.mark.parametrize("inside", [True, False])
     def test_one_certificate_through_the_shared_helper(self, monkeypatch, functional, inside):
-        # each solve fits, certifies once and enumerates only when the
-        # certificate cannot accept, all through scatter._fit_and_check
+        # each solve fits and certifies once, through scatter._fit_and_check,
+        # and enumerates only when the certificate cannot accept
         calls = []
 
         def spy(name, fn):
@@ -718,8 +718,9 @@ class TestCollapseStop:
         # left the SPD cone after 36 to 38 steps without the stop
         q = _plane_law(seed)
         lifted = lift(q)
-        results, broken = scatter._solve_stack(lifted.points[None], lifted.weights[None], ScatterConfig(nu=2.0))
-        assert results == [None] and _collapse_step(broken[0], 3) <= 8
+        results, broken, collapsed = scatter._solve_stack(lifted.points[None], lifted.weights[None],
+                                                          ScatterConfig(nu=2.0))
+        assert results == [None] and collapsed == {0} and _collapse_step(broken[0], 3) <= 8
         with pytest.raises(DomainViolation) as exc:
             solve_locscatter(q, 3.0)
         assert exc.value.report == check_locscat_domain(q, 6.0)
@@ -730,8 +731,8 @@ class TestCollapseStop:
         # shrinks the iterate, which took all 500 steps without the stop
         q = EmpiricalSample(np.array([[0.0], [1.0]]), np.array([0.7, 0.3]))
         cfg = ScatterConfig(nu=nu)
-        results, broken = scatter._solve_stack(q.points[None], q.weights[None], cfg)
-        assert results == [None] and _collapse_step(broken[0], 0) <= 50
+        results, broken, collapsed = scatter._solve_stack(q.points[None], q.weights[None], cfg)
+        assert results == [None] and collapsed == {0} and _collapse_step(broken[0], 0) <= 50
         with pytest.raises(DomainViolation) as exc:
             solve_scatter(q, cfg)
         assert exc.value.report == check_scatter_domain(q, nu + 1.0)

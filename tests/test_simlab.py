@@ -7,6 +7,7 @@ from scipy import stats
 from tscatter import (
     DomainViolation,
     EmpiricalSample,
+    EnumerationBudgetError,
     NumericalBreakdown,
     ScatterConfig,
     asymptotic_cov_locscatter,
@@ -315,14 +316,17 @@ class TestStackedReplicates:
 
 
 def replicates_one_at_a_time(sampler, cfg, n, mode, reps):
-    """Oracle for ``simlab._replicate_thetas``: each replicate checked and fitted on its own."""
+    """Oracle for ``simlab._replicate_thetas``: each replicate checked and fitted on its own.
+
+    Per replicate: its estimate, None for a member whose fit did not
+    converge, or False outside the domain.
+    """
     out = []
     for rep in reps:
         q = EmpiricalSample(sampler.draw(n, sampler.rng_for(rep)))
         check = check_locscat_domain if mode == "locscatter" else check_scatter_domain
-        report = check(q, cfg.nu + q.d)
-        if not report.member:
-            out.append(report)
+        if not check(q, cfg.nu + q.d).member:
+            out.append(False)
         elif mode == "locscatter":
             est = solve_locscatter(q, cfg.nu, cfg, check_domain=False)
             out.append(np.concatenate([est.mu, sym_to_vec(est.Sigma.mat)]) if est.converged else None)
@@ -334,64 +338,63 @@ def replicates_one_at_a_time(sampler, cfg, n, mode, reps):
 
 class TestStackedDomainChecks:
     @pytest.mark.parametrize("mode", ["scatter", "locscatter"])
-    def test_one_stacked_check_per_chunk(self, monkeypatch, mode):
-        # a near-boundary law, so chunks hold replicates on both sides of the
-        # domain: each chunk goes through the solve paths' helper once, which
-        # certifies it in one call and enumerates only the replicates the
-        # certificate cannot accept, in one stack
+    @pytest.mark.parametrize("max_iter", [500, 4])
+    def test_witness_decides_collapsed_replicates(self, monkeypatch, mode, max_iter):
+        # a near-boundary law, so stacks hold replicates on both sides of the
+        # domain. A replicate whose fit the collapse witness stopped is counted
+        # outside with no enumeration, and at 500 steps that is every one
+        # outside. At 4 steps some fits stop before the certificate or the
+        # witness decides them, and only those replicates are enumerated, each
+        # one on its own
         pts, _ = four_point_arrays()
         s = discrete_sampler(pts, np.array([0.372, 0.372, 0.128, 0.128]), seed=3)
-        n, cfg = 300, ScatterConfig(nu=2.0)
+        n, cfg = 300, ScatterConfig(nu=2.0, max_iter=max_iter)
         want = replicates_one_at_a_time(s, cfg, n, mode, range(40))
         monkeypatch.setattr(simlab, "STACK_BYTES", 7 * scatter._sample_bytes(n, 2 + (mode == "locscatter")))
-        chunks, fitted, certified, enumerated = [], [], [], []
-        helper, solve, certify, check = (
-            simlab._fit_and_check, scatter._solve_stack, scatter._certify_members, scatter._check_exact)
-
-        def helper_spy(points, weights, cfg):
-            chunks.append(points.shape[0])
-            return helper(points, weights, cfg)
+        collapsed, enumerated = set(), []
+        solve, check = scatter._solve_stack, simlab._check_exact
 
         def solve_spy(points, weights, cfg):
-            results, broken = solve(points, weights, cfg)
-            fitted.append((len(chunks), points.shape[0], len(broken)))
-            return results, broken
-
-        def certify_spy(points, weights, A, a0):
-            member = certify(points, weights, A, a0)
-            certified.append((len(chunks), int(member.sum())))
-            return member
+            results, broken, stopped = solve(points, weights, cfg)
+            collapsed.update(points[i].tobytes() for i in stopped)
+            return results, broken, stopped
 
         def check_spy(points, weights, a0):
-            enumerated.append((len(chunks), points.shape[0]))
+            enumerated.append(points)
             return check(points, weights, a0)
 
         def alone(*args, **kwargs):
-            raise AssertionError("a replicate was domain-checked on its own")
+            raise AssertionError("a replicate was checked by the public check")
 
-        monkeypatch.setattr(simlab, "_fit_and_check", helper_spy)
         monkeypatch.setattr(scatter, "_solve_stack", solve_spy)
-        monkeypatch.setattr(scatter, "_certify_members", certify_spy)
-        monkeypatch.setattr(scatter, "_check_exact", check_spy)
-        monkeypatch.setattr(tscatter.domain_check, "check_scatter_domain", alone)
+        monkeypatch.setattr(simlab, "_check_exact", check_spy)
+        monkeypatch.setattr(simlab, "check_scatter_domain", alone)
+        monkeypatch.setattr(simlab, "check_locscat_domain", alone)
         got = simlab._replicate_thetas(s, cfg, n, mode, range(40))
-        assert chunks == [7, 7, 7, 7, 6, 6]
-        # each chunk is fitted whole; at most one certificate and one
-        # enumeration per chunk, and every replicate not certified, broken
-        # fits included, is enumerated
-        assert [(chunk, size) for chunk, size, _ in fitted] == list(enumerate(chunks, start=1))
-        accepted = dict(certified)
-        assert len(accepted) == len(certified) and len(dict(enumerated)) == len(enumerated)
-        for chunk, size in enumerate(chunks, start=1):
-            assert dict(enumerated).get(chunk, 0) == size - accepted.get(chunk, 0)
-        assert 0 < sum(accepted.values()) < 40 and sum(broken for _, _, broken in fitted) > 0
+        outside = sum(w is False for w in want)
+        assert 0 < len(collapsed) <= outside
+        assert all(points.shape == (n, 2 + (mode == "locscatter")) for points in enumerated)
+        assert not collapsed & {points.tobytes() for points in enumerated}
+        if max_iter == 500:
+            assert len(collapsed) == outside and not enumerated
+        else:
+            assert enumerated
         assert [type(g) for g in got] == [type(w) for w in want]
-        assert sum(isinstance(w, np.ndarray) for w in want) == sum(accepted.values())
         for g, w in zip(got, want):
             if isinstance(w, np.ndarray):
                 assert np.abs(g - w).max() <= 1e-12 * np.abs(w).max()
-            else:
-                assert g == w
+
+    def test_budget_refusal_names_its_replicate(self):
+        # replicate 0 is accepted from its fit, replicate 1 (5 distinct
+        # points) is enumerated and inside, and replicate 2 holds 2000
+        # distinct points, past the subset budget: the refusal names
+        # replicate 2, not its place among the replicates left to enumerate
+        rng = np.random.default_rng(107)
+        draws = iter([rng.standard_normal((2000, 3)), rng.standard_normal((5, 3))[np.arange(2000) % 5],
+                      rng.standard_normal((2000, 3)) * [1.0, 30.0, 0.02]])
+        s = simlab.Sampler(0, 3, lambda n, rng: next(draws))
+        with pytest.raises(EnumerationBudgetError, match=r"^replicate 2: exact enumeration over 2000 distinct"):
+            simlab._replicate_thetas(s, ScatterConfig(nu=1.0, max_iter=2), 2000, "scatter", range(3))
 
     @pytest.mark.parametrize("mode", ["scatter", "locscatter"])
     def test_report_matches_checking_each_replicate_alone(self, monkeypatch, mode):
