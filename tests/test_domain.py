@@ -687,6 +687,28 @@ class TestStack:
             assert got == check_loop(q, 2.5)
             assert got.worst_mass == 5 / 8
 
+    def test_rejects_bad_input(self):
+        # each sample of a stack is checked on its own, so a bad second sample
+        # is refused; the shape of a stack (ragged, not a stack) is checked by
+        # certify_members, in TestCertificate
+        P = np.random.default_rng(103).standard_normal((2, 5, 3))
+        W = np.full((2, 5), 0.2)
+        with pytest.raises(ValueError):
+            check_stack(np.zeros((2, 0, 3)), None, 4.0)  # empty samples
+        for value in (np.nan, np.inf):
+            Q = P.copy()
+            Q[1, 2, 0] = value
+            with pytest.raises(ValueError):
+                check_stack(Q, W, 4.0)
+        # the row of the second sample only, or the shape
+        bad_rows = [W[:, :4], np.where(np.eye(2, 5, -1) > 0, np.nan, W), W * [[1.0], [1.5]],
+                    W + [[0.0] * 5, [0.0, 0.0, 0.0, 0.3, -0.3]]]
+        for weights in bad_rows:
+            with pytest.raises(ValueError):
+                check_stack(P, weights, 4.0)
+        with pytest.raises(ValueError):
+            check_stack(P, W, 3.0)  # a0 must exceed d
+
     def test_accepts_a_monte_carlo_stack_of_75_whole(self):
         # a Monte Carlo job's stack: 75 replicates of 300 draws from a
         # 400-point 2-D t(3) law, all inside the domain. Whitened by the
