@@ -18,10 +18,20 @@ root of the profile derivative d/dmu Qh(mu, sigma(mu)) between min x and max x.
 Two-point laws admit closed forms: the scale is of order sqrt(eps/(nu-1))
 when the big-atom mass is approached from inside at distance eps, so sigma is
 continuous but not Lipschitz across the boundary.
+
+Both root searches run ``_brentq``, Brent's (1973) bracketed method as
+SciPy's C ``brentq`` implements it, ported line for line, so the module needs
+NumPy only. Let 2^-e be the power of two that brings the largest |x| into
+[1/2, 1). A law with |e| <= SCALE_BAND is solved as given. Beyond that band
+(x-mu)^2 can overflow, or lose the small gaps between points to underflow,
+so both searches first scale the points by 2^-e and map mu and sigma back by
+2^e. That is exact: when the largest |x| of Q lies in [1/2, 1) and
+|k| > SCALE_BAND, the estimate of 2^k Q is exactly 2^k times that of Q.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -36,6 +46,12 @@ __all__ = [
 ]
 
 SCALE_RESIDUAL_TOL = 1e-12
+
+EPS = float(np.finfo(float).eps)
+
+# laws whose largest |x| lies within 2^±SCALE_BAND keep their own scale, and
+# with it the arithmetic of SciPy's brentq on the points as given
+SCALE_BAND = 256
 
 
 @dataclass(frozen=True)
@@ -59,6 +75,70 @@ def _as_oned(sample: EmpiricalSample):
     return sample.points[:, 0], sample.weights
 
 
+def _exponent(x: np.ndarray, *more: float) -> int:
+    # e with 2^-e max|x, more| in [1/2, 1) when |e| > SCALE_BAND, else 0
+    e = math.frexp(max(float(x.max()), -float(x.min()), *map(abs, more)))[1]
+    return e if abs(e) > SCALE_BAND else 0
+
+
+def _brentq(f, a: float, b: float, xtol: float, rtol: float, maxiter: int) -> float:
+    """Root of ``f`` in [a, b], where f(a) and f(b) differ in sign: SciPy's C ``brentq``, line for line.
+
+    Each step interpolates (secant, or inverse quadratic through three
+    points) when the step is short enough, and bisects otherwise; it stops
+    when the bracket is below 2 delta = xtol + rtol |x|. Where C divides by
+    zero the step is inf or nan and C bisects, so this bisects too. A NaN f
+    raises SciPy's ``ValueError``; a bracket without a sign change raises
+    ``ValueError`` and an exhausted ``maxiter`` ``RuntimeError``, as SciPy does.
+    """
+    def call(x):
+        fx = float(f(x))
+        if fx != fx:
+            raise ValueError(f"The function value at x={x} is NaN; solver cannot continue.")
+        return fx
+
+    xpre, xcur = float(a), float(b)
+    fpre, fcur = call(xpre), call(xcur)
+    if fpre == 0:
+        return xpre
+    if fcur == 0:
+        return xcur
+    if math.copysign(1.0, fpre) == math.copysign(1.0, fcur):
+        raise ValueError("f(a) and f(b) must have different signs")
+    xblk = fblk = spre = scur = 0.0
+    for _ in range(maxiter):
+        if fpre != 0 and fcur != 0 and math.copysign(1.0, fpre) != math.copysign(1.0, fcur):
+            xblk, fblk = xpre, fpre
+            spre = scur = xcur - xpre
+        if abs(fblk) < abs(fcur):
+            xpre, xcur, xblk = xcur, xblk, xcur
+            fpre, fcur, fblk = fcur, fblk, fcur
+        delta = (xtol + rtol * abs(xcur)) / 2
+        sbis = (xblk - xcur) / 2
+        if fcur == 0 or abs(sbis) < delta:
+            return xcur
+        stry = math.nan  # bisect unless the interpolated step is short
+        if abs(spre) > delta and abs(fcur) < abs(fpre):
+            try:
+                if xpre == xblk:
+                    stry = -fcur * (xcur - xpre) / (fcur - fpre)
+                else:
+                    dpre = (fpre - fcur) / (xpre - xcur)
+                    dblk = (fblk - fcur) / (xblk - xcur)
+                    stry = -fcur * (fblk * dblk - fpre * dpre) / (dblk * dpre * (fblk - fpre))
+            except ZeroDivisionError:
+                pass
+        limit = 3 * abs(sbis) - delta
+        if 2 * abs(stry) < (abs(spre) if abs(spre) < limit else limit):
+            spre, scur = scur, stry
+        else:
+            spre = scur = sbis
+        xpre, fpre = xcur, fcur
+        xcur += scur if abs(scur) > delta else (delta if sbis > 0 else -delta)
+        fcur = call(xcur)
+    raise RuntimeError(f"Failed to converge after {maxiter} iterations.")
+
+
 def sigma_of_mu(sample: EmpiricalSample, mu: float, nu: float) -> float:
     """Unique sigma > 0 with F(mu, sigma) = 1/(nu+1), by bracketed root finding.
 
@@ -66,12 +146,14 @@ def sigma_of_mu(sample: EmpiricalSample, mu: float, nu: float) -> float:
     :class:`NoPositiveSolution` (the scale profile is driven to 0 there).
     The bracket needs no search: F(mu, sigma) < s^2/(nu sigma^2) with
     s^2 = int (x-mu)^2 dQ, so F is below 1/(nu+1) at sigma = 2 sqrt((nu+1)/nu) s.
-    The returned root satisfies |F - 1/(nu+1)| <= 1e-12.
+    The root is found by ``_brentq``. When the largest of |x| and |mu| is
+    2^e (up to a factor in [1/2, 1)) with |e| > SCALE_BAND, the search runs
+    on the points and mu scaled by 2^-e and the root is scaled back by 2^e,
+    exactly. The root satisfies |F - 1/(nu+1)| <= 1e-12.
     """
-    from scipy.optimize import brentq
-
     x, w = _as_oned(sample)
-    mu = float(mu)
+    e = _exponent(x, mu)
+    x, mu = (np.ldexp(x, -e), math.ldexp(mu, -e)) if e else (x, float(mu))
     target = 1.0 / (nu + 1.0)
     diff2 = (x - mu) ** 2
     off_mass = float(w[diff2 > 0.0].sum())
@@ -86,10 +168,10 @@ def sigma_of_mu(sample: EmpiricalSample, mu: float, nu: float) -> float:
     spread = np.sqrt(float(w @ diff2))
     lo = 1e-12 * spread
     hi = 2.0 * np.sqrt((nu + 1.0) / nu) * spread
-    root = brentq(F, lo, hi, xtol=1e-300, rtol=8.0 * np.finfo(float).eps, maxiter=300)
+    root = _brentq(F, lo, hi, xtol=1e-300, rtol=8.0 * EPS, maxiter=300)
     if abs(F(root)) > SCALE_RESIDUAL_TOL:
         raise NoPositiveSolution(f"root residual {F(root):g} above tolerance")
-    return float(root)
+    return math.ldexp(root, e)
 
 
 def _profile_derivative(sample: EmpiricalSample, mu: float, nu: float) -> float:
@@ -105,8 +187,11 @@ def solve_oned(sample: EmpiricalSample, nu: float) -> OneDEstimate:
 
     Returns the boundary value (atom, 0) when an atom reaches mass
     nu/(nu+1); otherwise mu is the one root of the profile derivative on
-    [min x, max x], found by a single bracketed root search, and sigma is
-    sigma(mu): the unique critical point of the objective.
+    [min x, max x], found by a single bracketed root search (``_brentq``),
+    and sigma is sigma(mu): the unique critical point of the objective. When
+    the largest |x| is 2^e (up to a factor in [1/2, 1)) with |e| > SCALE_BAND,
+    the search runs on the points scaled by 2^-e, and mu and sigma are scaled
+    back by 2^e, exactly; laws of ordinary scale are solved as given.
     """
     nu = float(nu)
     if not nu > 1.0:
@@ -121,9 +206,9 @@ def solve_oned(sample: EmpiricalSample, nu: float) -> OneDEstimate:
     # each term w (mu-x)/D of the derivative is <= 0 and some mass lies
     # elsewhere, so it is < 0; at max x it is > 0. Each zero is a critical point
     # of Qh (d/dsigma Qh vanishes at sigma(mu)), and Qh has only one.
-    from scipy.optimize import brentq
-
-    lo, hi = float(x.min()), float(x.max())
-    mu = brentq(lambda m: _profile_derivative(sample, m, nu), lo, hi,
-                xtol=4.0 * np.finfo(float).eps * (hi - lo), maxiter=200)
-    return OneDEstimate(mu=float(mu), sigma=sigma_of_mu(sample, mu, nu), boundary=False)
+    e = _exponent(x)
+    scaled = EmpiricalSample._carry(np.ldexp(sample.points, -e), sample.weights) if e else sample
+    lo, hi = float(scaled.points.min()), float(scaled.points.max())
+    mu = _brentq(lambda m: _profile_derivative(scaled, m, nu), lo, hi,
+                 xtol=4.0 * EPS * (hi - lo), rtol=4.0 * EPS, maxiter=200)
+    return OneDEstimate(mu=math.ldexp(mu, e), sigma=math.ldexp(sigma_of_mu(scaled, mu, nu), e), boundary=False)

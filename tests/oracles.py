@@ -5,6 +5,7 @@ import itertools
 
 import numpy as np
 from scipy.linalg import cho_factor, cho_solve
+from scipy.optimize import brentq
 
 from tscatter.asymptotics import DEFAULT_RANK_TOL, _curvature_solve, _fit, extract_jacobian, hessian
 from tscatter.domain_check import (
@@ -15,9 +16,10 @@ from tscatter.domain_check import (
     _best_candidate,
     _point_scale,
     lift,
+    max_atom,
 )
-from tscatter.exceptions import DegeneracyError, DomainViolation, NotSpdError, NumericalBreakdown, NuOutOfRange
-from tscatter.oned import OneDEstimate, solve_oned
+from tscatter.exceptions import DegeneracyError, DomainViolation, NoPositiveSolution, NotSpdError, NumericalBreakdown, NuOutOfRange
+from tscatter.oned import SCALE_RESIDUAL_TOL, OneDEstimate, solve_oned
 from tscatter.scatter import MONOTONE_SLACK, ScatterConfig, ScatterResult, solve_scatter, weight_u
 from tscatter.simlab import Sampler, _replicate_thetas, _target_objects
 from tscatter.symspace import (
@@ -564,6 +566,43 @@ def two_point_closed_form(a: float, b: float, p: float, nu: float) -> OneDEstima
         boundary=False,
         atom=None,
     )
+
+
+def sigma_of_mu_brentq(sample: EmpiricalSample, mu: float, nu: float) -> float:
+    """``oned.sigma_of_mu`` by ``scipy.optimize.brentq`` on the points as given."""
+    x, w = sample.points[:, 0], sample.weights
+    mu = float(mu)
+    target = 1.0 / (nu + 1.0)
+    diff2 = (x - mu) ** 2
+    if float(w[diff2 > 0.0].sum()) <= target:
+        raise NoPositiveSolution("mass off the center is too small")
+
+    def F(sigma):
+        return float(w @ (diff2 / (nu * sigma**2 + diff2))) - target
+
+    spread = np.sqrt(float(w @ diff2))
+    root = brentq(F, 1e-12 * spread, 2.0 * np.sqrt((nu + 1.0) / nu) * spread,
+                  xtol=1e-300, rtol=8.0 * np.finfo(float).eps, maxiter=300)
+    if abs(F(root)) > SCALE_RESIDUAL_TOL:
+        raise NoPositiveSolution(f"root residual {F(root):g} above tolerance")
+    return float(root)
+
+
+def solve_oned_brentq(sample: EmpiricalSample, nu: float) -> OneDEstimate:
+    """``oned.solve_oned`` by ``scipy.optimize.brentq`` on the points as given, without rescaling."""
+    nu = float(nu)
+    x, w = sample.points[:, 0], sample.weights
+    loc, mass = max_atom(sample)
+    if mass >= nu / (nu + 1.0) - EQ_TOL:
+        return OneDEstimate(mu=float(loc[0]), sigma=0.0, boundary=True, atom=(float(loc[0]), mass))
+
+    def derivative(m):
+        D = nu * sigma_of_mu_brentq(sample, m, nu) ** 2 + (x - m) ** 2
+        return (nu + 1.0) * float(w @ ((m - x) / D))
+
+    lo, hi = float(x.min()), float(x.max())
+    mu = brentq(derivative, lo, hi, xtol=4.0 * np.finfo(float).eps * (hi - lo), maxiter=200)
+    return OneDEstimate(mu=float(mu), sigma=sigma_of_mu_brentq(sample, mu, nu), boundary=False)
 
 
 def boundary_rate_probe(nu: float, eps_list) -> list[tuple[float, float]]:

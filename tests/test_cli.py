@@ -438,15 +438,25 @@ class TestCsvIngest:
             assert cli._fast_table(bad) is None, bad
 
 
+def _scipy_modules_after(code, *argv):
+    """SciPy modules loaded in a fresh interpreter that runs ``code`` with ``argv``."""
+    code += "; print(json.dumps(sorted(m for m in sys.modules if m.partition('.')[0] == 'scipy')))"
+    env = dict(os.environ, PYTHONPATH=str(Path(tscatter.__file__).resolve().parents[1]))
+    got = subprocess.run([sys.executable, "-c", code, *argv], env=env, capture_output=True, text=True,
+                         check=True, timeout=120)
+    return json.loads(got.stdout.splitlines()[-1])
+
+
 class TestStartUp:
     def test_start_up_loads_no_scipy(self):
-        # every CLI call pays for what importing the package loads; each SciPy
-        # subpackage is imported by the function that uses it
-        code = (
-            "import json, sys, tscatter, tscatter.cli; tscatter.cli.build_parser(); "
-            "print(json.dumps(sorted(m for m in sys.modules if m.partition('.')[0] == 'scipy')))"
-        )
-        env = dict(os.environ, PYTHONPATH=str(Path(tscatter.__file__).resolve().parents[1]))
-        got = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
-                             check=True, timeout=120)
-        assert json.loads(got.stdout) == []
+        # every CLI call pays for what importing the package loads; only
+        # simulate imports a SciPy subpackage, in the function that uses it
+        assert _scipy_modules_after("import json, sys, tscatter, tscatter.cli; tscatter.cli.build_parser()") == []
+
+    def test_oned_loads_no_scipy(self, tmp_path):
+        # both root searches of the 1-D solver run in the package
+        path = write_csv(tmp_path / "x.csv", [[1.0], [2.5], [-0.5], [4.0]])
+        out = tmp_path / "envelope.json"
+        code = "import json, sys, tscatter.cli as cli; assert cli.main(sys.argv[1:]) == 0"
+        assert _scipy_modules_after(code, "oned", path, "--nu", "3", "--output", str(out)) == []
+        assert not json.loads(out.read_text(encoding="utf-8"))["payload"]["boundary"]

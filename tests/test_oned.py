@@ -1,7 +1,10 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.optimize import brentq
 
 from tscatter import (
     EmpiricalSample,
@@ -13,8 +16,8 @@ from tscatter import (
     solve_oned,
 )
 from tscatter.domain_check import EQ_TOL, max_atom
-from tscatter.oned import _profile_derivative
-from oracles import boundary_rate_probe, profile_objective, two_point_closed_form
+from tscatter.oned import _brentq, _profile_derivative
+from oracles import boundary_rate_probe, profile_objective, sigma_of_mu_brentq, solve_oned_brentq, two_point_closed_form
 
 
 def sample1d(values, weights=None):
@@ -247,3 +250,123 @@ class TestProfileObjective:
         rng = np.random.default_rng(19)
         q = sample1d(rng.standard_normal(10))
         assert profile_objective(q, 0.0, 1.0, 2.0) == pytest.approx(0.0, abs=1e-14)
+
+
+EPS = float(np.finfo(float).eps)
+
+
+def _outcome(solver, f, a, b, xtol=2e-12, rtol=4 * EPS, maxiter=100):
+    """The root, or the exception type and message, of one bracketed search."""
+    try:
+        return solver(f, a, b, xtol=xtol, rtol=rtol, maxiter=maxiter)
+    except (ValueError, RuntimeError) as exc:
+        return type(exc), str(exc)
+
+
+def scipy_brentq(f, a, b, xtol, rtol, maxiter):
+    return brentq(f, a, b, xtol=xtol, rtol=rtol, maxiter=maxiter)
+
+
+class TestBrentq:
+    """``_brentq`` returns SciPy's ``brentq`` root bit for bit, or raises its exception."""
+
+    @pytest.mark.parametrize("f, a, b", [
+        # secant first, then inverse quadratic steps, short steps and a bisection
+        (lambda x: x**3 - 0.3, 0.0, 1.0),
+        (lambda x: math.exp(3.0 * x) - 2.0, -2.0, 1.5),
+        # the same cubic scaled so that the quadratic step's denominator
+        # underflows to 0: C's step is nan there and it bisects
+        (lambda x: 1e-300 * (x**3 - 0.3), 0.0, 1.0),
+        (lambda x: 1e-170 * (x**3 - 0.3), 0.0, 1.0),
+        # equal consecutive f values: no interpolation, bisection only
+        (lambda x: math.copysign(1.0, x - 0.3), 0.0, 1.0),
+        (lambda x: -1.0 if x < 0.8 else 1.0, 1.0, 0.0),
+        # a flat stretch followed by a line
+        (lambda x: max(-1.0, 8.0 * (x - 0.75)), 0.0, 1.0),
+        # an exact zero at either end, +0.0 or -0.0, is returned at once
+        (lambda x: x, 0.0, 1.0),
+        (lambda x: x - 1.0, 0.0, 1.0),
+        (lambda x: -0.0 if x == 1.0 else x - 2.0, 0.0, 1.0),
+        # -0.0 inside the bracket stops the search
+        (lambda x: -0.0 if abs(x - 0.3) < 1e-3 else x - 0.3, 0.0, 1.0),
+        # subnormal ends, whose product underflows: the sign bits decide
+        (lambda x: 5e-324 if x > 0.5 else -5e-324, 0.0, 1.0),
+    ])
+    def test_matches_scipy(self, f, a, b):
+        got = _outcome(_brentq, f, a, b)
+        assert got == _outcome(scipy_brentq, f, a, b)
+        assert isinstance(got, float)
+
+    @pytest.mark.parametrize("xtol, rtol, maxiter", [(1e-300, 8 * EPS, 300), (1e-3, 4 * EPS, 200), (2e-12, 1e-6, 100)])
+    def test_tolerances_match_scipy(self, xtol, rtol, maxiter):
+        f = lambda x: math.tanh(5.0 * (x - 0.123))
+        assert _outcome(_brentq, f, -1.0, 2.0, xtol, rtol, maxiter) == _outcome(scipy_brentq, f, -1.0, 2.0, xtol, rtol, maxiter)
+
+    @pytest.mark.parametrize("f, maxiter, exc", [
+        (lambda x: x + 3.0, 100, ValueError),                            # no sign change
+        (lambda x: x**3 - 0.3, 3, RuntimeError),                         # iterations run out
+        (lambda x: math.nan if x > 0.6 else x - 0.7, 100, ValueError),  # NaN at an end
+        (lambda x: math.nan if 0.2 < x < 0.9 else x - 0.5, 100, ValueError),  # NaN inside
+    ])
+    def test_exceptions_match_scipy(self, f, maxiter, exc):
+        got = _outcome(_brentq, f, 0.0, 1.0, maxiter=maxiter)
+        assert got == _outcome(scipy_brentq, f, 0.0, 1.0, maxiter=maxiter)
+        assert got[0] is exc
+
+
+def _seeded_law(i):
+    """Law i of 200: t(3), Cauchy, a tied integer lattice or rounded normals, and nu in [1.05, 10]."""
+    rng = np.random.default_rng([23, i])
+    n = int(rng.integers(2, 300))
+    x = (rng.standard_t(3, n), rng.standard_cauchy(n), rng.integers(-3, 4, n).astype(float),
+         np.round(rng.standard_normal(n), 1))[i % 4]
+    w = rng.dirichlet(np.ones(n)) if i % 3 == 0 else None
+    return sample1d(x, w), float(rng.uniform(1.05, 10.0))
+
+
+class TestSolverMatchesBrentqOracle:
+    """On laws of ordinary scale the solver is SciPy's ``brentq`` on the points as given, bit for bit."""
+
+    def test_seeded_laws(self):
+        laws = [_seeded_law(i) for i in range(200)]
+        got = [solve_oned(q, nu) for q, nu in laws]
+        assert got == [solve_oned_brentq(q, nu) for q, nu in laws]
+        assert sum(not est.boundary for est in got) >= 150
+
+    def test_sigma_of_mu(self):
+        for i in range(0, 200, 7):
+            q, nu = _seeded_law(i)
+            x = q.points[:, 0]
+            for mu in (float(np.median(x)), float(x.min()), 0.5 * float(x.max() + x.min())):
+                try:
+                    want = sigma_of_mu_brentq(q, mu, nu)
+                except NoPositiveSolution:
+                    with pytest.raises(NoPositiveSolution):
+                        sigma_of_mu(q, mu, nu)
+                    continue
+                assert sigma_of_mu(q, mu, nu) == want
+
+
+def _unit_law(seed, n):
+    """n t(3) draws scaled by a power of two so that the largest |x| lies in [1/2, 1)."""
+    x = np.random.default_rng(seed).standard_t(3, n)
+    return np.ldexp(x, -math.frexp(float(np.abs(x).max()))[1])
+
+
+class TestExactScaling:
+    """Points scaled by 2^k give exactly 2^k times the estimate, far beyond where (x - mu)^2 fits a double."""
+
+    @pytest.mark.parametrize("k", [-560, -530, -500, 500, 530, 560])
+    def test_power_of_two_scaling(self, k):
+        x = _unit_law(0, 200)
+        base = solve_oned(sample1d(x), 3.0)
+        est = solve_oned(sample1d(np.ldexp(x, k)), 3.0)
+        assert not est.boundary
+        assert (est.mu, est.sigma) == (math.ldexp(base.mu, k), math.ldexp(base.sigma, k))
+
+    @pytest.mark.parametrize("k", [-560, 560])
+    def test_sigma_of_mu_scaling(self, k):
+        x = _unit_law(1, 50)
+        for mu in (0.0, 0.37, -0.9):
+            want = math.ldexp(sigma_of_mu(sample1d(x), mu, 2.5), k)
+            assert sigma_of_mu(sample1d(np.ldexp(x, k)), math.ldexp(mu, k), 2.5) == want
