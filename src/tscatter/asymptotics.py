@@ -57,7 +57,6 @@ GRAM_BLOCK_BYTES = 16 * 2**20
 class HessianMap:
     """Curvature operator on sym_to_vec coordinates; positive definite at the functional."""
 
-    dim: int
     matrix: np.ndarray
     min_eigenvalue: float
 
@@ -109,7 +108,7 @@ def _curvature(sample: EmpiricalSample, A, nu: float, s, T):
         V *= root[lo : lo + step]
         G += V @ V.T
     H = symmetrize(T - G, rtol=1e-6)
-    return HessianMap(dim=d, matrix=H, min_eigenvalue=float(np.linalg.eigvalsh(H)[0])), G, m
+    return HessianMap(matrix=H, min_eigenvalue=float(np.linalg.eigvalsh(H)[0])), G, m
 
 
 def _fit(sample: EmpiricalSample, nu: float, fit=None, check_domain=True) -> ScatterResult:

@@ -8,10 +8,7 @@ a versioned envelope ``{"version": "v1", "command", "timing_ms", "payload",
 Exit codes: 0 success, 1 usage, input or output error, 2 domain violation
 (with a structured report in the payload), 3 numerical failure.
 
-Start-up imports numpy and the package only. Only ``simulate`` loads a
-SciPy subpackage, ``scipy.special`` (the normal CDF of its normality
-statistic), when it first uses it. The others, ``oned`` and ``asymptotics``
-included, load none.
+The package imports NumPy only; no subcommand loads SciPy.
 """
 
 from __future__ import annotations

@@ -126,10 +126,8 @@ class SpdMatrix:
         return self._mat.shape[0]
 
     def solve(self, b):
-        """Solve A x = b using the cached factorization."""
-        from scipy.linalg import cho_solve
-
-        return cho_solve((self._chol, True), np.asarray(b, dtype=float))
+        """Solve A x = b on the cached factor: L y = b, then L' x = y, each by ``np.linalg.solve``."""
+        return np.linalg.solve(self._chol.T, np.linalg.solve(self._chol, np.asarray(b, dtype=float)))
 
     def inv(self) -> np.ndarray:
         return symmetrize(self.solve(np.eye(self.dim)), rtol=1e-9)

@@ -1,13 +1,5 @@
-import json
-import os
-import subprocess
-import sys
-from pathlib import Path
-
 import numpy as np
 import pytest
-
-import tscatter
 
 from tscatter import (
     EmpiricalSample,
@@ -324,22 +316,6 @@ class TestUnconvergedFit:
         assert not est.converged
         with pytest.raises(NumericalBreakdown, match="sandwich matrix asymmetry"):
             asymptotic_cov_locscatter(q, 2.0, fit=est)
-
-
-class TestImports:
-    def test_sandwich_loads_no_scipy_linalg(self):
-        # the curvature's Cholesky test and solve are numpy's, so the sandwich
-        # pays for no scipy.linalg import in a fresh process
-        code = (
-            "import json, sys, numpy as np, tscatter as ts; "
-            "q = ts.EmpiricalSample(np.random.default_rng(0).standard_normal((50, 3))); "
-            "ts.asymptotic_cov_scatter(q, 2.0); ts.asymptotic_cov_locscatter(q, 2.0); "
-            "print(json.dumps(sorted(m for m in sys.modules if m.startswith('scipy.linalg'))))"
-        )
-        env = dict(os.environ, PYTHONPATH=str(Path(tscatter.__file__).resolve().parents[1]))
-        got = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
-                             check=True, timeout=120)
-        assert json.loads(got.stdout) == []
 
 
 class TestExtractJacobian:

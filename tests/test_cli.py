@@ -438,25 +438,32 @@ class TestCsvIngest:
             assert cli._fast_table(bad) is None, bad
 
 
-def _scipy_modules_after(code, *argv):
-    """SciPy modules loaded in a fresh interpreter that runs ``code`` with ``argv``."""
-    code += "; print(json.dumps(sorted(m for m in sys.modules if m.partition('.')[0] == 'scipy')))"
-    env = dict(os.environ, PYTHONPATH=str(Path(tscatter.__file__).resolve().parents[1]))
-    got = subprocess.run([sys.executable, "-c", code, *argv], env=env, capture_output=True, text=True,
-                         check=True, timeout=120)
-    return json.loads(got.stdout.splitlines()[-1])
+# every subcommand in each of its modes; simulate on a small job
+BLOCKED_SCIPY_RUNS = {
+    "estimate": ["estimate", "--nu", "2"],
+    "scatter": ["scatter", "--nu", "2"],
+    "oned": ["oned", "--nu", "3"],
+    "check-domain-scatter": ["check-domain", "--target", "scatter", "--nu", "2"],
+    "check-domain-locscatter": ["check-domain", "--target", "locscatter", "--nu", "2"],
+    "asymptotics-scatter": ["asymptotics", "--mode", "scatter", "--nu", "2"],
+    "asymptotics-locscatter": ["asymptotics", "--mode", "locscatter", "--nu", "2"],
+    "simulate-scatter": ["simulate", "--mode", "scatter", "--n", "100", "--reps", "20", "--nu", "2"],
+    "simulate-locscatter": ["simulate", "--mode", "locscatter", "--n", "100", "--reps", "20", "--nu", "2"],
+}
 
 
-class TestStartUp:
-    def test_start_up_loads_no_scipy(self):
-        # every CLI call pays for what importing the package loads; only
-        # simulate imports a SciPy subpackage, in the function that uses it
-        assert _scipy_modules_after("import json, sys, tscatter, tscatter.cli; tscatter.cli.build_parser()") == []
-
-    def test_oned_loads_no_scipy(self, tmp_path):
-        # both root searches of the 1-D solver run in the package
-        path = write_csv(tmp_path / "x.csv", [[1.0], [2.5], [-0.5], [4.0]])
+class TestNoScipy:
+    @pytest.mark.parametrize("argv", BLOCKED_SCIPY_RUNS.values(), ids=BLOCKED_SCIPY_RUNS.keys())
+    def test_runs_with_scipy_blocked(self, argv, tmp_path):
+        # the package needs NumPy only: with any import of scipy failing, a
+        # fresh interpreter runs the subcommand to exit 0
+        rng = np.random.default_rng(0)
+        rows = rng.standard_normal((30, 1 if argv[0] == "oned" else 2))
+        path = write_csv(tmp_path / "x.csv", rows)
         out = tmp_path / "envelope.json"
-        code = "import json, sys, tscatter.cli as cli; assert cli.main(sys.argv[1:]) == 0"
-        assert _scipy_modules_after(code, "oned", path, "--nu", "3", "--output", str(out)) == []
-        assert not json.loads(out.read_text(encoding="utf-8"))["payload"]["boundary"]
+        code = "import sys; sys.modules['scipy'] = None; import tscatter.cli as cli; sys.exit(cli.main(sys.argv[1:]))"
+        env = dict(os.environ, PYTHONPATH=str(Path(tscatter.__file__).resolve().parents[1]))
+        got = subprocess.run([sys.executable, "-c", code, argv[0], path, *argv[1:], "--output", str(out)],
+                             env=env, capture_output=True, text=True, timeout=120)
+        assert got.returncode == 0, got.stderr
+        assert json.loads(out.read_text(encoding="utf-8"))["command"] == argv[0]

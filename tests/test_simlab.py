@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import stats
+from scipy.special import ndtr
 
 from tscatter import (
     DomainViolation,
@@ -147,6 +148,28 @@ class TestSamplerDraws:
                 sampler.draw(self.N, sampler.rng_for(rep))
         assert calls == []
 
+    def test_factories_factor_the_scatter_matrix_once(self, monkeypatch):
+        # the draws use the Cholesky factor that as_spd holds, not a second one
+        rng = np.random.default_rng(8)
+        cholesky = np.linalg.cholesky
+        for d in range(1, 7):
+            M = rng.standard_normal((d, d + 2))
+            sigma, mu = (M @ M.T + (M @ M.T).T) / 2.0, rng.standard_normal(d)
+            L = cholesky(sigma)
+            factories = [
+                (lambda: gaussian_sampler(mu, sigma, seed=5), lambda r: mu + r.standard_normal((50, d)) @ L.T),
+                (lambda: t_sampler(3.0, mu, sigma, seed=5),
+                 lambda r: mu + (r.standard_normal((50, d)) @ L.T) / np.sqrt(r.chisquare(3.0, size=50) / 3.0)[:, None]),
+            ]
+            for factory, formula in factories:
+                calls = []
+                with monkeypatch.context() as mp:
+                    mp.setattr(np.linalg, "cholesky", lambda a: calls.append(a) or cholesky(a))
+                    sampler = factory()
+                assert len(calls) == 1
+                got = sampler.draw(50, sampler.rng_for(2))
+                assert got.tobytes() == formula(np.random.default_rng([5, 2])).tobytes()
+
     def test_exact_laws_are_built_once(self):
         pts, _ = four_point_arrays()
         w = np.array([0.4, 0.3, 0.2, 0.1])
@@ -178,6 +201,36 @@ class TestNormalityStat:
             assert got == stats.kstest(col, "norm", args=(col.mean(), sd)).statistic
         else:
             assert np.isnan(got)
+
+    @pytest.mark.parametrize(
+        "lo, hi",
+        [
+            (0.0, 1.0),
+            (1.0, np.sqrt(2.0)),
+            (np.sqrt(2.0), 8.0 * np.sqrt(2.0)),
+            (8.0 * np.sqrt(2.0), np.sqrt(2.0 * simlab.MAXLOG)),
+            (np.sqrt(2.0 * simlab.MAXLOG), 1e300),
+        ],
+        ids=["erf", "one-minus-erf", "erfc-P-Q", "erfc-R-S", "underflow"],
+    )
+    def test_ndtr_matches_scipy_on_each_branch(self, lo, hi):
+        # x = a/sqrt(2): erf below |x| = sqrt(1/2), then 1 - erf(|x|) below 1,
+        # erfc by P/Q below 8 and by R/S until exp(-x^2) underflows; the
+        # edges of each range to a few ulps, and both signs
+        rng = np.random.default_rng(17)
+        a = np.concatenate([
+            lo + (min(hi, 40.0) - lo) * rng.random(20_000),
+            lo * 10.0 ** rng.uniform(0.0, np.log10(hi / lo), 2_000) if lo > 0 else [],
+            lo + np.spacing(lo) * np.arange(-8, 9),
+            hi + np.spacing(hi) * np.arange(-8, 9),
+        ])
+        a = np.concatenate([a, -a])
+        assert simlab._ndtr(a).tobytes() == ndtr(a).tobytes()
+
+    def test_ndtr_matches_scipy_at_zeros_infinities_and_nan(self):
+        a = np.array([0.0, -0.0, np.inf, -np.inf])
+        assert simlab._ndtr(a).tobytes() == ndtr(a).tobytes()
+        assert np.isnan(simlab._ndtr(np.array([np.nan]))[0]) and np.isnan(ndtr(np.nan))
 
 
 class TestCltExperiment:
