@@ -20,7 +20,6 @@ from .asymptotics import (
 from .domain_check import (
     DomainReport,
     EmpiricalSample,
-    certify_members,
     check_locscat_domain,
     check_scatter_domain,
     lift,

@@ -58,7 +58,6 @@ class HessianMap:
     """Curvature operator on sym_to_vec coordinates; positive definite at the functional."""
 
     matrix: np.ndarray
-    min_eigenvalue: float
 
 
 @dataclass(frozen=True)
@@ -108,7 +107,7 @@ def _curvature(sample: EmpiricalSample, A, nu: float, s, T):
         V *= root[lo : lo + step]
         G += V @ V.T
     H = symmetrize(T - G, rtol=1e-6)
-    return HessianMap(matrix=H, min_eigenvalue=float(np.linalg.eigvalsh(H)[0])), G, m
+    return HessianMap(matrix=H), G, m
 
 
 def _fit(sample: EmpiricalSample, nu: float, fit=None, check_domain=True) -> ScatterResult:
@@ -121,14 +120,15 @@ def _curvature_solve(hess: HessianMap, rhs) -> np.ndarray:
     try:
         np.linalg.cholesky(hess.matrix)
     except np.linalg.LinAlgError as exc:
-        raise NumericalBreakdown(f"curvature is not positive definite (least eigenvalue {hess.min_eigenvalue:.3g}):"
+        least = np.linalg.eigvalsh(hess.matrix)[0]
+        raise NumericalBreakdown(f"curvature is not positive definite (least eigenvalue {least:.3g}):"
                                  " the fit is too far from the functional") from exc
     return np.linalg.solve(hess.matrix, rhs)
 
 
 def _numerical_rank(S: np.ndarray) -> int:
-    sv = np.linalg.svd(S, compute_uv=False)  # descending: a zero S has rank 0
-    return int((sv > DEFAULT_RANK_TOL * sv[0]).sum())
+    sv = np.abs(np.linalg.eigvalsh(S))  # the singular values of the symmetric S; a zero S has rank 0
+    return int((sv > DEFAULT_RANK_TOL * sv.max()).sum())
 
 
 def asymptotic_cov_scatter(

@@ -27,13 +27,13 @@ any verdict: ``check_scatter_domain`` and the solvers decide on the sample
 without them and name witnesses by the caller's rows (``_positive_rows``).
 
 The solve paths need only a verdict, and they have a fit. From it
-``certify_members`` proves membership at O(n d^2) cost, for every subspace at
-once, and it never accepts a law the exact check rejects; it proves nothing
-when it declines. So the solvers fit first, certify, and enumerate only the
-samples the certificate cannot accept, and the budget limits them only there;
-one stacked helper in ``scatter`` fits and certifies for every solve path.
-``check_scatter_domain`` always enumerates, since its report names the worst
-subspace.
+``_certify_members`` proves membership at O(n d^2) cost, for every subspace
+at once, and it never accepts a law the exact check rejects; it proves
+nothing when it declines. So the solvers fit first, certify, and enumerate
+only the samples the certificate cannot accept, and the budget limits them
+only there. One stacked helper, ``scatter._fit_and_check``, decides the
+membership of every sample that a solve path fits. ``check_scatter_domain``
+always enumerates, since its report names the worst subspace.
 
 Off the domain the solver's iterate collapses onto a subspace H of too much
 mass, and its top eigenspace turns towards H. ``_collapse_witness`` reads a
@@ -64,16 +64,16 @@ nothing when it does not fire. At q = 0 it is the mass at the origin, the
 collapse of the whole iterate.
 
 The exact check (``_check_exact``) takes one sample, merged by one sort;
-each row of a block is one fixed tuple. Three callers enumerate:
+each row of a block is one fixed tuple. It is called from two places:
 
 * ``check_scatter_domain``, on the sample's positive rows;
-* ``solve_scatter``, on a sample whose fit the certificate does not accept,
-  collapsed or not, so that its report names the worst subspace;
-* the Monte Carlo replicates, on each replicate that neither the certificate
-  nor the witness decides, one at a time. A replicate the witness stopped
-  counts as outside the domain without enumeration; ``run_clt_experiment``
-  enumerates the first replicate outside, on its own, only for the report
-  it raises when fewer than two replicates are members.
+* ``scatter._fit_and_check``, on each fitted sample that neither the
+  certificate nor the witness decides, one at a time. A sample the witness
+  stopped counts as outside without enumeration, except in
+  ``solve_scatter``, which enumerates it so that its report names the worst
+  subspace; ``run_clt_experiment`` enumerates the first replicate outside,
+  through ``check_scatter_domain``, only for the report it raises when fewer
+  than two replicates are members.
 """
 
 from __future__ import annotations
@@ -92,7 +92,6 @@ __all__ = [
     "EmpiricalSample",
     "DomainReport",
     "check_scatter_domain",
-    "certify_members",
     "check_locscat_domain",
     "lift",
     "max_atom",
@@ -296,14 +295,16 @@ def check_scatter_domain(sample: EmpiricalSample, a0: float) -> DomainReport:
     return to_caller(_check_exact(positive.points, positive.weights, float(a0)))
 
 
-def certify_members(points, weights, A, a0: float) -> np.ndarray:
+def _certify_members(pts, w, A, a0: float) -> np.ndarray:
     """Prove domain membership of a stack of samples from a scatter matrix of each.
 
-    ``points`` is (R, n, d); ``weights`` is (R, n), each row summing to 1
-    within 1e-12 and divided by its sum, or None for uniform weights. ``A``
-    is an (R, d, d) stack of SPD matrices, in practice each sample's fit at
-    ``a0``. Returns one bool per sample. True proves that the sample is a
-    member, so that the exact check accepts it too; False proves nothing.
+    ``pts`` (R, n, d) and ``w`` (R, n) are samples as :class:`EmpiricalSample`
+    holds them, the weights used as given: the solve paths pass the arrays
+    they fitted, so the law certified is the law fitted, bit for bit, and the
+    law the exact check would enumerate. ``A`` is an (R, d, d) stack of SPD
+    matrices, in practice each sample's fit at ``a0`` > d. Returns one bool
+    per sample. True proves that the sample is a member, so that the exact
+    check accepts it too; False proves nothing.
 
     The bound is the necessity argument of Kent and Tyler (Ann. Statist. 19,
     1991) made quantitative. Let A = L L', z_i = L^{-1} y_i, s_i = |z_i|^2,
@@ -343,23 +344,6 @@ def certify_members(points, weights, A, a0: float) -> np.ndarray:
       (1 + sqrt(d)) rho tr(M) covers the error in ||M - I||_F and in the
       prefix sums of w f; rho on the mass side covers the exact check's
       own sums.
-    """
-    pts, w = _as_stack(points, weights)
-    R, n, d = pts.shape
-    a0 = float(a0)
-    if not a0 > d:
-        raise ValueError(f"need a0 > d, got a0={a0} with d={d}")
-    A = np.asarray(A, dtype=float)
-    if A.shape != (R, d, d):
-        raise ValueError(f"A must have shape {(R, d, d)} to match the points, got {A.shape}")
-    return _certify_members(pts, w, A, a0)
-
-
-def _certify_members(pts, w, A, a0: float) -> np.ndarray:
-    """:func:`certify_members` of checked arrays, with the weights used as given.
-
-    The solve paths pass the arrays they fitted, so the law certified is the
-    law fitted, bit for bit, and the law the exact check would enumerate.
     """
     R, n, d = pts.shape
     L = np.linalg.cholesky(A)

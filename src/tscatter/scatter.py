@@ -47,16 +47,15 @@ inside the domain take the same steps to the same bits with or without it.
 There is one solver loop, and it runs on a stack of samples of equal size
 (``solve_scatter_stack``): every array carries a leading sample axis, each
 sample keeps its own step choice, stop test and breakdown check, and a
-sample that has stopped leaves the stack; the samples the witness stopped
-are marked as collapsed. Every solve that checks the domain goes through one
-stacked helper, which fits the stack and certifies domain membership from
-the fits in one call. A certified sample is inside the domain and a
-collapsed one outside; the caller enumerates subspaces for any other sample,
-on its own. ``solve_scatter`` is the helper's stack of one, after dropping
-zero-weight points, and enumerates its sample whenever the certificate does
-not accept it, collapsed ones included, so that its report names the worst
-subspace; the location-scatter solve and the Monte Carlo replicates use the
-helper too.
+sample that has stopped leaves the stack. It returns one outcome per
+sample: the fit, or the :class:`NumericalBreakdown` the sample stopped with
+(a ``_Collapse`` when the witness stopped it). Membership is decided in one
+place, ``_fit_and_check``, for every solve that checks the domain: it
+certifies the fits of a stack in one call, counts a collapse as outside, and
+enumerates each sample neither decides, on its own. ``solve_scatter`` is its
+stack of one, after dropping zero-weight points, and enumerates a collapsed
+sample too, so that its report names the worst subspace; the
+location-scatter solve and the Monte Carlo replicates act on its outcomes.
 """
 
 from __future__ import annotations
@@ -65,8 +64,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .domain_check import EmpiricalSample, _certify_members, _check_exact, _collapse_witness, _positive_rows
-from .exceptions import DomainViolation, NumericalBreakdown
+from .domain_check import (EmpiricalSample, _as_stack, _certify_members, _check_exact, _collapse_witness,
+                           _positive_rows)
+from .exceptions import DomainViolation, EnumerationBudgetError, NumericalBreakdown
 from .symspace import SpdMatrix, spd_cholesky, sym_dim, symmetrize
 
 __all__ = [
@@ -136,6 +136,10 @@ class ScatterResult:
     objective_trace: tuple[float, ...]
     stop_reason: str
     fp_residual: float
+
+
+class _Collapse(NumericalBreakdown):
+    """A sample's fit stopped on a collapse: the witness proves its law outside the domain."""
 
 
 def weight_u(s, nu: float, d: int):
@@ -325,46 +329,61 @@ def solve_scatter(
     The fit returned does not depend on ``check_domain``.
     """
     sample, to_caller = _positive_rows(sample)
+    points, weights = sample.points[None], sample.weights[None]
     if not check_domain:
-        return solve_scatter_stack(sample.points[None], sample.weights[None], cfg)[0]
-    (result,), (member,), broken, _ = _fit_and_check(sample.points[None], sample.weights[None], cfg)
-    if not member:
-        # collapsed or not, the enumeration decides the law and names its worst subspace
-        report = _check_exact(sample.points, sample.weights, cfg.nu + sample.d)
-        if not report.member:
-            raise DomainViolation(to_caller(report))
-    if broken:
-        raise NumericalBreakdown(broken[0])
-    return result
+        return solve_scatter_stack(points, weights, cfg)[0]
+    (outcome,) = _fit_and_check(points, weights, cfg)
+    if isinstance(outcome, _Collapse):
+        # the witness proved the law outside; the enumeration names its worst subspace
+        outcome = DomainViolation(_check_exact(sample.points, sample.weights, cfg.nu + sample.d))
+    if isinstance(outcome, DomainViolation):
+        raise DomainViolation(to_caller(outcome.report))
+    if isinstance(outcome, Exception):
+        raise outcome
+    return outcome
 
 
-def _fit_and_check(points, weights, cfg: ScatterConfig):
-    """Fit a stack of samples and certify each one's domain membership at a0 = nu + d.
+def _fit_and_check(points, weights, cfg: ScatterConfig) -> list:
+    """Fit a stack of samples and decide each one's domain membership at a0 = nu + d.
 
     ``points`` (R, n, d) and ``weights`` (R, n) are samples as
-    :class:`EmpiricalSample` holds them. Runs :func:`_solve_stack` and
-    certifies the fits that did not break down or collapse in one call of
-    the certificate, on the arrays fitted. Returns
-    ``(results, member, broken, collapsed)``: what :func:`_solve_stack`
-    returns, with ``member`` True for each sample the certificate accepted.
-    A collapsed sample is off the domain; any other sample that is not a
-    certified member is undecided, and the caller enumerates it on its own,
-    with the same weights and a0.
+    :class:`EmpiricalSample` holds them. The fits are certified in one call,
+    on the arrays fitted; each sample that neither the certificate nor the
+    collapse witness decides is enumerated on its own. Returns one outcome
+    per sample, in order: a member's :class:`ScatterResult`, converged or
+    not, or its :class:`NumericalBreakdown`; a :class:`DomainViolation` for
+    a sample the enumeration puts outside; the ``_Collapse`` of a sample the
+    witness put outside, not enumerated; or an
+    :class:`EnumerationBudgetError` past the budget.
     """
-    results, broken, collapsed = _solve_stack(points, weights, cfg)
-    member = np.zeros(len(results), dtype=bool)
-    fitted = [i for i, result in enumerate(results) if result is not None]
+    outcomes = _solve_stack(points, weights, cfg)
+    a0 = cfg.nu + points.shape[2]
+    fitted = [i for i, outcome in enumerate(outcomes) if isinstance(outcome, ScatterResult)]
+    certified = np.zeros(len(outcomes), dtype=bool)
     if fitted:
-        A = np.stack([results[i].A.mat for i in fitted])
-        member[fitted] = _certify_members(points[fitted], weights[fitted], A, cfg.nu + points.shape[2])
-    return results, member, broken, collapsed
+        A = np.stack([outcomes[i].A.mat for i in fitted])
+        certified[fitted] = _certify_members(points[fitted], weights[fitted], A, a0)
+    for i, outcome in enumerate(outcomes):
+        if certified[i] or isinstance(outcome, _Collapse):
+            continue
+        try:
+            report = _check_exact(points[i], weights[i], a0)
+        except EnumerationBudgetError as exc:
+            outcomes[i] = exc
+            continue
+        if not report.member:
+            outcomes[i] = DomainViolation(report)
+    return outcomes
 
 
 def solve_scatter_stack(points, weights, cfg: ScatterConfig) -> list[ScatterResult]:
     """Scatter matrices of a stack of samples by Newton steps safeguarded by the MM step.
 
     ``points`` is (R, n, d) and ``weights`` (R, n), each row of weights a
-    probability vector; the samples are not domain-checked. Returns one
+    probability vector; the samples are not domain-checked. A stack that
+    :class:`EmpiricalSample` would reject in any sample (other shapes, points
+    that are not finite, weights that are negative or do not sum to 1 within
+    1e-12) raises :class:`ValueError`; the weights are fitted as given. Returns one
     :class:`ScatterResult` per sample, in order. Each sample iterates on its
     own from B = c I, the minimizer of the objective over multiples of I
     (c = 1 where there is none), which scales with the data as the fit
@@ -385,25 +404,22 @@ def solve_scatter_stack(points, weights, cfg: ScatterConfig) -> list[ScatterResu
     check would find (see the module docstring); a collapse cannot happen on
     the domain at all.
     """
-    results, broken, _ = _solve_stack(points, weights, cfg)
-    if broken:
-        i = min(broken)
-        raise NumericalBreakdown(broken[i] if len(results) == 1 else f"sample {i}: {broken[i]}")
-    return results
+    Y, w = np.asarray(points, dtype=float), np.asarray(weights, dtype=float)
+    _as_stack(Y, w)  # the checks of EmpiricalSample, on every sample
+    outcomes = _solve_stack(Y, w, cfg)
+    for i, outcome in enumerate(outcomes):
+        if isinstance(outcome, NumericalBreakdown):
+            raise NumericalBreakdown(str(outcome) if len(outcomes) == 1 else f"sample {i}: {outcome}")
+    return outcomes
 
 
-def _solve_stack(points, weights, cfg: ScatterConfig):
-    """:func:`solve_scatter_stack` that records breakdowns instead of raising them.
+def _solve_stack(Y, w, cfg: ScatterConfig) -> list:
+    """:func:`solve_scatter_stack` of checked arrays, one outcome per sample instead of raising.
 
-    Returns the results, None for each sample that broke down or collapsed,
-    a dict from those samples' stack positions to what went wrong, and the
-    set of the positions whose fit the collapse witness stopped: each of
-    those samples is proven off the domain.
+    Each sample's outcome is its :class:`ScatterResult`, or the
+    :class:`NumericalBreakdown` it stopped with: a ``_Collapse`` when the
+    collapse witness stopped it, which proves the sample off the domain.
     """
-    Y = np.asarray(points, dtype=float)
-    w = np.asarray(weights, dtype=float)
-    if Y.ndim != 3 or w.shape != Y.shape[:2]:
-        raise ValueError(f"expected points (R, n, d) and weights (R, n), got {Y.shape} and {w.shape}")
     R, _, d = Y.shape
     nu = cfg.nu
     eye = np.eye(d)
@@ -420,8 +436,7 @@ def _solve_stack(points, weights, cfg: ScatterConfig):
     streak = np.zeros(R, dtype=int)  # steps in a row on which it degenerated
     newton_steps = np.zeros(R, dtype=int)
     traces = [[value] for value in obj.tolist()]
-    results = [None] * R
-    broken, collapsed = {}, set()
+    outcomes = [None] * R  # each filled once its sample stops
     for k in range(cfg.max_iter + 1):
         if not ids.size:
             break
@@ -436,7 +451,7 @@ def _solve_stack(points, weights, cfg: ScatterConfig):
         going = stops == ""
         for j in np.flatnonzero(~going):
             i = ids[j]
-            results[i] = ScatterResult(
+            outcomes[i] = ScatterResult(
                 A=SpdMatrix._factored(B[j].copy(), L[j].copy()),  # B[j] is exactly symmetric, L[j] its factor
                 iterations=k,
                 newton_steps=int(newton_steps[i]),
@@ -462,7 +477,7 @@ def _solve_stack(points, weights, cfg: ScatterConfig):
         obj_next = np.where(newton, obj_nt, obj_mm)
         sound = ok_mm & ~(obj_next > obj + MONOTONE_SLACK * np.maximum(1.0, np.abs(obj)))
         for j in np.flatnonzero(~sound):
-            broken[ids[j]] = (
+            outcomes[ids[j]] = NumericalBreakdown(
                 f"iterate left the SPD cone at iteration {k + 1}" if not ok_mm[j] else
                 f"objective increased from {float(obj[j])!r} to {float(obj_next[j])!r} "
                 f"at iteration {k + 1}"
@@ -481,9 +496,8 @@ def _solve_stack(points, weights, cfg: ScatterConfig):
             found = _collapse_witness(Y[ids[j]], w[j], B[j], nu + d)
             if found:
                 q, _, mass, threshold = found
-                broken[ids[j]] = (f"iterate collapsed onto a {q}-subspace of mass {mass!r} >= {threshold!r} "
-                                  f"at iteration {k + 1}")
-                collapsed.add(int(ids[j]))
+                outcomes[ids[j]] = _Collapse(f"iterate collapsed onto a {q}-subspace of mass {mass!r} >= "
+                                             f"{threshold!r} at iteration {k + 1}")
                 sound[j] = False
         if not sound.all():
             ids, Yt, log_t, w, B, L, Z, s, obj, spread, top, streak = (
@@ -491,4 +505,4 @@ def _solve_stack(points, weights, cfg: ScatterConfig):
             )
         for i, value in zip(ids.tolist(), obj.tolist()):
             traces[i].append(value)
-    return results, broken, collapsed
+    return outcomes

@@ -6,12 +6,13 @@ sqrt(n) * (vectorized estimate - functional) against the analytic asymptotic
 covariance. Replicate RNG streams are keyed by (seed, replicate index). A
 job's replicates are split into the fewest stacks whose solver scratch fits
 ``STACK_BYTES``, of sizes that differ by at most one, and each stack (lifted
-first for location-scatter) goes through the solve paths' one stacked
-fit-and-certify helper in one call. A replicate is inside the domain when
-the certificate accepts its fit and outside when the collapse witness
-stopped it; only a replicate that neither decides is enumerated, on its own.
-Replicates whose fit did not converge are counted, not averaged in. Reports
-are bit-identical across runs and agree across stack sizes.
+first for location-scatter) goes through ``scatter._fit_and_check`` in one
+call. That helper is where membership is decided, for every solve path: it
+certifies the fits, takes a collapse of the fit as proof that a replicate is
+outside, and enumerates only a replicate that neither decides, on its own.
+This module acts on the one outcome it returns per replicate. Replicates
+whose fit did not converge are counted, not averaged in. Reports are
+bit-identical across runs and agree across stack sizes.
 
 For discrete target laws the functional and its covariance are computed
 exactly from the law itself; for continuous laws they are estimated from one
@@ -28,10 +29,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .asymptotics import AsymptoticCov, asymptotic_cov_locscatter, asymptotic_cov_scatter
-from .domain_check import EmpiricalSample, _check_exact, check_locscat_domain, check_scatter_domain
+from .domain_check import EmpiricalSample, check_locscat_domain, check_scatter_domain
 from .exceptions import DomainViolation, EnumerationBudgetError, NumericalBreakdown
 from .locscatter import certify_lifted_fit, solve_locscatter
-from .scatter import ScatterConfig, ScatterResult, _fit_and_check, _sample_bytes, solve_scatter
+from .scatter import ScatterConfig, ScatterResult, _Collapse, _fit_and_check, _sample_bytes, solve_scatter
 from .symspace import as_spd, sym_to_vec
 
 __all__ = [
@@ -230,34 +231,29 @@ def _replicate_thetas(sampler: Sampler, cfg: ScatterConfig, n: int, mode: str, r
     draws (lifted in locscatter mode), with the uniform weights
     :class:`EmpiricalSample` gives a draw and
     :func:`~tscatter.domain_check.lift` keeps, go through one
-    :func:`~tscatter.scatter._fit_and_check` call. A replicate is decided
-    there when the certificate accepts its fit or the collapse witness
-    stopped it (outside the domain); only a replicate neither decides is
-    enumerated, on its own. A member replicate whose fit broke down raises
+    :func:`~tscatter.scatter._fit_and_check` call, which decides each
+    replicate's membership. A member replicate whose fit broke down raises
     :class:`NumericalBreakdown`, and one past the enumeration budget
     :class:`EnumerationBudgetError`, each naming the replicate.
     """
     d = sampler.dim
     lifted = mode == "locscatter"
     solve_cfg = dataclasses.replace(cfg, nu=cfg.nu - 1.0) if lifted else cfg
-    a0 = solve_cfg.nu + (d + lifted)
     outcomes = []
     for stack_reps in _stacks(reps, max(1, STACK_BYTES // _sample_bytes(n, d + lifted))):
         draws = np.stack([sampler.draw(n, sampler.rng_for(rep)) for rep in stack_reps]) + 0.0  # no -0.0
         points, weights = draws, np.full(draws.shape[:2], 1.0 / n)
         if lifted:
             points = np.concatenate([draws, np.ones(draws.shape[:2] + (1,))], axis=2)
-        fits, member, broken, collapsed = _fit_and_check(points, weights, solve_cfg)
-        for i, rep in enumerate(stack_reps):
-            if not (member[i] or i in collapsed):
-                try:
-                    member[i] = _check_exact(points[i], weights[i], a0).member
-                except EnumerationBudgetError as exc:
-                    raise EnumerationBudgetError(f"replicate {rep}: {exc}") from None
-            if member[i] and i in broken:
-                raise NumericalBreakdown(f"replicate {rep}: {broken[i]}")
-        found, kept = [False] * len(fits), np.flatnonzero(member).tolist()
-        ests = [certify_lifted_fit(EmpiricalSample(draws[i]), cfg.nu, fits[i]) if lifted else fits[i] for i in kept]
+        decided = _fit_and_check(points, weights, solve_cfg)
+        for rep, outcome in zip(stack_reps, decided):
+            # a member's breakdown or a refusal past the budget; the other exceptions are outside the domain
+            if isinstance(outcome, Exception) and not isinstance(outcome, (DomainViolation, _Collapse)):
+                raise type(outcome)(f"replicate {rep}: {outcome}")
+        found = [False] * len(decided)
+        kept = [i for i, outcome in enumerate(decided) if isinstance(outcome, ScatterResult)]
+        ests = [certify_lifted_fit(EmpiricalSample(draws[i]), cfg.nu, decided[i]) if lifted else decided[i]
+                for i in kept]
         for i, est, theta in zip(kept, ests, _thetas(ests) if ests else ()):
             found[i] = theta if est.converged else None
         outcomes += found

@@ -11,8 +11,9 @@ from tscatter import (
     DomainViolation,
     EmpiricalSample,
     EnumerationBudgetError,
+    NumericalBreakdown,
     ScatterConfig,
-    certify_members,
+    ScatterResult,
     check_locscat_domain,
     check_scatter_domain,
     lift,
@@ -22,6 +23,7 @@ from tscatter import (
     solve_scatter_stack,
 )
 from tscatter import domain_check, scatter
+from tscatter.domain_check import _certify_members
 from tscatter.scatter import _solve_stack
 from oracles import (
     check_locscat_domain_direct,
@@ -689,8 +691,7 @@ class TestStack:
 
     def test_rejects_bad_input(self):
         # each sample of a stack is checked on its own, so a bad second sample
-        # is refused; the shape of a stack (ragged, not a stack) is checked by
-        # certify_members, in TestCertificate
+        # is refused
         P = np.random.default_rng(103).standard_normal((2, 5, 3))
         W = np.full((2, 5), 0.2)
         with pytest.raises(ValueError):
@@ -719,7 +720,7 @@ class TestStack:
         W = np.full((75, 300), 1 / 300)
         A = np.stack([fit.A.mat for fit in solve_scatter_stack(P, W, ScatterConfig(nu=2.0))])
         assert all(rpt.member for rpt in check_stack(P, None, 4.0))
-        assert certify_members(P, W, A, 4.0).all()
+        assert _certify_members(P, W, A, 4.0).all()
 
 
 def _threshold_law(d, n, lifted, seed):
@@ -785,7 +786,7 @@ def _certify_law(case):
 
 
 class TestCertificate:
-    """``certify_members`` accepts only laws the exact check accepts."""
+    """``_certify_members`` accepts only laws the exact check accepts."""
 
     @settings(max_examples=400, deadline=None)
     @given(CERTIFY_LAWS)
@@ -797,11 +798,11 @@ class TestCertificate:
         d = q.d
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(scatter, "COLLAPSE_STEPS", 201)
-            fits, *_ = _solve_stack(q.points[None], q.weights[None], ScatterConfig(nu=a0 - d, max_iter=200))
+            fits = _solve_stack(q.points[None], q.weights[None], ScatterConfig(nu=a0 - d, max_iter=200))
         G = rng.standard_normal((d, d))
-        candidates = [G @ G.T + 1e-3 * np.eye(d)] + [fit.A.mat for fit in fits if fit is not None]
-        accepted = certify_members(np.stack([q.points] * len(candidates)), np.stack([q.weights] * len(candidates)),
-                                   np.stack(candidates), a0)
+        candidates = [G @ G.T + 1e-3 * np.eye(d)] + [fit.A.mat for fit in fits if isinstance(fit, ScatterResult)]
+        accepted = _certify_members(np.stack([q.points] * len(candidates)), np.stack([q.weights] * len(candidates)),
+                                    np.stack(candidates), a0)
         if accepted.any():
             assert check_scatter_domain(q, a0).member
 
@@ -812,11 +813,12 @@ class TestCertificate:
         rng = np.random.default_rng(d)
         for nu in (0.2, 1.0, 4.0):
             P = np.stack([rng.standard_normal((60, d)) / np.sqrt(rng.chisquare(3.0, (60, 1))) for _ in range(5)])
-            fits = solve_scatter_stack(P, np.full((5, 60), 1 / 60), ScatterConfig(nu=nu))
-            assert certify_members(P, None, np.stack([f.A.mat for f in fits]), nu + d).all()
+            W = np.full((5, 60), 1 / 60)  # as EmpiricalSample makes uniform weights
+            fits = solve_scatter_stack(P, W, ScatterConfig(nu=nu))
+            assert _certify_members(P, W, np.stack([f.A.mat for f in fits]), nu + d).all()
             L = np.concatenate([P, np.ones((5, 60, 1))], axis=2)
-            fits = solve_scatter_stack(L, np.full((5, 60), 1 / 60), ScatterConfig(nu=nu))
-            assert certify_members(L, None, np.stack([f.A.mat for f in fits]), nu + d + 1).all()
+            fits = solve_scatter_stack(L, W, ScatterConfig(nu=nu))
+            assert _certify_members(L, W, np.stack([f.A.mat for f in fits]), nu + d + 1).all()
 
     def test_refuses_off_domain_fits_that_stop_as_converged(self, monkeypatch):
         # of 40 draws of 300 from the near-boundary four-point law, the ones
@@ -832,19 +834,19 @@ class TestCertificate:
         W = np.full((40, 300), 1 / 300)
         cfg = ScatterConfig(nu=2.0)
         reports = check_stack(P, None, 4.0)
-        fits, *_ = _solve_stack(P, W, cfg)
+        fits = _solve_stack(P, W, cfg)
         assert not [i for i, (fit, rpt) in enumerate(zip(fits, reports))
-                    if fit is not None and fit.stop_reason == "grad" and not rpt.member]
+                    if isinstance(fit, ScatterResult) and fit.stop_reason == "grad" and not rpt.member]
         monkeypatch.setattr(scatter, "COLLAPSE_STEPS", cfg.max_iter + 1)  # the solver without its collapse stop
-        fits, *_ = _solve_stack(P, W, cfg)
+        fits = _solve_stack(P, W, cfg)
         converged_outside = [i for i, (fit, rpt) in enumerate(zip(fits, reports))
-                             if fit is not None and fit.stop_reason == "grad" and not rpt.member]
+                             if isinstance(fit, ScatterResult) and fit.stop_reason == "grad" and not rpt.member]
         assert converged_outside
         A = np.stack([fits[i].A.mat for i in converged_outside])
-        assert not certify_members(P[converged_outside], W[converged_outside], A, 4.0).any()
+        assert not _certify_members(P[converged_outside], W[converged_outside], A, 4.0).any()
         inside = [i for i, rpt in enumerate(reports) if rpt.member]
         A = np.stack([fits[i].A.mat for i in inside])
-        assert certify_members(P[inside], W[inside], A, 4.0).all()
+        assert _certify_members(P[inside], W[inside], A, 4.0).all()
 
     def test_roundoff_allowance(self):
         # at a converged fit M - I is mostly a multiple of I, so where
@@ -858,7 +860,7 @@ class TestCertificate:
         W = np.full((34, 300), 1 / 300)
         A = np.stack([fit.A.mat for fit in solve_scatter_stack(P, W, ScatterConfig(nu=2.0))])
         assert all(rpt.member for rpt in check_stack(P, None, 4.0))
-        assert certify_members(P, W, A, 4.0).all()
+        assert _certify_members(P, W, A, 4.0).all()
         Z = np.linalg.solve(np.linalg.cholesky(A), np.swapaxes(P, 1, 2))
         s = np.einsum("rin,rin->rn", Z, Z)
         M = (Z * (W * 4.0 / (2.0 + s))[:, None, :]) @ np.swapaxes(Z, 1, 2)
@@ -876,30 +878,7 @@ class TestCertificate:
         W = np.full((75, 300), 1 / 300)
         A = np.stack([fit.A.mat for fit in solve_scatter_stack(P, W, ScatterConfig(nu=2.0))])
         assert all(rpt.member for rpt in check_stack(P, None, 4.0))
-        assert certify_members(P, W, A, 4.0).all()
-
-    def test_rejects_bad_input(self):
-        P = np.random.default_rng(103).standard_normal((2, 5, 3))
-        W = np.full((2, 5), 0.2)
-        A = np.stack([np.eye(3)] * 2)
-        for bad in ([P[0], P[1, :4]], P[0], np.zeros((2, 0, 3))):  # ragged, not a stack, empty samples
-            with pytest.raises(ValueError):
-                certify_members(bad, None, A, 4.0)
-        for value in (np.nan, np.inf):
-            Q = P.copy()
-            Q[1, 2, 0] = value
-            with pytest.raises(ValueError):
-                certify_members(Q, W, A, 4.0)
-        # the row of the second sample only, or the shape
-        bad_rows = [W[:, :4], np.where(np.eye(2, 5, -1) > 0, np.nan, W), W * [[1.0], [1.5]],
-                    W + [[0.0] * 5, [0.0, 0.0, 0.0, 0.3, -0.3]]]
-        for weights in bad_rows:
-            with pytest.raises(ValueError):
-                certify_members(P, weights, A, 4.0)
-        with pytest.raises(ValueError):
-            certify_members(P, None, A[:1], 4.0)
-        with pytest.raises(ValueError):
-            certify_members(P, W, A, 3.0)  # a0 must exceed d
+        assert _certify_members(P, W, A, 4.0).all()
 
 
 def _same_fit(a, b):
@@ -927,9 +906,10 @@ class TestCollapseWitness:
 
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(scatter, "_collapse_witness", spy)
-            fits, broken, collapsed = _solve_stack(q.points[None], q.weights[None], cfg)
+            (got,) = _solve_stack(q.points[None], q.weights[None], cfg)
         positive = q.drop_zero_weights()
-        assert collapsed == {i for i, why in broken.items() if "collapsed" in why}
+        collapsed = isinstance(got, scatter._Collapse)
+        assert collapsed == (isinstance(got, NumericalBreakdown) and "collapsed" in str(got))
         if collapsed:
             assert not domain_check._check_exact(positive.points, positive.weights, a0).member
             dim, rows, mass, threshold = found[-1]
@@ -944,7 +924,6 @@ class TestCollapseWitness:
             assert not any(found)
             with pytest.MonkeyPatch.context() as mp:
                 mp.setattr(scatter, "COLLAPSE_STEPS", cfg.max_iter + 1)
-                want, want_broken, _ = _solve_stack(q.points[None], q.weights[None], cfg)
-            assert broken == want_broken
-            assert (fits[0] is None) == (want[0] is None)
-            assert fits[0] is None or _same_fit(fits[0], want[0])
+                (want,) = _solve_stack(q.points[None], q.weights[None], cfg)
+            assert type(got) is type(want)
+            assert str(got) == str(want) if isinstance(want, NumericalBreakdown) else _same_fit(got, want)

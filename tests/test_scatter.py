@@ -13,6 +13,7 @@ from tscatter import (
     EnumerationBudgetError,
     NumericalBreakdown,
     ScatterConfig,
+    ScatterResult,
     check_locscat_domain,
     check_scatter_domain,
     discrete_sampler,
@@ -21,7 +22,7 @@ from tscatter import (
     solve_scatter,
     weight_u,
 )
-from tscatter import scatter, simlab
+from tscatter import domain_check, scatter, simlab
 from tscatter.scatter import solve_scatter_stack
 from tscatter.symspace import sym_dim, sym_to_vec, vec_to_sym
 
@@ -41,6 +42,11 @@ def axis_law(d):
 
 def random_in_domain(rng, n, d):
     return EmpiricalSample(rng.standard_normal((n, d)))
+
+
+def _line_law():
+    # 3/4 of the mass on a line through the origin, the threshold at nu = 2
+    return EmpiricalSample(np.vstack([np.outer(np.arange(1.0, 7.0), [0.6, 0.8]), [[1.0, -2.0], [-3.0, 0.5]]]))
 
 
 def _t2_cloud(n, d, seed):
@@ -243,10 +249,9 @@ class TestSolveScatter:
             spy(name, getattr(scatter, name))
         q = random_in_domain(np.random.default_rng(29), 30, 2)
         if not inside:
-            # 3/4 of the mass on a line through the origin, the threshold at
-            # nu = 2 for both functionals; both fits collapse onto that line,
-            # so there is no fit to certify
-            q = EmpiricalSample(np.vstack([np.outer(np.arange(1.0, 7.0), [0.6, 0.8]), [[1.0, -2.0], [-3.0, 0.5]]]))
+            # the line law is outside for both functionals at nu = 2; both
+            # fits collapse onto that line, so there is no fit to certify
+            q = _line_law()
         solve = functools.partial(solve_scatter, q, ScatterConfig(nu=2.0))
         if functional == "locscatter":
             solve = functools.partial(solve_locscatter, q, 2.0)
@@ -693,6 +698,69 @@ class TestStack:
         with pytest.raises(ValueError):
             solve_scatter_stack(np.ones((2, 5, 2)), np.full((2, 4), 0.25), ScatterConfig(nu=1.0))
 
+    @pytest.mark.parametrize("case", ["weights sum to 3", "negative weight", "nan point", "inf point",
+                                      "not a stack", "empty samples"])
+    def test_rejects_what_empirical_sample_rejects(self, case):
+        # the second sample of a stack of 50 normal points in 2-D: weights that
+        # sum to 3 or hold a negative entry gave a "converged" fit, and a
+        # point that is not finite a breakdown at the first step
+        Y = np.random.default_rng(0).standard_normal((2, 50, 2))
+        w = np.full((2, 50), 1 / 50)
+        if case == "weights sum to 3":
+            w[1] *= 3.0
+        elif case == "negative weight":
+            w[1, :2] = [-1 / 50, 3 / 50]
+        elif case == "not a stack":
+            Y, w = Y[0], w[0]
+        elif case == "empty samples":
+            Y, w = Y[:, :0], w[:, :0]
+        else:
+            Y[1, 7, 1] = np.nan if case == "nan point" else np.inf
+        with pytest.raises(ValueError):
+            solve_scatter_stack(Y, w, ScatterConfig(nu=2.0))
+
+
+class TestFitAndCheck:
+    """``_fit_and_check`` decides each sample's membership: one outcome per sample."""
+
+    @pytest.mark.parametrize("case", ["certified", "unconverged", "breakdown", "outside", "collapse", "refusal"])
+    def test_one_decided_outcome(self, monkeypatch, case):
+        # a member's fit (converged or not) or breakdown, an enumerated
+        # outsider, a collapse the witness proves outside without enumeration,
+        # and a refusal past the budget. At max_iter=2 the line law stops
+        # before the witness can be asked, so it is enumerated
+        q, cfg = {
+            "certified": (random_in_domain(np.random.default_rng(29), 30, 2), ScatterConfig(nu=2.0)),
+            "unconverged": (random_in_domain(np.random.default_rng(29), 30, 2), ScatterConfig(nu=2.0, max_iter=2)),
+            "breakdown": (EmpiricalSample(np.random.default_rng(0).standard_normal((30, 2)) * [1e6, 1.0]),
+                          ScatterConfig(nu=1.0)),
+            "outside": (_line_law(), ScatterConfig(nu=2.0, max_iter=2)),
+            "collapse": (EmpiricalSample(np.array([[0.0], [1.0]]), np.array([0.7, 0.3])), ScatterConfig(nu=2.0)),
+            "refusal": (_line_law(), ScatterConfig(nu=2.0, max_iter=2)),
+        }[case]
+        if case == "refusal":
+            monkeypatch.setattr(domain_check, "DEFAULT_BUDGET", 1)
+        enumerated, check = [], scatter._check_exact
+
+        def spy(*args):
+            enumerated.append(args)
+            return check(*args)
+
+        monkeypatch.setattr(scatter, "_check_exact", spy)
+        (outcome,) = scatter._fit_and_check(q.points[None], q.weights[None], cfg)
+        if case in ("certified", "unconverged"):
+            assert isinstance(outcome, ScatterResult) and outcome.converged == (case == "certified")
+            assert case == "unconverged" or not enumerated
+        elif case == "breakdown":
+            assert type(outcome) is NumericalBreakdown and str(outcome).startswith("iterate left the SPD cone")
+            assert enumerated and check_scatter_domain(q, 3.0).member
+        elif case == "outside":
+            assert type(outcome) is DomainViolation and outcome.report == check_scatter_domain(q, 4.0)
+        elif case == "collapse":
+            assert type(outcome) is scatter._Collapse and not enumerated
+        else:
+            assert type(outcome) is EnumerationBudgetError and enumerated
+
 
 def _collapse_step(message, dim):
     # the iteration at which a fit stopped on a collapse onto a dim-subspace
@@ -718,9 +786,8 @@ class TestCollapseStop:
         # left the SPD cone after 36 to 38 steps without the stop
         q = _plane_law(seed)
         lifted = lift(q)
-        results, broken, collapsed = scatter._solve_stack(lifted.points[None], lifted.weights[None],
-                                                          ScatterConfig(nu=2.0))
-        assert results == [None] and collapsed == {0} and _collapse_step(broken[0], 3) <= 8
+        (outcome,) = scatter._solve_stack(lifted.points[None], lifted.weights[None], ScatterConfig(nu=2.0))
+        assert isinstance(outcome, scatter._Collapse) and _collapse_step(str(outcome), 3) <= 8
         with pytest.raises(DomainViolation) as exc:
             solve_locscatter(q, 3.0)
         assert exc.value.report == check_locscat_domain(q, 6.0)
@@ -731,8 +798,8 @@ class TestCollapseStop:
         # shrinks the iterate, which took all 500 steps without the stop
         q = EmpiricalSample(np.array([[0.0], [1.0]]), np.array([0.7, 0.3]))
         cfg = ScatterConfig(nu=nu)
-        results, broken, collapsed = scatter._solve_stack(q.points[None], q.weights[None], cfg)
-        assert results == [None] and collapsed == {0} and _collapse_step(broken[0], 0) <= 50
+        (outcome,) = scatter._solve_stack(q.points[None], q.weights[None], cfg)
+        assert isinstance(outcome, scatter._Collapse) and _collapse_step(str(outcome), 0) <= 50
         with pytest.raises(DomainViolation) as exc:
             solve_scatter(q, cfg)
         assert exc.value.report == check_scatter_domain(q, nu + 1.0)

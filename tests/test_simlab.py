@@ -405,12 +405,12 @@ class TestStackedDomainChecks:
         want = replicates_one_at_a_time(s, cfg, n, mode, range(40))
         monkeypatch.setattr(simlab, "STACK_BYTES", 7 * scatter._sample_bytes(n, 2 + (mode == "locscatter")))
         collapsed, enumerated = set(), []
-        solve, check = scatter._solve_stack, simlab._check_exact
+        solve, check = scatter._solve_stack, scatter._check_exact
 
         def solve_spy(points, weights, cfg):
-            results, broken, stopped = solve(points, weights, cfg)
-            collapsed.update(points[i].tobytes() for i in stopped)
-            return results, broken, stopped
+            outcomes = solve(points, weights, cfg)
+            collapsed.update(p.tobytes() for p, out in zip(points, outcomes) if isinstance(out, scatter._Collapse))
+            return outcomes
 
         def check_spy(points, weights, a0):
             enumerated.append(points)
@@ -420,7 +420,7 @@ class TestStackedDomainChecks:
             raise AssertionError("a replicate was checked by the public check")
 
         monkeypatch.setattr(scatter, "_solve_stack", solve_spy)
-        monkeypatch.setattr(simlab, "_check_exact", check_spy)
+        monkeypatch.setattr(scatter, "_check_exact", check_spy)
         monkeypatch.setattr(simlab, "check_scatter_domain", alone)
         monkeypatch.setattr(simlab, "check_locscat_domain", alone)
         got = simlab._replicate_thetas(s, cfg, n, mode, range(40))
@@ -503,9 +503,12 @@ class TestCertificateOfTheFit:
         for (points, weights), (cert_points, cert_weights) in zip(fitted, certified):
             assert np.array_equal(cert_points, points) and np.array_equal(cert_weights, weights)
             assert not np.array_equal(weights / weights.sum(axis=1, keepdims=True), weights)
-        # the certificate decides verdicts only: through the public one, which
-        # divides again, every estimate comes out the same
-        monkeypatch.setattr(scatter, "_certify_members", tscatter.certify_members)
+        # the certificate decides verdicts only: with the weights divided
+        # again, every estimate comes out the same
+        def divided_again(points, weights, A, a0):
+            return certify(points, weights / weights.sum(axis=1, keepdims=True), A, a0)
+
+        monkeypatch.setattr(scatter, "_certify_members", divided_again)
         want = simlab._replicate_thetas(s, cfg, 300, mode, range(150))
         assert all(isinstance(theta, np.ndarray) for theta in got)
         assert all(np.array_equal(g, w) for g, w in zip(got, want))
