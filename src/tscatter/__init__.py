@@ -11,7 +11,6 @@ CSV-driven CLI.
 
 from .asymptotics import (
     AsymptoticCov,
-    HessianMap,
     asymptotic_cov_locscatter,
     asymptotic_cov_scatter,
     extract_jacobian,

@@ -38,7 +38,6 @@ from .symspace import (
 )
 
 __all__ = [
-    "HessianMap",
     "AsymptoticCov",
     "hessian",
     "asymptotic_cov_scatter",
@@ -52,13 +51,6 @@ DEFAULT_RANK_TOL = 1e-8
 # curvature's Gram matrix is summed over: one block for 2·10⁴ points at d = 10,
 # eight at d = 40 (K = 820), where the whole rows would take 131 MB.
 GRAM_BLOCK_BYTES = 16 * 2**20
-
-@dataclass(frozen=True)
-class HessianMap:
-    """Curvature operator on sym_to_vec coordinates; positive definite at the functional."""
-
-    matrix: np.ndarray
-
 
 @dataclass(frozen=True)
 class AsymptoticCov:
@@ -75,10 +67,11 @@ class AsymptoticCov:
     parametrization: str
 
 
-def hessian(sample: EmpiricalSample, A, nu: float) -> HessianMap:
+def hessian(sample: EmpiricalSample, A, nu: float) -> np.ndarray:
     """Curvature operator of the scatter objective at A.
 
-    Realized as a symmetric matrix H on sym_to_vec coordinates with
+    Returns it as the symmetric K x K matrix H, K = d(d+1)/2, on sym_to_vec
+    coordinates with
 
         vec(D)' H vec(D) = |A^{1/2} D A^{1/2}|_F^2
                            - (nu+d) sum_i w_i (y_i'Dy_i)^2 / (nu + y_i'Cy_i)^2.
@@ -106,24 +99,23 @@ def _curvature(sample: EmpiricalSample, A, nu: float, s, T):
         m += V @ c[lo : lo + step]
         V *= root[lo : lo + step]
         G += V @ V.T
-    H = symmetrize(T - G, rtol=1e-6)
-    return HessianMap(matrix=H), G, m
+    return symmetrize(T - G, rtol=1e-6), G, m
 
 
 def _fit(sample: EmpiricalSample, nu: float, fit=None, check_domain=True) -> ScatterResult:
     return fit if fit is not None else solve_scatter(sample, ScatterConfig(nu=nu), check_domain=check_domain)
 
 
-def _curvature_solve(hess: HessianMap, rhs) -> np.ndarray:
+def _curvature_solve(H: np.ndarray, rhs) -> np.ndarray:
     """H^{-1} rhs for the curvature H, once a Cholesky factorization shows H positive definite."""
     # the curvature is positive definite at the functional, not necessarily at an unconverged fit
     try:
-        np.linalg.cholesky(hess.matrix)
+        np.linalg.cholesky(H)
     except np.linalg.LinAlgError as exc:
-        least = np.linalg.eigvalsh(hess.matrix)[0]
+        least = np.linalg.eigvalsh(H)[0]
         raise NumericalBreakdown(f"curvature is not positive definite (least eigenvalue {least:.3g}):"
                                  " the fit is too far from the functional") from exc
-    return np.linalg.solve(hess.matrix, rhs)
+    return np.linalg.solve(H, rhs)
 
 
 def _numerical_rank(S: np.ndarray) -> int:

@@ -252,27 +252,12 @@ def dispatch(args: argparse.Namespace, warnings: list[str]) -> dict:
 
 
 def _emit(envelope: dict, args: argparse.Namespace):
-    if args.format == "csv":
-        buf = io.StringIO()
-        writer = csv.writer(buf)
-        writer.writerow(["key", "value"])
-        writer.writerows(_flatten("payload", envelope["payload"]))
-        text = buf.getvalue()
-    else:
-        text = json.dumps(envelope, indent=2) + "\n"
+    text = json.dumps(envelope, indent=2) + "\n"
     if args.output and args.output != "-":
         with open(args.output, "w", encoding="utf-8") as fh:
             fh.write(text)
     else:
         sys.stdout.write(text)
-
-
-def _flatten(prefix, obj):
-    if isinstance(obj, dict):
-        return [kv for k, v in obj.items() for kv in _flatten(f"{prefix}.{k}", v)]
-    if isinstance(obj, list):
-        return [kv for i, v in enumerate(obj) for kv in _flatten(f"{prefix}[{i}]", v)]
-    return [(prefix, obj)]
 
 
 class _Parser(argparse.ArgumentParser):
@@ -296,7 +281,6 @@ def build_parser() -> argparse.ArgumentParser:
                                 "depend on the units of the data")
             p.add_argument("--max-iter", type=int, default=500)
         p.add_argument("--output", default=None, help="write the envelope here instead of stdout")
-        p.add_argument("--format", choices=["json", "csv"], default="json")
 
     add_common(sub.add_parser("estimate", help="location-scatter estimate (nu > 1)"))
     add_common(sub.add_parser("scatter", help="pure scatter estimate"))

@@ -512,9 +512,6 @@ def _heaviest_span(X: np.ndarray, w: np.ndarray, size: int, tol: float):
     # per fixed tuple and point: d coordinates and about 16 words of arcs,
     # sort order, groups and candidates
     block = max(1, BLOCK_BYTES // (8 * m * (d + 16)))
-    # the running sums below are off by at most ~m*eps; candidates they put
-    # this close to the top are re-summed exactly
-    slack = 4 * (m + 2) * np.finfo(float).eps
     best_mass, best = -np.inf, None
     for fixed in _subset_blocks(m, size - 1, block):
         fixed, C, norms = _frames(X, fixed, tol)
@@ -530,18 +527,11 @@ def _heaviest_span(X: np.ndarray, w: np.ndarray, size: int, tol: float):
         g_next = np.minimum.reduceat(np.where(later, pts, m), seg)
         tidy = np.flatnonzero(clean & (g_next < m))
         cand_row, cand_pt = g_row[tidy], g_next[tidy]
-        approx = (base @ w)[cand_row] + np.add.reduceat(w[pts], seg)[tidy]
+        masses = _group_masses(w, pts, seg[tidy], g_len[tidy], base, cand_row)
         # every member of a group that is not clean, on its own
         odd = np.repeat(line & ~clean, g_len) & later
         odd_row, odd_pt = rows[odd], pts[odd]
-        odd_mass = _line_masses(w, C, norms, base, on, odd_row, odd_pt, tol)
-
-        top = max(best_mass, approx.max(initial=-np.inf), odd_mass.max(initial=-np.inf))
-        near = np.flatnonzero(approx >= top - slack)
-        masses = np.full(approx.size, -np.inf)
-        if near.size:
-            masses[near] = _group_masses(w, pts, seg[tidy[near]], g_len[tidy[near]], base, cand_row[near])
-        masses = np.concatenate([masses, odd_mass])
+        masses = np.concatenate([masses, _line_masses(w, C, norms, base, on, odd_row, odd_pt, tol)])
         cand_row, cand_pt = np.concatenate([cand_row, odd_row]), np.concatenate([cand_pt, odd_pt])
         peak = masses.max(initial=-np.inf)
         if peak > best_mass:

@@ -31,6 +31,7 @@ so both searches first scale the points by 2^-e and map mu and sigma back by
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -142,10 +143,18 @@ def _brentq(f, a: float, b: float, xtol: float, rtol: float, maxiter: int) -> fl
 def sigma_of_mu(sample: EmpiricalSample, mu: float, nu: float) -> float:
     """Unique sigma > 0 with F(mu, sigma) = 1/(nu+1), by bracketed root finding.
 
-    Exists iff the mass off the point mu exceeds 1/(nu+1); otherwise raises
-    :class:`NoPositiveSolution` (the scale profile is driven to 0 there).
-    The bracket needs no search: F(mu, sigma) < s^2/(nu sigma^2) with
-    s^2 = int (x-mu)^2 dQ, so F is below 1/(nu+1) at sigma = 2 sqrt((nu+1)/nu) s.
+    Exists iff the mass m off the point mu exceeds t = 1/(nu+1); otherwise
+    raises :class:`NoPositiveSolution` (the scale profile is driven to 0
+    there). The bracket needs no search; with s^2 = int (x-mu)^2 dQ:
+
+    * above, F(mu, sigma) < s^2/(nu sigma^2), so F is below t at
+      sigma = 2 sqrt((nu+1)/nu) s;
+    * below, the bracket starts at 1e-12 s when F is at least t there.
+      Otherwise it starts at sqrt(g (m - t)/(2 nu t)), g the least positive
+      (x-mu)^2. Each term off mu keeps at least g/(nu sigma^2 + g) of its
+      mass, so F >= m g/(nu sigma^2 + g) = 2 m t/(m + t) > t there. That
+      start lies below the upper end, since s^2 >= m g.
+
     The root is found by ``_brentq``. When the largest of |x| and |mu| is
     2^e (up to a factor in [1/2, 1)) with |e| > SCALE_BAND, the search runs
     on the points and mu scaled by 2^-e and the root is scaled back by 2^e,
@@ -162,11 +171,14 @@ def sigma_of_mu(sample: EmpiricalSample, mu: float, nu: float) -> float:
             f"mass off the center is {off_mass:g} <= 1/(nu+1) = {target:g}"
         )
 
+    @functools.cache  # _brentq evaluates F at lo again, and returns a point it evaluated
     def F(sigma):
         return float(w @ (diff2 / (nu * sigma**2 + diff2))) - target
 
     spread = np.sqrt(float(w @ diff2))
     lo = 1e-12 * spread
+    if F(lo) < 0.0:  # g and the factor rooted apart, so that their product cannot underflow
+        lo = math.sqrt(float(diff2[diff2 > 0.0].min())) * math.sqrt((off_mass - target) / (2.0 * nu * target))
     hi = 2.0 * np.sqrt((nu + 1.0) / nu) * spread
     root = _brentq(F, lo, hi, xtol=1e-300, rtol=8.0 * EPS, maxiter=300)
     if abs(F(root)) > SCALE_RESIDUAL_TOL:

@@ -430,7 +430,7 @@ def sandwich_two_pass(sample: EmpiricalSample, nu: float, fit: ScatterResult):
     scores = ((nu + A.dim) / (2.0 * (nu + s)))[:, None] * outer_vecs(sample.points) - 0.5 * sym_to_vec(A.mat)
     scores -= sample.weights @ scores
     K = (scores * sample.weights[:, None]).T @ scores
-    factor = cho_factor(hessian(sample, A, nu).matrix)
+    factor = cho_factor(hessian(sample, A, nu))
     half = 2.0 * cho_solve(factor, K)       # (H/2)^{-1} K
     Sc = 2.0 * cho_solve(factor, half.T).T  # (H/2)^{-1} K (H/2)^{-1}
     J = congruence_matrix(A.mat)

@@ -81,8 +81,8 @@ class TestHessian:
     def test_four_point_minimum_eigenvalue(self):
         q = four_point_law()
         H = hessian(q, np.eye(2), 2.0)
-        assert abs(np.linalg.eigvalsh(H.matrix)[0] - 0.5) <= 1e-12
-        assert np.allclose(H.matrix, H.matrix.T)
+        assert abs(np.linalg.eigvalsh(H)[0] - 0.5) <= 1e-12
+        assert np.allclose(H, H.T)
 
     def test_quadratic_form_at_identity_direction(self):
         # direct-sum oracle: vec(I)' H vec(I) = d - (nu+d) sum w t^2/(nu+t)^2
@@ -98,7 +98,7 @@ class TestHessian:
         t = np.einsum("ij,ij->i", z, z)
         expected = 2.0 - (nu + 2.0) * float(qz.weights @ (t**2 / (nu + t) ** 2))
         v = sym_to_vec(np.eye(2))
-        assert abs(v @ H.matrix @ v - expected) <= 1e-10
+        assert abs(v @ H @ v - expected) <= 1e-10
 
     def test_matches_finite_differences_of_mean_score(self):
         # the operator is normalized to twice the mean-score derivative,
@@ -118,7 +118,7 @@ class TestHessian:
                 fd = (mean_score(q, c + h * delta, nu) - mean_score(q, c - h * delta, nu)) / (
                     2 * h
                 )
-                got = vec_to_sym(H.matrix @ sym_to_vec(delta))
+                got = vec_to_sym(H @ sym_to_vec(delta))
                 assert np.abs(got - 2.0 * fd).max() <= 1e-5
 
     def test_positive_definite_at_solutions(self):
@@ -128,7 +128,7 @@ class TestHessian:
             q = EmpiricalSample(rng.standard_normal((25, d)))
             nu = float(rng.uniform(0.8, 4.0))
             fit = solve_scatter(q, ScatterConfig(nu=nu))
-            assert np.linalg.eigvalsh(hessian(q, fit.A, nu).matrix)[0] > 0.0
+            assert np.linalg.eigvalsh(hessian(q, fit.A, nu))[0] > 0.0
 
     def test_cauchy_schwarz_chain_at_identity_solutions(self):
         # (nu+d) sum w (z'Dz)^2/(nu+z'z)^2 <= |D|_F^2 when the identity solves q
@@ -250,7 +250,7 @@ class TestScatterCov:
             if max(eigs[-1], 1.0 / eigs[0]) >= 1.0 / delta:
                 continue
             H = hessian(q, fit.A, nu)
-            assert np.linalg.eigvalsh(H.matrix)[0] >= floor
+            assert np.linalg.eigvalsh(H)[0] >= floor
             checked += 1
         assert checked >= 30
 
@@ -301,7 +301,7 @@ class TestUnconvergedFit:
         q = EmpiricalSample(np.random.default_rng(7).standard_normal((12, 2)) * [30.0, 1.0])
         fit = solve_scatter(q, ScatterConfig(nu=1.5, max_iter=1))
         assert not fit.converged
-        assert np.linalg.eigvalsh(hessian(q, fit.A, 1.5).matrix)[0] < 0.0
+        assert np.linalg.eigvalsh(hessian(q, fit.A, 1.5))[0] < 0.0
         with pytest.raises(NumericalBreakdown, match="curvature is not positive definite"):
             asymptotic_cov_scatter(q, 1.5, fit=fit)
         with pytest.raises(NumericalBreakdown, match="curvature is not positive definite"):

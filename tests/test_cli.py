@@ -207,15 +207,6 @@ class TestSuccessEnvelopes:
         assert env["payload"]["converged"] is True
         assert len(env["payload"]["mu"]) == 4
 
-    def test_csv_format(self, cloud2, tmp_path):
-        out = tmp_path / "flat.csv"
-        code = cli.main(["scatter", cloud2, "--nu", "2", "--format", "csv", "--output", str(out)])
-        assert code == cli.EXIT_OK
-        lines = out.read_text(encoding="utf-8").splitlines()
-        assert lines[0] == "key,value"
-        assert "payload.converged,True" in lines
-        assert any(line.startswith("payload.A[1][0],") for line in lines)
-
 
 class TestErrorEnvelopes:
     def test_domain_violation_exit_2(self, line_heavy, tmp_path):

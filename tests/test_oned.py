@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -11,6 +12,7 @@ from tscatter import (
     NoPositiveSolution,
     NuOutOfRange,
     ScatterConfig,
+    cli,
     sigma_of_mu,
     solve_locscatter,
     solve_oned,
@@ -243,6 +245,44 @@ class TestTiedLaws:
         base = profile(est.mu)
         for step in (-1e-3, 1e-3):
             assert profile(est.mu + step * est.sigma) >= base
+
+
+def _multiscale_law(seed):
+    """2 to 7 atoms of random sign at scales 10^U(-16, 3), Dirichlet weights, nu in {1.05, 1.5, 2, 3, 10}."""
+    rng = np.random.default_rng(seed)
+    k = int(rng.integers(2, 8))
+    x = rng.choice([-1.0, 1.0], k) * 10.0 ** rng.uniform(-16.0, 3.0, k)
+    return sample1d(x, rng.dirichlet(np.ones(k))), float(rng.choice([1.05, 1.5, 2.0, 3.0, 10.0]))
+
+
+class TestMultiScaleLaws:
+    """Atoms far closer together than the spread of the law: 1e-12 times the spread need not bracket sigma."""
+
+    BIG_ATOM_NEAR_GAP = sample1d([0.0, 1e-14, 1.0], [0.7, 0.2, 0.1])  # inside the domain at nu = 3
+
+    def test_near_gap_law(self, tmp_path):
+        q = self.BIG_ATOM_NEAR_GAP
+        assert sigma_of_mu(q, 0.0, 3.0) == pytest.approx(1e-14 / 3.0, rel=1e-12)
+        est = solve_oned(q, 3.0)
+        assert not est.boundary and est.sigma > 0.0
+        path = tmp_path / "near_gap.csv"
+        path.write_text("0\n" * 7 + "1e-14\n" * 2 + "1\n", encoding="utf-8")
+        out = tmp_path / "envelope.json"
+        assert cli.main(["oned", str(path), "--nu", "3", "--output", str(out)]) == cli.EXIT_OK
+        assert json.loads(out.read_text(encoding="utf-8"))["payload"]["boundary"] is False
+
+    def test_seeded_sweep(self):
+        solved = 0
+        for seed in range(400):
+            q, nu = _multiscale_law(seed)
+            est = solve_oned(q, nu)
+            if est.boundary:
+                continue
+            x, w = q.points[:, 0], q.weights
+            d2 = (x - est.mu) ** 2
+            assert abs(float(w @ (d2 / (nu * est.sigma**2 + d2))) - 1.0 / (nu + 1.0)) <= 1e-12
+            solved += 1
+        assert solved >= 300
 
 
 class TestProfileObjective:
