@@ -15,8 +15,10 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import json
+import math
 import sys
 import time
 from dataclasses import asdict
@@ -168,12 +170,15 @@ def _round_trip(obj):
     NaN and infinities have no JSON form and become null.
     """
     if isinstance(obj, np.ndarray):
+        if obj.dtype.kind == "f" and np.isfinite(obj).all():
+            return obj.tolist()  # Python floats, nothing to replace
         return _round_trip(obj.tolist())
     # bool subclasses int, so it has to be caught before the int branch
     if isinstance(obj, (bool, np.bool_)):
         return bool(obj)
     if isinstance(obj, (np.floating, float)):
-        return float(obj) if np.isfinite(obj) else None
+        obj = float(obj)
+        return obj if math.isfinite(obj) else None
     if isinstance(obj, (np.integer, int)):
         return int(obj)
     if isinstance(obj, (list, tuple)):
@@ -306,8 +311,13 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# one parser per process: building it takes about a millisecond, a sizable
+# share of a small job; build_parser itself returns a fresh one on each call
+_parser = functools.cache(build_parser)
+
+
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _parser().parse_args(argv)
     start = time.perf_counter()
     warnings: list[str] = []
     try:

@@ -10,15 +10,22 @@ equation A = sum_i w_i u(y_i' A^{-1} y_i) y_i y_i' with u(s) = (nu+d)/(nu+s).
 
 One step of that map is a majorize-minimize (MM) update: it never increases
 the objective, but it converges only linearly, and slowly for small nu or
-near the boundary of the domain. The solver therefore also forms a full
-Newton step in whitened coordinates each iteration and takes it whenever it
-stays SPD and its objective is not above the MM candidate's (up to a few
-units of roundoff, where the comparison says nothing); otherwise it takes
-the MM step (the partial-Newton scheme of Duembgen, Nordhausen and
-Schuhmacher, JMVA 144, 2016). Every step decreases the objective as much as
-the MM step would, up to roundoff, so the monotone descent of the MM iteration
-(Kent and Tyler, Ann. Statist. 19, 1991) carries over, and near the solution
-the Newton steps converge quadratically.
+near the boundary of the domain. The solver therefore first forms a full
+Newton step in whitened coordinates each iteration, and takes it whenever it
+stays SPD and its objective is at most U = Qh(B) + (1/2) log det M + (d - tr M)/2,
+up to a few units of roundoff where the comparison says nothing; B = L L' is
+the iterate and M = L^{-1} B_mm L^{-T} its whitened MM candidate. As rho is
+concave in s, its tangents at the current s_i bound Qh from above by a
+function equal to Qh at B and least at B_mm, where its value is U. So
+Qh(B_mm) <= U <= Qh(B), and a Newton step taken lowers Qh by at least the MM
+guarantee Qh(B) - U = (1/2) sum_j (lambda_j - 1 - log lambda_j) over the
+eigenvalues of M. Only a sample whose Newton step is missing or misses U (or
+whose M is not SPD, which leaves no U) factors and whitens B_mm and takes the
+MM step (the partial-Newton scheme of Duembgen, Nordhausen and Schuhmacher,
+JMVA 144, 2016); an MM candidate not taken is never factored, so it cannot
+break a fit down. The monotone descent of the MM iteration (Kent and Tyler,
+Ann. Statist. 19, 1991) thus carries over, up to roundoff, and near the
+solution the Newton steps converge quadratically.
 
 The Newton system lives on the K = d(d+1)/2 coordinates of a symmetric
 matrix. Its K x K matrix is never formed: each step is solved inexactly by
@@ -80,9 +87,10 @@ __all__ = [
 # Allowed per-step objective increase before declaring breakdown (roundoff slack).
 MONOTONE_SLACK = 1e-12
 
-# Newton wins over MM unless its objective is higher by more than this,
-# relative to max(1, |objective|): below that the comparison is a coin flip
-# of roundoff, and taking MM falls back to linear steps.
+# Newton wins over MM unless its objective is above U, the MM majorizer's
+# value at the MM candidate (module docstring), by more than this relative to
+# max(1, |U|): below that the comparison is a coin flip of roundoff, and
+# taking MM falls back to linear steps.
 NEWTON_TIE_EPS = 16 * np.finfo(float).eps
 
 # A sample stops once the whitened size of its last step is at most this.
@@ -309,7 +317,8 @@ def _sample_bytes(n: int, d: int) -> int:
     Per point: the data and its transposed copy, three whitened copies and
     the one kept, and quadratic forms and weights; then what a Newton step
     takes, a compacted whitened copy and two d-vectors and a weight of each
-    conjugate-gradient product.
+    conjugate-gradient product. It budgets an iteration on which every sample
+    falls back to the MM step, and so holds both whitened candidates at once.
     """
     return 8 * n * (9 * d + 11)
 
@@ -469,12 +478,22 @@ def _solve_stack(Y, w, cfg: ScatterConfig) -> list:
             if not ids.size:
                 break
 
-        L_mm, ok_mm = spd_cholesky(B_mm)
-        Z_mm, s_mm, obj_mm = _whiten(L_mm, Yt, log_t, w, nu)
-        B_nt, L_nt, size_nt, ok_nt = _newton_candidates(L, Z, s, w, nu, M)
-        Z_nt, s_nt, obj_nt = _whiten(L_nt, Yt, log_t, w, nu)
-        newton = ok_nt & (obj_nt <= obj_mm + NEWTON_TIE_EPS * np.maximum(1.0, np.abs(obj_mm)))
-        obj_next = np.where(newton, obj_nt, obj_mm)
+        # the Newton candidates, replaced below by the MM candidate where they miss the bound U
+        B, L, size_nt, ok_nt = _newton_candidates(L, Z, s, w, nu, M)
+        Z, s, obj_next = _whiten(L, Yt, log_t, w, nu)
+        # U = obj + (1/2) log det M + (d - tr M)/2, the MM majorizer's value at B_mm. M is a weighted
+        # Gram matrix, SPD unless singular: where det M is not positive (or M not finite), U = -inf
+        with np.errstate(invalid="ignore"):
+            sign, logdet = np.linalg.slogdet(M)
+            bound = np.where(sign > 0, obj + 0.5 * (logdet + d - np.trace(M, axis1=1, axis2=2)), -np.inf)
+            newton = ok_nt & (obj_next <= bound + NEWTON_TIE_EPS * np.maximum(1.0, np.abs(bound)))
+        ok_mm = np.ones(ids.size, dtype=bool)
+        if not newton.all():
+            # compacted, or the whole arrays, not copies of the data, when every sample falls back
+            mm = slice(None) if not newton.any() else np.flatnonzero(~newton)
+            L[mm], ok_mm[mm] = spd_cholesky(B_mm[mm])
+            Z[mm], s[mm], obj_next[mm] = _whiten(L[mm], Yt[mm], log_t[mm], w[mm], nu)
+            B[mm] = B_mm[mm]
         sound = ok_mm & ~(obj_next > obj + MONOTONE_SLACK * np.maximum(1.0, np.abs(obj)))
         for j in np.flatnonzero(~sound):
             outcomes[ids[j]] = NumericalBreakdown(
@@ -485,9 +504,7 @@ def _solve_stack(Y, w, cfg: ScatterConfig) -> list:
         newton_steps[ids[newton]] += 1
         # an MM step moves the whitened iterate from I to M
         last_step[ids] = np.where(newton, size_nt, 2.0 * grad)
-        pick = newton[:, None, None]
-        B, L, Z = np.where(pick, B_nt, B_mm), np.where(pick, L_nt, L_mm), np.where(pick, Z_nt, Z_mm)
-        s, obj = np.where(newton[:, None], s_nt, s_mm), obj_next
+        obj = obj_next
         # an iterate that degenerates steadily may be collapsing off the domain: ask the witness
         spread_next, top_next = _spread(L)
         streak = np.where((spread_next > COLLAPSE_RATE * spread) | (COLLAPSE_RATE * top_next < top), streak + 1, 0)

@@ -159,8 +159,9 @@ class McReport:
     ``empirical_cov`` is the covariance across replicates of
     sqrt(n) * (vectorized estimate - functional); ``max_rel_err`` compares it
     entrywise to ``target_cov.S`` over entries exceeding ``REL_THRESHOLD`` in
-    magnitude. ``existence_rate`` is the fraction of replicates passing the
-    domain check; only those whose fit converged contribute estimates.
+    magnitude, and is NaN, with a warning, where no entry does.
+    ``existence_rate`` is the fraction of replicates passing the domain
+    check; only those whose fit converged contribute estimates.
     """
 
     n: int
@@ -326,7 +327,11 @@ def run_clt_experiment(
 
     S = target_cov.S
     mask = np.abs(S) > REL_THRESHOLD
-    max_rel_err = float(np.max(np.abs(emp[mask] - S[mask]) / np.abs(S[mask]))) if mask.any() else float("nan")
+    if mask.any():
+        max_rel_err = float(np.max(np.abs(emp[mask] - S[mask]) / np.abs(S[mask])))
+    else:
+        max_rel_err = float("nan")
+        warnings.append(f"max_rel_err not computed: no entry of the target covariance exceeds {REL_THRESHOLD}")
 
     return McReport(
         n=n,

@@ -1,4 +1,5 @@
 import dataclasses
+import functools
 import io
 import json
 import os
@@ -13,7 +14,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import tscatter
-from tscatter import CsvParseError, EmpiricalSample, NumericalBreakdown, cli, discrete_sampler, solve_locscatter
+from tscatter import (CsvParseError, EmpiricalSample, NumericalBreakdown, cli, discrete_sampler, simlab,
+                      solve_locscatter)
 from tscatter.asymptotics import AsymptoticCov
 from tscatter.oned import OneDEstimate
 from tscatter.simlab import McReport
@@ -158,6 +160,20 @@ class TestSuccessEnvelopes:
         assert code == cli.EXIT_OK
         payload = env["payload"]
         assert None in [payload["max_rel_err"], *payload["normality_stat"]]
+
+    @pytest.mark.parametrize("scale", [1.0, 0.1])
+    def test_simulate_names_the_cut_when_no_entry_passes(self, tmp_path, scale):
+        # 400 t(3) points in 2-D at nu = 2, 150 replicates of 300 draws: the
+        # target covariance scales as scale^4, and at scale 0.1 no entry of it
+        # passes the absolute cut, so max_rel_err is null, and a warning says why
+        rng = np.random.default_rng(0)
+        law = rng.standard_normal((400, 2)) / np.sqrt(rng.chisquare(3.0, (400, 1)) / 3.0)
+        path = write_csv(tmp_path / "law.csv", scale * law)
+        code, env = run(["simulate", path, "--nu", "2", "--n", "300", "--reps", "150"], tmp_path)
+        assert code == cli.EXIT_OK
+        uncut = scale == 0.1
+        assert (env["payload"]["max_rel_err"] is None) == uncut
+        assert any(f"exceeds {simlab.REL_THRESHOLD}" in msg for msg in env["warnings"]) == uncut
 
     def test_simulate_past_the_exact_check_budget(self, tmp_path):
         # the lifted check of a 2000-point 2-D law needs 2000 + C(2000, 2)
@@ -305,6 +321,45 @@ class TestErrorEnvelopes:
         code, est = run(["estimate", path, "--nu", "2"], tmp_path)
         assert code == cli.EXIT_DOMAIN
         assert est["payload"]["report"] == check["payload"] and check["payload"]["witness_points"] == [2, 3]
+
+
+class TestOneParser:
+    def test_calls_in_one_process_share_a_parser(self, cloud2, tmp_path, monkeypatch, capsys):
+        # each envelope, and the usage error's exit and message, must be what
+        # a fresh parser gives, and main must build the parser only once
+        argvs = [
+            ["check-domain", cloud2, "--nu", "2"],
+            ["scatter", cloud2],
+            ["scatter", cloud2, "--nu", "2"],
+            ["simulate", cloud2, "--nu", "2", "--n", "50", "--reps", "10"],
+        ]
+
+        def calls():
+            out = []
+            for argv in argvs:
+                try:
+                    code, env = run(argv, tmp_path)
+                except SystemExit as exc:
+                    code, env = exc.code, capsys.readouterr().err
+                else:
+                    env.pop("timing_ms")
+                out.append((code, env))
+            return out
+
+        monkeypatch.setattr(cli, "_parser", cli.build_parser)
+        fresh = calls()
+        built = []
+
+        def build():
+            built.append(1)
+            return cli.build_parser()
+
+        monkeypatch.setattr(cli, "_parser", functools.cache(build))
+        assert calls() == fresh
+        assert len(built) == 1
+        assert [code for code, _ in fresh] == [cli.EXIT_OK, cli.EXIT_USAGE, cli.EXIT_OK, cli.EXIT_OK]
+        monkeypatch.undo()
+        assert cli._parser() is cli._parser() and cli.build_parser() is not cli.build_parser()
 
 
 class TestUsageErrors:

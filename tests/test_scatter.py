@@ -460,6 +460,7 @@ class TestAgainstMmOracle:
         # nu near 0.05, where the curvature is small; 1e-12 leaves a margin
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(scatter, "STEP_TOL", 1e-15)
+            _check_majorizer_bounds(mp)
             if exact_steps:
                 _solve_cg_steps_exactly(mp)
             res = solve_scatter(q, ScatterConfig(nu=nu, tol_grad=1e-12), check_domain=False)
@@ -582,6 +583,45 @@ def _solve_cg_steps_exactly(mp):
     mp.setattr(scatter, "_cg_steps", lambda Z, s, g, E, eta: cg_steps(Z, s, g, E, np.full_like(eta, 1e-13)))
 
 
+def _check_majorizer_bounds(mp):
+    """Make every solve check each step against U_k, the value of the MM majorizer at B_mm.
+
+    U_k = Qh(B_k) + (1/2) log det M_k + (d - tr M_k)/2, with M_k the
+    whitened MM image that ``_newton_candidates`` receives with the factor
+    L_k of the iterate B_k, bounds the objective of the MM candidate, so each
+    step must end at most U_k, up to roundoff. A solve's stack holds the
+    samples still iterating, in order: at step k, those that took more than k
+    steps.
+    """
+    solve, candidates = scatter._solve_stack, scatter._newton_candidates
+
+    def checked(Y, w, cfg):
+        received = []
+
+        def spy(L, Z, s, wz, nu, M):
+            received.append((L.copy(), M.copy()))
+            return candidates(L, Z, s, wz, nu, M)
+
+        with pytest.MonkeyPatch.context() as inner:
+            inner.setattr(scatter, "_newton_candidates", spy)
+            outcomes = solve(Y, w, cfg)
+        assert all(isinstance(out, ScatterResult) for out in outcomes)
+        for k, (L, M) in enumerate(received):
+            going = [i for i, out in enumerate(outcomes) if out.iterations > k]
+            assert len(going) == len(L)
+            for i, Lk, Mk in zip(going, L, M):
+                trace = outcomes[i].objective_trace
+                q = EmpiricalSample(Y[i], w[i])
+                assert objective(q, Lk @ Lk.T, cfg.nu) == pytest.approx(trace[k], rel=1e-9, abs=1e-12)
+                sign, logdet = np.linalg.slogdet(Mk)
+                assert sign > 0
+                bound = trace[k] + 0.5 * (logdet + q.d - np.trace(Mk))
+                assert trace[k + 1] <= bound + 16 * np.finfo(float).eps * max(1.0, abs(bound))
+        return outcomes
+
+    mp.setattr(scatter, "_solve_stack", checked)
+
+
 def _assert_same_fit(got, want):
     assert got.stop_reason == want.stop_reason
     assert np.linalg.norm(got.A.mat - want.A.mat) <= 1e-10 * np.linalg.norm(want.A.mat)
@@ -619,6 +659,7 @@ class TestStack:
         assume(laws)
         cfg = ScatterConfig(nu=nu)
         with pytest.MonkeyPatch.context() as mp:
+            _check_majorizer_bounds(mp)
             if exact_steps:
                 _solve_cg_steps_exactly(mp)
             stacked = solve_scatter_stack(
@@ -718,6 +759,53 @@ class TestStack:
             Y[1, 7, 1] = np.nan if case == "nan point" else np.inf
         with pytest.raises(ValueError):
             solve_scatter_stack(Y, w, ScatterConfig(nu=2.0))
+
+
+def _session_t3_law():
+    # the first t(3) sample of the benchmark's session workload at seed 1:
+    # at nu = 0.02 its fit falls back to the MM step on 4 of its 10 steps
+    rng = np.random.default_rng([1, 3])
+    Y = rng.standard_normal((40, 3)) / np.sqrt(rng.chisquare(3.0, 40) / 3.0)[:, None]
+    return EmpiricalSample(Y * rng.uniform(0.5, 3.0, 3) + rng.uniform(-5.0, 5.0, 3))
+
+
+class TestWhitening:
+    """Each step whitens its Newton candidate; only a sample that falls back whitens its MM candidate too."""
+
+    NU = 0.02
+    # 40 normal points in 3-D, whose fit at nu = 0.02 takes Newton steps only
+    NEWTON_ONLY = EmpiricalSample(np.random.default_rng(20).standard_normal((40, 3)))
+
+    @staticmethod
+    def _spy_whiten(monkeypatch):
+        # the (R, d, n) data that each call to scatter._whiten whitens
+        calls, whiten = [], scatter._whiten
+
+        def spy(L, Yt, log_t, w, nu):
+            calls.append(Yt.copy())
+            return whiten(L, Yt, log_t, w, nu)
+
+        monkeypatch.setattr(scatter, "_whiten", spy)
+        return calls
+
+    def test_newton_only_fit_whitens_once_per_step(self, monkeypatch):
+        calls = self._spy_whiten(monkeypatch)
+        res = solve_scatter(self.NEWTON_ONLY, ScatterConfig(nu=self.NU), check_domain=False)
+        assert res.converged and res.iterations == res.newton_steps > 0
+        assert len(calls) == res.iterations + 1  # the start, then each step's Newton candidate
+
+    def test_only_the_falling_back_sample_whitens_its_mm_candidate(self, monkeypatch):
+        laws = [self.NEWTON_ONLY, _session_t3_law()]
+        calls = self._spy_whiten(monkeypatch)
+        results = solve_scatter_stack(np.stack([q.points for q in laws]), np.stack([q.weights for q in laws]),
+                                      ScatterConfig(nu=self.NU))
+        newton, mixed = results
+        assert newton.iterations == newton.newton_steps
+        assert (mixed.iterations, mixed.newton_steps) == (10, 6)
+        for q, res in zip(laws, results):
+            mm_steps = res.iterations - res.newton_steps
+            whitened = sum(any(np.array_equal(Yt, q.points.T) for Yt in stack) for stack in calls)
+            assert whitened == 1 + res.iterations + mm_steps
 
 
 class TestFitAndCheck:
