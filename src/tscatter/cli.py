@@ -195,9 +195,10 @@ def dispatch(args: argparse.Namespace, warnings: list[str]) -> dict:
     fails later still reports them. Payload values may still be numpy
     objects; :func:`main` encodes them.
     Settings out of range raise ``ValueError`` downstream: ``ScatterConfig``
-    rejects nu <= 0, tol <= 0 and max-iter < 1 for the commands that fit,
-    the domain check rejects nu <= 0, and the location-scatter and 1-D
-    functionals raise ``NuOutOfRange`` for nu <= 1.
+    rejects nu and tol that are not positive and finite and max-iter < 1 for
+    the commands that fit, the domain check rejects nu <= 0 (nu = inf is its
+    Gaussian limit), and the location-scatter and 1-D functionals raise
+    ``NuOutOfRange`` unless 1 < nu < inf.
     """
     scfg = ScatterConfig(nu=args.nu, tol_grad=args.tol, max_iter=args.max_iter) if "tol" in args else None
     sample = ingest_csv(sys.stdin if args.input == "-" else args.input)

@@ -87,6 +87,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .exceptions import EnumerationBudgetError
+from .symspace import _weighted_gram
 
 __all__ = [
     "EmpiricalSample",
@@ -343,14 +344,16 @@ def _certify_members(pts, w, A, a0: float) -> np.ndarray:
       kappa(L) = sqrt(kappa(A)), still covers the whitening.
       (1 + sqrt(d)) rho tr(M) covers the error in ||M - I||_F and in the
       prefix sums of w f; rho on the mass side covers the exact check's
-      own sums.
+      own sums. The n-term bound in rho holds for any order of summation,
+      so it holds for M summed a block of points at a time
+      (``symspace._weighted_gram``), as it is here.
     """
     R, n, d = pts.shape
     L = np.linalg.cholesky(A)
     Z = np.linalg.inv(L) @ np.swapaxes(pts, 1, 2)
     s = np.einsum("rin,rin->rn", Z, Z)
     wu = w * a0 / (a0 - d + s)
-    M = (Z * wu[:, None, :]) @ np.swapaxes(Z, 1, 2)
+    M = _weighted_gram(Z, lambda Zb, cols: wu[:, cols])
     e = np.linalg.norm(M - np.eye(d), axis=(1, 2))
     f = a0 * s / (a0 - d + s)
     total = np.einsum("rn,rn->r", w, f)

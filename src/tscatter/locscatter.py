@@ -60,7 +60,7 @@ def solve_locscatter(
     """Compute (mu, Sigma) for the sample at tail parameter nu > 1.
 
     ``cfg`` supplies solver tolerances only; its ``nu`` field is replaced by
-    nu - 1 for the lifted solve. Raises :class:`NuOutOfRange` for nu <= 1.
+    nu - 1 for the lifted solve. Raises :class:`NuOutOfRange` unless 1 < nu < inf.
     The estimate is :func:`~tscatter.scatter.solve_scatter` of the lifted
     sample, whose affine-domain membership is the lifted linear condition at
     the same a0 = nu + d: unless ``check_domain=False``, it is certified from
@@ -71,8 +71,8 @@ def solve_locscatter(
     ``check_domain``.
     """
     nu = float(nu)
-    if not nu > 1.0:
-        raise NuOutOfRange(f"location-scatter requires nu > 1, got {nu}")
+    if not 1.0 < nu < np.inf:
+        raise NuOutOfRange(f"location-scatter requires a finite nu > 1, got {nu}")
     cfg = ScatterConfig(nu=nu - 1.0) if cfg is None else dataclasses.replace(cfg, nu=nu - 1.0)
     try:
         diag = solve_scatter(lift(sample), cfg, check_domain=check_domain)

@@ -195,7 +195,7 @@ def _profile_derivative(sample: EmpiricalSample, mu: float, nu: float) -> float:
 
 
 def solve_oned(sample: EmpiricalSample, nu: float) -> OneDEstimate:
-    """Location-scale estimate on the line, total for every law when nu > 1.
+    """Location-scale estimate on the line, total for every law when 1 < nu < inf.
 
     Returns the boundary value (atom, 0) when an atom reaches mass
     nu/(nu+1); otherwise mu is the one root of the profile derivative on
@@ -206,8 +206,8 @@ def solve_oned(sample: EmpiricalSample, nu: float) -> OneDEstimate:
     back by 2^e, exactly; laws of ordinary scale are solved as given.
     """
     nu = float(nu)
-    if not nu > 1.0:
-        raise NuOutOfRange(f"one-dimensional functional requires nu > 1, got {nu}")
+    if not 1.0 < nu < math.inf:
+        raise NuOutOfRange(f"one-dimensional functional requires a finite nu > 1, got {nu}")
     x, _ = _as_oned(sample)
     loc, mass = max_atom(sample)
     if mass >= nu / (nu + 1.0) - EQ_TOL:

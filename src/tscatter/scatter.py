@@ -30,9 +30,11 @@ solution the Newton steps converge quadratically.
 The Newton system lives on the K = d(d+1)/2 coordinates of a symmetric
 matrix. Its K x K matrix is never formed: each step is solved inexactly by
 preconditioned conjugate gradients on d x d matrices, about 4 n d^2 flops
-and O(n d) memory per product, to a relative residual that shrinks with the
-gradient, so the local convergence stays quadratic. A step that CG cannot
-find is declined, and the sample takes the MM step.
+per product, to a relative residual that shrinks with the gradient, so the
+local convergence stays quadratic. A step that CG cannot find is declined,
+and the sample takes the MM step. Each product, like the MM image M, is
+summed over blocks of points (``symspace._weighted_gram``), so its scratch
+memory is one block, sized to stay in cache however many points there are.
 
 Each sample starts at the best multiple c I of the identity (the scalar case
 of the fixed-point equation), which scales with the data as the fit does,
@@ -74,7 +76,7 @@ import numpy as np
 from .domain_check import (EmpiricalSample, _as_stack, _certify_members, _check_exact, _collapse_witness,
                            _positive_rows)
 from .exceptions import DomainViolation, EnumerationBudgetError, NumericalBreakdown
-from .symspace import SpdMatrix, spd_cholesky, sym_dim, symmetrize
+from .symspace import SpdMatrix, _weighted_gram, spd_cholesky, sym_dim, symmetrize
 
 __all__ = [
     "ScatterConfig",
@@ -109,7 +111,9 @@ class ScatterConfig:
     """Solver settings.
 
     ``tol_grad`` bounds the whitened gradient norm of a converged fit (see
-    :func:`solve_scatter_stack`).
+    :func:`solve_scatter_stack`). ``nu`` and ``tol_grad`` must be positive
+    and finite, and ``max_iter`` a positive integer; anything else raises
+    :class:`ValueError`.
     """
 
     nu: float
@@ -117,10 +121,12 @@ class ScatterConfig:
     max_iter: int = 500
 
     def __post_init__(self):
-        if not self.nu > 0.0:
-            raise ValueError("nu must be positive")
-        if not self.tol_grad > 0.0:
-            raise ValueError("tol_grad must be positive")
+        if not 0.0 < self.nu < np.inf:
+            raise ValueError(f"nu must be positive and finite, got {self.nu}")
+        if not 0.0 < self.tol_grad < np.inf:
+            raise ValueError(f"tol_grad must be positive and finite, got {self.tol_grad}")
+        if not isinstance(self.max_iter, (int, np.integer)):
+            raise ValueError(f"max_iter must be an integer, got {self.max_iter!r}")
         if self.max_iter < 1:
             raise ValueError("max_iter must be at least 1")
 
@@ -245,7 +251,8 @@ def _cg_steps(Z, s, g, E, eta):
     norms, ``g`` (R, n) the weights of G(P) = Z diag(g o colsum(Z o PZ)) Z',
     ``E`` (R, d, d) the symmetric right-hand sides and ``eta`` (R,) the
     relative residuals to reach. Each product with G takes about 4 n d^2
-    flops and O(n d) memory; the K x K matrix of G is never formed. The
+    flops, summed a block of points at a time by ``_weighted_gram``, so its
+    scratch memory is one block; the K x K matrix of G is never formed. The
     preconditioner is the elliptical form of G, G(P) ~ alpha (2P + tr(P) I)
     with alpha = sum_i g_i s_i^2/(d(d+2)), exact in expectation for a
     spherically symmetric cloud, and inverted in closed form. A sample stops
@@ -288,8 +295,8 @@ def _cg_steps(Z, s, g, E, eta):
             )
             if not ids.size:
                 break
-        c = g * np.einsum("rin,rin->rn", Z, p @ Z)  # (z_i' p z_i) g_i
-        Gp = (Z * c[:, None, :]) @ np.swapaxes(Z, 1, 2)
+        # weights (z_i' p z_i) g_i, computed a block of points at a time
+        Gp = _weighted_gram(Z, lambda Zb, cols: g[:, cols] * np.einsum("rin,rin->rn", Zb, p @ Zb))
         Hp = p - 0.5 * (Gp + np.swapaxes(Gp, 1, 2))
         pHp = np.einsum("rij,rij->r", p, Hp)
         declined = ~(pHp > 0.0)
@@ -319,6 +326,12 @@ def _sample_bytes(n: int, d: int) -> int:
     takes, a compacted whitened copy and two d-vectors and a weight of each
     conjugate-gradient product. It budgets an iteration on which every sample
     falls back to the MM step, and so holds both whitened candidates at once.
+
+    The value is kept on purpose, although it now overstates a Newton step's
+    scratch memory for wide samples, whose products are summed one cache-sized
+    block of points at a time. Kept, it leaves ``simlab``'s stacks as they
+    are (two stacks of 75 replicates on the benchmark's mc-d2 jobs), and
+    larger stacks measured slower.
     """
     return 8 * n * (9 * d + 11)
 
@@ -450,7 +463,7 @@ def _solve_stack(Y, w, cfg: ScatterConfig) -> list:
         if not ids.size:
             break
         wu = w * (nu + d) / (nu + s)
-        M = symmetrize((Z * wu[:, None, :]) @ np.swapaxes(Z, 1, 2), rtol=1e-6)
+        M = symmetrize(_weighted_gram(Z, lambda Zb, cols: wu[:, cols]), rtol=1e-6)
         B_mm = symmetrize(L @ M @ np.swapaxes(L, 1, 2), rtol=1e-6)
         grad = 0.5 * np.linalg.norm(eye - M, axis=(1, 2))
         fp = np.linalg.norm(B - B_mm, axis=(1, 2))

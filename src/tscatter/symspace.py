@@ -2,8 +2,9 @@
 
 Provides an SPD wrapper with a cached Cholesky factor, the extraction of
 (Sigma, mu, gamma) from a lifted (d+1)-dimensional scatter matrix, an
-isometric half-vectorization of the space of symmetric matrices, and the
-outer-product rows built on it.
+isometric half-vectorization of the space of symmetric matrices, the
+outer-product rows built on it, and the weighted Gram sums of the solver and
+the certificate, taken a cache-sized block of points at a time.
 """
 
 from __future__ import annotations
@@ -34,6 +35,10 @@ ASYM_RTOL = 1e-12
 
 # Cholesky pivots at or below this multiple of the trace fail the SPD check.
 PIVOT_RTOL = 1e-12
+
+# Working set, in bytes, that _weighted_gram sizes its blocks of points to:
+# about one core's L2 cache, so that each block is summed from cache
+CACHE_BYTES = 2 * 2**20
 
 
 def symmetrize(mat, rtol=ASYM_RTOL):
@@ -79,6 +84,29 @@ def spd_cholesky(mats):
     ok &= (np.diagonal(chol, axis1=1, axis2=2) ** 2 > PIVOT_RTOL * tr[:, None]).all(axis=1)
     chol[~ok] = np.eye(m.shape[-1])
     return chol, ok
+
+
+def _weighted_gram(Z, weigh):
+    """Sum of c_i z_i z_i' over the columns z_i of each sample of an (R, d, n) stack.
+
+    ``weigh(Zb, cols)`` returns the (R, b) weights c of the columns ``cols``,
+    given as the block Zb = Z[:, :, cols], so that weights computed from the
+    points are computed a block at a time too. The blocks are as wide as
+    d alone allows: a block with the temporaries of its weights and product,
+    about 3d + 4 words a column, fits in ``CACHE_BYTES``. Where one block
+    covers n, the sum is the one product (Z * c) Z' over all the columns.
+    """
+    _, d, n = Z.shape
+    width = max(1, CACHE_BYTES // (8 * (3 * d + 4)))
+    for lo in range(0, n, width):
+        cols = slice(lo, lo + width)
+        Zb = Z[:, :, cols]
+        gram = (Zb * weigh(Zb, cols)[:, None, :]) @ np.swapaxes(Zb, 1, 2)
+        if lo:
+            out += gram
+        else:
+            out = gram
+    return out
 
 
 class SpdMatrix:

@@ -393,6 +393,19 @@ class TestUsageErrors:
             assert run(args[:1] + [cloud2] + args[1:], tmp_path) == (cli.EXIT_USAGE, None), args
             assert "tscatter: error:" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("args", [
+        ["scatter", "--nu", "2", "--tol", "inf"],
+        ["scatter", "--nu", "inf"],
+        ["estimate", "--nu", "inf"],
+        ["oned", "--nu", "inf"],
+    ])
+    def test_settings_that_are_not_finite_exit_1(self, tmp_path, capsys, args):
+        # these exited 0 with the start as the fit, 3 on a breakdown, or 1 on a NaN in the root search
+        rng = np.random.default_rng(0)
+        csv = write_csv(tmp_path / "cloud.csv", rng.standard_normal((50, 1 if args[0] == "oned" else 2)))
+        assert run(args[:1] + [csv] + args[1:], tmp_path) == (cli.EXIT_USAGE, None)
+        assert "finite" in capsys.readouterr().err
+
     def test_output_into_missing_directory_exit_1(self, cloud2, tmp_path, capsys):
         out = tmp_path / "absent" / "envelope.json"
         assert cli.main(["scatter", cloud2, "--nu", "2", "--output", str(out)]) == cli.EXIT_USAGE

@@ -22,7 +22,7 @@ from tscatter import (
     solve_scatter,
     solve_scatter_stack,
 )
-from tscatter import domain_check, scatter
+from tscatter import domain_check, scatter, symspace
 from tscatter.domain_check import _certify_members
 from tscatter.scatter import _solve_stack
 from oracles import (
@@ -746,9 +746,10 @@ def _threshold_law(d, n, lifted, seed):
     return pts, (d - q) * n / (n - k)
 
 
+CERTIFY_KINDS = ["gaussian", "lattice", "line", "plane", "origin", "not_one_line", "circle_ends",
+                 "flat line", "flat plane", "threshold"]
 CERTIFY_LAWS = st.tuples(
-    st.sampled_from(["gaussian", "lattice", "line", "plane", "origin", "not_one_line", "circle_ends",
-                     "flat line", "flat plane", "threshold"]),
+    st.sampled_from(CERTIFY_KINDS),
     st.integers(2, 5),                 # dimension of the check
     st.booleans(),                     # lifted: every point is (y, 1)
     st.integers(3, 16),                # points before merging
@@ -847,6 +848,26 @@ class TestCertificate:
         inside = [i for i, rpt in enumerate(reports) if rpt.member]
         A = np.stack([fits[i].A.mat for i in inside])
         assert _certify_members(P[inside], W[inside], A, 4.0).all()
+
+    @pytest.mark.parametrize("width", [1, 3])
+    def test_verdicts_do_not_depend_on_the_block_width(self, width):
+        # M summed a few points at a time: every law kind of CERTIFY_LAWS, at
+        # its fit and at a random SPD matrix, gets the one-block verdict
+        cases = itertools.product(CERTIFY_KINDS, [2, 3, 5], [False, True])
+        verdicts = 0
+        for i, (kind, d, lifted) in enumerate(cases):
+            weighting = ["uniform", "dirichlet", "zeros"][i % 3]
+            q, a0, rng = _certify_law((kind, d, lifted, 12, weighting, i, 0.5, [0.0, 1e-9, 1e-3][i % 3]))
+            fits = _solve_stack(q.points[None], q.weights[None], ScatterConfig(nu=a0 - q.d, max_iter=200))
+            G = rng.standard_normal((q.d, q.d))
+            A = np.stack([G @ G.T + 1e-3 * np.eye(q.d)] + [f.A.mat for f in fits if isinstance(f, ScatterResult)])
+            P, W = np.stack([q.points] * len(A)), np.stack([q.weights] * len(A))
+            want = _certify_members(P, W, A, a0)
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(symspace, "CACHE_BYTES", 8 * (3 * q.d + 4) * width)
+                assert np.array_equal(_certify_members(P, W, A, a0), want), (kind, d, lifted)
+            verdicts += want.sum()
+        assert verdicts >= 20
 
     def test_roundoff_allowance(self):
         # at a converged fit M - I is mostly a multiple of I, so where

@@ -59,6 +59,12 @@ class TestCertificates:
         with pytest.raises(NuOutOfRange):
             solve_locscatter(two_point(0.5), 0.7)
 
+    def test_infinite_nu_is_refused(self):
+        # accepted, it broke down at the first step with "iterate left the SPD cone"
+        q = EmpiricalSample(np.random.default_rng(0).standard_normal((50, 2)))
+        with pytest.raises(NuOutOfRange, match="finite"):
+            solve_locscatter(q, np.inf)
+
     def test_converges_near_the_big_atom_boundary(self):
         # mass (nu - eps)/(nu + 1) at 1 with eps = 1e-3: the lifted MM
         # iteration alone is still unconverged after 12,000 steps

@@ -84,6 +84,11 @@ class TestSolveOned:
         with pytest.raises(NuOutOfRange):
             solve_oned(sample1d([0.0, 1.0]), 1.0)
 
+    def test_infinite_nu_is_refused(self):
+        # accepted, it failed inside the root search on a NaN
+        with pytest.raises(NuOutOfRange, match="finite"):
+            solve_oned(sample1d(np.random.default_rng(0).standard_normal(50)), np.inf)
+
     def test_matches_lifted_solver(self):
         rng = np.random.default_rng(7)
         for _ in range(15):

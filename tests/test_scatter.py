@@ -22,7 +22,7 @@ from tscatter import (
     solve_scatter,
     weight_u,
 )
-from tscatter import domain_check, scatter, simlab
+from tscatter import domain_check, scatter, simlab, symspace
 from tscatter.scatter import solve_scatter_stack
 from tscatter.symspace import sym_dim, sym_to_vec, vec_to_sym
 
@@ -66,6 +66,25 @@ def _newton_inputs(q, B, nu):
 def assert_monotone(trace):
     trace = np.array(trace)
     assert (np.diff(trace) <= 1e-12 * np.maximum(1.0, np.abs(trace[:-1]))).all()
+
+
+class TestScatterConfig:
+    """Settings that are not finite, or a step count that is not an integer, are refused."""
+
+    def test_refuses_an_infinite_gradient_tolerance(self):
+        # accepted, it stopped every fit at its start c I as converged
+        with pytest.raises(ValueError, match="tol_grad"):
+            ScatterConfig(nu=1.0, tol_grad=np.inf)
+
+    def test_refuses_an_infinite_nu(self):
+        # accepted, it broke every fit down at its first step
+        with pytest.raises(ValueError, match="nu"):
+            ScatterConfig(nu=np.inf)
+
+    def test_refuses_a_fractional_step_count(self):
+        with pytest.raises(ValueError, match="max_iter"):
+            ScatterConfig(nu=1.0, max_iter=2.5)
+        assert solve_scatter(four_point_law(), ScatterConfig(nu=1.0, max_iter=np.int64(50))).converged
 
 
 class TestWeightU:
@@ -633,7 +652,13 @@ STACKS = (
     st.integers(1, 20),                # points beyond d
     st.lists(st.tuples(st.booleans(), st.integers(0, 2**32 - 1)), min_size=1, max_size=6),
     st.floats(0.05, 20.0),             # nu
+    st.sampled_from([None, 1, 3, 8]),  # points per block of the weighted Gram sums; None for the default
 )
+
+
+def _gram_blocks(mp, d, width):
+    """Make ``symspace._weighted_gram`` sum blocks of ``width`` points in dimension d."""
+    mp.setattr(symspace, "CACHE_BYTES", 8 * (3 * d + 4) * width)
 
 
 class TestStack:
@@ -641,24 +666,27 @@ class TestStack:
 
     @settings(max_examples=100, deadline=None)
     @given(*STACKS)
-    def test_matches_single_solves(self, kind, d, extra, members, nu):
-        self._check_single_solves(kind, d, extra, members, nu, exact_steps=False)
+    def test_matches_single_solves(self, kind, d, extra, members, nu, width):
+        self._check_single_solves(kind, d, extra, members, nu, width, exact_steps=False)
 
     @settings(max_examples=100, deadline=None)
     @given(*STACKS)
-    def test_matches_single_solves_on_cg_steps(self, kind, d, extra, members, nu):
+    def test_matches_single_solves_on_cg_steps(self, kind, d, extra, members, nu, width):
         # near-exact CG steps: most samples run all K products and leave the
         # active stack on the product count rather than on their residual
-        self._check_single_solves(kind, d, extra, members, nu, exact_steps=True)
+        self._check_single_solves(kind, d, extra, members, nu, width, exact_steps=True)
 
     @staticmethod
-    def _check_single_solves(kind, d, extra, members, nu, exact_steps):
+    def _check_single_solves(kind, d, extra, members, nu, width, exact_steps):
+        # with a block width, the Gram sums of stacked and single solves take several blocks
         assume(kind != "lifted" or d >= 2)
         laws = [_law(kind, d, d + extra, dirichlet, seed) for dirichlet, seed in members]
         laws = [q for q in laws if check_scatter_domain(q, nu + d).member]
         assume(laws)
         cfg = ScatterConfig(nu=nu)
         with pytest.MonkeyPatch.context() as mp:
+            if width is not None:
+                _gram_blocks(mp, d, width)
             _check_majorizer_bounds(mp)
             if exact_steps:
                 _solve_cg_steps_exactly(mp)
@@ -767,6 +795,27 @@ def _session_t3_law():
     rng = np.random.default_rng([1, 3])
     Y = rng.standard_normal((40, 3)) / np.sqrt(rng.chisquare(3.0, 40) / 3.0)[:, None]
     return EmpiricalSample(Y * rng.uniform(0.5, 3.0, 3) + rng.uniform(-5.0, 5.0, 3))
+
+
+class TestGramBlocks:
+    """A fit whose weighted Gram sums take several blocks of points takes the one-block fit's steps."""
+
+    @pytest.mark.parametrize("width", [7, 200])
+    @pytest.mark.parametrize("nu", [0.1, 1.0, 5.0])
+    def test_fit_in_blocks_matches_the_one_block_fit(self, nu, width):
+        # 600 points: three blocks of 200, or 86 of 7; the heavy law in units
+        # 1e3 takes MM fallbacks besides its Newton steps
+        heavy = np.random.default_rng(23)
+        heavy = heavy.standard_normal((600, 3)) / np.abs(heavy.standard_normal((600, 1)))
+        for q in (_t2_cloud(600, 3, 17), EmpiricalSample(1e3 * (heavy + [3.0, 0.0, 0.0]))):
+            cfg = ScatterConfig(nu=nu)
+            want = solve_scatter(q, cfg)
+            with pytest.MonkeyPatch.context() as mp:
+                _gram_blocks(mp, q.d, width)
+                got = solve_scatter(q, cfg)
+            assert (got.iterations, got.newton_steps, got.stop_reason) == (
+                want.iterations, want.newton_steps, want.stop_reason)
+            assert np.linalg.norm(got.A.mat - want.A.mat) <= 1e-12 * np.linalg.norm(want.A.mat)
 
 
 class TestWhitening:

@@ -13,8 +13,9 @@ from tscatter import (
     sym_to_vec,
     vec_to_sym,
 )
+from tscatter import symspace
 from tscatter.exceptions import DegeneracyError
-from tscatter.symspace import _layout, outer_vecs, spd_cholesky, symmetrize
+from tscatter.symspace import _layout, _weighted_gram, outer_vecs, spd_cholesky, symmetrize
 
 from oracles import embed, outer_vecs_gather
 
@@ -253,6 +254,70 @@ class TestStackedRules:
         for arr in _layout(4):
             with pytest.raises(ValueError):
                 arr[0] = 0
+
+
+def _gram_budget(d, width):
+    """A ``CACHE_BYTES`` that makes ``_weighted_gram`` take blocks of ``width`` columns at d."""
+    return 8 * (3 * d + 4) * width
+
+
+class TestWeightedGram:
+    """Weighted Gram sums a block of columns at a time, as the one product over all of them."""
+
+    @staticmethod
+    def _stack(d, n, seed):
+        rng = np.random.default_rng(seed)
+        Z = rng.standard_normal((3, d, n)) / np.sqrt(rng.chisquare(2.0, (3, 1, n)) / 2.0)
+        return Z, rng.uniform(0.5, 2.0, (3, n))
+
+    @pytest.mark.parametrize("d", [1, 3, 10])
+    @pytest.mark.parametrize("width", [1, 7, 64, 499])
+    def test_blocks_sum_to_the_one_product(self, monkeypatch, d, width):
+        # weights computed from each block, as the solver's CG product computes them
+        Z, g = self._stack(d, 500, d)
+        P = random_sym(np.random.default_rng(width), d)
+        c = g * np.einsum("rin,rin->rn", Z, P @ Z)
+        want = (Z * c[:, None, :]) @ np.swapaxes(Z, 1, 2)
+        monkeypatch.setattr(symspace, "CACHE_BYTES", _gram_budget(d, width))
+        seen = []
+
+        def weigh(Zb, cols):
+            seen.append(cols)
+            assert np.array_equal(Zb, Z[:, :, cols])
+            return g[:, cols] * np.einsum("rin,rin->rn", Zb, P @ Zb)
+
+        got = _weighted_gram(Z, weigh)
+        assert seen == [slice(lo, lo + width) for lo in range(0, 500, width)]
+        scale = np.linalg.norm((Z * np.abs(c)[:, None, :]) @ np.swapaxes(Z, 1, 2), axis=(1, 2))
+        assert (np.linalg.norm(got - want, axis=(1, 2)) <= 8 * 500 * np.finfo(float).eps * scale).all()
+
+    @pytest.mark.parametrize("d", [1, 3, 10])
+    def test_one_block_is_the_one_product(self, d):
+        Z, c = self._stack(d, 500, d)
+        assert np.array_equal(_weighted_gram(Z, lambda Zb, cols: c[:, cols]),
+                              (Z * c[:, None, :]) @ np.swapaxes(Z, 1, 2))
+
+    @pytest.mark.parametrize("width", [7, 64, 10**6])
+    def test_each_sample_sums_as_a_stack_of_one(self, monkeypatch, width):
+        Z, c = self._stack(4, 500, 11)
+        monkeypatch.setattr(symspace, "CACHE_BYTES", _gram_budget(4, width))
+        stacked = _weighted_gram(Z, lambda Zb, cols: c[:, cols])
+        for r in range(len(Z)):
+            alone = _weighted_gram(Z[r : r + 1], lambda Zb, cols: c[r : r + 1, cols])
+            assert np.array_equal(stacked[r], alone[0])
+
+    def test_block_width_depends_on_d_alone(self):
+        # 2 MiB at 3d + 4 words a column: 7710 columns at d = 10, so a fit-d10
+        # sample of 2·10⁴ points takes three blocks, whatever the stack size
+        for R in (1, 4):
+            widths = []
+
+            def weigh(Zb, cols):
+                widths.append(Zb.shape[2])
+                return np.ones(Zb.shape[::2])
+
+            _weighted_gram(np.ones((R, 10, 20000)), weigh)
+            assert widths == [7710, 7710, 4580]
 
 
 class TestCongruence:
