@@ -364,12 +364,13 @@ def _certify_members(pts, w, A, a0: float) -> np.ndarray:
     near = np.einsum("rn,rn->r", wu, np.minimum(s, reach_tol[:, None]))
     lower = (1.0 + math.sqrt(d)) * rho * total + near
 
-    # fractional knapsack: points by decreasing f, with running mass and f-weighted mass;
-    # where all points weigh the same, as in Monte Carlo draws, the order of tied f is immaterial
+    # fractional knapsack: points by decreasing f, with running mass and f-weighted mass. Points
+    # of tied f lie on one line of the bound, so their order is immaterial for any weights; where
+    # all points weigh the same, the weights need no reordering at all
     if (w == w[:, :1]).all():
         f_sorted, w_sorted = np.sort(f, axis=1)[:, ::-1], w
     else:
-        order = np.argsort(-f, axis=1, kind="stable")
+        order = np.argsort(-f, axis=1)
         f_sorted, w_sorted = np.take_along_axis(f, order, 1), np.take_along_axis(w, order, 1)
     mass, reach = np.zeros((R, n + 1)), np.zeros((R, n + 1))
     np.cumsum(w_sorted, axis=1, out=mass[:, 1:])

@@ -14,6 +14,13 @@ This module acts on the one outcome it returns per replicate. Replicates
 whose fit did not converge are counted, not averaged in. Reports are
 bit-identical across runs and agree across stack sizes.
 
+The functionals are defined at every law, so a replicate of a discrete law
+is fitted as the law it is: count weights on its drawn support, each support
+point it drew weighted by its count over n, a multinomial reweighting of the
+support (Efron, Ann. Statist. 7, 1979). A 300-draw replicate of a 400-point
+law holds about 210 distinct points. Replicates of other laws are their n
+draws at weight 1/n each.
+
 For discrete target laws the functional and its covariance are computed
 exactly from the law itself; for continuous laws they are estimated from one
 large surrogate sample and the report is flagged accordingly.
@@ -54,7 +61,8 @@ SURROGATE_N = 1_000_000
 REL_THRESHOLD = 0.05
 
 # Solver scratch memory, in bytes, that one stack of replicate fits may take.
-# A 150-replicate job of 300 draws in 2-D (70 kB each) runs as two stacks of 75.
+# A 150-replicate job of 300 draws in 2-D (70 kB each) runs as two stacks of 75;
+# the budget counts n points per replicate however few distinct points it drew.
 STACK_BYTES = 8 * 2**20
 
 # Cephes ndtr (Moshier, Methods and Programs for Mathematical Functions, 1989):
@@ -82,14 +90,18 @@ class Sampler:
 
     ``draw(n, rng)`` returns n points in R^``dim``. ``law`` is the exact law
     when it is discrete, else None; the factories below build it, and factor
-    any scatter matrix, once, so its weights are divided only then. Streams
-    are keyed by (seed, replicate), so identical seeds reproduce identical draws.
+    any scatter matrix, once, so its weights are divided only then. Where
+    ``index`` is set, ``index(n, rng)`` returns the rows of ``law.points``
+    that ``draw(n, rng)`` returns, from the same stream: replicates are then
+    fitted as count weights on the support points they drew. Streams are
+    keyed by (seed, replicate), so identical seeds reproduce identical draws.
     """
 
     seed: int
     dim: int
     draw: Callable[[int, np.random.Generator], np.ndarray]
     law: EmpiricalSample | None = None
+    index: Callable[[int, np.random.Generator], np.ndarray] | None = None
 
     def rng_for(self, replicate: int) -> np.random.Generator:
         return np.random.default_rng([self.seed, int(replicate)])
@@ -126,11 +138,14 @@ def discrete_sampler(points, weights, seed: int) -> Sampler:
     cdf = np.cumsum(law.weights)
     cdf /= cdf[-1]
 
-    def draw(n, rng):
+    def index(n, rng):
         # the draws of rng.choice(law.n, size=n, p=law.weights), with the CDF built once
-        return law.points[np.searchsorted(cdf, rng.random(n), side="right")]
+        return np.searchsorted(cdf, rng.random(n), side="right")
 
-    return Sampler(int(seed), law.d, draw, law)
+    def draw(n, rng):
+        return law.points[index(n, rng)]
+
+    return Sampler(int(seed), law.d, draw, law, index)
 
 
 def contaminated_sampler(base: Sampler, eps: float, point, seed: int | None = None) -> Sampler:
@@ -223,15 +238,43 @@ def _stacks(reps: range, cap: int):
         first = stop
 
 
+def _drawn_support(support: np.ndarray, idx: np.ndarray):
+    """Each row of ``idx`` (R, n), rows of ``support`` drawn, as a weighted law: points (R, m, d), weights (R, m).
+
+    A row's law lists the support rows it drew in support order, each
+    weighted by its count over n. Rows are padded to the widest, m, with
+    zero-weight copies of their own last point, so that the largest point
+    norm, the merged masses and the certificate of each row see exactly its
+    law. One sort per row finds the counts, in O(R n log n) time and O(R n)
+    memory whatever the size of the support.
+    """
+    R, n = idx.shape
+    drawn = np.sort(idx, axis=1)
+    first = np.ones(drawn.shape, dtype=bool)
+    first[:, 1:] = drawn[:, 1:] != drawn[:, :-1]
+    starts = np.flatnonzero(first)
+    # every row's first entry opens a run, so each run ends where the next one opens
+    counts = np.diff(starts, append=R * n)
+    width = first.sum(axis=1)
+    m = width.max()
+    drawn_law = np.arange(m) < width[:, None]  # filled in row-major order, as starts is
+    sel = np.repeat(drawn[:, -1:], m, axis=1)
+    sel[drawn_law] = drawn.ravel()[starts]
+    weights = np.zeros(sel.shape)
+    weights[drawn_law] = counts / n
+    return support.take(sel, axis=0), weights
+
+
 def _replicate_thetas(sampler: Sampler, cfg: ScatterConfig, n: int, mode: str, reps: range) -> list:
     """Per replicate in ``reps``: its vectorized estimate, False outside the domain, or None.
 
     None marks a member replicate whose fit did not converge. Replicates are
     drawn, fitted and certified in the fewest stacks whose solver scratch
-    fits ``STACK_BYTES``, of sizes that differ by at most one. Each stack's
-    draws (lifted in locscatter mode), with the uniform weights
-    :class:`EmpiricalSample` gives a draw and
-    :func:`~tscatter.domain_check.lift` keeps, go through one
+    fits ``STACK_BYTES`` at n points each, of sizes that differ by at most
+    one. A stack holds each replicate as a weighted law: for a sampler with
+    an ``index``, the support points it drew weighted count/n
+    (:func:`_drawn_support`), else its n draws at 1/n each. The stack
+    (lifted in locscatter mode, which keeps the weights) goes through one
     :func:`~tscatter.scatter._fit_and_check` call, which decides each
     replicate's membership. A member replicate whose fit broke down raises
     :class:`NumericalBreakdown`, and one past the enumeration budget
@@ -242,10 +285,15 @@ def _replicate_thetas(sampler: Sampler, cfg: ScatterConfig, n: int, mode: str, r
     solve_cfg = dataclasses.replace(cfg, nu=cfg.nu - 1.0) if lifted else cfg
     outcomes = []
     for stack_reps in _stacks(reps, max(1, STACK_BYTES // _sample_bytes(n, d + lifted))):
-        draws = np.stack([sampler.draw(n, sampler.rng_for(rep)) for rep in stack_reps]) + 0.0  # no -0.0
-        points, weights = draws, np.full(draws.shape[:2], 1.0 / n)
+        if sampler.index is None:
+            drawn = np.stack([sampler.draw(n, sampler.rng_for(rep)) for rep in stack_reps]) + 0.0  # no -0.0
+            weights = np.full(drawn.shape[:2], 1.0 / n)
+        else:
+            idx = np.stack([sampler.index(n, sampler.rng_for(rep)) for rep in stack_reps])
+            drawn, weights = _drawn_support(sampler.law.points, idx)
+        points = drawn
         if lifted:
-            points = np.concatenate([draws, np.ones(draws.shape[:2] + (1,))], axis=2)
+            points = np.concatenate([drawn, np.ones(drawn.shape[:2] + (1,))], axis=2)
         decided = _fit_and_check(points, weights, solve_cfg)
         for rep, outcome in zip(stack_reps, decided):
             # a member's breakdown or a refusal past the budget; the other exceptions are outside the domain
@@ -253,8 +301,8 @@ def _replicate_thetas(sampler: Sampler, cfg: ScatterConfig, n: int, mode: str, r
                 raise type(outcome)(f"replicate {rep}: {outcome}")
         found = [False] * len(decided)
         kept = [i for i, outcome in enumerate(decided) if isinstance(outcome, ScatterResult)]
-        ests = [certify_lifted_fit(EmpiricalSample(draws[i]), cfg.nu, decided[i]) if lifted else decided[i]
-                for i in kept]
+        ests = [certify_lifted_fit(EmpiricalSample(drawn[i], weights[i]), cfg.nu, decided[i]) if lifted
+                else decided[i] for i in kept]
         for i, est, theta in zip(kept, ests, _thetas(ests) if ests else ()):
             found[i] = theta if est.converged else None
         outcomes += found

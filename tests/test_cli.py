@@ -91,6 +91,17 @@ class TestSuccessEnvelopes:
         assert env["payload"]["exact"] is True
         assert env["payload"]["target"] == target
 
+    @pytest.mark.parametrize("target", ["scatter", "locscatter"])
+    def test_check_domain_at_the_gaussian_limit(self, tmp_path, target):
+        # nu = inf is the Gaussian limit, where a0 = nu + d is infinite: the
+        # envelope writes it as null, as it writes every value that is not
+        # finite, and must still be valid
+        csv = write_csv(tmp_path / "cloud.csv", np.random.default_rng(0).standard_normal((50, 3)))
+        code, env = run(["check-domain", csv, "--nu", "inf", "--target", target], tmp_path)
+        assert code == cli.EXIT_OK
+        assert env["payload"]["a0"] is None
+        assert env["payload"]["member"] is True
+
     @pytest.mark.parametrize("mode,k", [("locscatter", 5), ("scatter", 3)])
     def test_asymptotics(self, cloud2, tmp_path, mode, k):
         code, env = run(["asymptotics", cloud2, "--nu", "2", "--mode", mode], tmp_path)

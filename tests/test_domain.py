@@ -869,6 +869,31 @@ class TestCertificate:
             verdicts += want.sum()
         assert verdicts >= 20
 
+    def test_verdicts_do_not_depend_on_the_order_of_ties(self):
+        # coincident points tie in f at every A. The knapsack takes tied
+        # points in whatever order the sort leaves them, and they lie on one
+        # line of its bound, so reversing each group of coincident rows, with
+        # their weights, leaves every verdict as it is
+        cases = itertools.product(CERTIFY_KINDS, [2, 3, 5], [False, True])
+        verdicts = reordered = 0
+        for i, (kind, d, lifted) in enumerate(cases):
+            weighting = ["dirichlet", "zeros"][i % 2]
+            q, a0, rng = _certify_law((kind, d, lifted, 12, weighting, i, 0.5, [0.0, 1e-9, 1e-3][i % 3]))
+            perm = np.arange(q.n)
+            groups = np.unique(q.points, axis=0, return_inverse=True)[1].reshape(-1)
+            for g in np.unique(groups):
+                rows = np.flatnonzero(groups == g)
+                perm[rows] = rows[::-1]
+            fits = _solve_stack(q.points[None], q.weights[None], ScatterConfig(nu=a0 - q.d, max_iter=200))
+            G = rng.standard_normal((q.d, q.d))
+            A = np.stack([G @ G.T + 1e-3 * np.eye(q.d)] + [f.A.mat for f in fits if isinstance(f, ScatterResult)])
+            P, W = np.stack([q.points] * len(A)), np.stack([q.weights] * len(A))
+            want = _certify_members(P, W, A, a0)
+            assert np.array_equal(_certify_members(P[:, perm], W[:, perm], A, a0), want), (kind, d, lifted)
+            verdicts += want.sum()
+            reordered += not np.array_equal(q.weights[perm], q.weights)
+        assert verdicts >= 20 and reordered >= 10
+
     def test_roundoff_allowance(self):
         # at a converged fit M - I is mostly a multiple of I, so where
         # tr(M) < d, c_0 = d - sqrt(d) ||M - I||_F equals the sum of w f =

@@ -4,7 +4,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from tscatter import (
@@ -24,7 +24,7 @@ from tscatter import (
 )
 from tscatter import domain_check, scatter, simlab, symspace
 from tscatter.scatter import solve_scatter_stack
-from tscatter.symspace import sym_dim, sym_to_vec, vec_to_sym
+from tscatter.symspace import as_spd, sym_dim, sym_to_vec, vec_to_sym
 
 from oracles import gradient, objective, outer_gram_einsum, scale_start_loop, solve_scatter_mm
 
@@ -602,6 +602,23 @@ def _solve_cg_steps_exactly(mp):
     mp.setattr(scatter, "_cg_steps", lambda Z, s, g, E, eta: cg_steps(Z, s, g, E, np.full_like(eta, 1e-13)))
 
 
+def _objective_rounding(sample, B, nu):
+    """A bound on the rounding of the solver's n-term objective at B.
+
+    (n + d + 16) eps (|(1/2) log det B| + sum_i w_i |rho terms|), the bound
+    on a computed sum of Higham (Accuracy and Stability of Numerical
+    Algorithms, 4.2), the rho terms being (nu + d)/2 (|log(nu + s_i)| +
+    |log(nu + t_i)|): each log is rounded relative to its own size, not to
+    that of the difference the sum takes, and the quadratic forms s_i carry
+    a relative error of about d eps.
+    """
+    s = as_spd(B).quad_forms(sample.points)
+    t = np.einsum("ij,ij->i", sample.points, sample.points)
+    terms = 0.5 * (nu + sample.d) * (np.abs(np.log(nu + s)) + np.abs(np.log(nu + t)))
+    size = abs(0.5 * np.linalg.slogdet(B)[1]) + float(sample.weights @ terms)
+    return (sample.n + sample.d + 16) * np.finfo(float).eps * size
+
+
 def _check_majorizer_bounds(mp):
     """Make every solve check each step against U_k, the value of the MM majorizer at B_mm.
 
@@ -610,7 +627,9 @@ def _check_majorizer_bounds(mp):
     L_k of the iterate B_k, bounds the objective of the MM candidate, so each
     step must end at most U_k, up to roundoff. A solve's stack holds the
     samples still iterating, in order: at step k, those that took more than k
-    steps.
+    steps. The objectives compared are computed n-term sums, so the check
+    allows the rounding bound of both, :func:`_objective_rounding`, and no
+    more.
     """
     solve, candidates = scatter._solve_stack, scatter._newton_candidates
 
@@ -625,17 +644,27 @@ def _check_majorizer_bounds(mp):
             inner.setattr(scatter, "_newton_candidates", spy)
             outcomes = solve(Y, w, cfg)
         assert all(isinstance(out, ScatterResult) for out in outcomes)
-        for k, (L, M) in enumerate(received):
+        # each sample's iterates B_0 .. B_k .. and the one it stopped at
+        iterates = [[] for _ in outcomes]
+        for k, (L, _) in enumerate(received):
             going = [i for i, out in enumerate(outcomes) if out.iterations > k]
             assert len(going) == len(L)
-            for i, Lk, Mk in zip(going, L, M):
+            for i, Lk in zip(going, L):
+                iterates[i].append(Lk @ Lk.T)
+        for i, out in enumerate(outcomes):
+            iterates[i].append(out.A.mat)
+        for k, (_, M) in enumerate(received):
+            going = [i for i, out in enumerate(outcomes) if out.iterations > k]
+            for i, Mk in zip(going, M):
                 trace = outcomes[i].objective_trace
                 q = EmpiricalSample(Y[i], w[i])
-                assert objective(q, Lk @ Lk.T, cfg.nu) == pytest.approx(trace[k], rel=1e-9, abs=1e-12)
+                B, B_next = iterates[i][k], iterates[i][k + 1]
+                assert objective(q, B, cfg.nu) == pytest.approx(trace[k], rel=1e-9, abs=1e-12)
                 sign, logdet = np.linalg.slogdet(Mk)
                 assert sign > 0
                 bound = trace[k] + 0.5 * (logdet + q.d - np.trace(Mk))
-                assert trace[k + 1] <= bound + 16 * np.finfo(float).eps * max(1.0, abs(bound))
+                slack = _objective_rounding(q, B, cfg.nu) + _objective_rounding(q, B_next, cfg.nu)
+                assert trace[k + 1] <= bound + slack
         return outcomes
 
     mp.setattr(scatter, "_solve_stack", checked)
@@ -666,6 +695,9 @@ class TestStack:
 
     @settings(max_examples=100, deadline=None)
     @given(*STACKS)
+    # an MM step ends 3.8e-15 above its bound U = -0.78, within the rounding of
+    # the objective's sum but past an allowance of 16 eps max(1, |U|)
+    @example(kind="lifted", d=2, extra=1, members=[(True, 21934)], nu=18.440485056741675, width=None)
     def test_matches_single_solves(self, kind, d, extra, members, nu, width):
         self._check_single_solves(kind, d, extra, members, nu, width, exact_steps=False)
 

@@ -24,7 +24,7 @@ from tscatter import (
     t_sampler,
 )
 import tscatter
-from tscatter import scatter, simlab
+from tscatter import domain_check, scatter, simlab
 
 from oracles import check_class_constraint, fit_loglog_slope, influence, run_consistency_sweep
 
@@ -72,8 +72,9 @@ class TestSamplers:
         q = EmpiricalSample(np.random.default_rng(5).standard_normal((40, 3)), w)
         s = discrete_sampler(q.points, q.weights, seed=9)
         for replicate in range(200):
-            want = q.points[s.rng_for(replicate).choice(q.n, size=300, p=q.weights)]
-            assert np.array_equal(s.draw(300, s.rng_for(replicate)), want)
+            rows = s.rng_for(replicate).choice(q.n, size=300, p=q.weights)
+            assert np.array_equal(s.index(300, s.rng_for(replicate)), rows)
+            assert np.array_equal(s.draw(300, s.rng_for(replicate)), q.points[rows])
 
     def test_contaminated_mixture(self):
         pts, w = four_point_arrays()
@@ -368,6 +369,93 @@ class TestStackedReplicates:
         assert calls.count(law.n) == 1
 
 
+def stacks_fitted(monkeypatch, sampler, n, mode, reps):
+    """The (points, weights) of each stack that ``_replicate_thetas`` sends to ``_fit_and_check``."""
+    stacks, fit_and_check = [], simlab._fit_and_check
+
+    def spy(points, weights, cfg):
+        stacks.append((points, weights))
+        return fit_and_check(points, weights, cfg)
+
+    monkeypatch.setattr(simlab, "_fit_and_check", spy)
+    simlab._replicate_thetas(sampler, ScatterConfig(nu=2.0), n, mode, reps)
+    return stacks
+
+
+class TestCountWeightedReplicates:
+    """A replicate of a discrete law is fitted as count weights on the support points it drew."""
+
+    @pytest.mark.parametrize("mode", ["scatter", "locscatter"])
+    @pytest.mark.parametrize("law", ["t3", "four_point", "repeated"])
+    def test_each_row_is_the_law_of_its_draw(self, monkeypatch, mode, law):
+        # mc-d2's kind of law; the near-boundary four-point law, whose
+        # replicates all draw the same four points; and a law listing one
+        # point twice, whose two rows a replicate keeps apart
+        rng = np.random.default_rng(11)
+        if law == "t3":
+            pts, w = rng.standard_normal((400, 2)) / np.sqrt(rng.chisquare(3.0, (400, 1)) / 3.0), None
+        elif law == "four_point":
+            pts, w = four_point_arrays()[0], np.array([0.372, 0.372, 0.128, 0.128])
+        else:
+            pts = rng.standard_normal((6, 2))
+            pts, w = np.vstack([pts, pts[2]]), np.full(7, 1 / 7)
+        s, n = discrete_sampler(pts, w, seed=5), 300
+        stacks = stacks_fitted(monkeypatch, s, n, mode, range(40))
+        points = np.concatenate([p for p, _ in stacks])
+        weights = np.concatenate([w for _, w in stacks])
+        assert len(points) == 40 and points.shape[1] <= min(n, s.law.n)
+        if mode == "locscatter":
+            assert (points[:, :, 2] == 1.0).all()
+        for rep, (row, row_w) in enumerate(zip(points[:, :, :2], weights)):
+            want = EmpiricalSample(s.draw(n, s.rng_for(rep))).merged()[0]
+            drawn = row_w > 0.0
+            got_pts, got_w, _ = domain_check._merge(row[drawn], row_w[drawn])
+            assert np.array_equal(got_pts, want.points)
+            assert np.abs(got_w - want.weights).max() <= 4 * n * np.finfo(float).eps
+            # padding copies the row's own last drawn point
+            assert (row[~drawn] == row[drawn][-1]).all()
+
+    def test_padding_keeps_the_exact_check_of_each_draw(self):
+        # a far, light atom listed last: a replicate that does not draw it
+        # gets the report of its raw draw, point tolerance included, where
+        # a padding with the law's last point would scale the tolerance by 1e8
+        rng = np.random.default_rng(12)
+        pts = np.vstack([rng.standard_normal((12, 2)), [[1e8, 0.0]]])
+        w = np.append(np.full(12, (1.0 - 1e-6) / 12), 1e-6)
+        s, n = discrete_sampler(pts, w, seed=13), 40
+        idx = np.stack([s.index(n, s.rng_for(rep)) for rep in range(30)])
+        assert not (idx == 12).any()
+        points, weights = simlab._drawn_support(s.law.points, idx)
+        assert (weights == 0.0).any()
+        for rep, (row, row_w) in enumerate(zip(points, weights)):
+            draw = s.draw(n, s.rng_for(rep))
+            assert domain_check._point_scale(row) == domain_check._point_scale(draw)
+            for a0 in (2.5, 4.0):
+                got = domain_check._check_exact(row, row_w, a0)
+                want = domain_check._check_exact(draw, np.full(n, 1.0 / n), a0)
+                assert (got.member, got.worst_subspace_dim, got.threshold) == \
+                    (want.member, want.worst_subspace_dim, want.threshold)
+                assert got.worst_mass == pytest.approx(want.worst_mass, abs=4 * n * np.finfo(float).eps)
+                assert np.array_equal(row[list(got.witness_points)], draw[list(want.witness_points)])
+
+    @pytest.mark.parametrize("kind", ["gaussian", "t", "contaminated", "hand-built"])
+    def test_other_samplers_send_their_draws_at_uniform_weights(self, monkeypatch, kind):
+        # no index into a support: n rows at 1/n each, as drawn
+        if kind == "gaussian":
+            s = gaussian_sampler(np.zeros(2), np.eye(2), seed=1)
+        elif kind == "t":
+            s = t_sampler(3.0, np.zeros(2), np.eye(2), seed=1)
+        elif kind == "contaminated":
+            s = contaminated_sampler(discrete_sampler(*four_point_arrays(), seed=1), 0.1, [0.5, 0.5])
+        else:
+            s = simlab.Sampler(1, 2, lambda n, rng: rng.standard_normal((n, 2)))
+        assert s.index is None
+        n = 50
+        (points, weights), = stacks_fitted(monkeypatch, s, n, "scatter", range(6))
+        assert np.array_equal(points, np.stack([s.draw(n, s.rng_for(rep)) for rep in range(6)]))
+        assert (weights == 1.0 / n).all() and weights.shape == (6, n)
+
+
 def replicates_one_at_a_time(sampler, cfg, n, mode, reps):
     """Oracle for ``simlab._replicate_thetas``: each replicate checked and fitted on its own.
 
@@ -398,18 +486,21 @@ class TestStackedDomainChecks:
         # outside with no enumeration, and at 500 steps that is every one
         # outside. At 4 steps some fits stop before the certificate or the
         # witness decides them, and only those replicates are enumerated, each
-        # one on its own
+        # one on its own. Replicates are told apart by where their rows lie in
+        # memory, not by their points: every replicate of this law draws the
+        # same four points, at other counts
         pts, _ = four_point_arrays()
         s = discrete_sampler(pts, np.array([0.372, 0.372, 0.128, 0.128]), seed=3)
         n, cfg = 300, ScatterConfig(nu=2.0, max_iter=max_iter)
         want = replicates_one_at_a_time(s, cfg, n, mode, range(40))
         monkeypatch.setattr(simlab, "STACK_BYTES", 7 * scatter._sample_bytes(n, 2 + (mode == "locscatter")))
-        collapsed, enumerated = set(), []
+        stacks, collapsed, enumerated = [], set(), []
         solve, check = scatter._solve_stack, scatter._check_exact
 
         def solve_spy(points, weights, cfg):
             outcomes = solve(points, weights, cfg)
-            collapsed.update(p.tobytes() for p, out in zip(points, outcomes) if isinstance(out, scatter._Collapse))
+            stacks.append(points)  # kept alive, so that no later stack reuses its memory
+            collapsed.update(p.ctypes.data for p, out in zip(points, outcomes) if isinstance(out, scatter._Collapse))
             return outcomes
 
         def check_spy(points, weights, a0):
@@ -426,8 +517,8 @@ class TestStackedDomainChecks:
         got = simlab._replicate_thetas(s, cfg, n, mode, range(40))
         outside = sum(w is False for w in want)
         assert 0 < len(collapsed) <= outside
-        assert all(points.shape == (n, 2 + (mode == "locscatter")) for points in enumerated)
-        assert not collapsed & {points.tobytes() for points in enumerated}
+        assert all(points.shape[0] <= n and points.shape[1] == 2 + (mode == "locscatter") for points in enumerated)
+        assert not collapsed & {points.ctypes.data for points in enumerated}
         if max_iter == 500:
             assert len(collapsed) == outside and not enumerated
         else:
