@@ -331,11 +331,11 @@ def _certify_members(pts, w, A, a0: float) -> np.ndarray:
       that over all points is subtracted.
     * ``rho`` = eps (n + 8 d^2 kappa(L) + 16) bounds the relative roundoff
       of s, f, the entries of M and the n-term sums. The points are
-      whitened as the solver whitens them, z_i = X y_i with X the computed
-      inverse of L. X is the exact inverse of a matrix L~ whose singular
-      values are within relative d eps kappa(L) of L's, since the residual
-      X L - I of an LU-based inverse is that small (the factor d leaves
-      room for pivot growth). The bound holds for any A, so it holds at
+      whitened here, z_i = X y_i with X the computed inverse of L. X is the
+      exact inverse of a matrix L~ whose singular values are within
+      relative d eps kappa(L) of L's, since the residual X L - I of an
+      LU-based inverse is that small (the factor d leaves room for pivot
+      growth). The bound holds for any A, so it holds at
       L~ L~', whose kappa and ||L~^{-1}|| differ from L's only by factors
       1 + O(d eps kappa(L)). What is left is the rounding of the products
       X y_i, at most d eps |X| |y_i| entrywise, which is d^(3/2) eps

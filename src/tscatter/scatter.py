@@ -8,37 +8,41 @@ with rho(s) = ((nu + d)/2) log((nu + s)/nu). On the existence domain the
 minimizer is the unique critical point, characterized by the fixed-point
 equation A = sum_i w_i u(y_i' A^{-1} y_i) y_i y_i' with u(s) = (nu+d)/(nu+s).
 
-One step of that map is a majorize-minimize (MM) update: it never increases
-the objective, but it converges only linearly, and slowly for small nu or
-near the boundary of the domain. The solver therefore first forms a full
-Newton step in whitened coordinates each iteration, and takes it whenever it
-stays SPD and its objective is at most U = Qh(B) + (1/2) log det M + (d - tr M)/2,
-up to a few units of roundoff where the comparison says nothing; B = L L' is
-the iterate and M = L^{-1} B_mm L^{-T} its whitened MM candidate. As rho is
-concave in s, its tangents at the current s_i bound Qh from above by a
-function equal to Qh at B and least at B_mm, where its value is U. So
-Qh(B_mm) <= U <= Qh(B), and a Newton step taken lowers Qh by at least the MM
-guarantee Qh(B) - U = (1/2) sum_j (lambda_j - 1 - log lambda_j) over the
-eigenvalues of M. Only a sample whose Newton step is missing or misses U (or
-whose M is not SPD, which leaves no U) factors and whitens B_mm and takes the
-MM step (the partial-Newton scheme of Duembgen, Nordhausen and Schuhmacher,
-JMVA 144, 2016); an MM candidate not taken is never factored, so it cannot
-break a fit down. The monotone descent of the MM iteration (Kent and Tyler,
-Ann. Statist. 19, 1991) thus carries over, up to roundoff, and near the
-solution the Newton steps converge quadratically.
+Each sample holds its iterate B as two arrays, its Cholesky factor L and its
+whitened points Z = L^{-1} Y' (columns z_i, s_i = |z_i|^2), computed from the
+data once, at the start c I: the best multiple of the identity, which scales
+with the data as the fit does, so the steps taken do not depend on the units.
+Each step moves both arrays by a triangular factor of its own, so nothing
+re-whitens the data or refactors B, L stays lower triangular, and
+(1/2) log det B is sum_j log L_jj. Near the fit those factors are near the
+identity, and Z keeps its digits however ill-conditioned B is. B = L L' is
+formed only for the collapse witness and for the samples that stop.
+
+One step of the fixed-point map is a majorize-minimize (MM) update, to
+B_mm = L M L' with M = sum_i w_i u(s_i) z_i z_i' the whitened MM image: with
+M = Lm Lm' it maps L to L Lm and Z to Lm^{-1} Z. It never increases the
+objective, but it converges only linearly, and slowly for small nu or near
+the boundary of the domain. The solver therefore first forms a full Newton
+step to the whitened concentration I + D = V V', V upper triangular, which
+maps L to L V^{-T} and Z to V' Z, and takes it whenever it stays SPD and its
+objective is at most U = Qh(B) + (1/2) log det M + (d - tr M)/2, up to a few
+units of roundoff. As rho is concave in s, its tangents at the current s_i
+bound Qh from above by a function equal to Qh at B and least at B_mm, where
+its value is U. So Qh(B_mm) <= U <= Qh(B), and a Newton step taken lowers Qh
+by at least the MM guarantee Qh(B) - U = (1/2) sum_j (lambda_j - 1 - log
+lambda_j) over the eigenvalues of M. Only a sample whose Newton step is
+missing or misses U (or whose M is not SPD, which leaves no U) factors M and
+takes the MM step: the whitened partial-Newton scheme of Duembgen, Nordhausen
+and Schuhmacher (JMVA 144, 2016). So an MM candidate not taken cannot break a
+fit down, the monotone descent of the MM iteration (Kent and Tyler, Ann.
+Statist. 19, 1991) carries over, up to roundoff, and near the solution the
+Newton steps converge quadratically.
 
 The Newton system lives on the K = d(d+1)/2 coordinates of a symmetric
 matrix. Its K x K matrix is never formed: each step is solved inexactly by
-preconditioned conjugate gradients on d x d matrices, about 4 n d^2 flops
-per product, to a relative residual that shrinks with the gradient, so the
-local convergence stays quadratic. A step that CG cannot find is declined,
-and the sample takes the MM step. Each product, like the MM image M, is
-summed over blocks of points (``symspace._weighted_gram``), so its scratch
-memory is one block, sized to stay in cache however many points there are.
-
-Each sample starts at the best multiple c I of the identity (the scalar case
-of the fixed-point equation), which scales with the data as the fit does,
-A(lambda Y) = lambda^2 A(Y), so the steps taken do not depend on the units.
+preconditioned conjugate gradients (``_cg_steps``), whose products, like the
+MM image M, are summed a cache-sized block of points at a time. A step that
+CG cannot find is declined, and the sample takes the MM step.
 
 Off the domain there is no critical point: the objective falls without
 bound as the iterate collapses onto a subspace H that carries too much mass,
@@ -58,13 +62,9 @@ There is one solver loop, and it runs on a stack of samples of equal size
 sample keeps its own step choice, stop test and breakdown check, and a
 sample that has stopped leaves the stack. It returns one outcome per
 sample: the fit, or the :class:`NumericalBreakdown` the sample stopped with
-(a ``_Collapse`` when the witness stopped it). Membership is decided in one
-place, ``_fit_and_check``, for every solve that checks the domain: it
-certifies the fits of a stack in one call, counts a collapse as outside, and
-enumerates each sample neither decides, on its own. ``solve_scatter`` is its
-stack of one, after dropping zero-weight points, and enumerates a collapsed
-sample too, so that its report names the worst subspace; the
-location-scatter solve and the Monte Carlo replicates act on its outcomes.
+(a ``_Collapse`` when the witness stopped it). Every solve that checks the
+domain, the location-scatter solve and the Monte Carlo replicates included,
+decides membership in one place, ``_fit_and_check``.
 """
 
 from __future__ import annotations
@@ -76,7 +76,7 @@ import numpy as np
 from .domain_check import (EmpiricalSample, _as_stack, _certify_members, _check_exact, _collapse_witness,
                            _positive_rows)
 from .exceptions import DomainViolation, EnumerationBudgetError, NumericalBreakdown
-from .symspace import SpdMatrix, _weighted_gram, spd_cholesky, sym_dim, symmetrize
+from .symspace import SpdMatrix, _weighted_gram, spd_cholesky, spd_factor_ok, sym_dim, symmetrize
 
 __all__ = [
     "ScatterConfig",
@@ -169,17 +169,15 @@ def weight_u(s, nu: float, d: int):
     return float(out) if out.ndim == 0 else out
 
 
-def _whiten(L, Yt, log_t, w, nu: float):
-    """Whitened points Z = L^{-1} Y' (R, d, n), quadratic forms s and Qh at B = L L'.
+def _objective(L, Z, log_t, w, nu: float):
+    """Quadratic forms s = |z_i|^2 of the whitened points Z (R, d, n), and Qh at B = L L'.
 
     ``log_t`` holds log(nu + t_i) with t_i = |y_i|^2, so that
     rho(s_i) - rho(t_i) = ((nu + d)/2) (log(nu + s_i) - log(nu + t_i)).
     """
-    Z = np.linalg.inv(L) @ Yt
     s = np.einsum("rin,rin->rn", Z, Z)
     half_logdet = np.log(np.diagonal(L, axis1=1, axis2=2)).sum(axis=1)
-    obj = half_logdet + np.einsum("rn,rn->r", w, 0.5 * (nu + L.shape[-1]) * (np.log(nu + s) - log_t))
-    return Z, s, obj
+    return s, half_logdet + np.einsum("rn,rn->r", w, 0.5 * (nu + L.shape[-1]) * (np.log(nu + s) - log_t))
 
 
 def _scale_start(t, w, nu: float, d: int):
@@ -218,14 +216,16 @@ def _newton_candidates(L, Z, s, w, nu: float, M):
     the operator G(P) = sum_i g_i (z_i' P z_i) z_i z_i' of the whitened points
     weighted by g_i = (nu+d) w_i/(nu+s_i)^2: the operator of
     ``asymptotics.hessian`` at the identity. The step D solves
-    (I - G) D = I - M, and the candidate is L (I + D)^{-1} L'.
+    (I - G) D = I - M. The candidate L (I + D)^{-1} L' has the factor L V^{-T}
+    and the whitened points V' Z, where I + D = V V' and V is upper triangular.
 
     The step is an inexact Newton step by :func:`_cg_steps`, solved to the
     relative residual min(1/2, ||I - M||_F) (the forcing rule of Dembo,
     Eisenstat and Steihaug, SIAM J. Numer. Anal. 19, 1982), which keeps the
-    local convergence quadratic. Returns the candidates, their Cholesky
-    factors, the whitened step sizes ||(I + D)^{-1} - I||_F, and which
-    candidates exist: the step was found, and I + D and the candidate are SPD.
+    local convergence quadratic. Returns the candidates' Cholesky factors and
+    whitened points, the whitened step sizes ||(I + D)^{-1} - I||_F, and which
+    candidates exist: the step was found, and I + D and the candidate meet the
+    SPD rule.
     """
     d = Z.shape[1]
     eye = np.eye(d)
@@ -234,14 +234,13 @@ def _newton_candidates(L, Z, s, w, nu: float, M):
         g = (nu + d) * w / (nu + s) ** 2
     E = eye - M
     step, ok = _cg_steps(Z, s, g, E, np.minimum(0.5, np.linalg.norm(E, axis=(1, 2))))
-    Lc, ok_c = spd_cholesky(eye + step)
-    Lc_inv = np.linalg.inv(Lc)
-    # L C^{-1} L' = W'W with W = chol(C)^{-1} L'
-    W = Lc_inv @ np.swapaxes(L, 1, 2)
-    B = symmetrize(np.swapaxes(W, 1, 2) @ W, rtol=1e-6)
-    chol, ok_b = spd_cholesky(B)
-    size = np.linalg.norm(np.swapaxes(Lc_inv, 1, 2) @ Lc_inv - eye, axis=(1, 2))
-    return B, chol, size, ok & ok_c & ok_b
+    # V is the Cholesky factor of I + D with rows and columns reversed, reversed back
+    V, ok_v = spd_cholesky((eye + step)[:, ::-1, ::-1])
+    V = V[:, ::-1, ::-1]
+    V_inv_t = np.swapaxes(np.linalg.inv(V), 1, 2)  # exactly lower triangular: the LU of V does not pivot
+    L_next = L @ V_inv_t
+    size = np.linalg.norm(V_inv_t @ np.swapaxes(V_inv_t, 1, 2) - eye, axis=(1, 2))
+    return L_next, np.swapaxes(V, 1, 2) @ Z, size, ok & ok_v & spd_factor_ok(L_next)
 
 
 def _cg_steps(Z, s, g, E, eta):
@@ -321,17 +320,11 @@ def _spread(L):
 def _sample_bytes(n: int, d: int) -> int:
     """Scratch memory one sample of an (R, n, d) stack takes in the solver loop.
 
-    Per point: the data and its transposed copy, three whitened copies and
-    the one kept, and quadratic forms and weights; then what a Newton step
-    takes, a compacted whitened copy and two d-vectors and a weight of each
-    conjugate-gradient product. It budgets an iteration on which every sample
-    falls back to the MM step, and so holds both whitened candidates at once.
-
-    The value is kept on purpose, although it now overstates a Newton step's
-    scratch memory for wide samples, whose products are summed one cache-sized
-    block of points at a time. Kept, it leaves ``simlab``'s stacks as they
-    are (two stacks of 75 replicates on the benchmark's mc-d2 jobs), and
-    larger stacks measured slower.
+    The value is kept on purpose, although it overstates the loop's memory:
+    it budgeted a transposed copy of the data and the whitening of every
+    candidate step from it. Kept, it leaves ``simlab``'s stacks as they are
+    (two stacks of 75 replicates on the benchmark's mc-d2 jobs), and larger
+    stacks measured slower.
     """
     return 8 * n * (9 * d + 11)
 
@@ -405,26 +398,20 @@ def solve_scatter_stack(points, weights, cfg: ScatterConfig) -> list[ScatterResu
     probability vector; the samples are not domain-checked. A stack that
     :class:`EmpiricalSample` would reject in any sample (other shapes, points
     that are not finite, weights that are negative or do not sum to 1 within
-    1e-12) raises :class:`ValueError`; the weights are fitted as given. Returns one
-    :class:`ScatterResult` per sample, in order. Each sample iterates on its
-    own from B = c I, the minimizer of the objective over multiples of I
-    (c = 1 where there is none), which scales with the data as the fit
-    does: every iteration whitens it with the Cholesky factor of its iterate
-    B = L L' and forms the whitened MM image M = sum_i w_i u(s_i) z_i z_i'.
-    ``grad_norm`` is the whitened gradient (1/2)||L^{-1}(B - L M L')L^{-T}||_F
-    = (1/2)||I - M||_F, which does not change when the data are rescaled or
-    linearly transformed. A sample stops once it is at most ``tol_grad``
-    (``converged=True``), or when the whitened size ||L^{-1} B_next L^{-T} - I||_F
-    of its last step fell to ``STEP_TOL``, or after ``max_iter`` steps
-    (``converged`` reflects the gradient criterion; the iterate reached is
-    returned either way), and then leaves the active stack. Raises
+    1e-12) raises :class:`ValueError`; the weights are fitted as given. Returns
+    one :class:`ScatterResult` per sample, in order, each sample iterating on
+    its own as the module docstring describes. ``grad_norm`` is the whitened
+    gradient (1/2)||L^{-1}(B - L M L')L^{-T}||_F = (1/2)||I - M||_F, which does
+    not change when the data are rescaled or linearly transformed. A sample
+    stops once it is at most ``tol_grad`` (``converged=True``), or when the
+    whitened size ||L^{-1} B_next L^{-T} - I||_F of its last step fell to
+    ``STEP_TOL``, or after ``max_iter`` steps (``converged`` reflects the
+    gradient criterion; the iterate reached is returned either way). Raises
     :class:`NumericalBreakdown`, for the first sample in stack order that
-    breaks down, if an MM iterate leaves the SPD cone or the objective
-    increases beyond roundoff, neither of which can happen in exact
-    arithmetic on the domain, or if the iterate collapsed onto a subspace
-    whose mass puts the law outside the domain at a0 = nu + d, as the exact
-    check would find (see the module docstring); a collapse cannot happen on
-    the domain at all.
+    breaks down, if an iterate leaves the SPD cone or the objective increases
+    beyond roundoff, or if the iterate collapsed off the domain (see the
+    module docstring): none of these can happen in exact arithmetic on the
+    domain.
     """
     Y, w = np.asarray(points, dtype=float), np.asarray(weights, dtype=float)
     _as_stack(Y, w)  # the checks of EmpiricalSample, on every sample
@@ -445,12 +432,12 @@ def _solve_stack(Y, w, cfg: ScatterConfig) -> list:
     R, _, d = Y.shape
     nu = cfg.nu
     eye = np.eye(d)
-    Yt = np.ascontiguousarray(np.swapaxes(Y, 1, 2))
     t = np.einsum("rnd,rnd->rn", Y, Y)
-    L = np.sqrt(_scale_start(t, w, nu, d))[:, None, None] * eye
-    B = L * L  # every sample starts at c I; L is diagonal, so L * L = L L'
+    root = np.sqrt(_scale_start(t, w, nu, d))[:, None, None]
+    L = root * eye  # every sample starts at c I, whose factor is sqrt(c) I
+    Z = np.divide(np.swapaxes(Y, 1, 2), root, order="C")
     log_t = np.log(nu + t)
-    Z, s, obj = _whiten(L, Yt, log_t, w, nu)
+    s, obj = _objective(L, Z, log_t, w, nu)
 
     ids = np.arange(R)              # stack positions of the samples still iterating
     last_step = np.full(R, np.inf)  # whitened size of each sample's latest step
@@ -464,36 +451,39 @@ def _solve_stack(Y, w, cfg: ScatterConfig) -> list:
             break
         wu = w * (nu + d) / (nu + s)
         M = symmetrize(_weighted_gram(Z, lambda Zb, cols: wu[:, cols]), rtol=1e-6)
-        B_mm = symmetrize(L @ M @ np.swapaxes(L, 1, 2), rtol=1e-6)
         grad = 0.5 * np.linalg.norm(eye - M, axis=(1, 2))
-        fp = np.linalg.norm(B - B_mm, axis=(1, 2))
         stops = np.full(ids.size, "max_iter" if k == cfg.max_iter else "", dtype="<U8")
         stops[last_step[ids] <= STEP_TOL] = "step"
         stops[grad <= cfg.tol_grad] = "grad"
         going = stops == ""
-        for j in np.flatnonzero(~going):
-            i = ids[j]
-            outcomes[i] = ScatterResult(
-                A=SpdMatrix._factored(B[j].copy(), L[j].copy()),  # B[j] is exactly symmetric, L[j] its factor
-                iterations=k,
-                newton_steps=int(newton_steps[i]),
-                objective=float(obj[j]),
-                grad_norm=float(grad[j]),
-                converged=bool(grad[j] <= cfg.tol_grad),
-                objective_trace=tuple(traces[i]),
-                stop_reason=str(stops[j]),
-                fp_residual=float(fp[j]),
-            )
         if not going.all():
-            ids, Yt, log_t, w, B, L, Z, s, obj, M, B_mm, grad, spread, top, streak = (
-                a[going] for a in (ids, Yt, log_t, w, B, L, Z, s, obj, M, B_mm, grad, spread, top, streak)
+            # the iterates B = L L' of the samples that stop, their factors and fixed-point residuals L (I - M) L'
+            Ls, Ls_t = L[~going], np.swapaxes(L[~going], 1, 2)
+            B = symmetrize(Ls @ Ls_t)
+            chol, ok = spd_cholesky(B)
+            fp = np.linalg.norm(Ls @ (eye - M[~going]) @ Ls_t, axis=(1, 2))
+            for j, Bj, cj, okj, fpj in zip(np.flatnonzero(~going), B, chol, ok, fp):
+                i = ids[j]
+                outcomes[i] = ScatterResult(
+                    A=SpdMatrix._factored(Bj, cj),
+                    iterations=k,
+                    newton_steps=int(newton_steps[i]),
+                    objective=float(obj[j]),
+                    grad_norm=float(grad[j]),
+                    converged=bool(grad[j] <= cfg.tol_grad),
+                    objective_trace=tuple(traces[i]),
+                    stop_reason=str(stops[j]),
+                    fp_residual=float(fpj),
+                ) if okj else NumericalBreakdown(f"iterate left the SPD cone at iteration {k}")
+            ids, log_t, w, L, Z, s, obj, M, grad, spread, top, streak = (
+                a[going] for a in (ids, log_t, w, L, Z, s, obj, M, grad, spread, top, streak)
             )
             if not ids.size:
                 break
 
         # the Newton candidates, replaced below by the MM candidate where they miss the bound U
-        B, L, size_nt, ok_nt = _newton_candidates(L, Z, s, w, nu, M)
-        Z, s, obj_next = _whiten(L, Yt, log_t, w, nu)
+        L_next, Z_next, size_nt, ok_nt = _newton_candidates(L, Z, s, w, nu, M)
+        s_next, obj_next = _objective(L_next, Z_next, log_t, w, nu)
         # U = obj + (1/2) log det M + (d - tr M)/2, the MM majorizer's value at B_mm. M is a weighted
         # Gram matrix, SPD unless singular: where det M is not positive (or M not finite), U = -inf
         with np.errstate(invalid="ignore"):
@@ -502,11 +492,12 @@ def _solve_stack(Y, w, cfg: ScatterConfig) -> list:
             newton = ok_nt & (obj_next <= bound + NEWTON_TIE_EPS * np.maximum(1.0, np.abs(bound)))
         ok_mm = np.ones(ids.size, dtype=bool)
         if not newton.all():
-            # compacted, or the whole arrays, not copies of the data, when every sample falls back
+            # M = Lm Lm' maps L to L Lm and Z to Lm^{-1} Z: compacted, or the whole arrays if every sample falls back
             mm = slice(None) if not newton.any() else np.flatnonzero(~newton)
-            L[mm], ok_mm[mm] = spd_cholesky(B_mm[mm])
-            Z[mm], s[mm], obj_next[mm] = _whiten(L[mm], Yt[mm], log_t[mm], w[mm], nu)
-            B[mm] = B_mm[mm]
+            Lm, ok_mm[mm] = spd_cholesky(M[mm])
+            L_next[mm], Z_next[mm] = L[mm] @ Lm, np.linalg.inv(Lm) @ Z[mm]
+            ok_mm[mm] &= spd_factor_ok(L_next[mm])
+            s_next[mm], obj_next[mm] = _objective(L_next[mm], Z_next[mm], log_t[mm], w[mm], nu)
         sound = ok_mm & ~(obj_next > obj + MONOTONE_SLACK * np.maximum(1.0, np.abs(obj)))
         for j in np.flatnonzero(~sound):
             outcomes[ids[j]] = NumericalBreakdown(
@@ -517,21 +508,21 @@ def _solve_stack(Y, w, cfg: ScatterConfig) -> list:
         newton_steps[ids[newton]] += 1
         # an MM step moves the whitened iterate from I to M
         last_step[ids] = np.where(newton, size_nt, 2.0 * grad)
-        obj = obj_next
+        L, Z, s, obj = L_next, Z_next, s_next, obj_next
         # an iterate that degenerates steadily may be collapsing off the domain: ask the witness
         spread_next, top_next = _spread(L)
         streak = np.where((spread_next > COLLAPSE_RATE * spread) | (COLLAPSE_RATE * top_next < top), streak + 1, 0)
         spread, top = spread_next, top_next
         for j in np.flatnonzero(sound & (streak >= COLLAPSE_STEPS)):
-            found = _collapse_witness(Y[ids[j]], w[j], B[j], nu + d)
+            found = _collapse_witness(Y[ids[j]], w[j], L[j] @ L[j].T, nu + d)
             if found:
                 q, _, mass, threshold = found
                 outcomes[ids[j]] = _Collapse(f"iterate collapsed onto a {q}-subspace of mass {mass!r} >= "
                                              f"{threshold!r} at iteration {k + 1}")
                 sound[j] = False
         if not sound.all():
-            ids, Yt, log_t, w, B, L, Z, s, obj, spread, top, streak = (
-                a[sound] for a in (ids, Yt, log_t, w, B, L, Z, s, obj, spread, top, streak)
+            ids, log_t, w, L, Z, s, obj, spread, top, streak = (
+                a[sound] for a in (ids, log_t, w, L, Z, s, obj, spread, top, streak)
             )
         for i, value in zip(ids.tolist(), obj.tolist()):
             traces[i].append(value)

@@ -19,6 +19,7 @@ __all__ = [
     "SpdMatrix",
     "symmetrize",
     "spd_cholesky",
+    "spd_factor_ok",
     "extract",
     "sym_dim",
     "sym_to_vec",
@@ -33,7 +34,7 @@ SQRT2 = np.sqrt(2.0)
 # Relative asymmetry above which inputs are rejected instead of averaged.
 ASYM_RTOL = 1e-12
 
-# Cholesky pivots at or below this multiple of the trace fail the SPD check.
+# Squared Cholesky pivots at or below this multiple of the trace fail the SPD rule.
 PIVOT_RTOL = 1e-12
 
 # Working set, in bytes, that _weighted_gram sizes its blocks of points to:
@@ -63,14 +64,13 @@ def symmetrize(mat, rtol=ASYM_RTOL):
 def spd_cholesky(mats):
     """Cholesky factors of a stack of symmetric matrices, and which of them are SPD.
 
-    The SPD rule: finite entries, positive trace, a Cholesky factorization
-    that succeeds, and every pivot above ``PIVOT_RTOL`` times the trace.
-    Returns ``(chol, ok)`` for an (R, d, d) stack; members failing the rule
-    get the identity as factor, so the stack stays usable downstream.
+    The SPD rule is :func:`spd_factor_ok` of the factor, where the Cholesky
+    factorization of finite entries succeeds. Returns ``(chol, ok)`` for an
+    (R, d, d) stack; members failing the rule get the identity as factor, so
+    the stack stays usable downstream.
     """
     m = np.asarray(mats, dtype=float)
-    tr = np.trace(m, axis1=1, axis2=2)
-    ok = np.isfinite(m).all(axis=(1, 2)) & (tr > 0.0)
+    ok = np.isfinite(m).all(axis=(1, 2))
     chol = np.zeros_like(m)
     try:
         chol[ok] = np.linalg.cholesky(m[ok])
@@ -81,9 +81,16 @@ def spd_cholesky(mats):
                 chol[i] = np.linalg.cholesky(m[i])
             except np.linalg.LinAlgError:
                 ok[i] = False
-    ok &= (np.diagonal(chol, axis1=1, axis2=2) ** 2 > PIVOT_RTOL * tr[:, None]).all(axis=1)
+    ok &= spd_factor_ok(chol)
     chol[~ok] = np.eye(m.shape[-1])
     return chol, ok
+
+
+def spd_factor_ok(chol):
+    """Which lower-triangular L (R, d, d) meet the SPD rule: finite, squared pivots above PIVOT_RTOL tr(L L')."""
+    trace = np.einsum("rij,rij->r", chol, chol)  # ||L||_F^2 = tr(L L')
+    pivots = np.diagonal(chol, axis1=1, axis2=2)
+    return np.isfinite(chol).all(axis=(1, 2)) & (pivots**2 > PIVOT_RTOL * trace[:, None]).all(axis=1)
 
 
 def _weighted_gram(Z, weigh):
@@ -113,7 +120,7 @@ class SpdMatrix:
     """Symmetric positive definite matrix with a cached Cholesky factor.
 
     Construction symmetrizes the input and fails with :class:`NotSpdError`
-    unless every Cholesky pivot exceeds ``PIVOT_RTOL`` times the trace.
+    unless it meets the SPD rule of :func:`spd_cholesky`.
     Instances are immutable and safe to share across threads.
     """
 
@@ -124,8 +131,8 @@ class SpdMatrix:
         chol, ok = spd_cholesky(m[None])
         if not ok[0]:
             raise NotSpdError(
-                "matrix is not positive definite: it needs finite entries, a positive "
-                "trace and Cholesky pivots above PIVOT_RTOL times the trace"
+                "matrix is not positive definite: it needs finite entries and squared "
+                "Cholesky pivots above PIVOT_RTOL times the trace"
             )
         self._hold(m, chol[0])
 
@@ -166,9 +173,8 @@ class SpdMatrix:
     def quad_forms(self, points) -> np.ndarray:
         """Row-wise quadratic forms y_i' A^{-1} y_i for an (n, d) array.
 
-        Whitens the points as the solver's ``scatter._whiten`` does,
-        z_i = L^{-1} y_i with the inverse of the Cholesky factor formed once,
-        and returns |z_i|^2.
+        Whitens the points, z_i = L^{-1} y_i with the inverse of the Cholesky
+        factor formed once, and returns |z_i|^2.
         """
         pts = np.atleast_2d(np.asarray(points, dtype=float))
         z = np.linalg.inv(self._chol) @ pts.T

@@ -24,7 +24,7 @@ from tscatter import (
 )
 from tscatter import domain_check, scatter, simlab, symspace
 from tscatter.scatter import solve_scatter_stack
-from tscatter.symspace import as_spd, sym_dim, sym_to_vec, vec_to_sym
+from tscatter.symspace import SpdMatrix, sym_dim, sym_to_vec, symmetrize, vec_to_sym
 
 from oracles import gradient, objective, outer_gram_einsum, scale_start_loop, solve_scatter_mm
 
@@ -57,8 +57,8 @@ def _t2_cloud(n, d, seed):
 def _newton_inputs(q, B, nu):
     """What the solver loop hands _newton_candidates at the iterate B, as a stack of one."""
     L = np.linalg.cholesky(B)[None]
-    Yt, w = q.points.T[None], q.weights[None]
-    Z, s, _ = scatter._whiten(L, Yt, np.log(nu + (Yt * Yt).sum(axis=1)), w, nu)
+    Z, w = np.linalg.solve(L, q.points.T[None]), q.weights[None]
+    s = np.einsum("rin,rin->rn", Z, Z)
     M = (Z * (w * (nu + q.d) / (nu + s))[:, None, :]) @ np.swapaxes(Z, 1, 2)
     return L, Z, s, w, (M + np.swapaxes(M, 1, 2)) / 2.0
 
@@ -561,6 +561,18 @@ class TestAgainstMmOracle:
         assert ok.tolist() == [False]
         assert not D.any()
 
+    @pytest.mark.parametrize("nu", [3.0, 3.3, 3.83, 10.0])
+    def test_near_coplanar_lifted_law_converges(self, nu):
+        # five points in R^3 with Dirichlet weights, lifted: the least singular
+        # value of the lifted points is 0.028 against 2.4 for the largest, and
+        # cond(A) reaches 1e10 to 7e11. Re-whitening the data through a
+        # refactored iterate on every step broke these fits down at nu = 3 and
+        # 3.3 and stalled them at max_iter at 3.83 and 10; they take 26 to 28
+        q = _law("lifted", 4, 5, True, 33245)
+        assert check_scatter_domain(q, nu + q.d).member
+        res = solve_scatter(q, ScatterConfig(nu=nu), check_domain=False)
+        assert res.converged and res.iterations <= 40
+
     def test_small_nu_converges_within_default_max_iter(self):
         # near the Tyler limit: the MM iteration alone stops unconverged at 500
         q = EmpiricalSample(np.random.default_rng(25).standard_normal((2000, 5)))
@@ -603,7 +615,7 @@ def _solve_cg_steps_exactly(mp):
 
 
 def _objective_rounding(sample, B, nu):
-    """A bound on the rounding of the solver's n-term objective at B.
+    """A bound on the rounding of the solver's n-term objective at the SpdMatrix B.
 
     (n + d + 16) eps (|(1/2) log det B| + sum_i w_i |rho terms|), the bound
     on a computed sum of Higham (Accuracy and Stability of Numerical
@@ -612,10 +624,10 @@ def _objective_rounding(sample, B, nu):
     that of the difference the sum takes, and the quadratic forms s_i carry
     a relative error of about d eps.
     """
-    s = as_spd(B).quad_forms(sample.points)
+    s = B.quad_forms(sample.points)
     t = np.einsum("ij,ij->i", sample.points, sample.points)
     terms = 0.5 * (nu + sample.d) * (np.abs(np.log(nu + s)) + np.abs(np.log(nu + t)))
-    size = abs(0.5 * np.linalg.slogdet(B)[1]) + float(sample.weights @ terms)
+    size = abs(0.5 * B.logdet()) + float(sample.weights @ terms)
     return (sample.n + sample.d + 16) * np.finfo(float).eps * size
 
 
@@ -629,7 +641,9 @@ def _check_majorizer_bounds(mp):
     samples still iterating, in order: at step k, those that took more than k
     steps. The objectives compared are computed n-term sums, so the check
     allows the rounding bound of both, :func:`_objective_rounding`, and no
-    more.
+    more. The oracle objective is evaluated through the factor L_k the loop
+    holds: on the near-coplanar lifted law, where cond(B_k) reaches 1e10 to
+    8e11, refactoring L_k L_k' moves it by up to 2.4e-8 relative.
     """
     solve, candidates = scatter._solve_stack, scatter._newton_candidates
 
@@ -650,9 +664,9 @@ def _check_majorizer_bounds(mp):
             going = [i for i, out in enumerate(outcomes) if out.iterations > k]
             assert len(going) == len(L)
             for i, Lk in zip(going, L):
-                iterates[i].append(Lk @ Lk.T)
+                iterates[i].append(SpdMatrix._factored(symmetrize(Lk @ Lk.T), Lk))
         for i, out in enumerate(outcomes):
-            iterates[i].append(out.A.mat)
+            iterates[i].append(out.A)
         for k, (_, M) in enumerate(received):
             going = [i for i, out in enumerate(outcomes) if out.iterations > k]
             for i, Mk in zip(going, M):
@@ -698,11 +712,14 @@ class TestStack:
     # an MM step ends 3.8e-15 above its bound U = -0.78, within the rounding of
     # the objective's sum but past an allowance of 16 eps max(1, |U|)
     @example(kind="lifted", d=2, extra=1, members=[(True, 21934)], nu=18.440485056741675, width=None)
+    # the near-coplanar lifted law, whose fit broke down when each step re-whitened the data
+    @example(kind="lifted", d=4, extra=1, members=[(True, 33245)], nu=3.0, width=None)
     def test_matches_single_solves(self, kind, d, extra, members, nu, width):
         self._check_single_solves(kind, d, extra, members, nu, width, exact_steps=False)
 
     @settings(max_examples=100, deadline=None)
     @given(*STACKS)
+    @example(kind="lifted", d=4, extra=1, members=[(True, 33245)], nu=3.0, width=None)
     def test_matches_single_solves_on_cg_steps(self, kind, d, extra, members, nu, width):
         # near-exact CG steps: most samples run all K products and leave the
         # active stack on the product count rather than on their residual
@@ -850,43 +867,49 @@ class TestGramBlocks:
             assert np.linalg.norm(got.A.mat - want.A.mat) <= 1e-12 * np.linalg.norm(want.A.mat)
 
 
-class TestWhitening:
-    """Each step whitens its Newton candidate; only a sample that falls back whitens its MM candidate too."""
+class TestHeldFactor:
+    """Each step moves the held factor of the iterate; only a sample that falls back factors its MM image."""
 
     NU = 0.02
     # 40 normal points in 3-D, whose fit at nu = 0.02 takes Newton steps only
     NEWTON_ONLY = EmpiricalSample(np.random.default_rng(20).standard_normal((40, 3)))
 
     @staticmethod
-    def _spy_whiten(monkeypatch):
-        # the (R, d, n) data that each call to scatter._whiten whitens
-        calls, whiten = [], scatter._whiten
+    def _mm_factorizations(monkeypatch, laws):
+        """Fit the stack of laws; return the fits and how many of each sample's MM images were factored."""
+        received, factored = [], []
+        candidates, cholesky = scatter._newton_candidates, scatter.spd_cholesky
 
-        def spy(L, Yt, log_t, w, nu):
-            calls.append(Yt.copy())
-            return whiten(L, Yt, log_t, w, nu)
+        def spy_candidates(L, Z, s, w, nu, M):
+            received.append((L.copy(), M.copy()))
+            return candidates(L, Z, s, w, nu, M)
 
-        monkeypatch.setattr(scatter, "_whiten", spy)
-        return calls
+        def spy_cholesky(mats):
+            factored.extend(np.array(mats))
+            return cholesky(mats)
 
-    def test_newton_only_fit_whitens_once_per_step(self, monkeypatch):
-        calls = self._spy_whiten(monkeypatch)
-        res = solve_scatter(self.NEWTON_ONLY, ScatterConfig(nu=self.NU), check_domain=False)
-        assert res.converged and res.iterations == res.newton_steps > 0
-        assert len(calls) == res.iterations + 1  # the start, then each step's Newton candidate
-
-    def test_only_the_falling_back_sample_whitens_its_mm_candidate(self, monkeypatch):
-        laws = [self.NEWTON_ONLY, _session_t3_law()]
-        calls = self._spy_whiten(monkeypatch)
+        monkeypatch.setattr(scatter, "_newton_candidates", spy_candidates)
+        monkeypatch.setattr(scatter, "spd_cholesky", spy_cholesky)
         results = solve_scatter_stack(np.stack([q.points for q in laws]), np.stack([q.weights for q in laws]),
-                                      ScatterConfig(nu=self.NU))
-        newton, mixed = results
-        assert newton.iterations == newton.newton_steps
-        assert (mixed.iterations, mixed.newton_steps) == (10, 6)
-        for q, res in zip(laws, results):
-            mm_steps = res.iterations - res.newton_steps
-            whitened = sum(any(np.array_equal(Yt, q.points.T) for Yt in stack) for stack in calls)
-            assert whitened == 1 + res.iterations + mm_steps
+                                      ScatterConfig(nu=TestHeldFactor.NU))
+        images = [[] for _ in results]  # each sample's whitened MM images M_k, step by step
+        for k, (L, M) in enumerate(received):
+            going = [i for i, res in enumerate(results) if res.iterations > k]
+            for i, Lk, Mk in zip(going, L, M):
+                # the factor the loop holds stays exactly lower triangular with a positive diagonal
+                assert np.array_equal(np.tril(Lk), Lk) and (np.diag(Lk) > 0.0).all()
+                images[i].append(Mk)
+        return results, [sum(any(np.array_equal(m, Mk) for Mk in mine) for m in factored) for mine in images]
+
+    def test_newton_only_fit_factors_no_mm_image(self, monkeypatch):
+        (res,), (count,) = self._mm_factorizations(monkeypatch, [self.NEWTON_ONLY])
+        assert res.converged and res.iterations == res.newton_steps == 6
+        assert count == 0
+
+    def test_only_the_falling_back_sample_factors_its_mm_image(self, monkeypatch):
+        results, counts = self._mm_factorizations(monkeypatch, [self.NEWTON_ONLY, _session_t3_law()])
+        assert [(res.iterations, res.newton_steps) for res in results] == [(6, 6), (10, 6)]
+        assert counts == [res.iterations - res.newton_steps for res in results] == [0, 4]
 
 
 class TestFitAndCheck:

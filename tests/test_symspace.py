@@ -15,7 +15,7 @@ from tscatter import (
 )
 from tscatter import symspace
 from tscatter.exceptions import DegeneracyError
-from tscatter.symspace import _layout, _weighted_gram, outer_vecs, spd_cholesky, symmetrize
+from tscatter.symspace import _layout, _weighted_gram, outer_vecs, spd_cholesky, spd_factor_ok, symmetrize
 
 from oracles import embed, outer_vecs_gather
 
@@ -248,6 +248,22 @@ class TestStackedRules:
             else:
                 assert good and np.array_equal(factor, expected)
         assert ok.tolist() == [True, False, False, False, False, True]
+
+    def test_spd_rule_reads_off_a_factor(self):
+        # the rule of spd_cholesky, read off a lower-triangular factor L with
+        # the trace of L L' as ||L||_F^2: a squared pivot of 1e-12 against a
+        # trace of 2 fails it, one of 4e-12 passes
+        rng = np.random.default_rng(47)
+        factors = np.stack([
+            np.linalg.cholesky(random_spd(rng, 3)),
+            np.diag([1.0, 1e-6, 1.0]),
+            np.diag([1.0, 2e-6, 1.0]),
+            np.tril(np.full((3, 3), np.inf)),
+            np.tril(np.full((3, 3), np.nan)),
+        ])
+        ok = spd_factor_ok(factors)
+        assert ok.tolist() == [True, False, True, False, False]
+        assert spd_cholesky(factors[:3] @ np.swapaxes(factors[:3], 1, 2))[1].tolist() == ok[:3].tolist()
 
     def test_layout_is_cached_and_read_only(self):
         assert _layout(4) is _layout(4)
