@@ -65,24 +65,6 @@ REL_THRESHOLD = 0.05
 # the budget counts n points per replicate however few distinct points it drew.
 STACK_BYTES = 8 * 2**20
 
-# Cephes ndtr (Moshier, Methods and Programs for Mathematical Functions, 1989):
-# erfc(z) = exp(-z^2) P(z)/Q(z) on [1, 8) and R(z)/S(z) past 8, erf(z) = z T(z^2)/U(z^2) on [0, 1];
-# Q, S and U have an implicit leading 1. exp(-z^2) underflows past z^2 = MAXLOG.
-_P = (2.46196981473530512524e-10, 5.64189564831068821977e-1, 7.46321056442269912687e0, 4.86371970985681366614e1,
-      1.96520832956077098242e2, 5.26445194995477358631e2, 9.34528527171957607540e2, 1.02755188689515710272e3,
-      5.57535335369399327526e2)
-_Q = (1.32281951154744992508e1, 8.67072140885989742329e1, 3.54937778887819891062e2, 9.75708501743205489753e2,
-      1.82390916687909736289e3, 2.24633760818710981792e3, 1.65666309194161350182e3, 5.57535340817727675546e2)
-_R = (5.64189583547755073984e-1, 1.27536670759978104416e0, 5.01905042251180477414e0, 6.16021097993053585195e0,
-      7.40974269950448939160e0, 2.97886665372100240670e0)
-_S = (2.26052863220117276590e0, 9.39603524938001434673e0, 1.20489539808096656605e1, 1.70814450747565897222e1,
-      9.60896809063285878198e0, 3.36907645100081516050e0)
-_T = (9.60497373987051638749e0, 9.00260197203842689217e1, 2.23200534594684319226e3, 7.00332514112805075473e3,
-      5.55923013010394962768e4)
-_U = (3.35617141647503099647e1, 5.21357949780152679795e2, 4.59432382970980127987e3, 2.26290000613890934246e4,
-      4.92673942608635921086e4)
-MAXLOG = 7.09782712893383996843e2
-
 
 @dataclass(frozen=True)
 class Sampler:
@@ -175,8 +157,12 @@ class McReport:
     sqrt(n) * (vectorized estimate - functional); ``max_rel_err`` compares it
     entrywise to ``target_cov.S`` over entries exceeding ``REL_THRESHOLD`` in
     magnitude, and is NaN, with a warning, where no entry does.
-    ``existence_rate`` is the fraction of replicates passing the domain
-    check; only those whose fit converged contribute estimates.
+    ``normality_stat`` holds, per coordinate of theta, the Kolmogorov-Smirnov
+    distance of the replicate errors from the normal law with their mean and
+    sd; it is NaN (null in JSON) for a coordinate whose errors do not vary
+    beyond roundoff of the largest error of the job. ``existence_rate`` is
+    the fraction of replicates passing the domain check; only those whose
+    fit converged contribute estimates.
     """
 
     n: int
@@ -370,6 +356,7 @@ def run_clt_experiment(
         raise NumericalBreakdown(f"only {len(kept)} of {members} member replicate fits converged: too few")
 
     errors = np.sqrt(n) * (np.stack(kept) - theta0)
+    scale = np.abs(errors).max()
     emp = np.atleast_2d(np.cov(errors, rowvar=False, ddof=1))
     emp = (emp + emp.T) / 2.0
 
@@ -389,69 +376,26 @@ def run_clt_experiment(
         empirical_cov=emp,
         target_cov=target_cov,
         max_rel_err=max_rel_err,
-        normality_stat=tuple(_normality_stat(col) for col in errors.T),
+        normality_stat=tuple(_normality_stat(col, scale) for col in errors.T),
         existence_rate=existence_rate,
         warnings=tuple(warnings),
     )
 
 
-def _normality_stat(col) -> float:
+def _normality_stat(col, scale) -> float:
     """Kolmogorov-Smirnov distance of ``col`` from the normal law with its mean and sd.
 
-    D = max(D+, D-) over the sorted column, with the normal CDF from the
-    package's port of Cephes ``ndtr`` (:func:`_ndtr`): the statistic of
-    ``scipy.stats.kstest(col, "norm", args=(mean, sd))``, bit for bit,
-    without its p-value. NaN for a column of (nearly) one value.
+    D = max(D+, D-) over the sorted column, with Phi(z) = erfc(-z/sqrt(2))/2
+    from libm's ``erfc`` (:func:`math.erfc`): the statistic of
+    ``scipy.stats.kstest(col, "norm", args=(mean, sd))`` to within a few
+    ulps, without its p-value. NaN where the sd is at most 1e-12 ``scale``,
+    the job's largest |error|: a column that does not vary, or only by
+    roundoff. A floor relative to the job's errors keeps D free of units.
     """
     sd = col.std(ddof=1)
-    if not sd > 1e-12 * (1.0 + np.abs(col).max()):
+    if not sd > 1e-12 * scale:
         return float("nan")
     n = col.size
-    cdf = _ndtr((np.sort(col) - col.mean()) / sd)
+    z = (np.sort(col) - col.mean()) / sd
+    cdf = np.array([0.5 * math.erfc(-v * math.sqrt(0.5)) for v in z.tolist()])
     return float(max((np.arange(1.0, n + 1) / n - cdf).max(), (cdf - np.arange(0.0, n) / n).max()))
-
-
-def _polevl(x, coef):
-    # Horner's rule, a multiply and then an add per step, as Cephes polevl
-    ans = np.full_like(x, coef[0])
-    for c in coef[1:]:
-        ans *= x
-        ans += c
-    return ans
-
-
-def _p1evl(x, coef):
-    # _polevl with an implicit leading coefficient 1, as Cephes p1evl
-    return _polevl(x, (1.0,) + coef)
-
-
-def _ndtr(a) -> np.ndarray:
-    """The standard normal CDF at each entry of ``a``: Cephes ``ndtr``, line for line.
-
-    With x = a/sqrt(2) and z = |x|: 0.5 + 0.5 erf(x) below z = sqrt(1/2),
-    else y = 0.5 erfc(z), and 1 - y for x > 0. ``erf`` and ``erfc`` take
-    the Cephes branches that these arguments reach, each step one IEEE
-    operation in the C order; exp(-z^2) is libm's, by :func:`math.exp`, one
-    value at a time. The result is ``scipy.special.ndtr``'s bit for bit.
-    """
-    x = np.asarray(a, dtype=float) * np.sqrt(0.5)
-    z = np.abs(x)
-    erfc = np.where(np.isnan(z), np.nan, 0.0)  # 0 once exp(-z^2) underflows
-    # below 1: erfc(z) = 1 - erf(z)
-    lo = z < 1.0
-    w = z[lo]
-    erf = w * _polevl(w * w, _T) / _p1evl(w * w, _U)
-    erfc[lo] = 1.0 - erf
-    with np.errstate(over="ignore"):  # z^2 = inf is past MAXLOG too
-        hi = ~lo & (z * z <= MAXLOG)
-    w = z[hi]
-    far = w >= 8.0
-    p, q = _polevl(w, _P), _p1evl(w, _Q)
-    p[far], q[far] = _polevl(w[far], _R), _p1evl(w[far], _S)
-    erfc[hi] = np.array([math.exp(-v * v) for v in w.tolist()]) * p / q
-    y = 0.5 * erfc
-    y = np.where(x > 0.0, 1.0 - y, y)
-    # erf is odd: erf(x) is erf(z) with the sign of x
-    inner = z < np.sqrt(0.5)
-    y[inner] = 0.5 + 0.5 * np.copysign(erf[inner[lo]], x[inner])
-    return y

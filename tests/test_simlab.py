@@ -3,7 +3,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import stats
-from scipy.special import ndtr
 
 from tscatter import (
     DomainViolation,
@@ -193,45 +192,37 @@ def ks_columns(draw):
 
 
 class TestNormalityStat:
+    @staticmethod
+    def assert_near_kstest(col):
+        # Phi from libm's erfc, not a port of SciPy's ndtr: equal to a few ulps, not bit for bit
+        want = stats.kstest(col, "norm", args=(col.mean(), col.std(ddof=1))).statistic
+        assert abs(simlab._normality_stat(col, np.abs(col).max()) - want) <= 4 * np.finfo(float).eps
+
     @settings(max_examples=300, deadline=None)
     @given(ks_columns())
     def test_matches_kstest(self, col):
-        got = simlab._normality_stat(col)
-        sd = col.std(ddof=1)
-        if sd > 1e-12 * (1.0 + np.abs(col).max()):
-            assert got == stats.kstest(col, "norm", args=(col.mean(), sd)).statistic
+        if col.std(ddof=1) > 1e-12 * np.abs(col).max():
+            self.assert_near_kstest(col)
         else:
-            assert np.isnan(got)
+            assert np.isnan(simlab._normality_stat(col, np.abs(col).max()))
 
-    @pytest.mark.parametrize(
-        "lo, hi",
-        [
-            (0.0, 1.0),
-            (1.0, np.sqrt(2.0)),
-            (np.sqrt(2.0), 8.0 * np.sqrt(2.0)),
-            (8.0 * np.sqrt(2.0), np.sqrt(2.0 * simlab.MAXLOG)),
-            (np.sqrt(2.0 * simlab.MAXLOG), 1e300),
-        ],
-        ids=["erf", "one-minus-erf", "erfc-P-Q", "erfc-R-S", "underflow"],
-    )
-    def test_ndtr_matches_scipy_on_each_branch(self, lo, hi):
-        # x = a/sqrt(2): erf below |x| = sqrt(1/2), then 1 - erf(|x|) below 1,
-        # erfc by P/Q below 8 and by R/S until exp(-x^2) underflows; the
-        # edges of each range to a few ulps, and both signs
-        rng = np.random.default_rng(17)
-        a = np.concatenate([
-            lo + (min(hi, 40.0) - lo) * rng.random(20_000),
-            lo * 10.0 ** rng.uniform(0.0, np.log10(hi / lo), 2_000) if lo > 0 else [],
-            lo + np.spacing(lo) * np.arange(-8, 9),
-            hi + np.spacing(hi) * np.arange(-8, 9),
-        ])
-        a = np.concatenate([a, -a])
-        assert simlab._ndtr(a).tobytes() == ndtr(a).tobytes()
+    @pytest.mark.parametrize("sign", [1.0, -1.0])
+    def test_matches_kstest_in_the_far_tail(self, sign):
+        # a column of n - 1 equal values and one outlier standardizes the
+        # outlier to z = (n - 1)/sqrt(n), the largest |z| a column can reach:
+        # 44.7 at n = 2000, where Phi(-z) underflows to 0
+        rng = np.random.default_rng(41)
+        for col in (rng.standard_normal(2), rng.standard_normal(3), np.append(np.zeros(1999), 1.0)):
+            self.assert_near_kstest(sign * col)
 
-    def test_ndtr_matches_scipy_at_zeros_infinities_and_nan(self):
-        a = np.array([0.0, -0.0, np.inf, -np.inf])
-        assert simlab._ndtr(a).tobytes() == ndtr(a).tobytes()
-        assert np.isnan(simlab._ndtr(np.array([np.nan]))[0]) and np.isnan(ndtr(np.nan))
+    def test_floor_is_relative_to_the_scale(self):
+        # a column that varies by 1e-7 is a column, not roundoff, when the
+        # job's errors are of that size too, and roundoff against errors of 1e6
+        col = 2.0**-24 * np.random.default_rng(43).standard_normal(50)
+        scale = np.abs(col).max()
+        assert simlab._normality_stat(col, scale) == simlab._normality_stat(2.0**24 * col, 2.0**24 * scale)
+        assert np.isnan(simlab._normality_stat(col, 1e6))
+        assert np.isnan(simlab._normality_stat(np.zeros(50), 0.0))
 
 
 class TestCltExperiment:
@@ -251,6 +242,16 @@ class TestCltExperiment:
         assert np.array_equal(r1.empirical_cov, r2.empirical_cov)
         assert np.array_equal(r1.normality_stat, r2.normality_stat, equal_nan=True)
         assert r1.existence_rate == r2.existence_rate
+
+    def test_normality_stat_in_any_units(self):
+        # the CI's 400-row t(3) law at nu = 2: its statistics were null at
+        # scale 1e-7 when the roundoff floor held an absolute 1e-12
+        rng = np.random.default_rng(0)
+        Y = rng.standard_normal((400, 2)) / np.sqrt(rng.chisquare(3.0, (400, 1)) / 3.0)
+        unit, tiny = (run_clt_experiment(discrete_sampler(EmpiricalSample(scale * Y), None, seed=0), 2.0, n=300, reps=150)
+                      for scale in (1.0, 1e-7))
+        assert np.isfinite(unit.normality_stat).all() and np.isfinite(tiny.normality_stat).all()
+        assert np.allclose(tiny.normality_stat, unit.normality_stat, rtol=0.0, atol=1e-9)
 
     def test_four_point_scatter_covariance(self):
         pts, w = four_point_arrays()
