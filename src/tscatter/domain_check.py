@@ -14,7 +14,15 @@ onto the orthogonal complement of span(F), where each span F + j is a line
 through the origin, and groups the points by line with one sort of their
 directions. That takes about C(m, s-1) * m log m operations per span size
 instead of C(m, s) * m; testing collinearity is 3SUM-hard, so exact reports
-cannot do much better. The fixed tuples are drawn lazily and handled in
+cannot do much better. A row (one fixed tuple) in general position is
+settled without grouping: when span(F) holds F's points and no other, and
+the sort finds every other point alone on its line and away from the ends
+of the circle of lines (``_line_groups``), each span F + j holds F and j
+alone. Its candidates are then every j after max F, their masses summed as
+the grouping's exact sums take them, so the report cannot change; such a
+row costs its projection and its sort. On laws drawn from a density almost
+every row is of this kind; rows with a coincidence (a heavy plane, a
+lattice) are grouped. The fixed tuples are drawn lazily and handled in
 blocks, so scratch memory stays within a small multiple of ``BLOCK_BYTES``
 however many there are, and the line search (s = 1) needs O(m). Ties in
 mass go to the first subset in ``itertools.combinations`` order, as if every
@@ -287,7 +295,12 @@ def check_scatter_domain(sample: EmpiricalSample, a0: float) -> DomainReport:
     it projects the points off each tuple of s-1 of them and groups the rest by
     line through the origin with one sort, about C(m, s-1) * m log m work for m
     distinct points, in blocks whose scratch memory stays within a small
-    multiple of ``BLOCK_BYTES`` whatever the sample size (O(m) for lines).
+    multiple of ``BLOCK_BYTES`` whatever the sample size (O(m) for lines). A
+    tuple in general position (no other point in its span, no two points on
+    one line of its complement) costs that projection and sort alone: its
+    spans each hold the tuple and one point, so they are read off without
+    grouping, with the masses and the tie order the grouping gives. Tuples
+    with a coincidence are grouped, at about one and a half times that cost.
     Among subspaces with the same margin the report names the first found:
     lower dimension first, then ``itertools.combinations`` order of the merged
     points, as if each subset were tested in turn.
@@ -444,7 +457,7 @@ def _plane(r: int) -> np.ndarray:
     return plane
 
 
-def _line_groups(C: np.ndarray, norms: np.ndarray, on: np.ndarray, tol: float):
+def _line_groups(C: np.ndarray, norms: np.ndarray, on: np.ndarray, tol: float, bare: np.ndarray):
     """Group the points of each frame by the line through the origin they lie on.
 
     ``C`` is (B, m, r): coordinates on a complement, with lengths ``norms``;
@@ -458,10 +471,14 @@ def _line_groups(C: np.ndarray, norms: np.ndarray, on: np.ndarray, tol: float):
     through any other, and no arc of its row reaches past the ends of the
     circle, where it could split a group.
 
-    Returns all (row, point) pairs, row by row, with each group contiguous and
-    every point not in ``on`` alone at the end of its row; the group starts;
-    which groups are lines (not a point of span(F)); and which lines are
-    clean.
+    A row is simple when it is ``bare`` (span(F) holds F's points and no
+    other), every point off span(F) is a group of its own and no arc
+    reaches past the ends of the circle: each such point is then a clean
+    line of its own, and the caller needs no more than the mask. Returns,
+    for the other rows, all (row, point) pairs, row by row, with each group
+    contiguous and every point not in ``on`` alone at the end of its row;
+    the group starts; which groups are lines (not a point of span(F)); and
+    which lines are clean; then the (B,) mask of simple rows.
     """
     B, m = norms.shape
     z = C @ _plane(C.shape[2])
@@ -479,11 +496,16 @@ def _line_groups(C: np.ndarray, norms: np.ndarray, on: np.ndarray, tol: float):
     head = lo >= np.inf  # each point of span(F) alone
     head[:, 0] = True
     head[:, 1:] |= lo[:, 1:] > reach[:, :-1]
+    ends = (lo[:, 0] < 0) | (reach[:, -1] > np.pi)  # an arc of the row reaches past an end
+    simple = bare & head.all(axis=1) & ~ends
+    if simple.any():
+        keep = np.flatnonzero(~simple)
+        flat, order, head = flat.reshape(B, m)[keep].ravel(), order[keep], head[keep]
     rows, pts = flat // m, order.ravel()
     seg = np.flatnonzero(head)
     count = np.diff(np.append(seg, pts.size))
     line = on.ravel()[flat][seg]
-    clean = line & ~((lo[:, 0] < 0) | (reach[:, -1] > np.pi))[rows[seg]]
+    clean = line & ~ends[rows[seg]]
     many = np.flatnonzero(np.repeat(count > 1, count))
     if many.size:
         # each member's direction against its group's first one, sign-free
@@ -493,7 +515,7 @@ def _line_groups(C: np.ndarray, norms: np.ndarray, on: np.ndarray, tol: float):
         chord = np.linalg.norm(u - np.copysign(1.0, (u * v).sum(axis=1))[:, None] * v, axis=1)
         far = chord * norms.max(axis=1)[rows[many]] > tol / 4
         clean[np.searchsorted(seg, many[far], side="right") - 1] = False
-    return rows, pts, seg, line, clean
+    return rows, pts, seg, line, clean, simple
 
 
 def _heaviest_span(X: np.ndarray, w: np.ndarray, size: int, tol: float):
@@ -510,7 +532,10 @@ def _heaviest_span(X: np.ndarray, w: np.ndarray, size: int, tol: float):
     gives all of F's spans at once. For a clean group every j in it has the
     same points inside, those of span(F) and the group, so it stands for all
     of them as its first member after max F. The members of a group that is
-    not clean are tested one by one with the residual test.
+    not clean are tested one by one with the residual test. A simple row
+    (see ``_line_groups``) has F's points alone in span(F) and each other
+    point a clean group of its own: its candidates are every j after max F,
+    with F + j inside, and are taken without grouping.
     """
     m, d = X.shape
     # per fixed tuple and point: d coordinates and about 16 words of arcs,
@@ -520,23 +545,32 @@ def _heaviest_span(X: np.ndarray, w: np.ndarray, size: int, tol: float):
     for fixed in _subset_blocks(m, size - 1, block):
         fixed, C, norms = _frames(X, fixed, tol)
         base = norms <= tol  # the points of span(F), inside every span through F
-        on = norms > tol
+        on = ~base
         if not on.any():
             continue
         after = fixed[:, -1] if size > 1 else np.full(len(fixed), -1)
-        rows, pts, seg, line, clean = _line_groups(C, norms, on, tol)
-        g_row, g_len = rows[seg], np.diff(np.append(seg, pts.size))
-        later = pts > after[rows]
-        # one candidate per clean group: its first point after max F
-        g_next = np.minimum.reduceat(np.where(later, pts, m), seg)
-        tidy = np.flatnonzero(clean & (g_next < m))
-        cand_row, cand_pt = g_row[tidy], g_next[tidy]
-        masses = _group_masses(w, pts, seg[tidy], g_len[tidy], base, cand_row)
-        # every member of a group that is not clean, on its own
-        odd = np.repeat(line & ~clean, g_len) & later
-        odd_row, odd_pt = rows[odd], pts[odd]
-        masses = np.concatenate([masses, _line_masses(w, C, norms, base, on, odd_row, odd_pt, tol)])
-        cand_row, cand_pt = np.concatenate([cand_row, odd_row]), np.concatenate([cand_pt, odd_pt])
+        rows, pts, seg, line, clean, simple = _line_groups(C, norms, on, tol, base.sum(axis=1) == size - 1)
+        found = []  # (rows, last points, masses) of the candidates
+        if simple.any():
+            # F + j for every j after max F, with F + j inside: summed as rows of a
+            # C-ordered array, each listed in ascending order as _exact_masses sums it
+            s_row = np.flatnonzero(simple)
+            s_len = m - 1 - after[s_row]
+            s_row, s_pt = s_row.repeat(s_len), _ranges(after[s_row] + 1, s_len)
+            found.append((s_row, s_pt, w[np.column_stack([fixed[s_row], s_pt])].sum(axis=1)))
+        if pts.size:
+            g_row, g_len = rows[seg], np.diff(np.append(seg, pts.size))
+            later = pts > after[rows]
+            # one candidate per clean group: its first point after max F
+            g_next = np.minimum.reduceat(np.where(later, pts, m), seg)
+            tidy = np.flatnonzero(clean & (g_next < m))
+            cand_row = g_row[tidy]
+            found.append((cand_row, g_next[tidy], _group_masses(w, pts, seg[tidy], g_len[tidy], base, cand_row)))
+            # every member of a group that is not clean, on its own
+            odd = np.repeat(line & ~clean, g_len) & later
+            odd_row, odd_pt = rows[odd], pts[odd]
+            found.append((odd_row, odd_pt, _line_masses(w, C, norms, base, on, odd_row, odd_pt, tol)))
+        cand_row, cand_pt, masses = (np.concatenate(part) for part in zip(*found))
         peak = masses.max(initial=-np.inf)
         if peak > best_mass:
             # the first maximum in combinations order: least row, then least point

@@ -346,7 +346,11 @@ def solve_scatter(
     sample, to_caller = _positive_rows(sample)
     points, weights = sample.points[None], sample.weights[None]
     if not check_domain:
-        return solve_scatter_stack(points, weights, cfg)[0]
+        # the arrays EmpiricalSample checked, so no _as_stack pass; a collapse is a breakdown here
+        (outcome,) = _solve_stack(points, weights, cfg)
+        if isinstance(outcome, NumericalBreakdown):
+            raise NumericalBreakdown(str(outcome))
+        return outcome
     (outcome,) = _fit_and_check(points, weights, cfg)
     if isinstance(outcome, _Collapse):
         # the witness proved the law outside; the enumeration names its worst subspace

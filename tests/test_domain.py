@@ -590,6 +590,119 @@ class TestProjectAndGroup:
         assert got.worst_subspace_dim == 1 and np.isclose(got.worst_mass, 5 / 9)
 
 
+def _settled_rows(monkeypatch):
+    """Record, as (span size, fixed tuple), every row the exact check settles without grouping.
+
+    Also records, per span size, how many candidates go to ``_group_masses``.
+    """
+    simple, grouped, current = set(), {}, {}
+    heaviest, frames, groups, group_masses = (domain_check._heaviest_span, domain_check._frames,
+                                              domain_check._line_groups, domain_check._group_masses)
+
+    def heaviest_spy(X, w, size, tol):
+        current["size"] = size
+        return heaviest(X, w, size, tol)
+
+    def frames_spy(X, fixed, tol):
+        out = frames(X, fixed, tol)
+        current["fixed"] = out[0]
+        return out
+
+    def groups_spy(*args):
+        out = groups(*args)
+        simple.update((current["size"], tuple(f)) for f in current["fixed"][out[-1]].tolist())
+        return out
+
+    def group_masses_spy(w, members, start, length, base, rows):
+        grouped[current["size"]] = grouped.get(current["size"], 0) + rows.size
+        return group_masses(w, members, start, length, base, rows)
+
+    for name, spy in (("_heaviest_span", heaviest_spy), ("_frames", frames_spy),
+                      ("_line_groups", groups_spy), ("_group_masses", group_masses_spy)):
+        monkeypatch.setattr(domain_check, name, spy)
+    return simple, grouped
+
+
+def _tie_law(simple_first):
+    # nine points in R^3 in merged order by their first coordinate. The
+    # heaviest planes tie at 6/16: the two points of weight 3/16, alone on
+    # every plane through each of them, and three points of 2/16 on one
+    # plane. The pair that comes first in combinations order is (0, 1) either way
+    rng = np.random.default_rng(97)
+    pts = np.column_stack([np.arange(1.0, 10.0), rng.uniform(-3.0, 3.0, (9, 2))])
+    heavy, flat = ([0, 1], [2, 3, 4]) if simple_first else ([3, 4], [0, 1, 2])
+    pts[flat, 2] = -(0.3 * pts[flat, 0] - 0.5 * pts[flat, 1]) / 0.8
+    weights = np.full(9, 1.0 / 16.0)
+    weights[heavy], weights[flat] = 3.0 / 16.0, 2.0 / 16.0
+    return EmpiricalSample(pts, weights)
+
+
+class TestSimpleRows:
+    """Rows in general position are settled without grouping, with the report unchanged."""
+
+    @pytest.mark.parametrize("per_block", [1, 2, 3, 5])
+    @pytest.mark.parametrize("simple_first", [True, False])
+    def test_tie_between_a_simple_and_a_grouped_row(self, monkeypatch, simple_first, per_block):
+        # the pair (0, 1) wins the tie from its own row, simple or grouped,
+        # against the other kind of row, in blocks of 1, 2, 3 and 5 rows
+        q = _tie_law(simple_first)
+        assert np.array_equal(q.merged()[1], np.arange(9))
+        monkeypatch.setattr(domain_check, "BLOCK_BYTES", 8 * 9 * (3 + 16) * per_block)
+        simple, _ = _settled_rows(monkeypatch)
+        got = check_scatter_domain(q, 8.0)
+        assert got == check_scatter_domain_loop(q, 8.0)
+        assert got.worst_subspace_dim == 2 and got.worst_mass == 6.0 / 16.0
+        assert got.witness_points == (0, 1)
+        heavy, flat = (0, 2) if simple_first else (3, 0)
+        assert ((2, (heavy,)) in simple) and ((2, (flat,)) not in simple)
+
+    @pytest.mark.parametrize("case", [None, "two_on_one_line", "extra_in_span", "arc_across_the_ends"])
+    def test_rows_that_are_not_simple(self, monkeypatch, case):
+        # eight generic points in R^3, where the rows of point 0 are simple
+        # (None), and with one of them spoilt: a line on the complement of
+        # span(F) holds two points, span(F) holds a point besides F's, or an
+        # arc of the row reaches past the ends of the circle
+        rng = np.random.default_rng(101)
+        pts = rng.standard_normal((8, 3))
+        if case == "two_on_one_line":
+            # points 1 and 2 on one plane through the origin with point 0
+            pts[1:3] = rng.standard_normal((2, 2)) @ np.stack([pts[0], rng.standard_normal(3)])
+        elif case == "extra_in_span":
+            pts[1] = 2.0 * pts[0]
+        elif case == "arc_across_the_ends":
+            # along the first axis of the generic plane: an end of the line search's circle
+            pts[0] = 1.5 * domain_check._plane(3)[:, 0]
+        q = EmpiricalSample(pts)
+        rows = {1: (1, ()), 2: (2, (int(np.flatnonzero(q.merged()[1] == 0)[0]),))}
+        simple, _ = _settled_rows(monkeypatch)
+        assert check_scatter_domain(q, 4.5) == check_scatter_domain_loop(q, 4.5)
+        spoilt = rows[1] if case == "arc_across_the_ends" else rows[2]
+        assert (spoilt in simple) == (case is None)
+        if case is None:
+            assert rows[1] in simple
+
+    @pytest.mark.parametrize("law", ["t3", "plane"])
+    def test_hyperplanes_of_a_session_law_are_not_grouped(self, monkeypatch, law):
+        # lifted to R^4: a shifted and scaled t(3) law of 44 points, shaped as
+        # the benchmark session's, has every row of the hyperplane pass simple,
+        # so _group_masses gets no candidate there; the plane law (35 of 40
+        # points on z = 0) still groups its rows there
+        rng = np.random.default_rng(44)
+        if law == "t3":
+            Y = rng.standard_normal((44, 3)) / np.sqrt(rng.chisquare(3.0, (44, 1)) / 3.0)
+            Y = Y * rng.uniform(0.5, 3.0, 3) + rng.uniform(-5.0, 5.0, 3)
+        else:
+            Y = rng.standard_normal((40, 3)) / np.sqrt(rng.chisquare(3.0, (40, 1)) / 3.0)
+            Y[:35, 2] = 0.0
+        simple, grouped = _settled_rows(monkeypatch)
+        report = check_locscat_domain(EmpiricalSample(Y), 7.0)
+        assert report.member == (law == "t3")
+        if law == "t3":
+            assert grouped.get(3, 0) == 0 and len([row for row in simple if row[0] == 3]) == 44 * 43 // 2
+        else:
+            assert grouped.get(3, 0) > 0
+
+
 def _stack_member(kind, d, n, rng):
     """n points in R^d for one sample of a stack: a law of ``_law``'s kinds or a grouping edge case."""
     if kind == "not_one_line":

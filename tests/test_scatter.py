@@ -213,6 +213,40 @@ class TestSolveScatter:
         assert np.array_equal(got.A.mat, want.A.mat)
         assert dataclasses.replace(got, A=None) == dataclasses.replace(want, A=None)
 
+    @pytest.mark.parametrize("law", ["t2", "weighted", "zero_rows"])
+    def test_unchecked_fit_is_the_stack_of_one(self, law):
+        # check_domain=False fits the sample's own checked arrays: the same A
+        # bits, steps and objective trace as the stacked solver on them
+        q = _t2_cloud(60, 3, 37)
+        if law == "weighted":
+            q = EmpiricalSample(q.points, np.random.default_rng(37).dirichlet(np.ones(q.n)))
+        elif law == "zero_rows":
+            q = EmpiricalSample(np.vstack([q.points, [[1e6, 0.0, 0.0]]]), np.append(q.weights, 0.0))
+        cfg = ScatterConfig(nu=1.5)
+        got = solve_scatter(q, cfg, check_domain=False)
+        positive = q.drop_zero_weights()
+        want = solve_scatter_stack(positive.points[None], positive.weights[None], cfg)[0]
+        assert np.array_equal(got.A.mat, want.A.mat)
+        assert dataclasses.replace(got, A=None) == dataclasses.replace(want, A=None)  # steps and trace too
+
+    @pytest.mark.parametrize("law", ["objective_increased", "collapse"])
+    def test_unchecked_breakdown_is_the_stack_of_one(self, monkeypatch, law):
+        # the same type and message as solve_scatter_stack raises: a fit made
+        # to break down at its first step (no allowance for the objective to
+        # rise is below -inf) and one that collapses onto a big atom
+        cfg = ScatterConfig(nu=2.0)
+        if law == "objective_increased":
+            monkeypatch.setattr(scatter, "MONOTONE_SLACK", -np.inf)
+            q = _t2_cloud(60, 3, 37)
+        else:
+            q = EmpiricalSample(np.array([[0.0], [1.0]]), np.array([0.7, 0.3]))
+        with pytest.raises(NumericalBreakdown) as want:
+            solve_scatter_stack(q.points[None], q.weights[None], cfg)
+        with pytest.raises(NumericalBreakdown) as got:
+            solve_scatter(q, cfg, check_domain=False)
+        assert type(got.value) is type(want.value) is NumericalBreakdown
+        assert str(got.value) == str(want.value)
+
     def test_off_domain_fit_is_refused_with_the_exact_report(self):
         # the fit of a law with 3/4 of its mass on a line through the origin
         # (the threshold at nu = 2, d = 2) stops as converged, far out in
